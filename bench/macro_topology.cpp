@@ -45,8 +45,9 @@
 // burst and interleaved traces.
 // The station-scale cell (always run, smoke included) builds star-8x125000
 // -- 1,125,000 arena-backed stations -- under the aggregate workload and
-// pins per-station build time and memory in BENCH_topology.json's
-// aggregate_profile; check_bench_smoke.sh enforces the bounds.
+// pins per-station build time, memory and receiver visits per carried
+// frame in BENCH_topology.json's aggregate_profile; check_bench_smoke.sh
+// enforces the bounds.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -717,14 +718,20 @@ int main(int argc, char** argv) {
   const std::vector<apps::SweepResult> station_cells =
       station_sweep.run_grid(station_grid, aggregate);
   const apps::SweepResult& station = station_cells.front();
+  const double visits_per_frame =
+      station.frames_carried > 0
+          ? static_cast<double>(station.receivers_visited) /
+                static_cast<double>(station.frames_carried)
+          : 0.0;
   std::printf("\n%s", apps::TopologySweep::format_table(station_cells).c_str());
   std::printf(
       "station scale %s: %d stations built in %.0f ms (%.2f us/station), "
-      "%.0f bytes/station, peak RSS %.0f MiB\n",
+      "%.0f bytes/station, peak RSS %.0f MiB, %.1f receiver visits/frame\n",
       station.label.c_str(), station.hosts, station.build_ms,
       station.hosts > 0 ? station.build_ms * 1e3 / station.hosts : 0.0,
       station.bytes_per_station,
-      static_cast<double>(station.peak_rss_bytes) / (1024.0 * 1024.0));
+      static_cast<double>(station.peak_rss_bytes) / (1024.0 * 1024.0),
+      visits_per_frame);
   // Bounds sized against the pre-arena model, where every station cost
   // individual heap objects (Nic + HostStack + an eager per-NIC deque) and
   // LAN attachment paid a per-NIC membership scan: 1433 B and 16.2 us per
@@ -736,6 +743,10 @@ int main(int argc, char** argv) {
   // the bench, with headroom for machine noise.
   constexpr double kMaxBytesPerStation = 1024.0;
   constexpr double kMaxBuildUsPerStation = 6.0;
+  // Receivers a carried frame costs. The station index hands a frame to
+  // the walk list (at most the hub's 8 bridge ports) plus the stations it
+  // concerns; a regression to the full walk costs ~125,000.
+  constexpr double kMaxVisitsPerFrame = 16.0;
   const double build_us_per_station =
       station.hosts > 0 ? station.build_ms * 1e3 / station.hosts : 1e9;
   const bool station_ok =
@@ -743,11 +754,13 @@ int main(int argc, char** argv) {
       (station.bytes_per_station == 0.0 ||  // RSS not visible on this platform
        station.bytes_per_station <= kMaxBytesPerStation) &&
       build_us_per_station <= kMaxBuildUsPerStation &&
+      station.frames_carried > 0 && visits_per_frame <= kMaxVisitsPerFrame &&
       station.pings_answered == station.pings_sent && station.pings_sent > 0;
   if (!station_ok) {
     std::fprintf(stderr,
                  "station-scale cell regressed (size, per-station memory, "
-                 "build time, or lost pings) -- investigate\n");
+                 "build time, receiver visits per frame, or lost pings) -- "
+                 "investigate\n");
   }
 
   std::FILE* f = std::fopen("BENCH_topology.json", "w");
@@ -785,6 +798,8 @@ int main(int argc, char** argv) {
                "  \"aggregate_profile\": {\"cell\": \"%s\", \"stations\": %d, "
                "\"build_ms\": %.2f, \"build_us_per_station\": %.3f, "
                "\"peak_rss_bytes\": %llu, \"bytes_per_station\": %.1f, "
+               "\"frames_carried\": %llu, \"receivers_visited\": %llu, "
+               "\"receiver_visits_per_frame\": %.2f, "
                "\"pings_sent\": %d, \"pings_answered\": %d},\n"
                "  \"tcp_incast\": {\"senders\": %d, \"link_mbps\": %.1f, "
                "\"offered_mbps\": %.1f, \"goodput_mbps\": %.2f, "
@@ -819,7 +834,10 @@ int main(int argc, char** argv) {
                station.label.c_str(), station.hosts, station.build_ms,
                build_us_per_station,
                static_cast<unsigned long long>(station.peak_rss_bytes),
-               station.bytes_per_station, station.pings_sent,
+               station.bytes_per_station,
+               static_cast<unsigned long long>(station.frames_carried),
+               static_cast<unsigned long long>(station.receivers_visited),
+               visits_per_frame, station.pings_sent,
                station.pings_answered, incast.senders, incast.link_mbps,
                incast.offered_mbps, incast.goodput_mbps,
                incast.fair_share_mbps, incast.min_stream_mbps,

@@ -24,15 +24,17 @@ cmake --build build-asan -j
 echo "== TSan build + sharded-core tests =="
 # ThreadSanitizer over everything that touches the parallel core: the
 # mailbox/runner unit tests, the sharded-vs-oracle property tests, the
-# inject_remote segment tests, and the TCP suites (socket timers run on
+# inject_remote segment tests, the TCP suites (socket timers run on
 # per-shard schedulers, so the conformance + host-stack tests must stay
-# clean when the sharded workers are racing). The full suite under TSan is
+# clean when the sharded workers are racing), the per-region arena
+# teardown, and the LAN station index (replicas classify and deliver
+# through inject_remote on shard workers). The full suite under TSan is
 # slow and the rest of the code is single-threaded; the filter keeps this
 # section tight.
 cmake -B build-tsan -S . -DAB_TSAN=ON
 cmake --build build-tsan -j
 (cd build-tsan && ctest --output-on-failure -j \
-  -R 'RelayRing|ShardChannel|Shard\.|ParallelRunner|ParallelSweep|InjectRemote|Tcp|BridgeArena')
+  -R 'RelayRing|ShardChannel|Shard\.|ParallelRunner|ParallelSweep|InjectRemote|Tcp|BridgeArena|LanIndex')
 
 echo "== datapath accounting =="
 (cd build && ./micro_datapath --benchmark_filter='Fanout' && cat BENCH_datapath.json) || true
@@ -58,5 +60,10 @@ cmake --build build-release -j
 # scaling runs are deterministic across thread counts, and the 4-thread
 # speedup holds 2.0x when the runner actually has >= 4 hardware threads.
 ./scripts/check_bench_smoke.sh build-release
+# The end-to-end benchmark's self-check on shrunken cells: builds bench/e2e against
+# this tree, runs every workload on shrunken cells, and fails on its
+# correctness gate -- so a simulator change that breaks the benchmark's
+# build or gate fails here, not on the next benchmark run.
+bench/e2e/run.sh --smoke > /dev/null
 (cd build-release && ./ablation_spanning_tree && ./ablation_learning \
   && ./fig9_ping_latency && ./table1_protocol_transition) > /dev/null

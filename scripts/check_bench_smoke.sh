@@ -30,7 +30,9 @@
 #      measured cost (804 B, 0.64-2.3 us per station) and the per-object
 #      model's (1433 B, 16.2 us), so a regression toward per-station heap
 #      objects or quadratic attach fails here even if the cell still
-#      completes.
+#      completes. Receiver visits per carried frame must stay <= 16: the
+#      LAN station index hands a frame to the walk list (bridge ports) and
+#      the stations it concerns, where the full walk visited ~125,000.
 #   7. tcp_incast: N TCP senders offering 2x the hub link must deliver
 #      every byte (TCP's reliability contract under queue-overflow drops)
 #      and keep aggregate goodput >= link/4 with the slowest stream >=
@@ -140,17 +142,19 @@ agg_line=$(grep '"aggregate_profile"' "$topo_json") \
 stations=$(field "$agg_line" stations)
 bps=$(field "$agg_line" bytes_per_station)
 bups=$(field "$agg_line" build_us_per_station)
+agg_vpf=$(field "$agg_line" receiver_visits_per_frame)
 agg_sent=$(field "$agg_line" pings_sent)
 agg_answered=$(field "$agg_line" pings_answered)
-[ -n "$stations" ] && [ -n "$bps" ] && [ -n "$bups" ] \
+[ -n "$stations" ] && [ -n "$bps" ] && [ -n "$bups" ] && [ -n "$agg_vpf" ] \
   && [ -n "$agg_sent" ] && [ -n "$agg_answered" ] \
   || fail "could not parse aggregate_profile from: $agg_line"
-# Matches kMaxBytesPerStation / kMaxBuildUsPerStation in
-# bench/macro_topology.cpp. bytes_per_station reads 0 when the platform
-# hides RSS; the build-time bound still holds there.
+# Matches kMaxBytesPerStation / kMaxBuildUsPerStation / kMaxVisitsPerFrame
+# in bench/macro_topology.cpp. bytes_per_station reads 0 when the platform
+# hides RSS; the other bounds still hold there.
 min_stations=1000000
 max_bps=1024
 max_bups=6.0
+max_vpf=16
 if ! awk -v n="$stations" -v min="$min_stations" 'BEGIN { exit !(n >= min) }'; then
   fail "station-scale cell shrank: $stations stations (floor: $min_stations)"
 fi
@@ -159,6 +163,9 @@ if ! awk -v b="$bps" -v max="$max_bps" 'BEGIN { exit !(b == 0 || b <= max) }'; t
 fi
 if ! awk -v b="$bups" -v max="$max_bups" 'BEGIN { exit !(b <= max) }'; then
   fail "station build time regressed: $bups us/station (limit: $max_bups, per-object model: 16.2)"
+fi
+if ! awk -v v="$agg_vpf" -v max="$max_vpf" 'BEGIN { exit !(v > 0 && v <= max) }'; then
+  fail "LAN delivery regressed: $agg_vpf receiver visits per carried frame (limit: $max_vpf, full walk: ~125000)"
 fi
 if [ "$agg_sent" -eq 0 ] || [ "$agg_answered" -ne "$agg_sent" ]; then
   fail "aggregate workload lost pings: $agg_answered/$agg_sent answered"
@@ -302,7 +309,8 @@ echo "check_bench_smoke: OK (batch_insert + timed_run cells present;" \
   "flood profile at $epb events and $ipb inserts/broadcast for $receivers receivers;" \
   "egress hop at $ipf inserts/flood on $ports ports;" \
   "ttcp write at $ipw inserts/write over $frags fragments; mac_lookup present;" \
-  "$stations stations at $bps B and $bups us each, $agg_answered/$agg_sent pings;" \
+  "$stations stations at $bps B and $bups us each, $agg_vpf receiver visits/frame," \
+  "$agg_answered/$agg_sent pings;" \
   "tcp incast $inc_goodput Mb/s goodput, slowest stream $inc_min Mb/s, all bytes delivered;" \
   "sharded runs deterministic, $parallel_note;" \
   "sharded aggregate bit-identical to legacy at $agg_bps B/station, $aggregate_note)"

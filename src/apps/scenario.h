@@ -174,6 +174,9 @@ struct SweepResult {
   std::uint64_t frames_carried = 0;
   std::uint64_t bytes_carried = 0;
   std::uint64_t frames_lost = 0;
+  /// Nic::deliver calls the segments made (LanStats::receivers_visited):
+  /// over frames_carried, the receivers a frame costs.
+  std::uint64_t receivers_visited = 0;
   std::size_t mac_entries = 0;
   int pings_sent = 0;
   int pings_answered = 0;

@@ -35,6 +35,20 @@ void Nic::detach() {
   }
 }
 
+void Nic::set_promiscuous(bool on) {
+  if (on == promiscuous_) return;
+  if (segment_ != nullptr) segment_->unfile_nic(*this);
+  promiscuous_ = on;
+  if (segment_ != nullptr) segment_->file_nic(*this);
+}
+
+void Nic::set_station_ipv4(std::uint32_t ipv4) {
+  if (ipv4 == station_ipv4_) return;
+  if (segment_ != nullptr) segment_->unfile_nic(*this);
+  station_ipv4_ = ipv4;
+  if (segment_ != nullptr) segment_->file_nic(*this);
+}
+
 bool Nic::transmit(ether::WireFrame frame) {
   if (segment_ == nullptr ||
       tx_queue_.size() + (run_remaining_ > 0 ? run_remaining_ - 1 : 0) >=

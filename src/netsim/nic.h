@@ -1,14 +1,16 @@
 // A simulated Ethernet adapter.
 //
-// Receive path: the segment's per-broadcast delivery walk hands every
-// receiver the same shared WireFrame (one scheduled event per segment, not
-// per NIC); the NIC checks FCS validity (one decode + one CRC check shared
-// by every receiver of the frame), applies its address filter
+// Receive path: the segment's per-frame delivery walk hands each receiver
+// the same shared WireFrame (one scheduled event per segment, not per
+// NIC); the NIC checks FCS validity (one decode + one CRC check shared by
+// every receiver of the frame), applies its address filter
 // (unicast-to-me, broadcast, group, or everything when promiscuous -- the
 // paper's bridge "whenever an input port is bound, it is put into
 // promiscuous mode"), and hands the shared frame to the registered
-// handler. Detaching removes the NIC from in-flight delivery walks; it is
-// safe from inside another NIC's rx handler mid-walk.
+// handler. A NIC that declares itself a station (set_station_ipv4) is
+// handed only the frames its owner acts on; see LanSegment. Detaching
+// removes the NIC from in-flight delivery walks; it is safe from inside
+// another NIC's rx handler mid-walk.
 //
 // Transmit path: WireFrames queue FIFO behind the transmitter, which is
 // busy for the segment's serialization delay per frame; a full queue drops
@@ -120,9 +122,22 @@ class Nic {
   /// Installs the receive callback. Passing nullptr silences the NIC
   /// (frames are filtered-counted but dropped).
   void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
+  /// The installed receive callback (so an observer can wrap it).
+  [[nodiscard]] const RxHandler& rx_handler() const { return rx_handler_; }
 
-  void set_promiscuous(bool on) { promiscuous_ = on; }
+  /// Takes effect for frames delivered from now on; a station NIC also
+  /// moves to its segment's walk list (or back to the index) for frames
+  /// sent from now on.
+  void set_promiscuous(bool on);
   [[nodiscard]] bool promiscuous() const { return promiscuous_; }
+
+  /// Declares the station contract: the rx handler acts only on unicast
+  /// frames to this NIC's MAC, on group ARP whose target protocol address
+  /// is `ipv4` (a host-order IPv4 word), and on IPv4 sent to a group MAC;
+  /// it ignores every other group frame. The segment then indexes the NIC
+  /// and stops handing it the rest (HostStack declares this; see
+  /// LanSegment). 0, the default, withdraws the declaration.
+  void set_station_ipv4(std::uint32_t ipv4);
 
   /// Bounds the transmit backlog (frames). Default 512. Occupancy counts
   /// queued frames plus the unfired remainder of a scheduled burst run
@@ -182,7 +197,7 @@ class Nic {
   [[nodiscard]] const NicStats& stats() const { return stats_; }
 
  private:
-  friend class LanSegment;  // maintains lan_index_ across attach/detach
+  friend class LanSegment;  // maintains lan_index_; reads the station mode
 
   void start_transmitter();
 
@@ -195,6 +210,7 @@ class Nic {
   std::size_t lan_index_ = 0;
   RxHandler rx_handler_;
   bool promiscuous_ = false;
+  std::uint32_t station_ipv4_ = 0;  ///< see set_station_ipv4; 0: not a station
   FrameFifo tx_queue_;
   std::size_t tx_queue_limit_ = 512;
   bool transmitting_ = false;

@@ -1,19 +1,16 @@
 #include "src/stack/arp.h"
 
+#include "src/ether/arp_header.h"
 #include "src/util/string_util.h"
 
 namespace ab::stack {
-namespace {
-constexpr std::uint16_t kHtypeEthernet = 1;
-constexpr std::uint16_t kPtypeIpv4 = 0x0800;
-}  // namespace
 
 util::ByteBuffer ArpPacket::encode() const {
   util::BufWriter w;
-  w.u16(kHtypeEthernet);
-  w.u16(kPtypeIpv4);
-  w.u8(6);  // hardware address length
-  w.u8(4);  // protocol address length
+  w.u16(ether::kArpHtypeEthernet);
+  w.u16(ether::kArpPtypeIpv4);
+  w.u8(ether::kArpHlenEthernet);
+  w.u8(ether::kArpPlenIpv4);
   w.u16(static_cast<std::uint16_t>(op));
   sender_mac.write(w);
   w.u32(sender_ip.value());
@@ -23,26 +20,25 @@ util::ByteBuffer ArpPacket::encode() const {
 }
 
 util::Expected<ArpPacket, std::string> ArpPacket::decode(util::ByteView wire) {
-  if (wire.size() < 28) {
-    return util::Unexpected{util::format("ARP packet of %zu bytes too short",
-                                         wire.size())};
+  switch (ether::check_arp_header(wire)) {
+    case ether::ArpHeaderCheck::kOk:
+      break;
+    case ether::ArpHeaderCheck::kTooShort:
+      return util::Unexpected{util::format("ARP packet of %zu bytes too short",
+                                           wire.size())};
+    case ether::ArpHeaderCheck::kNotEthernet:
+      return util::Unexpected{std::string("ARP: not Ethernet hardware type")};
+    case ether::ArpHeaderCheck::kNotIpv4:
+      return util::Unexpected{std::string("ARP: not IPv4 protocol type")};
+    case ether::ArpHeaderCheck::kBadLengths:
+      return util::Unexpected{std::string("ARP: bad address lengths")};
+    case ether::ArpHeaderCheck::kUnknownOp:
+      return util::Unexpected{util::format("ARP: unknown op %u", ether::arp_op(wire))};
   }
   util::BufReader r(wire);
-  if (r.u16() != kHtypeEthernet) {
-    return util::Unexpected{std::string("ARP: not Ethernet hardware type")};
-  }
-  if (r.u16() != kPtypeIpv4) {
-    return util::Unexpected{std::string("ARP: not IPv4 protocol type")};
-  }
-  if (r.u8() != 6 || r.u8() != 4) {
-    return util::Unexpected{std::string("ARP: bad address lengths")};
-  }
-  const std::uint16_t op = r.u16();
-  if (op != 1 && op != 2) {
-    return util::Unexpected{util::format("ARP: unknown op %u", op)};
-  }
+  r.skip(6);  // htype, ptype, hlen, plen: checked above
   ArpPacket p;
-  p.op = static_cast<ArpOp>(op);
+  p.op = static_cast<ArpOp>(r.u16());
   p.sender_mac = ether::MacAddress::read(r);
   p.sender_ip = Ipv4Addr(r.u32());
   p.target_mac = ether::MacAddress::read(r);

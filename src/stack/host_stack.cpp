@@ -20,6 +20,10 @@ HostStack::HostStack(netsim::Scheduler& scheduler, netsim::Nic& nic, HostConfig 
   if (config_.arp_cache_reserve > 0) arp_cache_.reserve(config_.arp_cache_reserve);
   nic_->set_rx_handler(
       [this](const ether::WireFrame& frame) { on_frame(frame.frame()); });
+  // on_frame ignores what the station contract lets the segment skip:
+  // group frames other than ARP and IPv4, and ARP naming another address
+  // (handle_arp). Keep the two in step.
+  nic_->set_station_ipv4(config_.ip.value());
 }
 
 HostStack::ColdState& HostStack::cold() {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,10 @@ struct Rfc1321Case {
   std::string input;
   std::string digest;
 };
+
+// Names each case by its reference digest. Without it the test names carry
+// a byte dump of the struct, heap addresses included, and change every run.
+void PrintTo(const Rfc1321Case& c, std::ostream* os) { *os << c.digest; }
 
 class Md5Rfc1321 : public ::testing::TestWithParam<Rfc1321Case> {};
 
