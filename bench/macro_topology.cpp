@@ -62,6 +62,7 @@
 #include "src/bridge/bridge_node.h"
 #include "src/bridge/forwarding.h"
 #include "src/bridge/learning.h"
+#include "src/ether/frame.h"
 #include "src/stack/host_stack.h"
 #include "src/util/rng.h"
 
@@ -398,6 +399,11 @@ MacLookupProfile run_mac_lookup_profile(std::size_t entries, std::size_t lookups
 /// loss. The cell asserts every byte is eventually delivered (TCP's
 /// reliability contract) and that goodput stays within a constant factor
 /// of fair share; check_bench_smoke.sh re-checks the bounds from the JSON.
+/// It also counts the frames it encoded: no segment of the cell has a tap,
+/// relay, drop filter or capture, so nothing reads wire bytes and the lazy
+/// datapath must build none. Encoding every transmitted frame read 0.50
+/// per frame carried here: one encode per frame a host sends, which the
+/// bridge then carries onto a second segment.
 struct TcpIncastProfile {
   int senders = 0;
   double link_mbps = 0.0;
@@ -409,6 +415,13 @@ struct TcpIncastProfile {
   std::uint64_t bytes_expected = 0;
   std::uint64_t bytes_received = 0;
   std::size_t connections = 0;
+  std::uint64_t encodes = 0;         ///< Frame::encode calls over the run
+  std::uint64_t frames_carried = 0;  ///< summed over the cell's segments
+  [[nodiscard]] double encodes_per_frame() const {
+    return frames_carried == 0 ? 0.0
+                               : static_cast<double>(encodes) /
+                                     static_cast<double>(frames_carried);
+  }
 };
 
 TcpIncastProfile run_tcp_incast_profile(int senders, std::size_t bytes_each) {
@@ -451,10 +464,15 @@ TcpIncastProfile run_tcp_incast_profile(int senders, std::size_t bytes_each) {
   // No spanning tree (single bridge, no loops): ports forward immediately.
   bridge.load_dumb();
   bridge.load_learning();
+  ether::datapath_counters() = {};
   for (auto& s : streams) s->start();
   net.scheduler().run_for(netsim::seconds(120));
 
   TcpIncastProfile p;
+  p.encodes = ether::datapath_counters().encodes;
+  for (const auto& segment : net.segments()) {
+    p.frames_carried += segment->stats().frames_carried;
+  }
   p.senders = senders;
   p.link_mbps = link_bps / 1e6;
   p.offered_mbps = per_sender_bps * senders / 1e6;
@@ -655,13 +673,15 @@ int main(int argc, char** argv) {
   std::printf(
       "\ntcp incast: %d senders offering %.0f Mb/s onto a %.0f Mb/s hub link "
       "-> %.1f Mb/s goodput (fair share %.1f, slowest stream %.1f), "
-      "%llu retransmits, %llu/%llu bytes delivered on %zu connections\n",
+      "%llu retransmits, %llu/%llu bytes delivered on %zu connections, "
+      "%llu encodes over %llu frames carried\n",
       incast.senders, incast.offered_mbps, incast.link_mbps,
       incast.goodput_mbps, incast.fair_share_mbps, incast.min_stream_mbps,
       static_cast<unsigned long long>(incast.retransmits),
       static_cast<unsigned long long>(incast.bytes_received),
       static_cast<unsigned long long>(incast.bytes_expected),
-      incast.connections);
+      incast.connections, static_cast<unsigned long long>(incast.encodes),
+      static_cast<unsigned long long>(incast.frames_carried));
   // Reliability is exact (every offered byte delivered); the goodput bounds
   // are loose constant factors that only an incast COLLAPSE (RTO
   // synchronization serializing the streams) can break. Mirrored in
@@ -675,6 +695,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "tcp incast cell regressed (lost bytes, missing "
                  "connections, or goodput collapse) -- investigate\n");
+  }
+  // Nothing reads the cell's wire bytes, so the lazy datapath builds none.
+  // Mirrored in scripts/check_bench_smoke.sh.
+  const bool incast_lazy = incast.encodes == 0;
+  if (!incast_lazy) {
+    std::fprintf(stderr,
+                 "tcp incast cell encoded %.4f times per frame carried with "
+                 "nothing reading the bytes -- transmit is forcing an encode\n",
+                 incast.encodes_per_frame());
   }
 
   // ---- staged switchlet rollout -------------------------------------------
@@ -805,7 +834,9 @@ int main(int argc, char** argv) {
                "\"offered_mbps\": %.1f, \"goodput_mbps\": %.2f, "
                "\"fair_share_mbps\": %.2f, \"min_stream_mbps\": %.2f, "
                "\"retransmits\": %llu, \"bytes_expected\": %llu, "
-               "\"bytes_received\": %llu, \"connections\": %zu},\n"
+               "\"bytes_received\": %llu, \"connections\": %zu, "
+               "\"encodes\": %llu, \"frames_carried\": %llu, "
+               "\"encodes_per_frame\": %.4f},\n"
                "  \"cells\": %s,\n"
                "  \"ttcp_streams\": %s,\n"
                "  \"ttcp_hub\": %s,\n"
@@ -844,7 +875,9 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(incast.retransmits),
                static_cast<unsigned long long>(incast.bytes_expected),
                static_cast<unsigned long long>(incast.bytes_received),
-               incast.connections,
+               incast.connections, static_cast<unsigned long long>(incast.encodes),
+               static_cast<unsigned long long>(incast.frames_carried),
+               incast.encodes_per_frame(),
                apps::TopologySweep::format_json(cells).c_str(),
                apps::TopologySweep::format_json(ttcp_cells).c_str(),
                apps::TopologySweep::format_json(hub_cells).c_str(),
@@ -853,7 +886,7 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote BENCH_topology.json\n");
   return headline.stp_converged && rollouts_ok && flood_ok && egress_ok &&
-                 write_ok && mac.hits_agree && station_ok && incast_ok
+                 write_ok && mac.hits_agree && station_ok && incast_ok && incast_lazy
              ? 0
              : 1;
 }

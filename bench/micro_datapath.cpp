@@ -4,8 +4,10 @@
 // Caml interpreter).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 
 #include "src/bridge/bpdu.h"
 #include "src/bridge/bridge_node.h"
@@ -171,10 +173,12 @@ BENCHMARK(BM_Md5)->Arg(64)->Arg(4096);
 // ---------------------------------------------------------------------------
 // Datapath work accounting: flood one frame across an 8-port bridge and
 // count the encodes, CRC computations, and bytes copied via the
-// ether::DatapathCounters instrumentation, against the seed datapath's
-// per-hop re-encode/re-decode cost for the same topology. Written to
-// BENCH_datapath.json so later PRs have a perf trajectory to compare
-// against.
+// ether::DatapathCounters instrumentation, twice: untapped (nothing reads
+// wire bytes, so none are built) and with a tap on one egress segment (the
+// one reader forces the one encode the whole fan-out shares). Both go
+// against the seed datapath's per-hop re-encode/re-decode cost for the same
+// topology. Written to BENCH_datapath.json so later PRs have a perf
+// trajectory to compare against.
 
 struct FloodAccounting {
   std::uint64_t encodes = 0;
@@ -183,10 +187,11 @@ struct FloodAccounting {
   std::size_t deliveries = 0;
 };
 
-FloodAccounting measure_flood(int ports, std::size_t payload_len) {
+FloodAccounting measure_flood(int ports, std::size_t payload_len, bool tapped) {
   netsim::Network net;
   bridge::BridgeNode node(net.scheduler());
   netsim::Nic* host = nullptr;
+  netsim::LanSegment* egress = nullptr;
   std::size_t deliveries = 0;
   for (int i = 0; i < ports; ++i) {
     auto& lan = net.add_segment("lan" + std::to_string(i));
@@ -195,11 +200,15 @@ FloodAccounting measure_flood(int ports, std::size_t payload_len) {
     if (i == 0) {
       host = &net.add_nic("host", lan);
     } else {
+      egress = &lan;
       auto& peer = net.add_nic("peer" + std::to_string(i), lan);
       peer.set_rx_handler([&deliveries](const ether::WireFrame&) { ++deliveries; });
     }
   }
   node.load_dumb();
+  if (tapped) {
+    egress->set_frame_tap([](netsim::TimePoint, const netsim::Nic*, util::ByteView) {});
+  }
 
   ether::datapath_counters() = {};
   host->transmit(ether::Frame::ethernet2(ether::MacAddress::broadcast(),
@@ -233,22 +242,57 @@ FloodAccounting seed_model(int ports, std::size_t payload_len) {
   return out;
 }
 
-void write_datapath_report(const char* path) {
+std::string accounting_json(const FloodAccounting& a) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "{\"encodes\": %" PRIu64 ", \"crc_computations\": %" PRIu64
+                ", \"bytes_copied\": %" PRIu64 "}",
+                a.encodes, a.crc_computations, a.bytes_copied);
+  return buf;
+}
+
+/// Writes the report; returns false when the flood broke the lazy-encode
+/// contract: the untapped flood must not encode at all, the tapped one
+/// exactly once, and both must reach every peer.
+bool write_datapath_report(const char* path) {
   constexpr int kPorts = 8;
   constexpr std::size_t kPayload = 1000;
-  const FloodAccounting now = measure_flood(kPorts, kPayload);
+  const FloodAccounting untapped = measure_flood(kPorts, kPayload, false);
+  const FloodAccounting tapped = measure_flood(kPorts, kPayload, true);
   const FloodAccounting seed = seed_model(kPorts, kPayload);
-  if (now.deliveries != seed.deliveries) {
-    std::fprintf(stderr, "flood accounting: expected %zu deliveries, got %zu\n",
-                 seed.deliveries, now.deliveries);
+  bool ok = true;
+  for (const FloodAccounting* run : {&untapped, &tapped}) {
+    if (run->deliveries != seed.deliveries) {
+      std::fprintf(stderr, "flood accounting: expected %zu deliveries, got %zu\n",
+                   seed.deliveries, run->deliveries);
+      ok = false;
+    }
   }
+  if (untapped.encodes != 0) {
+    std::fprintf(stderr,
+                 "flood accounting: untapped flood encoded %" PRIu64
+                 " time(s); nothing reads its bytes, so it must encode 0\n",
+                 untapped.encodes);
+    ok = false;
+  }
+  if (tapped.encodes != 1) {
+    std::fprintf(stderr,
+                 "flood accounting: tapped flood encoded %" PRIu64
+                 " time(s); the fan-out must share exactly 1\n",
+                 tapped.encodes);
+    ok = false;
+  }
+  // Against the tapped flood: the untapped one copies nothing, which has no
+  // finite ratio. max() keeps the JSON valid even if a regression makes the
+  // tapped flood copy nothing too (the exit status reports that case).
+  const auto tapped_bytes = std::max<std::uint64_t>(tapped.bytes_copied, 1);
   const double copy_ratio =
-      static_cast<double>(seed.bytes_copied) / static_cast<double>(now.bytes_copied);
+      static_cast<double>(seed.bytes_copied) / static_cast<double>(tapped_bytes);
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
-    return;
+    return false;
   }
   std::fprintf(f,
                "{\n"
@@ -256,34 +300,34 @@ void write_datapath_report(const char* path) {
                "  \"ports\": %d,\n"
                "  \"payload_bytes\": %zu,\n"
                "  \"deliveries\": %zu,\n"
-               "  \"wireframe\": {\"encodes\": %" PRIu64
-               ", \"crc_computations\": %" PRIu64 ", \"bytes_copied\": %" PRIu64
-               "},\n"
-               "  \"seed_model\": {\"encodes\": %" PRIu64
-               ", \"crc_computations\": %" PRIu64 ", \"bytes_copied\": %" PRIu64
-               "},\n"
+               "  \"untapped\": %s,\n"
+               "  \"tapped\": %s,\n"
+               "  \"seed_model\": %s,\n"
                "  \"bytes_copied_improvement\": %.2f\n"
                "}\n",
-               kPorts, kPayload, now.deliveries, now.encodes, now.crc_computations,
-               now.bytes_copied, seed.encodes, seed.crc_computations,
-               seed.bytes_copied, copy_ratio);
+               kPorts, kPayload, untapped.deliveries,
+               accounting_json(untapped).c_str(), accounting_json(tapped).c_str(),
+               accounting_json(seed).c_str(), copy_ratio);
   std::fclose(f);
-  std::printf(
-      "flood across %d-port bridge: %" PRIu64 " encode(s), %" PRIu64
-      " CRC computation(s), %" PRIu64 " bytes copied (seed path: %" PRIu64
-      " encodes, %" PRIu64 " CRCs, %" PRIu64 " bytes; %.1fx fewer bytes copied)\n",
-      kPorts, now.encodes, now.crc_computations, now.bytes_copied, seed.encodes,
-      seed.crc_computations, seed.bytes_copied, copy_ratio);
+  std::printf("flood across %d-port bridge: untapped %" PRIu64 " encode(s), %" PRIu64
+              " bytes copied; tapped %" PRIu64 " encode(s), %" PRIu64
+              " CRC computation(s), %" PRIu64 " bytes copied (seed path: %" PRIu64
+              " encodes, %" PRIu64 " CRCs, %" PRIu64
+              " bytes; %.1fx fewer bytes copied tapped)\n",
+              kPorts, untapped.encodes, untapped.bytes_copied, tapped.encodes,
+              tapped.crc_computations, tapped.bytes_copied, seed.encodes,
+              seed.crc_computations, seed.bytes_copied, copy_ratio);
   std::printf("wrote %s\n", path);
+  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  write_datapath_report("BENCH_datapath.json");
+  const bool accounting_ok = write_datapath_report("BENCH_datapath.json");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return accounting_ok ? 0 : 1;
 }

@@ -37,7 +37,12 @@
 #      every byte (TCP's reliability contract under queue-overflow drops)
 #      and keep aggregate goodput >= link/4 with the slowest stream >=
 #      fair_share/8 -- loose constant factors that only an incast collapse
-#      (RTO synchronization serializing the streams) can break.
+#      (RTO synchronization serializing the streams) can break. No
+#      segment of the cell has a tap, relay, drop filter or capture, so
+#      nothing reads wire bytes and encodes_per_frame must stay 0: the
+#      bound sits strictly below the 0.50 per frame carried that transmit
+#      forcing an encode again costs (one encode per frame a host sends,
+#      carried on two segments).
 #   8. BENCH_parallel.json (the sharded-core scaling bench) must carry the
 #      legacy run plus all four sharded thread counts, report the bench's
 #      own bit-identity verdict as deterministic, and agree here too:
@@ -183,9 +188,12 @@ inc_min=$(field "$incast_line" min_stream_mbps)
 inc_expected=$(field "$incast_line" bytes_expected)
 inc_received=$(field "$incast_line" bytes_received)
 inc_conns=$(field "$incast_line" connections)
+inc_epf=$(field "$incast_line" encodes_per_frame)
+inc_frames=$(field "$incast_line" frames_carried)
 [ -n "$inc_senders" ] && [ -n "$inc_link" ] && [ -n "$inc_goodput" ] \
   && [ -n "$inc_fair" ] && [ -n "$inc_min" ] && [ -n "$inc_expected" ] \
-  && [ -n "$inc_received" ] && [ -n "$inc_conns" ] \
+  && [ -n "$inc_received" ] && [ -n "$inc_conns" ] && [ -n "$inc_epf" ] \
+  && [ -n "$inc_frames" ] \
   || fail "could not parse tcp_incast from: $incast_line"
 if [ "$inc_conns" -ne "$inc_senders" ]; then
   fail "tcp incast accepted $inc_conns/$inc_senders connections"
@@ -201,6 +209,10 @@ if ! awk -v g="$inc_goodput" -v l="$inc_link" 'BEGIN { exit !(g >= l / 4.0) }'; 
 fi
 if ! awk -v m="$inc_min" -v f="$inc_fair" 'BEGIN { exit !(m >= f / 8.0) }'; then
   fail "tcp incast starved a stream: slowest $inc_min Mb/s vs fair share $inc_fair Mb/s (floor: fair/8)"
+fi
+# Matches incast_lazy in bench/macro_topology.cpp.
+if ! awk -v e="$inc_epf" -v n="$inc_frames" 'BEGIN { exit !(n > 0 && e <= 0) }'; then
+  fail "tcp incast encoded $inc_epf times per frame over $inc_frames frames with nothing reading the bytes (limit: 0, eager encode: 0.50)"
 fi
 
 # --- BENCH_parallel.json: sharded-core determinism + scaling -------------
@@ -311,6 +323,7 @@ echo "check_bench_smoke: OK (batch_insert + timed_run cells present;" \
   "ttcp write at $ipw inserts/write over $frags fragments; mac_lookup present;" \
   "$stations stations at $bps B and $bups us each, $agg_vpf receiver visits/frame," \
   "$agg_answered/$agg_sent pings;" \
-  "tcp incast $inc_goodput Mb/s goodput, slowest stream $inc_min Mb/s, all bytes delivered;" \
+  "tcp incast $inc_goodput Mb/s goodput, slowest stream $inc_min Mb/s, all bytes delivered," \
+  "$inc_epf encodes/frame over $inc_frames frames;" \
   "sharded runs deterministic, $parallel_note;" \
   "sharded aggregate bit-identical to legacy at $agg_bps B/station, $aggregate_note)"

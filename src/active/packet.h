@@ -9,7 +9,7 @@
 // identifies the input port.
 //
 // The WireFrame travels with the packet so a switchlet that merely forwards
-// (flood, send_to) hands the same encoded buffer back to the NICs and never
+// (flood, send_to) hands the same shared frame back to the NICs and never
 // touches payload bytes; only switchlets that inspect the frame call
 // frame(), which reads the cached parse.
 #pragma once

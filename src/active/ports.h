@@ -90,10 +90,10 @@ class OutputPort {
   /// false only when the interface is gone or its queue is saturated.
   [[nodiscard]] bool ready_to_send() const;
 
-  /// send_pkt_out: queues a shared wire buffer for transmission (a frame
-  /// already encoded -- e.g. one being forwarded -- is queued by refcount,
-  /// never re-encoded). Returns false when the NIC's transmit queue drops
-  /// it. Frame-typed callers convert implicitly, encoding once.
+  /// send_pkt_out: queues a shared wire buffer for transmission (every
+  /// frame -- e.g. one being forwarded -- is queued by refcount, never
+  /// re-encoded; see Nic::transmit). Returns false when the NIC's transmit
+  /// queue drops it. Frame-typed callers convert implicitly.
   bool send(const ether::WireFrame& frame);
 
   /// Claims the interface's idle transmitter for `frame` (see

@@ -66,18 +66,22 @@ std::size_t Frame::wire_size() const {
   return kHeaderSize + std::max(body, kMinPayload) + kFcsSize;
 }
 
-util::ByteBuffer Frame::encode() const {
+void Frame::check_encodable() const {
   if (!is_ethernet2() && !is_llc()) {
     throw std::logic_error("Frame has neither ethertype nor LLC header");
   }
-  datapath_counters().encodes += 1;
-  const std::size_t body = payload.size() + (is_llc() ? 3 : 0);
-  if (body > kMaxPayload) {
+  if (payload.size() + (is_llc() ? 3 : 0) > kMaxPayload) {
     throw std::length_error(util::format("payload of %zu bytes exceeds Ethernet MTU",
                                          payload.size()));
   }
+}
 
-  util::BufWriter w;
+util::ByteBuffer Frame::encode() const {
+  check_encodable();
+  datapath_counters().encodes += 1;
+  const std::size_t body = payload.size() + (is_llc() ? 3 : 0);
+
+  util::BufWriter w(wire_size());
   dst.write(w);
   src.write(w);
   if (is_llc()) {
@@ -89,13 +93,9 @@ util::ByteBuffer Frame::encode() const {
   }
   w.bytes(payload);
   if (body < kMinPayload) w.zeros(kMinPayload - body);
+  w.u32(util::crc32(w.view()));  // the FCS lands in the reserved tail
 
   util::ByteBuffer bytes = w.take();
-  const std::uint32_t fcs = util::crc32(bytes);
-  util::BufWriter tail;
-  tail.u32(fcs);
-  const util::ByteBuffer fcs_bytes = tail.take();
-  bytes.insert(bytes.end(), fcs_bytes.begin(), fcs_bytes.end());
   datapath_counters().bytes_copied += bytes.size();
   return bytes;
 }
@@ -206,6 +206,11 @@ util::ByteView WireFrame::wire() const {
   const Rep& r = rep();
   if (!r.wire) r.wire.emplace(r.parsed->value().encode());
   return *r.wire;
+}
+
+void WireFrame::check_encodable() const {
+  const Rep& r = rep();
+  if (!r.wire) r.parsed->value().check_encodable();
 }
 
 std::size_t WireFrame::wire_size() const {

@@ -86,8 +86,13 @@ struct Frame {
   /// Size on the wire after encode(), including header, padding and FCS.
   [[nodiscard]] std::size_t wire_size() const;
 
+  /// Throws what encode() would, without encoding: std::logic_error when
+  /// neither ethertype nor LLC is set, std::length_error when the payload
+  /// exceeds the MTU.
+  void check_encodable() const;
+
   /// Serializes to wire bytes: header, payload (padded to the 64-byte
-  /// minimum), CRC-32 FCS. Throws std::length_error if payload > MTU.
+  /// minimum), CRC-32 FCS, in one allocation. Throws as check_encodable().
   [[nodiscard]] util::ByteBuffer encode() const;
 
   /// Parses wire bytes produced by encode(). Verifies length and FCS.
@@ -141,7 +146,10 @@ struct DatapathCounters {
 ///  * Views returned by wire() and references returned by frame()/error()
 ///    are valid for as long as any WireFrame sharing the representation is
 ///    alive (scheduler events capture WireFrame copies, keeping them so).
-///  * The simulator is single-threaded; the lazy caches are unsynchronized.
+///  * The lazy caches are unsynchronized: a WireFrame never crosses
+///    threads. A sharded cell's cut-LAN relay reads wire() on the owning
+///    region's thread and copies the bytes into the mailbox; the consuming
+///    region wraps its copy with from_wire().
 class WireFrame {
  public:
   /// An empty handle; every accessor except empty() throws.
@@ -179,6 +187,13 @@ class WireFrame {
   /// Encoded bytes; encodes on first call, then cached. May throw what
   /// Frame::encode throws (oversized payload) on the first call.
   [[nodiscard]] util::ByteView wire() const;
+
+  /// Throws what the first wire() call would throw, without encoding (a
+  /// frame that already carries bytes always passes). The transmit path
+  /// calls this so a malformed frame fails at the call site while its
+  /// bytes stay unbuilt until a tap, relay, drop filter or capture reads
+  /// them.
+  void check_encodable() const;
 
   /// Size on the wire, without forcing an encode.
   [[nodiscard]] std::size_t wire_size() const;

@@ -1,5 +1,7 @@
 #include "src/netsim/nic.h"
 
+#include <algorithm>
+
 namespace ab::netsim {
 
 Nic::Nic(Scheduler& scheduler, std::string name, ether::MacAddress mac)
@@ -50,16 +52,14 @@ void Nic::set_station_ipv4(std::uint32_t ipv4) {
 }
 
 bool Nic::transmit(ether::WireFrame frame) {
-  if (segment_ == nullptr ||
-      tx_queue_.size() + (run_remaining_ > 0 ? run_remaining_ - 1 : 0) >=
-          tx_queue_limit_) {
+  if (segment_ == nullptr || backlog() >= tx_queue_limit_) {
     stats_.tx_dropped += 1;
     return false;
   }
-  // Force the encode here (not inside a scheduler event) so an oversized
-  // payload still throws at the call site, and so the one encode is shared
-  // by every later consumer of this WireFrame.
-  (void)frame.wire();
+  // Validate here (not inside a scheduler event) so a malformed frame
+  // throws at the call site. The bytes stay unbuilt: receivers share the
+  // parse, so only a tap, relay, drop filter or capture ever encodes.
+  frame.check_encodable();
   // Saturated transmitter with nothing queued ahead: this frame would sit
   // alone in the FIFO queue until the in-flight run's last completion,
   // then restart the transmitter at exactly run_tail_time_. Appending it
@@ -93,25 +93,24 @@ bool Nic::transmit(ether::WireFrame frame) {
 }
 
 std::size_t Nic::transmit_burst(std::span<ether::WireFrame> frames) {
-  std::size_t admitted = 0;
-  for (ether::WireFrame& frame : frames) {
-    if (segment_ == nullptr ||
-        tx_queue_.size() + (run_remaining_ > 0 ? run_remaining_ - 1 : 0) >=
-            tx_queue_limit_) {
-      stats_.tx_dropped += 1;
-      continue;
-    }
-    (void)frame.wire();  // encode at the call site, as transmit() does
-    tx_queue_.push_back(std::move(frame));
-    ++admitted;
-  }
+  // Per-frame admission as in transmit(): the queue takes a prefix of the
+  // burst and tail-drops the rest.
+  const std::size_t room =
+      segment_ == nullptr || backlog() >= tx_queue_limit_ ? 0
+                                                          : tx_queue_limit_ - backlog();
+  const std::size_t admitted = std::min(frames.size(), room);
+  // Validate every frame the queue will take before taking any, so a
+  // malformed one throws at the call site with nothing queued or counted.
+  for (std::size_t i = 0; i < admitted; ++i) frames[i].check_encodable();
+  for (std::size_t i = 0; i < admitted; ++i) tx_queue_.push_back(std::move(frames[i]));
+  stats_.tx_dropped += frames.size() - admitted;
   if (admitted > 0 && !transmitting_) start_transmitter();
   return admitted;
 }
 
 std::optional<Scheduler::TimedEntry> Nic::try_prepare(ether::WireFrame frame) {
   if (segment_ == nullptr || transmitting_ || !tx_queue_.empty()) return std::nullopt;
-  (void)frame.wire();
+  frame.check_encodable();
   transmitting_ = true;
   const std::size_t wire_bytes = frame.wire_size();
   stats_.tx_frames += 1;

@@ -14,9 +14,11 @@
 //
 // Transmit path: WireFrames queue FIFO behind the transmitter, which is
 // busy for the segment's serialization delay per frame; a full queue drops
-// (tail-drop, counted). A WireFrame that already carries encoded bytes
-// (a forwarded frame) is queued by reference count -- no re-encode, no
-// re-CRC, no copy.
+// (tail-drop, counted). Every WireFrame is queued by reference count --
+// no re-encode, no re-CRC, no copy. Transmit only validates a frame; its
+// bytes and FCS are built on the first wire() call, which only a tap, a
+// cut-LAN relay, a drop filter or a capture makes, so a frame nothing
+// reads is never encoded.
 //
 // Burst transmit: a backlog (a ttcp write's fragment train, a flood fan-
 // out's share of one port) drains as ONE monotone timed run -- the k
@@ -146,15 +148,19 @@ class Nic {
   /// sustained overload is unchanged by burst draining.
   void set_tx_queue_limit(std::size_t limit) { tx_queue_limit_ = limit; }
 
-  /// Queues a shared wire buffer for transmission, forcing its bytes to be
-  /// materialized (encode-once: a frame already encoded upstream is queued
-  /// by refcount). Returns false (and counts a drop) if the queue is full
-  /// or the NIC is detached.
+  /// Queues a shared wire buffer for transmission by refcount. Its bytes
+  /// are not built here: they are encoded at most once, by whatever first
+  /// reads them (tap, relay, drop filter, capture). Returns false (and
+  /// counts a drop) if the queue is full or the NIC is detached. A frame
+  /// the queue would take that could not be encoded throws what
+  /// Frame::encode would (std::length_error over the MTU,
+  /// std::logic_error with neither ethertype nor LLC) before any side
+  /// effect.
   bool transmit(ether::WireFrame frame);
 
   /// Convenience overloads for locally originated traffic: wrap the parsed
-  /// frame into a WireFrame (one encode at most, on this call). Temporaries
-  /// move in; lvalues pay one counted payload copy.
+  /// frame into a WireFrame. Temporaries move in; lvalues pay one counted
+  /// payload copy.
   bool transmit(const ether::Frame& frame) { return transmit(ether::WireFrame(frame)); }
   bool transmit(ether::Frame&& frame) {
     return transmit(ether::WireFrame(std::move(frame)));
@@ -166,6 +172,8 @@ class Nic {
   /// admitted backlog is scheduled as ONE monotone timed run: a K-frame
   /// burst costs one scheduler insert where K transmit() calls cost K,
   /// with identical frame timing. Returns the number of frames admitted.
+  /// Throws as transmit() does if any frame the queue would take could not
+  /// be encoded, before admitting (or moving from) a single one.
   std::size_t transmit_burst(std::span<ether::WireFrame> frames);
 
   /// Claims the idle transmitter for `frame`: accounts stats, marks the
@@ -176,7 +184,8 @@ class Nic {
   /// transmitter stays claimed forever. Returns nullopt with NO side
   /// effects when the transmitter is busy, frames are queued, or the NIC
   /// is detached; fall back to transmit(), which preserves FIFO order and
-  /// counts drops.
+  /// counts drops. An idle transmitter offered a frame that could not be
+  /// encoded throws as transmit() does, before claiming anything.
   std::optional<Scheduler::TimedEntry> try_prepare(ether::WireFrame frame);
 
   /// Records the run a try_prepare claim was scheduled into (TxBatch calls
@@ -200,6 +209,11 @@ class Nic {
   friend class LanSegment;  // maintains lan_index_; reads the station mode
 
   void start_transmitter();
+  /// Frames charged against tx_queue_limit_: the queue plus the unfired
+  /// remainder of the in-flight run beyond the frame serializing.
+  [[nodiscard]] std::size_t backlog() const {
+    return tx_queue_.size() + (run_remaining_ > 0 ? run_remaining_ - 1 : 0);
+  }
 
   Scheduler* scheduler_;
   std::string name_;

@@ -33,7 +33,7 @@ util::ByteBuffer Ipv4Header::encode(util::ByteView payload) const {
   const std::size_t total = kSize + payload.size();
   if (total > 0xFFFF) throw std::length_error("IPv4 packet exceeds 65535 bytes");
 
-  util::BufWriter w;
+  util::BufWriter w(total);  // the payload lands in the reserved tail
   w.u8(0x45);  // version 4, IHL 5
   w.u8(tos);
   w.u16(static_cast<std::uint16_t>(total));

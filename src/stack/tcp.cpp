@@ -59,26 +59,31 @@ util::Expected<TcpOptions, std::string> parse_tcp_options(util::ByteView options
 
 util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip,
                             const TcpSegment& segment) {
-  if (segment.options.size() > kMaxOptionBytes) {
+  return encode_tcp(src_ip, dst_ip, segment, segment.payload);
+}
+
+util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip, const TcpSegment& header,
+                            util::ByteView payload) {
+  if (header.options.size() > kMaxOptionBytes) {
     throw std::length_error("TCP options exceed 40 bytes");
   }
-  const std::size_t padded_options = (segment.options.size() + 3) & ~std::size_t{3};
+  const std::size_t padded_options = (header.options.size() + 3) & ~std::size_t{3};
   const std::size_t header_len = TcpSegment::kHeaderSize + padded_options;
   const std::uint8_t data_offset = static_cast<std::uint8_t>(header_len / 4);
 
-  util::BufWriter w;
-  w.u16(segment.src_port);
-  w.u16(segment.dst_port);
-  w.u32(segment.seq);
-  w.u32(segment.ack);
+  util::BufWriter w(header_len + payload.size());
+  w.u16(header.src_port);
+  w.u16(header.dst_port);
+  w.u32(header.seq);
+  w.u32(header.ack);
   w.u8(static_cast<std::uint8_t>(data_offset << 4));
-  w.u8(static_cast<std::uint8_t>(segment.flags & 0x3F));
-  w.u16(segment.window);
+  w.u8(static_cast<std::uint8_t>(header.flags & 0x3F));
+  w.u16(header.window);
   w.u16(0);  // checksum placeholder
-  w.u16(segment.urgent);
-  w.bytes(segment.options);
-  w.zeros(padded_options - segment.options.size());  // pad with end-of-list
-  w.bytes(segment.payload);
+  w.u16(header.urgent);
+  w.bytes(header.options);
+  w.zeros(padded_options - header.options.size());  // pad with end-of-list
+  w.bytes(payload);
   util::ByteBuffer bytes = w.take();
 
   const std::uint16_t csum = pseudo_checksum(src_ip, dst_ip, bytes);
@@ -273,10 +278,9 @@ void TcpSocket::emit(std::uint8_t flags, std::uint32_t seq, util::ByteView paylo
     s.options = {2, 4, static_cast<std::uint8_t>(mss >> 8),
                  static_cast<std::uint8_t>(mss)};
   }
-  s.payload.assign(payload.begin(), payload.end());
   stats_.segments_sent += 1;
   if (!retransmission) stats_.bytes_sent += payload.size();
-  send_segment_(remote_ip_, encode_tcp(local_ip_, remote_ip_, s));
+  send_segment_(remote_ip_, encode_tcp(local_ip_, remote_ip_, s, payload));
 }
 
 void TcpSocket::send_ack() {

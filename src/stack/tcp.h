@@ -90,6 +90,13 @@ struct TcpOptions {
 [[nodiscard]] util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip,
                                           const TcpSegment& segment);
 
+/// The same encoding with the payload passed as a view -- `header.payload`
+/// is ignored -- so a sender serializes straight from its send buffer
+/// instead of first copying the bytes into a TcpSegment. One allocation.
+[[nodiscard]] util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip,
+                                          const TcpSegment& header,
+                                          util::ByteView payload);
+
 /// Parses and validates a TCP segment carried between `src_ip`/`dst_ip`:
 /// minimum length, data offset in [5, 15] and within the buffer, checksum,
 /// and structurally valid options.

@@ -143,6 +143,9 @@ class BufWriter {
  public:
   BufWriter() = default;
   explicit BufWriter(std::span<std::uint8_t> fixed) : fixed_(fixed), is_fixed_(true) {}
+  /// Growable, with room for `capacity` bytes reserved up front: a codec
+  /// that knows its output size allocates once instead of growing.
+  explicit BufWriter(std::size_t capacity) { grow_.reserve(capacity); }
 
   BufWriter& u8(std::uint8_t v) {
     put(&v, 1);
@@ -188,6 +191,11 @@ class BufWriter {
   }
 
   [[nodiscard]] std::size_t size() const { return is_fixed_ ? pos_ : grow_.size(); }
+
+  /// The bytes written so far. A later write may invalidate the view.
+  [[nodiscard]] ByteView view() const {
+    return is_fixed_ ? ByteView(fixed_.first(pos_)) : ByteView(grow_);
+  }
 
   /// Takes the accumulated bytes (growable mode only).
   [[nodiscard]] ByteBuffer take() {

@@ -1,6 +1,7 @@
 // Shared-wire-buffer datapath coverage: the zero-copy guarantees the
-// WireFrame refactor makes — one encode and one FCS verification per
-// bridged frame regardless of fan-out, and unchanged tail-drop accounting
+// WireFrame path makes — receivers share the sender's parse (no decode, no
+// FCS check), wire bytes are built only when something reads them and then
+// at most once regardless of fan-out, and tail-drop accounting is unchanged
 // under queue pressure.
 #include <gtest/gtest.h>
 
@@ -23,12 +24,14 @@ struct FloodFixture {
   netsim::Network net;
   BridgeNode bridge;
   netsim::Nic* host = nullptr;
+  std::vector<netsim::LanSegment*> lans;
   std::vector<netsim::Nic*> bridge_nics;
   int deliveries = 0;
 
   FloodFixture() : bridge(net.scheduler()) {
     for (int i = 0; i < kPorts; ++i) {
       auto& lan = net.add_segment("lan" + std::to_string(i));
+      lans.push_back(&lan);
       auto& nic = net.add_nic("b" + std::to_string(i), lan);
       bridge_nics.push_back(&nic);
       bridge.add_port(nic);
@@ -50,9 +53,10 @@ TEST(Datapath, FloodAcrossEightPortsEncodesAndVerifiesExactlyOnce) {
   f.net.scheduler().run();
 
   EXPECT_EQ(f.deliveries, FloodFixture::kPorts - 1);
-  // One encode at the host (the one CRC-32 computation of the whole flood);
-  // the bridge fans the same buffer out to all 7 egress ports by refcount.
-  EXPECT_EQ(ether::datapath_counters().encodes, 1u);
+  // No segment has a tap, relay or drop filter, so nothing reads the wire
+  // bytes and none are built: no encode, no CRC-32 at all. The bridge fans
+  // the host's WireFrame out to all 7 egress ports by refcount.
+  EXPECT_EQ(ether::datapath_counters().encodes, 0u);
   // The host's WireFrame carries its parse with the buffer, so the bridge
   // and every peer reuse it: no receive-side decode or FCS check at all.
   EXPECT_EQ(ether::datapath_counters().decodes, 0u);
@@ -61,15 +65,41 @@ TEST(Datapath, FloodAcrossEightPortsEncodesAndVerifiesExactlyOnce) {
 
 TEST(Datapath, FloodCopiesBytesOnlyAtTheEncode) {
   FloodFixture f;
-  const ether::Frame frame =
-      test_frame(ether::MacAddress::broadcast(), f.host->mac());
   ether::datapath_counters() = {};
   f.host->transmit(test_frame(ether::MacAddress::broadcast(), f.host->mac()));
   f.net.scheduler().run();
-  // The temporary moves into the WireFrame and encode materializes
-  // wire_size() bytes once; the parse travels with the buffer, so the
-  // receive side and the 7-way fan-out copy nothing.
+  // The temporary moves into the WireFrame and, untapped, is never
+  // encoded; the parse travels with the frame, so the receive side and the
+  // 7-way fan-out copy nothing either.
+  EXPECT_EQ(ether::datapath_counters().bytes_copied, 0u);
+}
+
+TEST(Datapath, TappedFloodEncodesOnceAcrossTheFanOut) {
+  // The twin of the two tests above with a reader: a tap on one egress
+  // segment is the first (and only) thing that asks for wire bytes. The
+  // frame is encoded once, when that port carries it; the ingress segment
+  // and the other 6 egress ports share the WireFrame and never encode.
+  FloodFixture f;
+  const ether::Frame frame =
+      test_frame(ether::MacAddress::broadcast(), f.host->mac());
+  int taps = 0;
+  util::ByteBuffer tapped;
+  f.lans[3]->set_frame_tap(
+      [&](netsim::TimePoint, const netsim::Nic*, util::ByteView wire) {
+        ++taps;
+        tapped.assign(wire.begin(), wire.end());
+      });
+  ether::datapath_counters() = {};
+  f.host->transmit(test_frame(ether::MacAddress::broadcast(), f.host->mac()));
+  f.net.scheduler().run();
+
+  EXPECT_EQ(f.deliveries, FloodFixture::kPorts - 1);
+  EXPECT_EQ(taps, 1);
+  EXPECT_EQ(ether::datapath_counters().encodes, 1u);
   EXPECT_EQ(ether::datapath_counters().bytes_copied, frame.wire_size());
+  EXPECT_EQ(ether::datapath_counters().decodes, 0u);
+  EXPECT_EQ(ether::datapath_counters().fcs_verifies, 0u);
+  EXPECT_EQ(tapped, frame.encode());  // the bytes the eager path would have built
 }
 
 TEST(Datapath, ShortFramesArriveWithWirePaddingLikeTheSeedPath) {
@@ -110,9 +140,11 @@ TEST(Datapath, LearnedUnicastAlsoForwardsWithoutReencode) {
   ether::datapath_counters() = {};
   f.host->transmit(test_frame(peer_mac, f.host->mac()));
   f.net.scheduler().run();
-  // Unknown destination: flooded, still exactly one encode and no
+  // Unknown destination: flooded through the learning switchlet, and with
+  // nothing reading wire bytes still no encode, no copy and no
   // receive-side re-verification.
-  EXPECT_EQ(ether::datapath_counters().encodes, 1u);
+  EXPECT_EQ(ether::datapath_counters().encodes, 0u);
+  EXPECT_EQ(ether::datapath_counters().bytes_copied, 0u);
   EXPECT_EQ(ether::datapath_counters().fcs_verifies, 0u);
 }
 
@@ -149,8 +181,6 @@ TEST(Datapath, TailDropAccountingIsExactUnderQueuePressure) {
   const netsim::NicStats& egress = b_out.stats();
   EXPECT_GT(egress.tx_dropped, 0u);
   EXPECT_EQ(egress.tx_frames + egress.tx_dropped, static_cast<std::uint64_t>(kOffered));
-  // The frames that did go out were not re-encoded on the way through.
-  // (kOffered encodes happened at the host, none at the bridge.)
 }
 
 TEST(Datapath, PacketSharesTheWireBufferWithTheNicPath) {

@@ -351,6 +351,114 @@ TEST(NicBurst, TryPrepareDeclinesWhenDetached) {
   EXPECT_EQ(t.a->stats().tx_dropped, 0u);  // no side effects: caller decides
 }
 
+// ---------------------------------------------------------------------------
+// Malformed frames fail at the call site. Transmit validates a frame rather
+// than encoding it (its bytes are built only when something reads them),
+// and must still throw what Frame::encode would -- before touching any
+// counter, the transmitter, or the scheduler.
+
+ether::Frame oversized(ether::MacAddress dst, ether::MacAddress src) {
+  return to(dst, src, ether::Frame::kMaxPayload + 1);
+}
+
+ether::Frame untyped(ether::MacAddress dst, ether::MacAddress src) {
+  ether::Frame f;  // neither ethertype nor LLC header
+  f.dst = dst;
+  f.src = src;
+  f.payload = util::ByteBuffer(64, 0x44);
+  return f;
+}
+
+/// The transmit-side state a rejected frame must leave as it found it.
+struct TxState {
+  std::uint64_t tx_frames;
+  std::uint64_t tx_bytes;
+  std::uint64_t tx_dropped;
+  std::size_t pending;
+  friend bool operator==(const TxState&, const TxState&) = default;
+};
+
+TxState tx_state(TwoNics& t) {
+  const NicStats& s = t.a->stats();
+  return {s.tx_frames, s.tx_bytes, s.tx_dropped, t.net.scheduler().pending()};
+}
+
+TEST(NicMalformed, TransmitThrowsAtTheCallSiteWithoutSideEffects) {
+  TwoNics t;
+  int got = 0;
+  t.b->set_rx_handler([&](const ether::WireFrame&) { ++got; });
+  TxState before = tx_state(t);
+  EXPECT_THROW(t.a->transmit(oversized(t.b->mac(), t.a->mac())), std::length_error);
+  EXPECT_THROW(t.a->transmit(untyped(t.b->mac(), t.a->mac())), std::logic_error);
+  EXPECT_TRUE(tx_state(t) == before);
+
+  // The transmitter was never claimed: a good frame goes straight out.
+  EXPECT_TRUE(t.a->transmit(to(t.b->mac(), t.a->mac(), 1000)));
+  // Busy now, with an in-flight run a frame could extend: a malformed
+  // frame must neither extend it nor queue.
+  before = tx_state(t);
+  EXPECT_THROW(t.a->transmit(oversized(t.b->mac(), t.a->mac())), std::length_error);
+  EXPECT_THROW(t.a->transmit(untyped(t.b->mac(), t.a->mac())), std::logic_error);
+  EXPECT_TRUE(tx_state(t) == before);
+  t.net.scheduler().run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(t.a->stats().tx_frames, 1u);
+}
+
+TEST(NicMalformed, BurstThrowsBeforeAdmittingAnyFrame) {
+  TwoNics t;
+  int got = 0;
+  t.b->set_rx_handler([&](const ether::WireFrame&) { ++got; });
+  auto frames = burst_of(3, t.b->mac(), t.a->mac());
+  frames.insert(frames.begin() + 1, ether::WireFrame(oversized(t.b->mac(), t.a->mac())));
+  const TxState before = tx_state(t);
+  EXPECT_THROW(t.a->transmit_burst(frames), std::length_error);
+  EXPECT_TRUE(tx_state(t) == before);
+  frames[1] = ether::WireFrame(untyped(t.b->mac(), t.a->mac()));
+  EXPECT_THROW(t.a->transmit_burst(frames), std::logic_error);
+  EXPECT_TRUE(tx_state(t) == before);
+  for (const ether::WireFrame& frame : frames) EXPECT_FALSE(frame.empty());  // none moved
+
+  // Nothing was queued or claimed: the good frames then drain as a burst.
+  frames.erase(frames.begin() + 1);
+  EXPECT_EQ(t.a->transmit_burst(frames), 3u);
+  t.net.scheduler().run();
+  EXPECT_EQ(got, 3);
+  EXPECT_EQ(t.a->stats().tx_frames, 3u);
+}
+
+TEST(NicMalformed, BurstTailDropsAMalformedFrameTheQueueWouldNotTake) {
+  // Admission comes first, as in transmit(): a frame past the queue limit
+  // is a counted drop, not an error, whatever it holds.
+  TwoNics t;
+  t.a->set_tx_queue_limit(2);
+  auto frames = burst_of(2, t.b->mac(), t.a->mac());
+  frames.emplace_back(oversized(t.b->mac(), t.a->mac()));
+  EXPECT_EQ(t.a->transmit_burst(frames), 2u);
+  EXPECT_EQ(t.a->stats().tx_dropped, 1u);
+}
+
+TEST(NicMalformed, TryPrepareThrowsWithoutClaimingTheTransmitter) {
+  TwoNics t;
+  int got = 0;
+  t.b->set_rx_handler([&](const ether::WireFrame&) { ++got; });
+  const TxState before = tx_state(t);
+  EXPECT_THROW((void)t.a->try_prepare(oversized(t.b->mac(), t.a->mac())),
+               std::length_error);
+  EXPECT_THROW((void)t.a->try_prepare(untyped(t.b->mac(), t.a->mac())),
+               std::logic_error);
+  EXPECT_TRUE(tx_state(t) == before);
+
+  // Still idle: a good frame is claimed, and goes out once scheduled.
+  auto claimed = t.a->try_prepare(to(t.b->mac(), t.a->mac()));
+  ASSERT_TRUE(claimed.has_value());
+  std::vector<Scheduler::TimedEntry> run;
+  run.push_back(std::move(*claimed));
+  t.net.scheduler().schedule_run_at(run);
+  t.net.scheduler().run();
+  EXPECT_EQ(got, 1);
+}
+
 TEST(TxBatch, FlushSchedulesOneRunAndSortsByCompletionTime) {
   Network net;
   std::vector<int> order;

@@ -83,6 +83,38 @@ TEST(TcpCodec, DecodeRejectsCorruption) {
   EXPECT_FALSE(decode_tcp(src, dst, bad_offset).has_value());
 }
 
+TEST(TcpCodec, PayloadViewEncodingIsByteIdenticalToThePayloadInSegmentForm) {
+  // TcpSocket serializes straight from its send buffer through the view
+  // overload; it must produce exactly the bytes the segment form does, and
+  // ignore whatever the header's own payload holds.
+  const Ipv4Addr src(10, 0, 0, 1), dst(10, 0, 0, 2);
+  util::ByteBuffer send_buffer(1401);
+  for (std::size_t i = 0; i < send_buffer.size(); ++i) {
+    send_buffer[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (const std::size_t len : {0u, 1u, 2u, 3u, 47u, 536u, 1399u, 1400u}) {
+    for (const bool syn : {false, true}) {
+      TcpSegment header;
+      header.src_port = 4001;
+      header.dst_port = 5001;
+      header.seq = 0x80000000u + static_cast<std::uint32_t>(len);
+      header.ack = 0x01020304;
+      header.flags = syn ? TcpSegment::kSyn | TcpSegment::kAck
+                         : TcpSegment::kAck | TcpSegment::kPsh;
+      header.window = 0xFFFF;
+      if (syn) header.options = {2, 4, 0x05, 0x78};  // MSS 1400
+      // Odd start: the view is not the buffer's first byte.
+      const util::ByteView payload = util::ByteView(send_buffer).subspan(1, len);
+
+      TcpSegment segment = header;
+      segment.payload.assign(payload.begin(), payload.end());
+      header.payload = util::to_bytes("ignored");
+      EXPECT_EQ(encode_tcp(src, dst, header, payload), encode_tcp(src, dst, segment))
+          << "payload " << len << (syn ? " with SYN options" : "");
+    }
+  }
+}
+
 TEST(TcpCodec, ParseOptionsRejectsMalformedLengths) {
   const util::ByteBuffer truncated = {2, 4, 0x05};  // MSS option cut short
   EXPECT_FALSE(parse_tcp_options(truncated).has_value());
