@@ -23,15 +23,31 @@
 //                 sifts; schedule_run_at pays one, with the head re-keyed
 //                 in place as entries fire. A fraction of bursts is
 //                 cancelled wholesale (a torn-down stream).
+//   saturated_run the saturated bridge port: ONE timed run kept alive by
+//                 try_extend_run at a standing backlog of 64 -- each entry
+//                 that fires appends one more past the tail -- for N
+//                 entries. Measures events/sec and the peak-RSS growth per
+//                 fired entry, in its own forked child so ru_maxrss
+//                 moves for this cell alone. A run store that keeps its
+//                 fired history grows by its entry size (~80 B) per fired
+//                 entry; one that holds only its backlog stays flat.
 //
 // Writes BENCH_scheduler.json with events/sec for both cores and the
 // speedup ratio, tracked across PRs. `--smoke` runs one small repetition
-// (CI compiles-and-exercises; numbers are not meaningful there).
+// (CI compiles-and-exercises; numbers are not meaningful there, except
+// saturated_run's memory growth, which scripts/check_bench_smoke.sh
+// bounds).
 #include <cstdio>
 #include <cstring>
 #include <chrono>
 #include <string>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 #include "src/netsim/baseline_scheduler.h"
 #include "src/netsim/scheduler.h"
@@ -219,6 +235,120 @@ WorkloadResult burst_insert(std::size_t bursts, std::size_t burst_len,
   return out;
 }
 
+/// Process peak RSS in bytes (ru_maxrss); 0 where unsupported.
+std::uint64_t peak_rss_bytes() {
+#if defined(__linux__)
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;  // KiB on Linux
+#else
+  return 0;
+#endif
+}
+
+struct SaturatedResult {
+  std::uint64_t fired = 0;
+  double seconds = 0.0;
+  std::uint64_t rss_growth_bytes = 0;  ///< peak RSS after minus before
+  [[nodiscard]] double events_per_sec() const {
+    return seconds > 0 ? static_cast<double>(fired) / seconds : 0.0;
+  }
+  [[nodiscard]] double growth_per_entry() const {
+    return fired > 0 ? static_cast<double>(rss_growth_bytes) / static_cast<double>(fired)
+                     : 0.0;
+  }
+};
+
+/// The saturated transmitter's run: every entry that fires appends the
+/// next frame's completion one serialization time past the tail, the way
+/// Nic::transmit extends its in-flight run, until `entries` have been
+/// admitted. The capture carries a pointer plus a WireFrame-sized payload,
+/// like the NIC's completion closure.
+struct SaturatedPort {
+  netsim::Scheduler* sched = nullptr;
+  netsim::BatchId run{};
+  netsim::TimePoint tail{};
+  std::size_t admitted = 0;
+  std::size_t limit = 0;
+  std::uint64_t fired = 0;
+
+  struct Completion {
+    SaturatedPort* port;
+    void* frame[3] = {};
+    void operator()() const { port->complete(); }
+  };
+
+  static constexpr netsim::Duration kSerialization = netsim::microseconds(120);
+
+  void complete() {
+    ++fired;
+    if (admitted == limit) return;
+    netsim::Scheduler::TimedEntry entry;
+    tail += kSerialization;
+    entry.when = tail;
+    entry.fn = Completion{this};
+    if (sched->try_extend_run(run, std::move(entry))) ++admitted;
+  }
+};
+
+SaturatedResult saturated_run_in_process(std::size_t entries, std::size_t backlog) {
+  netsim::Scheduler sched;
+  SaturatedPort port;
+  port.sched = &sched;
+  port.limit = entries;
+  const std::uint64_t rss_before = peak_rss_bytes();
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<netsim::Scheduler::TimedEntry> burst(backlog);
+  for (auto& e : burst) {
+    port.tail += SaturatedPort::kSerialization;
+    e.when = port.tail;
+    e.fn = SaturatedPort::Completion{&port};
+  }
+  port.admitted = backlog;
+  port.run = sched.schedule_run_at(burst);
+  sched.run();
+  SaturatedResult out;
+  out.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  out.fired = port.fired;
+  const std::uint64_t rss_after = peak_rss_bytes();
+  out.rss_growth_bytes = rss_after > rss_before ? rss_after - rss_before : 0;
+  return out;
+}
+
+/// Runs the cell in a forked child (Linux), so the peak-RSS growth is the
+/// cell's own and not hidden by memory an earlier cell left resident. A
+/// failed fork or child reports fired == 0.
+SaturatedResult saturated_run(std::size_t entries, std::size_t backlog) {
+#if defined(__linux__)
+  int fds[2];
+  if (pipe(fds) != 0) return SaturatedResult{};
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return SaturatedResult{};
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const SaturatedResult r = saturated_run_in_process(entries, backlog);
+    const bool ok = write(fds[1], &r, sizeof r) == static_cast<ssize_t>(sizeof r);
+    close(fds[1]);
+    _exit(ok ? 0 : 1);
+  }
+  close(fds[1]);
+  SaturatedResult r;
+  const bool got = read(fds[0], &r, sizeof r) == static_cast<ssize_t>(sizeof r);
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) return SaturatedResult{};
+  return r;
+#else
+  return saturated_run_in_process(entries, backlog);
+#endif
+}
+
 struct Comparison {
   const char* workload;
   WorkloadResult baseline;
@@ -251,6 +381,18 @@ int main(int argc, char** argv) {
   const std::size_t cancel_every = 4;  // every 4th flood pruned before firing
   const int reps = smoke ? 1 : 3;
 
+  // First, before any other cell has grown this process's heap: the
+  // forked child then starts from a near-empty heap, and any run-store
+  // growth shows up in its peak RSS.
+  const std::size_t saturated_entries = smoke ? 1000000 : 8000000;
+  const std::size_t saturated_backlog = 64;
+  const SaturatedResult saturated = saturated_run(saturated_entries, saturated_backlog);
+  if (saturated.fired != saturated_entries) {
+    std::fprintf(stderr, "saturated_run fired %llu of %zu entries\n",
+                 static_cast<unsigned long long>(saturated.fired), saturated_entries);
+    return 1;
+  }
+
   // Best-of-N to shake scheduler noise out of the wall clock.
   Comparison churn{"timer_churn", {}, {}};
   Comparison drain{"fire_all", {}, {}};
@@ -282,6 +424,10 @@ int main(int argc, char** argv) {
   print(drain);
   print(batch);
   print(timed);
+  std::printf("%-12s %12.0f ev/s   peak-RSS growth %.2f B/fired entry (%zu entries, "
+              "backlog %zu)\n",
+              "saturated", saturated.events_per_sec(), saturated.growth_per_entry(),
+              saturated_entries, saturated_backlog);
 
   std::FILE* f = std::fopen("BENCH_scheduler.json", "w");
   if (f == nullptr) {
@@ -306,7 +452,10 @@ int main(int argc, char** argv) {
       "  \"timed_run\": {\"bursts\": %zu, \"burst_len\": %zu, "
       "\"cancel_every\": %zu,\n"
       "    \"per_event_events_per_sec\": %.0f, \"run_events_per_sec\": %.0f,\n"
-      "    \"speedup\": %.3f}\n"
+      "    \"speedup\": %.3f},\n"
+      "  \"saturated_run\": {\"entries\": %zu, \"backlog\": %zu, "
+      "\"events_per_sec\": %.0f, \"rss_growth_bytes\": %llu, "
+      "\"rss_growth_per_entry\": %.3f}\n"
       "}\n",
       smoke ? "true" : "false", population, rounds,
       churn.baseline.events_per_sec(), churn.indexed.events_per_sec(),
@@ -315,7 +464,9 @@ int main(int argc, char** argv) {
       cancel_every, batch.baseline.events_per_sec(), batch.indexed.events_per_sec(),
       batch.speedup(), bursts, burst_len, cancel_every,
       timed.baseline.events_per_sec(), timed.indexed.events_per_sec(),
-      timed.speedup());
+      timed.speedup(), saturated_entries, saturated_backlog, saturated.events_per_sec(),
+      static_cast<unsigned long long>(saturated.rss_growth_bytes),
+      saturated.growth_per_entry());
   std::fclose(f);
   std::printf("wrote BENCH_scheduler.json\n");
   return 0;

@@ -16,9 +16,12 @@
 // bytes_per_station. Speedups for this cell are computed over SIM time
 // (wall_seconds - build_ms/1000): the build is serial by design and would
 // otherwise cap the measured scaling long before the event loop does.
-// Always full scale, --smoke included: the bit-identity assertion against
-// the legacy path and the 4-thread speedup bound in
-// scripts/check_bench_smoke.sh are the tentpole's acceptance gate.
+// Each aggregate row runs in its own forked child (SweepOptions::
+// fork_cells), so its bytes_per_station is that row's own RSS growth, not
+// a delta over heap an earlier row freed. Always full scale, --smoke
+// included: the bit-identity assertion against the legacy path and the
+// 4-thread speedup bound in scripts/check_bench_smoke.sh are the
+// tentpole's acceptance gate.
 //
 // Output: BENCH_parallel.json in the working directory. Each run stays on
 // one line: scripts/check_bench_smoke.sh greps them. Speedups are relative
@@ -121,13 +124,20 @@ int main(int argc, char** argv) {
       "star-" + std::to_string(agg_spec.nodes) + "x" +
       std::to_string(agg_spec.hosts_per_lan);
 
+  // One child at a time: concurrent rows would share the cores their
+  // speedups measure (and each holds ~1 GB).
+  const auto run_agg_row = [&agg_spec](ab::apps::SweepOptions opts) {
+    opts.fork_cells = true;
+    opts.max_parallel_cells = 1;
+    ab::apps::AggregateHostWorkload workload;
+    ab::apps::TopologySweep sweep(opts);
+    return sweep.run_grid({agg_spec}, workload).front();
+  };
   std::vector<RunRow> agg_rows;
   {
     RunRow row;
     row.run = "agg-legacy";
-    ab::apps::AggregateHostWorkload workload;
-    ab::apps::TopologySweep sweep;
-    row.result = sweep.run_cell(agg_spec, workload);
+    row.result = run_agg_row(ab::apps::SweepOptions{});
     agg_rows.push_back(std::move(row));
   }
   for (const int threads : {1, 2, 4, 8}) {
@@ -138,9 +148,7 @@ int main(int argc, char** argv) {
     ab::apps::SweepOptions opts;
     opts.shard_regions = row.shard_regions;
     opts.threads = threads;
-    ab::apps::AggregateHostWorkload workload;
-    ab::apps::TopologySweep sweep(opts);
-    row.result = sweep.run_cell(agg_spec, workload);
+    row.result = run_agg_row(opts);
     agg_rows.push_back(std::move(row));
   }
 

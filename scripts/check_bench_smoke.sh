@@ -59,6 +59,12 @@
 #      4-thread speedup over SIM time (the serial build excluded) must
 #      reach 2.0x under the same hardware-thread guard as #8, and
 #      bytes_per_station must stay inside the same 1024 B budget as #6.
+#  10. saturated_run (BENCH_scheduler.json): one timed run extended at a
+#      standing backlog of 64, measured in its own forked child. Its
+#      peak-RSS growth per fired entry must stay at or below 8 B: a run
+#      store that holds only its unfired backlog measures ~0, one that
+#      keeps every fired entry's callback, time and order (the store
+#      before run compaction) costs ~80 B or more.
 #
 # Usage: scripts/check_bench_smoke.sh [build-dir]   (default: build-release)
 set -euo pipefail
@@ -87,6 +93,18 @@ grep -q '"batch_insert"' "$sched_json" \
   || fail "$sched_json has no batch_insert cell"
 grep -q '"timed_run"' "$sched_json" \
   || fail "$sched_json has no timed_run cell"
+
+sat_line=$(grep '"saturated_run"' "$sched_json") \
+  || fail "$sched_json has no saturated_run cell"
+sat_entries=$(field "$sat_line" entries)
+sat_growth=$(field "$sat_line" rss_growth_per_entry)
+[ -n "$sat_entries" ] && [ -n "$sat_growth" ] \
+  || fail "could not parse saturated_run from: $sat_line"
+# 0 means the platform hides RSS; the bound holds trivially there.
+max_growth=8
+if ! awk -v g="$sat_growth" -v max="$max_growth" 'BEGIN { exit !(g <= max) }'; then
+  fail "saturated run keeps its history: peak RSS grew $sat_growth B per fired entry over $sat_entries entries (limit: $max_growth, history-keeping store: ~80)"
+fi
 
 # Each profile is emitted on one line; pull its fields out with sed.
 profile_line=$(grep '"flood_profile"' "$topo_json") \
@@ -318,6 +336,7 @@ else
 fi
 
 echo "check_bench_smoke: OK (batch_insert + timed_run cells present;" \
+  "saturated run at $sat_growth B peak-RSS growth per fired entry;" \
   "flood profile at $epb events and $ipb inserts/broadcast for $receivers receivers;" \
   "egress hop at $ipf inserts/flood on $ports ports;" \
   "ttcp write at $ipw inserts/write over $frags fragments; mac_lookup present;" \

@@ -25,24 +25,48 @@ std::uint32_t Scheduler::acquire_slot() {
   return slot;
 }
 
+std::uint32_t Scheduler::acquire_run_slot(bool extendable) {
+  const std::uint32_t slot = acquire_slot();
+  Slot& s = slots_[slot];
+  if (run_pool_.empty()) {
+    s.run = std::make_unique<Run>();
+  } else {
+    s.run = std::move(run_pool_.back());
+    run_pool_.pop_back();
+  }
+  s.run->extendable = extendable;
+  return slot;
+}
+
+BatchId Scheduler::insert_run(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  const RunEntry& first = s.run->entries.front();
+  heap_push(HeapEntry{first.when, first.order, slot});
+  pending_ += s.run->entries.size();
+  scheduled_ += s.run->entries.size();
+  return BatchId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
+}
+
 EventId Scheduler::schedule_at(TimePoint when, Callback fn) {
   if (!fn) throw std::invalid_argument("Scheduler: null callback");
   if (when < now_) when = now_;
 
   const std::uint32_t slot = acquire_slot();
-  slots_[slot].fn = std::move(fn);
-
-  HeapEntry entry;
-  entry.when = when;
-  entry.order = next_order_++;
-  entry.slot = slot;
-  const auto pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(entry);
-  sift_up(pos, entry);
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  const std::uint64_t order = next_order_++;
+  if (when == now_) {
+    // Zero delay: every FIFO entry shares when == now() and takes a larger
+    // order than the one before it, so appending keeps the FIFO sorted and
+    // no sift is needed.
+    s.heap_pos = kInNowFifo;
+    now_fifo_.push_back(NowEntry{order, slot, s.gen});
+  } else {
+    heap_push(HeapEntry{when, order, slot});
+  }
   pending_ += 1;
-  inserts_ += 1;
   scheduled_ += 1;
-  return EventId{(static_cast<std::uint64_t>(slots_[slot].gen) << 32) | slot};
+  return EventId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
 }
 
 EventId Scheduler::schedule_after(Duration delay, Callback fn) {
@@ -59,28 +83,16 @@ BatchId Scheduler::schedule_batch_at(TimePoint when, std::span<Callback> entries
   }
   if (when < now_) when = now_;
 
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.batch = std::make_unique<Batch>();
-  s.batch->entries.reserve(entries.size());
-  for (Callback& fn : entries) s.batch->entries.push_back(std::move(fn));
-
-  // The run is keyed by its FIRST entry's order and occupies all k order
-  // numbers, so interleaving with singles at the same timestamp is exactly
-  // what k individual schedule_at calls would have produced.
-  HeapEntry entry;
-  entry.when = when;
-  entry.order = next_order_;
-  entry.slot = slot;
-  s.batch->first_order = next_order_;
-  next_order_ += entries.size();
-  const auto pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(entry);
-  sift_up(pos, entry);
-  pending_ += entries.size();
-  inserts_ += 1;
-  scheduled_ += entries.size();
-  return BatchId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
+  // An equal-time run: k consecutive order numbers at one timestamp, so
+  // interleaving with singles at that timestamp is exactly what k
+  // individual schedule_at calls would have produced.
+  const std::uint32_t slot = acquire_run_slot(/*extendable=*/false);
+  Run& run = *slots_[slot].run;
+  run.entries.reserve(entries.size());
+  for (Callback& fn : entries) {
+    run.entries.push_back(RunEntry{when, next_order_++, std::move(fn)});
+  }
+  return insert_run(slot);
 }
 
 BatchId Scheduler::schedule_batch_after(Duration delay, std::span<Callback> entries) {
@@ -101,35 +113,17 @@ BatchId Scheduler::schedule_run_at(std::span<TimedEntry> entries) {
     prev = e.when;
   }
 
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.batch = std::make_unique<Batch>();
-  s.batch->entries.reserve(entries.size());
-  s.batch->times.reserve(entries.size());
+  // Each entry takes the next order number, so its key (when, order) is
+  // what an individual schedule_at would have issued it. Clamping to now()
+  // preserves monotonicity: a prefix of past times all clamp to now().
+  const std::uint32_t slot = acquire_run_slot(/*extendable=*/true);
+  Run& run = *slots_[slot].run;
+  run.entries.reserve(entries.size());
   for (TimedEntry& e : entries) {
-    s.batch->entries.push_back(std::move(e.fn));
-    // Clamping to now() preserves monotonicity: a prefix of past times all
-    // clamp to the same now().
-    s.batch->times.push_back(std::max(e.when, now_));
+    run.entries.push_back(
+        RunEntry{std::max(e.when, now_), next_order_++, std::move(e.fn)});
   }
-
-  // Occupying k consecutive order numbers makes every entry's effective
-  // key (times[i], first_order + i) identical to what k individual
-  // schedule_at calls would have been issued; pop_and_run re-keys the heap
-  // entry to the next pair after each firing.
-  HeapEntry entry;
-  entry.when = s.batch->times.front();
-  entry.order = next_order_;
-  entry.slot = slot;
-  s.batch->first_order = next_order_;
-  next_order_ += entries.size();
-  const auto pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(entry);
-  sift_up(pos, entry);
-  pending_ += entries.size();
-  inserts_ += 1;
-  scheduled_ += entries.size();
-  return BatchId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
+  return insert_run(slot);
 }
 
 bool Scheduler::try_extend_run(BatchId id, TimedEntry entry) {
@@ -142,25 +136,22 @@ bool Scheduler::try_extend_run(BatchId id, TimedEntry entry) {
   // before that entry fires), so self-extension past the end safely fails
   // into the caller's FIFO fallback.
   if (s.gen != id_gen(id.seq)) return false;
-  Batch* b = s.batch.get();
-  if (b == nullptr || b->times.empty()) return false;  // single / same-time batch
-  if (entry.when < b->times.back()) return false;      // would break monotonicity
-  // From here the append always succeeds. Materialize per-entry orders on
-  // the first extension: the new entry is NOT consecutive with the run's
-  // original block (arbitrarily many events were admitted in between), so
-  // the implicit first_order + i rule no longer holds past the block.
-  if (b->orders.empty()) {
-    b->orders.reserve(b->entries.size() + 1);
-    for (std::size_t i = 0; i < b->entries.size(); ++i) {
-      b->orders.push_back(b->first_order + i);
-    }
+  Run* run = s.run.get();
+  if (run == nullptr || !run->extendable) return false;  // single / same-time batch
+  if (entry.when < run->entries.back().when) return false;  // would break monotonicity
+  // Drop the fired prefix once it outweighs the unfired backlog: each
+  // compaction moves at most as many entries as fired since the last one,
+  // so the cost stays O(1) per entry and the storage O(backlog). The heap
+  // key (the run's NEXT entry) is unchanged by both the move and the
+  // append, so no re-sift either.
+  if (run->next >= kCompactAfter && run->next * 2 >= run->entries.size()) {
+    run->entries.erase(run->entries.begin(),
+                       run->entries.begin() + static_cast<std::ptrdiff_t>(run->next));
+    run->next = 0;
   }
-  b->entries.push_back(std::move(entry.fn));
   // No clamp needed: every unfired time of a pending run is >= now(), and
-  // the appended time is >= times.back(). The heap key (the run's NEXT
-  // entry) is unchanged -- the tail only grew -- so no re-sift either.
-  b->times.push_back(entry.when);
-  b->orders.push_back(next_order_++);
+  // the appended time is >= the run's last time.
+  run->entries.push_back(RunEntry{entry.when, next_order_++, std::move(entry.fn)});
   pending_ += 1;
   scheduled_ += 1;  // inserts_ unchanged: that is the whole point
   return true;
@@ -176,10 +167,17 @@ void Scheduler::cancel(EventId id) {
   if (s.gen != id_gen(id.seq)) return;
   // An EventId is never issued for a run; a forged/wrapped one must not
   // unlink k entries while accounting for one.
-  if (s.batch != nullptr) return;
+  if (s.run != nullptr) return;
+  pending_ -= 1;
+  if (s.heap_pos == kInNowFifo) {
+    // The FIFO entry stays where it is, dead by its generation stamp; only
+    // the head must be live, so that is the one place to skip it.
+    free_slot(slot);
+    skip_dead_now_entries();
+    return;
+  }
   heap_remove(s.heap_pos);
   free_slot(slot);
-  pending_ -= 1;
 }
 
 void Scheduler::cancel(BatchId id) {
@@ -187,10 +185,34 @@ void Scheduler::cancel(BatchId id) {
   if (slot >= slots_.size()) return;
   Slot& s = slots_[slot];
   if (s.gen != id_gen(id.seq)) return;
-  if (s.batch == nullptr) return;  // stale handle over a recycled single slot
-  pending_ -= s.batch->remaining();
+  if (s.run == nullptr) return;  // stale handle over a recycled single slot
+  pending_ -= s.run->remaining();
   heap_remove(s.heap_pos);
   free_slot(slot);
+}
+
+void Scheduler::skip_dead_now_entries() {
+  while (now_head_ < now_fifo_.size() &&
+         slots_[now_fifo_[now_head_].slot].gen != now_fifo_[now_head_].gen) {
+    ++now_head_;
+  }
+  if (now_head_ == now_fifo_.size()) {
+    now_fifo_.clear();  // keeps capacity for the next burst
+    now_head_ = 0;
+  } else if (now_head_ >= 64 && now_head_ * 2 >= now_fifo_.size()) {
+    // A cascade that keeps the FIFO non-empty (two interleaved zero-delay
+    // chains) would otherwise grow it without bound.
+    now_fifo_.erase(now_fifo_.begin(),
+                    now_fifo_.begin() + static_cast<std::ptrdiff_t>(now_head_));
+    now_head_ = 0;
+  }
+}
+
+void Scheduler::heap_push(const HeapEntry& entry) {
+  const auto pos = static_cast<std::uint32_t>(heap_.size());
+  heap_.push_back(entry);
+  sift_up(pos, entry);
+  inserts_ += 1;
 }
 
 void Scheduler::heap_place(std::uint32_t pos, const HeapEntry& entry) {
@@ -242,50 +264,73 @@ void Scheduler::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   if (++s.gen == 0) s.gen = 1;  // never hand out the unissuable generation
   s.fn = nullptr;
-  s.batch.reset();
+  if (s.run != nullptr) {
+    // Clearing destroys a cancelled run's unfired callbacks now, so a
+    // pooled run never carries anything into its next use.
+    s.run->entries.clear();
+    s.run->next = 0;
+    if (s.run->entries.capacity() <= kMaxPooledCapacity) {
+      run_pool_.push_back(std::move(s.run));
+    } else {
+      s.run.reset();
+    }
+  }
   free_.push_back(slot);
 }
 
 bool Scheduler::pop_and_run() {
-  if (heap_.empty()) return false;
-  const std::uint32_t slot = heap_[0].slot;
-  now_ = heap_[0].when;
-  ++executed_;
-  pending_ -= 1;
-  Slot& s = slots_[slot];
   Callback fn;
-  if (s.batch != nullptr) {
-    // One entry per pop: a run is observably k individual events, so a
-    // budget or step() that splits it leaves the remainder pending, in
-    // order, at the heap head (nothing scheduled from here on can sort
-    // earlier than the run's first-order key at this timestamp). The slot
-    // is retired before the LAST entry runs, so a cancel of the run's own
-    // BatchId from inside that entry is already a stale no-op -- from any
-    // earlier entry it drops exactly the remaining ones.
-    Batch& b = *s.batch;
-    fn = std::move(b.entries[b.next]);
-    b.next += 1;
-    if (b.remaining() == 0) {
+  // The FIFO head is live and keyed (now(), order); the heap head is never
+  // earlier than now(), so it goes first only at now() with a lower order.
+  if (!now_empty() && (heap_.empty() || heap_[0].when != now_ ||
+                       now_fifo_[now_head_].order < heap_[0].order)) {
+    const std::uint32_t slot = now_fifo_[now_head_].slot;
+    ++now_head_;
+    fn = std::move(slots_[slot].fn);
+    // Retired before running, like a heap single (see below).
+    free_slot(slot);
+    skip_dead_now_entries();
+  } else if (!heap_.empty()) {
+    const std::uint32_t slot = heap_[0].slot;
+    now_ = heap_[0].when;
+    Slot& s = slots_[slot];
+    if (s.run != nullptr) {
+      // One entry per pop: a run is observably k individual events, so a
+      // budget or step() that splits it leaves the remainder pending, in
+      // order. The slot is retired before the LAST entry runs, so a cancel
+      // of the run's own BatchId from inside that entry is already a stale
+      // no-op -- from any earlier entry it drops exactly the remaining
+      // ones.
+      Run& run = *s.run;
+      fn = std::move(run.entries[run.next].fn);
+      run.next += 1;
+      if (run.remaining() == 0) {
+        heap_remove(0);
+        free_slot(slot);
+      } else {
+        // Re-key the head to the next entry's (time, order) -- the key an
+        // individual schedule_at would have given it -- and re-seat it.
+        // The new key is never earlier than the one just fired, so a
+        // sift-down suffices.
+        HeapEntry head = heap_[0];
+        head.when = run.entries[run.next].when;
+        head.order = run.entries[run.next].order;
+        sift_down(0, head);
+      }
+    } else {
       heap_remove(0);
+      // Retire the slot before running so a cancel of this event's own id
+      // from inside the callback is already a stale no-op, and pending()
+      // excludes the running event (matching the baseline core's
+      // semantics).
+      fn = std::move(s.fn);
       free_slot(slot);
-    } else if (!b.times.empty()) {
-      // Timed run: re-key the head to the next entry's (time, order) --
-      // the key an individual schedule_at would have given it -- and
-      // re-seat it. The new key is never earlier than the one just fired,
-      // so a sift-down suffices.
-      HeapEntry head = heap_[0];
-      head.when = b.times[b.next];
-      head.order = b.order_of(b.next);
-      sift_down(0, head);
     }
   } else {
-    heap_remove(0);
-    // Retire the slot before running so a cancel of this event's own id
-    // from inside the callback is already a stale no-op, and pending()
-    // excludes the running event (matching the baseline core's semantics).
-    fn = std::move(s.fn);
-    free_slot(slot);
+    return false;
   }
+  ++executed_;
+  pending_ -= 1;
   fn();
   return true;
 }
@@ -294,9 +339,9 @@ bool Scheduler::step() { return pop_and_run(); }
 
 std::size_t Scheduler::run_until(TimePoint until) {
   std::size_t count = 0;
-  // The heap never holds cancelled entries, so the head is always a live
-  // event and the time bound is checked against real work.
-  while (!heap_.empty() && heap_[0].when <= until) {
+  // Neither the heap nor the FIFO head is ever a cancelled entry, so the
+  // time bound is checked against real work.
+  while (!empty() && peek_next_time() <= until) {
     pop_and_run();
     ++count;
   }

@@ -2,7 +2,11 @@
 //
 // Events at equal timestamps fire in submission order (a monotonically
 // increasing order number breaks ties), so every simulation in the test
-// and bench suites is bit-for-bit reproducible.
+// and bench suites is bit-for-bit reproducible. Every event -- single,
+// run entry or zero-delay -- carries the key (when, order) an individual
+// schedule_at would have issued it, and the next event to fire is always
+// the smallest key pending; the stores below differ only in how cheaply
+// they find it.
 //
 // The event core is an indexed 4-ary min-heap over a slot table:
 //
@@ -11,26 +15,31 @@
 //     captures (a few pointers, a WireFrame) in inline storage;
 //   * cancel is O(log n) and in-place: the handle's generation stamp is
 //     checked against the slot, the slot is unlinked from the heap
-//     immediately, and nothing dead is ever left behind -- no tombstones to
-//     skip at pop time, no live-set hash lookups on the hot path;
-//   * pending()/empty() are exact by construction (the heap only ever
-//     contains live events);
-//   * schedule_batch_at inserts k same-time events as ONE heap entry -- a
-//     run keyed by its first entry's FIFO order, occupying k order numbers
-//     -- so a flood fan-out pays one sift for the whole run instead of k,
-//     and one BatchId cancel unlinks everything still pending in O(log n).
-//     Observably a run behaves exactly like k individual events: entries
-//     fire one per pop in submission order, each counts against run()
-//     budgets and executed(), and pending() counts every unfired entry;
-//   * schedule_run_at generalizes a run to a MONOTONE TIMED run: k
-//     (time, callback) pairs with non-decreasing times, still one heap
-//     entry and one sift at insert -- the transmit side's burst pattern (a
-//     NIC draining its queue, a processing element pacing a fragment
-//     train) where the k completion times are known upfront. After each
-//     entry fires, the head entry is re-keyed to the next entry's
-//     (time, order) pair -- exactly the key an individual schedule_at would
-//     have given it -- so interleaving with every other event is
-//     bit-identical to k schedule_at calls at those times.
+//     immediately, and nothing dead is ever left in the heap -- no
+//     tombstones to skip at pop time, no live-set hash lookups on the hot
+//     path;
+//   * pending()/empty() are exact by construction;
+//   * schedule_run_at inserts a MONOTONE TIMED run -- k (time, callback)
+//     pairs with non-decreasing times -- as ONE heap entry and one sift:
+//     the transmit side's burst pattern (a NIC draining its queue, a
+//     processing element pacing a fragment train) where the k completion
+//     times are known upfront. Each entry stores its own (when, order,
+//     callback); the heap entry is keyed by the next unfired one and
+//     re-keyed after each pop, so interleaving with every other event is
+//     bit-identical to k schedule_at calls. try_extend_run appends to a
+//     live run and drops its fired prefix as it goes, so a run's memory
+//     follows its unfired backlog, not its history. Retired runs return to
+//     a per-Scheduler pool with their capacity, so a steady stream of
+//     short runs allocates nothing;
+//   * schedule_batch_at is the same-time special case (an equal-time run,
+//     k consecutive order numbers): a flood fan-out pays one sift for the
+//     whole run, and one BatchId cancel unlinks everything still pending;
+//   * a schedule_at whose clamped time equals now() skips the heap: it
+//     joins a FIFO whose entries all share when == now() and take
+//     increasing order numbers, so the FIFO is sorted by construction and
+//     a pop takes its head unless the heap head sorts earlier. Cancel
+//     stays generation-stamped; a cancelled FIFO entry is skipped when it
+//     reaches the head, which is kept live, so it never delays the clock.
 //
 // A cancelled, fired, or never-issued EventId is recognized by its
 // generation stamp, so stale cancels are harmless no-ops (timers race with
@@ -57,8 +66,8 @@ struct EventId {
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
-/// Handle for cancelling a whole same-time run scheduled with
-/// schedule_batch_at. Encoded like an EventId (slot + generation stamp) but
+/// Handle for cancelling a whole run scheduled with schedule_batch_at or
+/// schedule_run_at (and for extending the latter). Encoded like an EventId (slot + generation stamp) but
 /// deliberately a distinct type: a run is cancelled wholesale, never entry
 /// by entry, and the stamp goes stale the moment the run's last entry fires
 /// or the run is cancelled.
@@ -78,6 +87,8 @@ class Scheduler {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules `fn` at absolute virtual time `when` (clamped to now()).
+  /// A clamped time equal to now() joins the zero-delay FIFO, not the heap
+  /// (it fires in the same place either way; inserts() does not count it).
   EventId schedule_at(TimePoint when, Callback fn);
 
   /// Schedules `fn` after a delay relative to now().
@@ -125,10 +136,16 @@ class Scheduler {
   /// it with NO new heap insert. The appended entry gets a fresh order
   /// number (it was admitted after everything already in the run), so
   /// interleaving with other same-time events is exactly what an
-  /// individual schedule_at at that moment would have produced. Returns
-  /// false with no side effects when the handle is stale (run finished or
-  /// cancelled), names a same-time batch or a single event, or
-  /// `entry.when` precedes the run's last time. A null callback throws.
+  /// individual schedule_at at that moment would have produced. The run
+  /// drops its already-fired entries as it grows, so a run kept alive by
+  /// extension holds its backlog, not its history.
+  ///
+  /// Returns false when the handle is stale (run finished or cancelled),
+  /// names a same-time batch or a single event, or `entry.when` precedes
+  /// the run's last time. The scheduler is then unchanged, but the entry
+  /// is consumed either way: it is taken by value, so a rejected
+  /// callback is destroyed on return and the caller must build a new one
+  /// for its fallback. A null callback throws.
   bool try_extend_run(BatchId id, TimedEntry entry);
 
   /// Cancels a pending event in place. Cancelling an already-fired or
@@ -155,21 +172,24 @@ class Scheduler {
   /// Runs until the queue is empty or `max_events` have executed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] bool empty() const { return heap_.empty() && now_empty(); }
   /// Timestamp of the earliest pending event -- the shard horizon the
   /// parallel runner's conservative window computation reads between
   /// rounds. TimePoint::max() when the queue is empty (an idle shard
-  /// never constrains its neighbors).
+  /// never constrains its neighbors). Exact: the zero-delay FIFO's head is
+  /// always live, so a non-empty FIFO means an event at now().
   [[nodiscard]] TimePoint peek_next_time() const {
+    if (!now_empty()) return now_;
     return heap_.empty() ? TimePoint::max() : heap_.front().when;
   }
   /// Exact count of unfired events; every unfired entry of a batch run
   /// counts individually (a run is k events, not one).
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
-  /// Heap insert operations performed: one per schedule_at, one per
-  /// batch/run no matter how many entries it carries. scheduled() vs
-  /// inserts() is the batching ratio the transmit-path benches guard.
+  /// Heap insert operations performed: one per schedule_at past now(), one
+  /// per batch/run no matter how many entries it carries; zero-delay
+  /// schedules (the FIFO) and run extensions insert nothing. scheduled()
+  /// vs inserts() is the batching ratio the transmit-path benches guard.
   [[nodiscard]] std::uint64_t inserts() const { return inserts_; }
   /// Entries admitted in total (a batch/run of k counts k) -- what
   /// inserts() would be if every entry were its own schedule_at call.
@@ -194,35 +214,50 @@ class Scheduler {
     }
   };
 
-  /// A run: the entries of one schedule_batch_at / schedule_run_at call,
-  /// fired front to back. `next` is the cursor of a partially executed
-  /// run. A same-time run (`times` empty) stays at the heap head between
-  /// its entries -- nothing scheduled after it can sort earlier than its
-  /// first-order key at that timestamp. A timed run carries the per-entry
-  /// firing times; after each pop the heap entry is re-keyed to
-  /// (times[next], first_order + next) and re-seated, which is exactly the
-  /// key entry `next` would have had as an individual schedule_at call.
-  struct Batch {
-    std::vector<Callback> entries;
-    std::vector<TimePoint> times;  ///< empty: same-time run at the heap key
-    std::uint64_t first_order = 0;
+  /// One entry of a run, with the key an individual schedule_at would have
+  /// issued it.
+  struct RunEntry {
+    TimePoint when{};
+    std::uint64_t order = 0;
+    Callback fn;
+  };
+
+  /// A run: the entries of one schedule_batch_at / schedule_run_at call
+  /// plus any try_extend_run appends, fired front to back. Entries before
+  /// `next` have fired (their callbacks are already moved out); the heap
+  /// entry is keyed by entries[next]. try_extend_run compacts the fired
+  /// prefix away once it outweighs the unfired backlog.
+  struct Run {
+    std::vector<RunEntry> entries;
     std::size_t next = 0;
-    /// Per-entry order numbers; empty until the first try_extend_run
-    /// (entries admitted together are consecutive from first_order, so the
-    /// vector is materialized only when an extension breaks that run).
-    std::vector<std::uint64_t> orders;
+    bool extendable = false;  ///< timed run; a same-time batch is not
     [[nodiscard]] std::size_t remaining() const { return entries.size() - next; }
-    [[nodiscard]] std::uint64_t order_of(std::size_t i) const {
-      return orders.empty() ? first_order + i : orders[i];
-    }
   };
 
   struct Slot {
     std::uint32_t gen = 0;  ///< matches the EventId/BatchId stamp while live
-    std::uint32_t heap_pos = 0;
-    Callback fn;                    ///< single events
-    std::unique_ptr<Batch> batch;   ///< non-null: this slot is a run
+    std::uint32_t heap_pos = 0;  ///< kInNowFifo: a zero-delay FIFO entry
+    Callback fn;                 ///< single events
+    std::unique_ptr<Run> run;    ///< non-null: this slot is a run
   };
+
+  /// One zero-delay event: its slot and the slot's generation at issue, so
+  /// an entry whose event was cancelled (the slot retired, maybe reused)
+  /// is recognized as dead.
+  struct NowEntry {
+    std::uint64_t order = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;
+  };
+
+  static constexpr std::uint32_t kInNowFifo = 0xFFFFFFFFu;
+  /// A run compacts only once this many entries have fired, so short runs
+  /// never pay for it.
+  static constexpr std::size_t kCompactAfter = 16;
+  /// Retired runs with more capacity than this are freed, not pooled, so
+  /// one large burst (a NIC draining a long queue whole) does not pin its
+  /// storage for the scheduler's lifetime.
+  static constexpr std::size_t kMaxPooledCapacity = 256;
 
   [[nodiscard]] static std::uint32_t id_slot(std::uint64_t seq) {
     return static_cast<std::uint32_t>(seq & 0xFFFFFFFFu);
@@ -233,14 +268,27 @@ class Scheduler {
 
   /// Pops a slot index off the free list (or grows the table).
   [[nodiscard]] std::uint32_t acquire_slot();
+  /// Takes an empty run from the pool (or allocates one), installs it in
+  /// a fresh slot and returns the slot index.
+  [[nodiscard]] std::uint32_t acquire_run_slot(bool extendable);
+  /// Inserts a run whose entries are admitted: one heap entry keyed by its
+  /// first entry. Returns the run's handle.
+  BatchId insert_run(std::uint32_t slot);
 
+  [[nodiscard]] bool now_empty() const { return now_head_ == now_fifo_.size(); }
+  /// Advances the FIFO head past cancelled entries, so the head is live
+  /// (or the FIFO empty, its storage reset).
+  void skip_dead_now_entries();
+
+  /// Inserts `entry` and counts it in inserts().
+  void heap_push(const HeapEntry& entry);
   void heap_place(std::uint32_t pos, const HeapEntry& entry);
   void sift_up(std::uint32_t pos, const HeapEntry& entry);
   void sift_down(std::uint32_t pos, const HeapEntry& entry);
   /// Unlinks the heap entry at `pos`, restoring the heap property.
   void heap_remove(std::uint32_t pos);
   /// Retires a slot: bumps its generation (invalidating outstanding ids),
-  /// drops the callback, and recycles the index.
+  /// drops the callback, returns a run to the pool, and recycles the index.
   void free_slot(std::uint32_t slot);
 
   /// Pops and runs the next event; false when the queue is empty.
@@ -249,6 +297,11 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::vector<HeapEntry> heap_;      ///< 4-ary min-heap on (when, order)
   std::vector<std::uint32_t> free_;  ///< recycled slot indices
+  std::vector<std::unique_ptr<Run>> run_pool_;  ///< retired runs, emptied
+  /// Zero-delay events in order; [now_head_, size) is pending, the head
+  /// live. Every live entry has when == now_: the clock cannot pass one.
+  std::vector<NowEntry> now_fifo_;
+  std::size_t now_head_ = 0;
   TimePoint now_{};
   std::uint64_t next_order_ = 1;
   std::uint64_t executed_ = 0;

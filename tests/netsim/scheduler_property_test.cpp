@@ -1,20 +1,27 @@
 // Determinism property test for the scheduler rewrite: seeded random
 // programs of interleaved schedule_at / schedule_after / schedule_batch /
-// schedule_run (monotone timed runs) / cancel (single ids and whole
-// BatchId runs) / run_until / step / run are executed against both cores
-// -- the indexed 4-ary heap (Scheduler) and the PR 1 priority_queue +
-// live-set core (BaselineScheduler), whose observable contract is the
-// oracle. The baseline has no batch or run API, which is the point: a
-// same-time run is DEFINED as k individual same-time events and a timed
-// run as k individual events at its k times, so the oracle schedules k
+// schedule_run (monotone timed runs) / try_extend_run / cancel (single ids
+// and whole BatchId runs) / run_until / step / run are executed against
+// both cores -- the indexed 4-ary heap (Scheduler) and the original
+// priority_queue + live-set core (BaselineScheduler), whose observable
+// contract is the oracle. The baseline has no batch or run API, which is
+// the point: a same-time run is DEFINED as k individual same-time events,
+// a timed run as k individual events at its k times, and an accepted run
+// extension as one schedule_at at that moment, so the oracle schedules k
 // events and cancels k ids where the indexed core takes one insert and one
-// BatchId cancel. Firing order, the clock after every op, and pending()
-// after every op must be identical, including events scheduled from inside
-// callbacks, budgets that split a run, and cancels of already-fired ids.
+// BatchId cancel. Firing order, the clock after every op, pending() after
+// every op and every extension's accept/reject must be identical,
+// including events scheduled from inside callbacks, budgets that split a
+// run, and cancels of already-fired ids. A large share of the schedules
+// and children are zero-delay (the indexed core's FIFO beside the heap),
+// many cancels hit recent ids (so zero-delay events die while pending),
+// and extensions run up to 200 appends, some from inside the run's own
+// entries, so run compaction and run-pool reuse are checked too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <type_traits>
 #include <vector>
 
@@ -30,6 +37,7 @@ struct Op {
     kSchedule,
     kScheduleBatch,
     kScheduleRun,  ///< monotone timed run (schedule_run_at)
+    kExtendRun,    ///< try_extend_run appends to a run handle
     kCancel,
     kCancelBatch,
     kRunUntil,
@@ -41,13 +49,24 @@ struct Op {
                                ///< negative); kRunUntil: window
   bool spawn_child = false;    ///< kSchedule: callback schedules a child event
   std::int64_t child_delay_us = 0;
+  /// kSchedule with a child: the callback then cancels the id issued this
+  /// many ids back (0: its own child), often a pending zero-delay event.
+  bool child_cancels = false;
+  std::size_t child_cancel_back = 0;
   std::size_t batch_size = 0;  ///< kScheduleBatch/kScheduleRun: entries (0
                                ///< exercises the no-op)
   std::vector<std::int64_t> run_delays_us;  ///< kScheduleRun: sorted delays
                                             ///< (may start negative)
-  std::size_t cancel_sel = 0;  ///< kCancel/kCancelBatch: index into issued
-                               ///< handles (mod size)
+  std::size_t cancel_sel = 0;  ///< kCancel/kCancelBatch/kExtendRun: index
+                               ///< into issued handles (mod size)
+  bool recent = false;         ///< pick among the newest few handles instead
   std::size_t budget = 0;      ///< kRunBudget: max events
+  /// kExtendRun: one offset per append from the run's tail time at that
+  /// moment (negative: non-monotone, must be rejected).
+  std::vector<std::int64_t> extend_steps_us;
+  /// kExtendRun: appends made at op time; each appended entry that fires
+  /// then makes the next one from inside the run until all are tried.
+  std::size_t extend_outside = 0;
 };
 
 std::vector<Op> generate_program(std::uint64_t seed, int length) {
@@ -57,17 +76,22 @@ std::vector<Op> generate_program(std::uint64_t seed, int length) {
   for (int i = 0; i < length; ++i) {
     Op op;
     const std::uint64_t roll = rng.uniform(0, 99);
-    if (roll < 35) {
+    if (roll < 33) {
       op.kind = Op::kSchedule;
-      // Mostly future, occasionally negative to exercise the clamp.
-      op.delay_us = static_cast<std::int64_t>(rng.uniform(0, 2100)) - 100;
-      op.spawn_child = rng.chance(0.3);
-      op.child_delay_us = static_cast<std::int64_t>(rng.uniform(0, 500));
-    } else if (roll < 45) {
+      // Often zero-delay (the FIFO beside the heap), otherwise future or
+      // occasionally negative to exercise the clamp.
+      op.delay_us = rng.chance(0.3) ? 0
+                                    : static_cast<std::int64_t>(rng.uniform(0, 2100)) - 100;
+      op.spawn_child = rng.chance(0.4);
+      op.child_delay_us =
+          rng.chance(0.4) ? 0 : static_cast<std::int64_t>(rng.uniform(0, 500));
+      op.child_cancels = rng.chance(0.3);
+      op.child_cancel_back = static_cast<std::size_t>(rng.uniform(0, 3));
+    } else if (roll < 41) {
       op.kind = Op::kScheduleBatch;
       op.delay_us = static_cast<std::int64_t>(rng.uniform(0, 2100)) - 100;
       op.batch_size = static_cast<std::size_t>(rng.uniform(0, 5));
-    } else if (roll < 50) {
+    } else if (roll < 48) {
       op.kind = Op::kScheduleRun;
       op.batch_size = static_cast<std::size_t>(rng.uniform(0, 5));
       for (std::size_t e = 0; e < op.batch_size; ++e) {
@@ -77,12 +101,28 @@ std::vector<Op> generate_program(std::uint64_t seed, int length) {
       // The API takes non-decreasing times; sorting keeps random draws
       // valid while exercising equal-time pairs.
       std::sort(op.run_delays_us.begin(), op.run_delays_us.end());
-    } else if (roll < 65) {
+    } else if (roll < 54) {
+      op.kind = Op::kExtendRun;
+      op.cancel_sel = static_cast<std::size_t>(rng.uniform(0, 1 << 20));
+      op.recent = rng.chance(0.8);  // mostly a run that is still live
+      const auto count = static_cast<std::size_t>(rng.uniform(1, 200));
+      for (std::size_t e = 0; e < count; ++e) {
+        op.extend_steps_us.push_back(
+            rng.chance(0.05) ? -static_cast<std::int64_t>(rng.uniform(1, 20))
+                             : static_cast<std::int64_t>(rng.uniform(0, 40)));
+      }
+      op.extend_outside = rng.chance(0.5)
+                              ? count
+                              : static_cast<std::size_t>(
+                                    rng.uniform(1, std::min<std::size_t>(count, 8)));
+    } else if (roll < 67) {
       op.kind = Op::kCancel;
       op.cancel_sel = static_cast<std::size_t>(rng.uniform(0, 1 << 20));
-    } else if (roll < 73) {
+      op.recent = rng.chance(0.5);
+    } else if (roll < 74) {
       op.kind = Op::kCancelBatch;
       op.cancel_sel = static_cast<std::size_t>(rng.uniform(0, 1 << 20));
+      op.recent = rng.chance(0.5);
     } else if (roll < 85) {
       op.kind = Op::kRunUntil;
       op.delay_us = static_cast<std::int64_t>(rng.uniform(0, 3000));
@@ -102,14 +142,58 @@ struct Observation {
   std::vector<int> fired;              ///< event labels in firing order
   std::vector<std::int64_t> clock_ns;  ///< now() after every op
   std::vector<std::size_t> pending;    ///< pending() after every op
+  std::vector<bool> extended;          ///< each append attempt's verdict
   bool empty_at_end = false;
   std::uint64_t executed = 0;
 };
 
+/// Index of the handle an op selects: any issued handle, or one of the
+/// newest few (which are likely still pending).
+std::size_t pick(std::size_t size, std::size_t sel, bool recent) {
+  if (!recent) return sel % size;
+  return size - 1 - sel % std::min<std::size_t>(size, 4);
+}
+
+/// pick() for an extension: `recent` means one of the newest few TIMED
+/// runs, so most appends land on a live run; otherwise any handle, which
+/// exercises the stale-handle and same-time-batch rejections.
+template <typename IsTimed>
+std::size_t pick_run(std::size_t size, std::size_t sel, bool recent, IsTimed is_timed) {
+  if (recent) {
+    std::vector<std::size_t> newest;
+    for (std::size_t i = size; i > 0 && newest.size() < 4; --i) {
+      if (is_timed(i - 1)) newest.push_back(i - 1);
+    }
+    if (!newest.empty()) return newest[sel % newest.size()];
+  }
+  return pick(size, sel, recent);
+}
+
+/// One kExtendRun op in flight: which run it appends to, its offsets, and
+/// how many appends it has tried. Appended entries that fire make the
+/// next attempt, so its state outlives the op.
+struct ExtendChain {
+  std::size_t handle = 0;
+  std::vector<std::int64_t> steps_us;
+  std::size_t outside = 0;
+  std::size_t next = 0;
+  int first_label = 0;
+  [[nodiscard]] bool continues_inside() const {
+    return next >= outside && next < steps_us.size();
+  }
+};
+
 /// Batch adapter for the indexed core: the real schedule_batch_at /
-/// BatchId-cancel API.
+/// schedule_run_at / try_extend_run / BatchId-cancel API. Each handle
+/// remembers its run's tail time, which extension offsets count from.
 struct IndexedBatchOps {
-  std::vector<BatchId> handles;
+  struct Handle {
+    BatchId id;
+    TimePoint tail{};
+    bool timed = false;
+  };
+  std::vector<Handle> handles;
+  std::deque<ExtendChain> chains;
 
   void schedule(Scheduler& sched, Observation& obs, Duration delay, int first_label,
                 std::size_t count) {
@@ -118,11 +202,11 @@ struct IndexedBatchOps {
       const int label = first_label + static_cast<int>(i);
       fns.emplace_back([&obs, label] { obs.fired.push_back(label); });
     }
-    handles.push_back(sched.schedule_batch_after(delay, fns));
+    handles.push_back(Handle{sched.schedule_batch_after(delay, fns), {}, false});
   }
 
-  void cancel(Scheduler& sched, std::size_t sel) {
-    if (!handles.empty()) sched.cancel(handles[sel % handles.size()]);
+  void cancel(Scheduler& sched, std::size_t sel, bool recent) {
+    if (!handles.empty()) sched.cancel(handles[pick(handles.size(), sel, recent)].id);
   }
 
   /// Timed-run adapter: one schedule_run_at; the handle joins the same
@@ -130,37 +214,81 @@ struct IndexedBatchOps {
   void schedule_run(Scheduler& sched, Observation& obs,
                     const std::vector<std::int64_t>& delays_us, int first_label) {
     std::vector<Scheduler::TimedEntry> entries;
+    TimePoint tail{};
     for (std::size_t i = 0; i < delays_us.size(); ++i) {
       const int label = first_label + static_cast<int>(i);
       Scheduler::TimedEntry e;
       e.when = sched.now() + microseconds(delays_us[i]);
+      tail = std::max(e.when, sched.now());  // the run's clamped last time
       e.fn = [&obs, label] { obs.fired.push_back(label); };
       entries.push_back(std::move(e));
     }
-    handles.push_back(sched.schedule_run_at(entries));
+    handles.push_back(Handle{sched.schedule_run_at(entries), tail, true});
+  }
+
+  void extend(Scheduler& sched, Observation& obs, const Op& op, int first_label) {
+    if (handles.empty()) return;
+    ExtendChain& chain = chains.emplace_back();
+    chain.handle = pick_run(handles.size(), op.cancel_sel, op.recent,
+                            [this](std::size_t i) { return handles[i].timed; });
+    chain.steps_us = op.extend_steps_us;
+    chain.outside = op.extend_outside;
+    chain.first_label = first_label;
+    while (chain.next < chain.outside) append(sched, obs, chain);
+  }
+
+  /// One append attempt, from outside the run or from one of its entries.
+  void append(Scheduler& sched, Observation& obs, ExtendChain& chain) {
+    const std::size_t i = chain.next++;
+    Handle& h = handles[chain.handle];
+    const int label = chain.first_label + static_cast<int>(i);
+    Scheduler::TimedEntry e;
+    e.when = h.tail + microseconds(chain.steps_us[i]);
+    const TimePoint when = e.when;
+    e.fn = [this, &sched, &obs, &chain, label] {
+      obs.fired.push_back(label);
+      if (chain.continues_inside()) append(sched, obs, chain);
+    };
+    const bool ok = sched.try_extend_run(h.id, std::move(e));
+    obs.extended.push_back(ok);
+    if (ok) h.tail = when;
   }
 };
 
 /// Batch adapter for the baseline oracle, which has no batch API: a run IS
 /// k individual events by definition, so schedule k events and cancel all
-/// their ids -- the semantic contract the indexed core must match.
+/// their ids -- the semantic contract the indexed core must match. Each
+/// group also models what try_extend_run accepts: a timed run that is not
+/// cancelled and has an entry still unfired, and a time no earlier than
+/// its tail.
 struct BaselineBatchOps {
-  std::vector<std::vector<BaselineEventId>> handles;
+  struct Group {
+    std::vector<BaselineEventId> ids;
+    std::size_t fired = 0;
+    bool cancelled = false;
+    bool timed = false;
+    TimePoint tail{};
+  };
+  std::deque<Group> groups;
+  std::deque<ExtendChain> chains;
 
   void schedule(BaselineScheduler& sched, Observation& obs, Duration delay,
                 int first_label, std::size_t count) {
-    std::vector<BaselineEventId> ids;
+    Group& g = groups.emplace_back();
     for (std::size_t i = 0; i < count; ++i) {
       const int label = first_label + static_cast<int>(i);
-      ids.push_back(sched.schedule_after(
-          delay, [&obs, label] { obs.fired.push_back(label); }));
+      g.ids.push_back(sched.schedule_after(delay, [&obs, &g, label] {
+        g.fired += 1;
+        obs.fired.push_back(label);
+      }));
     }
-    handles.push_back(std::move(ids));
   }
 
-  void cancel(BaselineScheduler& sched, std::size_t sel) {
-    if (handles.empty()) return;
-    for (const BaselineEventId id : handles[sel % handles.size()]) sched.cancel(id);
+  void cancel(BaselineScheduler& sched, std::size_t sel, bool recent) {
+    if (groups.empty()) return;
+    Group& g = groups[pick(groups.size(), sel, recent)];
+    for (const BaselineEventId id : g.ids) sched.cancel(id);
+    g.cancelled = true;
   }
 
   /// Timed-run oracle: a run IS k individual events at its k times, so
@@ -168,13 +296,47 @@ struct BaselineBatchOps {
   /// per-entry clamp) and cancel all their ids as one group.
   void schedule_run(BaselineScheduler& sched, Observation& obs,
                     const std::vector<std::int64_t>& delays_us, int first_label) {
-    std::vector<BaselineEventId> ids;
+    Group& g = groups.emplace_back();
+    g.timed = true;
     for (std::size_t i = 0; i < delays_us.size(); ++i) {
       const int label = first_label + static_cast<int>(i);
-      ids.push_back(sched.schedule_after(
-          microseconds(delays_us[i]), [&obs, label] { obs.fired.push_back(label); }));
+      g.tail = std::max(sched.now() + microseconds(delays_us[i]), sched.now());
+      g.ids.push_back(sched.schedule_after(microseconds(delays_us[i]), [&obs, &g, label] {
+        g.fired += 1;
+        obs.fired.push_back(label);
+      }));
     }
-    handles.push_back(std::move(ids));
+  }
+
+  void extend(BaselineScheduler& sched, Observation& obs, const Op& op,
+              int first_label) {
+    if (groups.empty()) return;
+    ExtendChain& chain = chains.emplace_back();
+    chain.handle = pick_run(groups.size(), op.cancel_sel, op.recent,
+                            [this](std::size_t i) { return groups[i].timed; });
+    chain.steps_us = op.extend_steps_us;
+    chain.outside = op.extend_outside;
+    chain.first_label = first_label;
+    while (chain.next < chain.outside) append(sched, obs, chain);
+  }
+
+  /// An accepted append IS one schedule_at at that moment; a rejected one
+  /// schedules nothing.
+  void append(BaselineScheduler& sched, Observation& obs, ExtendChain& chain) {
+    const std::size_t i = chain.next++;
+    Group& g = groups[chain.handle];
+    const int label = chain.first_label + static_cast<int>(i);
+    const TimePoint when = g.tail + microseconds(chain.steps_us[i]);
+    const bool live = g.timed && !g.cancelled && g.fired < g.ids.size();
+    const bool ok = live && when >= g.tail;
+    obs.extended.push_back(ok);
+    if (!ok) return;
+    g.tail = when;
+    g.ids.push_back(sched.schedule_at(when, [this, &sched, &obs, &chain, &g, label] {
+      g.fired += 1;
+      obs.fired.push_back(label);
+      if (chain.continues_inside()) append(sched, obs, chain);
+    }));
   }
 };
 
@@ -196,13 +358,17 @@ Observation execute(const std::vector<Op>& ops) {
         const int child_label = label++;
         if (op.spawn_child) {
           const auto child_delay = microseconds(op.child_delay_us);
+          const bool cancels = op.child_cancels;
+          const std::size_t back = op.child_cancel_back;
           ids.push_back(sched.schedule_after(
               microseconds(op.delay_us),
-              [&obs, &sched, &ids, this_label, child_label, child_delay] {
+              [&obs, &sched, &ids, this_label, child_label, child_delay, cancels,
+               back] {
                 obs.fired.push_back(this_label);
                 ids.push_back(sched.schedule_after(
                     child_delay,
                     [&obs, child_label] { obs.fired.push_back(child_label); }));
+                if (cancels && back < ids.size()) sched.cancel(ids[ids.size() - 1 - back]);
               }));
         } else {
           ids.push_back(sched.schedule_after(
@@ -224,11 +390,17 @@ Observation execute(const std::vector<Op>& ops) {
         batches.schedule_run(sched, obs, op.run_delays_us, first_label);
         break;
       }
+      case Op::kExtendRun: {
+        const int first_label = label;
+        label += static_cast<int>(op.extend_steps_us.size());
+        batches.extend(sched, obs, op, first_label);
+        break;
+      }
       case Op::kCancel:
-        if (!ids.empty()) sched.cancel(ids[op.cancel_sel % ids.size()]);
+        if (!ids.empty()) sched.cancel(ids[pick(ids.size(), op.cancel_sel, op.recent)]);
         break;
       case Op::kCancelBatch:
-        batches.cancel(sched, op.cancel_sel);
+        batches.cancel(sched, op.cancel_sel, op.recent);
         break;
       case Op::kRunUntil:
         sched.run_until(sched.now() + microseconds(op.delay_us));
@@ -259,6 +431,7 @@ TEST_P(SchedulerEquivalence, RandomProgramsFireIdenticallyOnBothCores) {
   EXPECT_EQ(baseline.fired, indexed.fired) << "seed " << GetParam();
   EXPECT_EQ(baseline.clock_ns, indexed.clock_ns) << "seed " << GetParam();
   EXPECT_EQ(baseline.pending, indexed.pending) << "seed " << GetParam();
+  EXPECT_EQ(baseline.extended, indexed.extended) << "seed " << GetParam();
   EXPECT_EQ(baseline.executed, indexed.executed) << "seed " << GetParam();
   EXPECT_TRUE(baseline.empty_at_end);
   EXPECT_TRUE(indexed.empty_at_end);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace ab::netsim {
@@ -871,6 +876,270 @@ TEST(SchedulerTimedRunExtend, RepeatedExtensionsKeepFifoOrder) {
   std::vector<int> expect;
   for (int i = 0; i <= 16; ++i) expect.push_back(i);
   EXPECT_EQ(order, expect);
+}
+
+// ---------------------------------------------------------------------------
+// Zero-delay FIFO: schedule_at at exactly now() skips the heap
+
+TEST(SchedulerNowFifo, ZeroDelaySchedulesSkipTheHeap) {
+  Scheduler s;
+  std::vector<int> order;
+  s.schedule_after(milliseconds(1), [&] { order.push_back(9); });
+  const std::uint64_t inserts_before = s.inserts();
+  s.schedule_after(Duration::zero(), [&] { order.push_back(0); });
+  s.schedule_at(TimePoint{}, [&] { order.push_back(1); });
+  EXPECT_EQ(s.inserts(), inserts_before);  // neither went through the heap
+  EXPECT_EQ(s.scheduled(), 3u);
+  EXPECT_EQ(s.pending(), 3u);
+  EXPECT_EQ(s.peek_next_time(), TimePoint{});
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 9}));
+}
+
+TEST(SchedulerNowFifo, CancellingTheOnlyZeroDelayEventExposesTheHeapHead) {
+  // The cancelled entry must not linger at the FIFO head: peek_next_time()
+  // would report now() for an event that no longer exists, and run_until
+  // would then pop the heap head past its bound.
+  Scheduler s;
+  int fired = 0;
+  s.schedule_after(milliseconds(50), [&] { ++fired; });
+  const EventId zero = s.schedule_after(Duration::zero(), [&] { fired += 100; });
+  EXPECT_EQ(s.peek_next_time(), TimePoint{});
+  s.cancel(zero);
+  EXPECT_EQ(s.peek_next_time(), TimePoint{} + milliseconds(50));
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.run_until(s.now() + milliseconds(20)), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(s.now().time_since_epoch(), milliseconds(20));
+  s.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(SchedulerNowFifo, CancelledEntriesAnywhereInTheFifoNeverFire) {
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(s.schedule_after(Duration::zero(), [&order, i] { order.push_back(i); }));
+  }
+  s.cancel(ids[0]);  // the head
+  s.cancel(ids[3]);  // the middle
+  s.cancel(ids[5]);  // the tail
+  EXPECT_EQ(s.pending(), 3u);
+  s.cancel(ids[3]);  // stale: a no-op
+  EXPECT_EQ(s.pending(), 3u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(SchedulerNowFifo, ZeroDelayEventFiresBetweenHeapEventsByOrder) {
+  // At T the heap holds A (issued before the clock reached T, so a lower
+  // order than anything issued at T) and, issued at T after the zero-delay
+  // Z, a same-time batch and a timed-run entry (heap entries with higher
+  // orders). Z must fire after A and before both; Z2, issued last, after.
+  Scheduler s;
+  std::vector<std::string> order;
+  const TimePoint t = TimePoint{} + milliseconds(5);
+  s.schedule_at(t, [&] {
+    order.push_back("first");
+    s.schedule_after(Duration::zero(), [&] { order.push_back("Z"); });
+    std::vector<Scheduler::Callback> batch;
+    batch.emplace_back([&] { order.push_back("batch"); });
+    s.schedule_batch_at(s.now(), batch);
+    std::vector<Scheduler::TimedEntry> run(1);
+    run[0].when = s.now();
+    run[0].fn = [&] { order.push_back("run"); };
+    s.schedule_run_at(run);
+    s.schedule_after(Duration::zero(), [&] { order.push_back("Z2"); });
+  });
+  s.schedule_at(t, [&] { order.push_back("A"); });
+  s.schedule_at(t + nanoseconds(1), [&] { order.push_back("later"); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "A", "Z", "batch", "run", "Z2",
+                                             "later"}));
+}
+
+TEST(SchedulerNowFifo, LongZeroDelayCascadesKeepSubmissionOrder) {
+  // Two interleaved zero-delay chains keep the FIFO non-empty for their
+  // whole length, so it compacts while live entries remain; firing order
+  // must stay the submission order and the clock must not move.
+  Scheduler s;
+  std::vector<int> order;
+  constexpr int kSteps = 5000;
+  std::function<void(int)> link = [&](int i) {
+    order.push_back(i);
+    if (i + 2 < kSteps) s.schedule_after(Duration::zero(), [&link, i] { link(i + 2); });
+  };
+  s.schedule_after(milliseconds(3), [&] {
+    s.schedule_after(Duration::zero(), [&link] { link(0); });
+    s.schedule_after(Duration::zero(), [&link] { link(1); });
+  });
+  s.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kSteps));
+  for (int i = 0; i < kSteps; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(s.now().time_since_epoch(), milliseconds(3));
+}
+
+// ---------------------------------------------------------------------------
+// Run storage: compaction under extension, and the run pool
+
+TEST(SchedulerTimedRunExtend, TenThousandExtensionsKeepKeysAndOrderThroughCompaction) {
+  // The saturated-port pattern: every entry that fires appends one more
+  // past the tail, so the run never retires and its backlog stays at 8
+  // while 10,000 entries pass through it. Singles issued at each new tail
+  // time -- before the append (lower order) or after it (higher order) --
+  // pin each appended entry's key through every compaction.
+  Scheduler s;
+  constexpr int kInitial = 8;
+  constexpr int kTotal = 10000;
+  std::vector<int> order;
+  std::vector<std::int64_t> run_times_us;
+  BatchId id{};
+  TimePoint tail{};
+  int next_label = kInitial;
+  std::size_t singles_pending = 0;
+  std::size_t max_backlog = 0;
+  const auto single = [&](int l) {
+    singles_pending += 1;
+    return [&order, &singles_pending, l] {
+      singles_pending -= 1;
+      order.push_back(-l);
+    };
+  };
+  std::function<void(int)> fire = [&](int label) {
+    order.push_back(label);
+    run_times_us.push_back(
+        std::chrono::duration_cast<std::chrono::microseconds>(s.now().time_since_epoch())
+            .count());
+    if (next_label >= kTotal) return;
+    const int l = next_label++;
+    const TimePoint when = tail + microseconds(1);
+    if (l % 3 == 0) s.schedule_at(when, single(l));
+    Scheduler::TimedEntry e;
+    e.when = when;
+    e.fn = [&fire, l] { fire(l); };
+    ASSERT_TRUE(s.try_extend_run(id, std::move(e)));
+    tail = when;
+    if (l % 3 == 1) s.schedule_at(when, single(l));
+    max_backlog = std::max(max_backlog, s.pending() - singles_pending);
+  };
+  std::vector<Scheduler::TimedEntry> entries(kInitial);
+  for (int i = 0; i < kInitial; ++i) {
+    entries[static_cast<std::size_t>(i)].when = TimePoint{} + microseconds(i + 1);
+    entries[static_cast<std::size_t>(i)].fn = [&fire, i] { fire(i); };
+  }
+  tail = entries.back().when;
+  id = s.schedule_run_at(entries);
+  const std::uint64_t inserts_before = s.inserts();
+  s.run();
+
+  std::vector<int> expect;
+  for (int l = 0; l < kTotal; ++l) {
+    if (l % 3 == 0 && l >= kInitial) expect.push_back(-l);
+    expect.push_back(l);
+    if (l % 3 == 1 && l >= kInitial) expect.push_back(-l);
+  }
+  EXPECT_EQ(order, expect);
+  ASSERT_EQ(run_times_us.size(), static_cast<std::size_t>(kTotal));
+  for (int l = 0; l < kTotal; ++l) {
+    EXPECT_EQ(run_times_us[static_cast<std::size_t>(l)], l + 1) << "label " << l;
+  }
+  // Only the singles went through the heap; the run absorbed every append.
+  std::uint64_t singles = 0;
+  for (int l = kInitial; l < kTotal; ++l) singles += (l % 3 == 0 || l % 3 == 1) ? 1 : 0;
+  EXPECT_EQ(s.inserts() - inserts_before, singles);
+  EXPECT_EQ(max_backlog, static_cast<std::size_t>(kInitial));
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(SchedulerTimedRunExtend, SelfCancelAfterCompactionDropsExactlyTheBacklog) {
+  Scheduler s;
+  constexpr int kBacklog = 8;
+  constexpr int kCancelAt = 1000;  // well past many compactions
+  std::vector<int> order;
+  BatchId id{};
+  TimePoint tail{};
+  int next_label = kBacklog;
+  std::size_t pending_before_cancel = 0;
+  std::size_t pending_after_cancel = 0;
+  std::function<void(int)> fire = [&](int label) {
+    order.push_back(label);
+    if (label == kCancelAt) {
+      pending_before_cancel = s.pending();
+      s.cancel(id);
+      pending_after_cancel = s.pending();
+      return;
+    }
+    const int l = next_label++;
+    tail += microseconds(1);
+    Scheduler::TimedEntry e;
+    e.when = tail;
+    e.fn = [&fire, l] { fire(l); };
+    ASSERT_TRUE(s.try_extend_run(id, std::move(e)));
+  };
+  std::vector<Scheduler::TimedEntry> entries(kBacklog);
+  for (int i = 0; i < kBacklog; ++i) {
+    entries[static_cast<std::size_t>(i)].when = TimePoint{} + microseconds(i + 1);
+    entries[static_cast<std::size_t>(i)].fn = [&fire, i] { fire(i); };
+  }
+  tail = entries.back().when;
+  id = s.schedule_run_at(entries);
+  s.schedule_at(TimePoint{} + seconds(1), [&order] { order.push_back(-1); });
+  s.run();
+
+  // The cancelling entry had already left the run; the 7 behind it drop.
+  EXPECT_EQ(pending_before_cancel, static_cast<std::size_t>(kBacklog - 1) + 1);
+  EXPECT_EQ(pending_after_cancel, 1u);  // the unrelated single survives
+  std::vector<int> expect;
+  for (int l = 0; l <= kCancelAt; ++l) expect.push_back(l);
+  expect.push_back(-1);
+  EXPECT_EQ(order, expect);
+  EXPECT_TRUE(s.empty());
+  Scheduler::TimedEntry late;
+  late.when = s.now() + microseconds(1);
+  late.fn = [] {};
+  EXPECT_FALSE(s.try_extend_run(id, std::move(late)));  // stale after the cancel
+}
+
+TEST(SchedulerRunPool, ARunReusedAfterACancelNeverFiresTheCancelledCallbacks) {
+  Scheduler s;
+  std::vector<int> order;
+  auto token = std::make_shared<int>(0);
+  // A timed run, extended and partly fired, then cancelled: its storage
+  // returns to the pool with the unfired callbacks destroyed.
+  std::vector<Scheduler::TimedEntry> first(3);
+  for (int i = 0; i < 3; ++i) {
+    first[static_cast<std::size_t>(i)].when = TimePoint{} + milliseconds(i + 1);
+    first[static_cast<std::size_t>(i)].fn = [&order, token, i] { order.push_back(i); };
+  }
+  const BatchId cancelled = s.schedule_run_at(first);
+  Scheduler::TimedEntry appended;
+  appended.when = TimePoint{} + milliseconds(9);
+  appended.fn = [&order, token] { order.push_back(99); };
+  ASSERT_TRUE(s.try_extend_run(cancelled, std::move(appended)));
+  EXPECT_TRUE(s.step());  // entry 0 fires
+  s.cancel(cancelled);
+  EXPECT_EQ(token.use_count(), 1);  // nothing of the cancelled run is held
+
+  // The next runs (timed and same-time) reuse the pooled storage and the
+  // recycled slot; the stale handle reaches neither.
+  auto reuse = labelled_run(order, 10, {4, 5});
+  const BatchId fresh = s.schedule_run_at(reuse);
+  std::vector<Scheduler::Callback> batch;
+  batch.emplace_back([&order] { order.push_back(20); });
+  s.schedule_batch_at(TimePoint{} + milliseconds(6), batch);
+  s.cancel(cancelled);  // stale: a no-op
+  Scheduler::TimedEntry stale_append;
+  stale_append.when = TimePoint{} + milliseconds(30);
+  stale_append.fn = [&order] { order.push_back(-1); };
+  EXPECT_FALSE(s.try_extend_run(cancelled, std::move(stale_append)));
+  EXPECT_EQ(s.pending(), 3u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 11, 20}));
+  EXPECT_NE(fresh, cancelled);
 }
 
 }  // namespace
