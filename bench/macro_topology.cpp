@@ -40,9 +40,7 @@
 //     per write, was 6.
 // A mac_lookup cell times the learning bridge's flat open-addressing MAC
 // table (with its destination cache) against the unordered_map it
-// replaced, on DEC-TR-592-style skewed destination traffic, and runs the
-// dest-cache width experiment (1-way vs the shipped multi-way cache) on
-// burst and interleaved traces.
+// replaced, on DEC-TR-592-style skewed destination traffic.
 // The station-scale cell (always run, smoke included) builds star-8x125000
 // -- 1,125,000 arena-backed stations -- under the aggregate workload and
 // pins per-station build time, memory and receiver visits per carried
@@ -249,20 +247,6 @@ struct MacLookupProfile {
   /// Flat table and reference map agreed on every hit (the side-by-side
   /// replay is a correctness check as much as a timing one).
   bool hits_agree = true;
-  /// Destination-cache width experiment (per Jain DEC-TR-592): the same
-  /// traces replayed against a one-entry cache and the shipped
-  /// kDefaultDestCacheWays-way direct-mapped cache. "burst" is the skewed
-  /// trace above (repeat runs favor any cache); "interleave" alternates
-  /// two hot destinations per frame -- a bridge relaying two
-  /// conversations -- which a one-entry cache misses every time.
-  double burst_one_way_ns = 0.0;
-  double burst_multi_way_ns = 0.0;
-  double interleave_one_way_ns = 0.0;
-  double interleave_multi_way_ns = 0.0;
-  /// The shipped width (the experiment's winner) and the rejected
-  /// alternative the bench keeps measuring against it.
-  std::size_t ways_kept = bridge::MacTable::kDefaultDestCacheWays;
-  std::size_t ways_tested = 4;
 };
 
 MacLookupProfile run_mac_lookup_profile(std::size_t entries, std::size_t lookups) {
@@ -291,34 +275,14 @@ MacLookupProfile run_mac_lookup_profile(std::size_t entries, std::size_t lookups
       dsts[i] = static_cast<std::uint32_t>(rng.index(entries));
     }
   }
-  // The interleaved trace: two conversations relayed through one bridge,
-  // so consecutive frames alternate destinations (with the same uniform
-  // tail). One cached destination can never hit here; two or more ways
-  // hold both sides.
-  std::vector<std::uint32_t> inter_dsts(lookups);
-  std::uint32_t flow_a = 1;
-  std::uint32_t flow_b = 2;
-  for (std::size_t i = 0; i < lookups; ++i) {
-    if (i % 64 == 0 && rng.chance(0.5)) {  // conversations come and go
-      flow_a = static_cast<std::uint32_t>(rng.index(16));
-      flow_b = static_cast<std::uint32_t>(rng.index(16));
-    }
-    if (rng.chance(0.1)) {
-      inter_dsts[i] = static_cast<std::uint32_t>(rng.index(entries));
-    } else {
-      inter_dsts[i] = (i % 2 == 0) ? flow_a : flow_b;
-    }
-  }
-
   // Replays the (learn source, lookup destination) frame loop against
   // `table`, returning {ns per lookup, hits}.
-  const auto replay = [&](bridge::MacTable& table,
-                          const std::vector<std::uint32_t>& trace_dsts) {
+  const auto replay = [&](bridge::MacTable& table) {
     std::uint64_t hits = 0;
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < lookups; ++i) {
       table.learn(macs[srcs[i]], static_cast<active::PortId>(srcs[i] % 8), now);
-      if (table.lookup(macs[trace_dsts[i]], now).has_value()) ++hits;
+      if (table.lookup(macs[dsts[i]], now).has_value()) ++hits;
     }
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -326,20 +290,14 @@ MacLookupProfile run_mac_lookup_profile(std::size_t entries, std::size_t lookups
     return std::pair<double, std::uint64_t>(
         secs * 1e9 / static_cast<double>(lookups), hits);
   };
-  const auto preload = [&](bridge::MacTable& table) {
-    for (std::size_t i = 0; i < entries; ++i) {
-      table.learn(macs[i], static_cast<active::PortId>(i % 8), now);
-    }
-  };
-
-  bridge::MacTable flat;  // the shipped configuration
+  bridge::MacTable flat;
   std::unordered_map<ether::MacAddress, active::PortId> map;
-  preload(flat);
   for (std::size_t i = 0; i < entries; ++i) {
+    flat.learn(macs[i], static_cast<active::PortId>(i % 8), now);
     map[macs[i]] = static_cast<active::PortId>(i % 8);
   }
 
-  const auto [flat_ns, flat_hits] = replay(flat, dsts);
+  const auto [flat_ns, flat_hits] = replay(flat);
 
   std::uint64_t map_hits = 0;
   auto map_start = std::chrono::steady_clock::now();
@@ -364,28 +322,6 @@ MacLookupProfile run_mac_lookup_profile(std::size_t entries, std::size_t lookups
   p.speedup = p.flat_ns_per_lookup > 0 ? p.map_ns_per_lookup / p.flat_ns_per_lookup
                                        : 0.0;
 
-  // ---- destination-cache width experiment --------------------------------
-  // Fresh tables per (trace, width) so no run warms another's cache. The
-  // shipped default is 1 way (the experiment's winner); keep replaying the
-  // rejected 4-way width so the verdict stays continuously measured.
-  const netsim::Duration aging = netsim::seconds(300);
-  const netsim::Duration fast = netsim::seconds(15);
-  const std::size_t multi = 4;
-  {
-    bridge::MacTable one(aging, fast, 1), wide(aging, fast, multi);
-    preload(one);
-    preload(wide);
-    p.burst_one_way_ns = replay(one, dsts).first;
-    p.burst_multi_way_ns = replay(wide, dsts).first;
-  }
-  {
-    bridge::MacTable one(aging, fast, 1), wide(aging, fast, multi);
-    preload(one);
-    preload(wide);
-    p.interleave_one_way_ns = replay(one, inter_dsts).first;
-    p.interleave_multi_way_ns = replay(wide, inter_dsts).first;
-  }
-  p.ways_tested = multi;
   return p;
 }
 
@@ -631,12 +567,9 @@ int main(int argc, char** argv) {
       4096, smoke ? std::size_t{200000} : std::size_t{4000000});
   std::printf(
       "mac_lookup: %zu entries, %zu lookups -> flat %.1f ns/lookup, "
-      "unordered_map %.1f ns/lookup (%.2fx)\n"
-      "  dest cache: burst trace 1-way %.1f ns vs %zu-way %.1f ns; "
-      "interleave trace 1-way %.1f ns vs %zu-way %.1f ns\n",
+      "unordered_map %.1f ns/lookup (%.2fx)\n",
       mac.entries, mac.lookups, mac.flat_ns_per_lookup, mac.map_ns_per_lookup,
-      mac.speedup, mac.burst_one_way_ns, mac.ways_tested, mac.burst_multi_way_ns,
-      mac.interleave_one_way_ns, mac.ways_tested, mac.interleave_multi_way_ns);
+      mac.speedup);
   if (!mac.hits_agree) {
     std::fprintf(stderr,
                  "mac_lookup: flat table disagrees with the reference map -- "
@@ -820,10 +753,6 @@ int main(int argc, char** argv) {
                "  \"mac_lookup\": {\"entries\": %zu, \"lookups\": %zu, "
                "\"flat_ns_per_lookup\": %.1f, \"map_ns_per_lookup\": %.1f, "
                "\"speedup\": %.2f},\n"
-               "  \"dest_cache\": {\"ways_kept\": %zu, \"ways_tested\": %zu, "
-               "\"burst_one_way_ns\": %.1f, \"burst_multi_way_ns\": %.1f, "
-               "\"interleave_one_way_ns\": %.1f, "
-               "\"interleave_multi_way_ns\": %.1f},\n"
                "  \"aggregate_profile\": {\"cell\": \"%s\", \"stations\": %d, "
                "\"build_ms\": %.2f, \"build_us_per_station\": %.3f, "
                "\"peak_rss_bytes\": %llu, \"bytes_per_station\": %.1f, "
@@ -859,9 +788,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(write_profile.inserts),
                write_profile.inserts_per_write, write_profile.per_fragment_model(),
                mac.entries, mac.lookups, mac.flat_ns_per_lookup,
-               mac.map_ns_per_lookup, mac.speedup, mac.ways_kept,
-               mac.ways_tested, mac.burst_one_way_ns, mac.burst_multi_way_ns,
-               mac.interleave_one_way_ns, mac.interleave_multi_way_ns,
+               mac.map_ns_per_lookup, mac.speedup,
                station.label.c_str(), station.hosts, station.build_ms,
                build_us_per_station,
                static_cast<unsigned long long>(station.peak_rss_bytes),

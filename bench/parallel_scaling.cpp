@@ -1,11 +1,11 @@
 // Parallel scaling bench for the sharded simulation core.
 //
-// Two cells. First the flood/ping star: five runs -- the legacy
-// single-Network baseline, then the sharded path (8 regions) at 1, 2, 4
-// and 8 worker threads. Before any timing claim is written out the bench
-// asserts the sharded runs are bit-identical across thread counts --
-// frames, bytes, events, heap inserts -- because a speedup that changes
-// the answer is not a speedup.
+// Two cells. First the flood/ping star: five runs -- the 1-region oracle
+// (the default cell: one region on one inline scheduler; its row keeps the
+// name "legacy"), then 8 regions at 1, 2, 4 and 8 worker threads. Before
+// any timing claim is written out the bench asserts the 8-region runs are
+// bit-identical across thread counts -- frames, bytes, events, heap
+// inserts -- because a speedup that changes the answer is not a speedup.
 //
 // Then aggregate_parallel: the million-station acceptance cell
 // (star-8x125000, 1,125,000 arena-backed stations under the aggregate
@@ -19,7 +19,7 @@
 // Each aggregate row runs in its own forked child (SweepOptions::
 // fork_cells), so its bytes_per_station is that row's own RSS growth, not
 // a delta over heap an earlier row freed. Always full scale, --smoke
-// included: the bit-identity assertion against the legacy path and the
+// included: the bit-identity assertion against the 1-region oracle and the
 // 4-thread speedup bound in scripts/check_bench_smoke.sh are the
 // tentpole's acceptance gate.
 //
@@ -39,7 +39,7 @@
 namespace {
 
 struct RunRow {
-  std::string run;   // "legacy" or "sharded-t<N>"
+  std::string run;   // "legacy" (the 1-region oracle) or "sharded-t<N>"
   int threads = 1;
   int shard_regions = 0;
   ab::apps::SweepResult result;
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   {
     RunRow row;
     row.run = "legacy";
-    ab::apps::TopologySweep sweep;  // single Network, one scheduler
+    ab::apps::TopologySweep sweep;  // one region, one inline scheduler
     row.result = sweep.run_cell(spec);
     rows.push_back(std::move(row));
   }
@@ -105,8 +105,8 @@ int main(int argc, char** argv) {
                    rows[i].run.c_str());
     }
   }
-  // And the sharded runs must carry the oracle's traffic (star cells are
-  // tie-free, so even frame counts match the legacy path exactly).
+  // And the 8-region runs must carry the oracle's traffic (star cells are
+  // tie-free, so even frame counts match the 1-region run exactly).
   const ab::apps::SweepResult& legacy = rows[0].result;
   if (sharded_1t.frames_carried != legacy.frames_carried ||
       sharded_1t.bytes_carried != legacy.bytes_carried ||
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
                    agg_rows[i].run.c_str());
     }
   }
-  // ...and the partitioned workload must reproduce the legacy path's
+  // ...and the partitioned workload must reproduce the 1-region oracle's
   // traffic EXACTLY (star cells are tie-free): frames, bytes, pings, MAC
   // tables, and the ttcp stream's bytes. This is the in-bench bit-identity
   // assertion the sharded aggregate workload ships under.

@@ -309,35 +309,32 @@ util::Expected<std::string, std::string> ScenarioRunner::run_text(
 }
 
 // ---------------------------------------------------------------------------
-// WorkloadContext: one surface over the single-Network and sharded modes.
+// WorkloadContext
 
-std::size_t WorkloadContext::host_count() const {
-  return is_sharded() ? sharded->hosts.size() : single_topo->hosts.size();
-}
+std::size_t WorkloadContext::host_count() const { return sharded->hosts.size(); }
 
 stack::HostStack& WorkloadContext::host(std::size_t i) const {
-  return is_sharded() ? *sharded->hosts[i] : *single_topo->hosts[i];
+  return *sharded->hosts[i];
 }
 
 const netsim::Topology::HostAttach& WorkloadContext::host_attach(
     std::size_t i) const {
-  return is_sharded() ? sharded->host_attach[i] : single_topo->shape.hosts[i];
+  return sharded->host_attach[i];
 }
 
-std::size_t WorkloadContext::lan_count() const {
-  return is_sharded() ? sharded->lan_count() : single_topo->shape.lans.size();
-}
+std::size_t WorkloadContext::lan_count() const { return sharded->lan_count(); }
 
 std::size_t WorkloadContext::lan_attached_count(std::size_t l) const {
-  return is_sharded() ? sharded->lan_attached(l)
-                      : single_topo->shape.lans[l]->attached().size();
+  return sharded->lan_attached(l);
+}
+
+netsim::Scheduler& WorkloadContext::lan_scheduler(std::size_t l) const {
+  return sharded->owner_region(l).net.scheduler();
 }
 
 netsim::Nic& WorkloadContext::add_station_nic(const std::string& name,
                                               std::size_t l) const {
-  if (!is_sharded()) return single_net->add_nic(name, *single_topo->shape.lans[l]);
-  auto& region =
-      *sharded->regions[static_cast<std::size_t>(sharded->plan.lan_owner[l])];
+  bridge::ShardedTopology::Region& region = sharded->owner_region(l);
   const std::uint32_t id = sharded->next_mac_id++;
   // Arena-owned, like every other NIC attached to the region's replica
   // segments: the arena's reverse finalizer walk then detaches workload
@@ -347,31 +344,7 @@ netsim::Nic& WorkloadContext::add_station_nic(const std::string& name,
                             ether::MacAddress::local(id >> 16, id & 0xFFFF));
 }
 
-void WorkloadContext::advance(netsim::Duration d) const {
-  if (is_sharded()) {
-    runner->run_for(d);
-  } else {
-    single_net->scheduler().run_for(d);
-  }
-}
-
-namespace {
-
-[[noreturn]] void require_single_network() {
-  throw std::logic_error(kSingleNetworkOnlyMessage);
-}
-
-}  // namespace
-
-netsim::Network& WorkloadContext::net() const {
-  if (is_sharded()) require_single_network();
-  return *single_net;
-}
-
-bridge::BridgedTopology& WorkloadContext::topo() const {
-  if (is_sharded()) require_single_network();
-  return *single_topo;
-}
+void WorkloadContext::advance(netsim::Duration d) const { runner->run_for(d); }
 
 // ---------------------------------------------------------------------------
 // Workloads
@@ -567,12 +540,11 @@ void TtcpStreamWorkload::run(WorkloadContext& ctx, SweepResult& result) {
 }
 
 void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
-  // Mode-agnostic: everything below goes through the context's unified
-  // views, so the same code drives a single-Network cell and a sharded
-  // cell. Shard-safety discipline: per-host state is scheduled on that
-  // host's own clock (a LAN's hosts and its generator all live in the
-  // LAN's owning region), and counters are one slot per talker, summed
-  // after advance().
+  // Everything below goes through the context's views, so the same code
+  // drives a cell at any region count. Shard-safety discipline: per-host
+  // state is scheduled on that host's own clock (a LAN's hosts and its
+  // generator all live in the LAN's owning region), and counters are one
+  // slot per talker, summed after advance().
   const std::size_t host_count = ctx.host_count();
   const std::size_t lan_count = ctx.lan_count();
   if (host_count == 0) {
@@ -589,8 +561,8 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
 
   // Generator NICs attach FIRST, in both modes: LAN membership (and so
   // every delivery walk) must be identical whether or not they transmit.
-  // Global LAN order keeps the MAC counter's assignment identical to the
-  // oracle's; when sharded, each lands on its LAN's owning replica.
+  // Global LAN order keeps the MAC counter's assignment independent of the
+  // region count; each lands on its LAN's owning replica.
   std::vector<netsim::Nic*> generators(lan_count, nullptr);
   for (std::size_t l = 0; l < lan_count; ++l) {
     generators[l] = &ctx.add_station_nic(result.label + ".agg" + std::to_string(l), l);
@@ -768,24 +740,22 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
 namespace {
 
 /// BFS stage of every bridge from `start_lan` over the bridge/LAN
-/// incidence graph: a bridge touching a stage-d LAN deploys at stage d and
-/// exposes its other LANs at stage d+1 -- the paper's "diameter grows by
-/// one at each subsequent step".
-std::vector<int> rollout_stages(const netsim::Topology& shape, int start_lan) {
-  std::map<const netsim::LanSegment*, int> lan_index;
-  for (std::size_t i = 0; i < shape.lans.size(); ++i) {
-    lan_index[shape.lans[i]] = static_cast<int>(i);
-  }
-  std::vector<int> lan_stage(shape.lans.size(), -1);
-  std::vector<int> bridge_stage(shape.node_ports.size(), -1);
+/// incidence graph (`node_lans`: each bridge's LAN indices): a bridge
+/// touching a stage-d LAN deploys at stage d and exposes its other LANs at
+/// stage d+1 -- the paper's "diameter grows by one at each subsequent
+/// step".
+std::vector<int> rollout_stages(const std::vector<std::vector<int>>& node_lans,
+                                std::size_t lan_count, int start_lan) {
+  std::vector<int> lan_stage(lan_count, -1);
+  std::vector<int> bridge_stage(node_lans.size(), -1);
   lan_stage[static_cast<std::size_t>(start_lan)] = 0;
   bool progress = true;
   while (progress) {
     progress = false;
-    for (std::size_t b = 0; b < shape.node_ports.size(); ++b) {
+    for (std::size_t b = 0; b < node_lans.size(); ++b) {
       int best = -1;
-      for (const netsim::LanSegment* lan : shape.node_ports[b]) {
-        const int stage = lan_stage[static_cast<std::size_t>(lan_index.at(lan))];
+      for (const int lan : node_lans[b]) {
+        const int stage = lan_stage[static_cast<std::size_t>(lan)];
         if (stage >= 0 && (best < 0 || stage < best)) best = stage;
       }
       if (best < 0) continue;
@@ -793,8 +763,8 @@ std::vector<int> rollout_stages(const netsim::Topology& shape, int start_lan) {
         bridge_stage[b] = best;
         progress = true;
       }
-      for (const netsim::LanSegment* lan : shape.node_ports[b]) {
-        auto& stage = lan_stage[static_cast<std::size_t>(lan_index.at(lan))];
+      for (const int lan : node_lans[b]) {
+        int& stage = lan_stage[static_cast<std::size_t>(lan)];
         if (stage < 0 || bridge_stage[b] + 1 < stage) {
           stage = bridge_stage[b] + 1;
           progress = true;
@@ -805,6 +775,10 @@ std::vector<int> rollout_stages(const netsim::Topology& shape, int start_lan) {
   return bridge_stage;
 }
 
+/// The switchlet every rollout step pushes: a passive tap, so the new
+/// generation's own frame count is readable per bridge.
+constexpr const char* kRolloutImage = "bridge.monitor";
+
 }  // namespace
 
 void RolloutWorkload::run(WorkloadContext& ctx, SweepResult& result) {
@@ -813,38 +787,35 @@ void RolloutWorkload::run(WorkloadContext& ctx, SweepResult& result) {
         "RolloutWorkload: SweepOptions::build.netloader must be set so the "
         "bridges run network loaders");
   }
-  // Single-Network only (throws on a sharded cell): the deployer walks the
-  // whole bridge set from one admin station on one clock.
-  netsim::Network& net = ctx.net();
-  bridge::BridgedTopology& topo = ctx.topo();
+  const bridge::ShardedTopology& topo = *ctx.sharded;
 
-  // The administrator station, on lan0 like the paper's console host.
+  // The administrator station, on lan0 like the paper's console host. It
+  // and its Deployer run on lan0's owning region; TFTP to a bridge in
+  // another region crosses the cut LANs' mailboxes like any other frame.
   stack::HostConfig admin_cfg;
   admin_cfg.ip = bridge::topology_admin_ip(0);
-  stack::HostStack admin(net.scheduler(),
-                         net.add_nic(result.label + ".admin",
-                                         *topo.shape.lans[0]),
-                         admin_cfg);
+  stack::HostStack admin(ctx.lan_scheduler(0),
+                         ctx.add_station_nic(result.label + ".admin", 0), admin_cfg);
   admin.nic().set_tx_queue_limit(1 << 20);
 
   // Background traffic: a capped set of neighbor ping pairs keeps frames
-  // crossing every stage while the rollout runs.
+  // crossing every stage while the rollout runs. Each app runs on its
+  // source host's clock and keeps its own stats.
   std::vector<std::unique_ptr<PingApp>> pings;
+  const std::size_t hosts = ctx.host_count();
   const double window_secs = netsim::to_seconds(ctx.options.traffic_window);
-  if (topo.hosts.size() >= 2) {
-    const std::size_t pairs =
-        std::min<std::size_t>(topo.hosts.size(),
-                              static_cast<std::size_t>(options_.max_background_pairs));
+  if (hosts >= 2) {
+    const std::size_t pairs = std::min<std::size_t>(
+        hosts, static_cast<std::size_t>(options_.max_background_pairs));
     const int count = std::max(
         1, static_cast<int>(window_secs /
                             netsim::to_seconds(options_.ping_interval)) -
                1);
     for (std::size_t i = 0; i < pairs; ++i) {
-      stack::HostStack& src = *topo.hosts[i];
-      stack::HostStack& dst = *topo.hosts[(i + 1) % topo.hosts.size()];
-      auto app = std::make_unique<PingApp>(
-          net.scheduler(), src, dst.ip(),
-          static_cast<std::uint16_t>(0x200 + i));
+      stack::HostStack& src = ctx.host(i);
+      stack::HostStack& dst = ctx.host((i + 1) % hosts);
+      auto app = std::make_unique<PingApp>(src.scheduler(), src, dst.ip(),
+                                           static_cast<std::uint16_t>(0x200 + i));
       app->run(count, 64, options_.ping_interval);
       result.pings_sent += count;
       pings.push_back(std::move(app));
@@ -852,14 +823,14 @@ void RolloutWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   }
 
   // The deployment plan: every bridge, nearest stage first.
-  const std::vector<int> stages = rollout_stages(topo.shape, 0);
+  const std::vector<int> stages = rollout_stages(topo.node_lans, topo.lan_count(), 0);
   std::vector<std::size_t> order(topo.bridges.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return stages[a] < stages[b];
   });
 
-  active::SwitchletImage image = active::SwitchletImage::named(options_.image);
+  active::SwitchletImage image = active::SwitchletImage::named(kRolloutImage);
   image.payload.assign(options_.payload_padding, 0xAB);
 
   std::vector<DeployStep> plan;
@@ -872,59 +843,53 @@ void RolloutWorkload::run(WorkloadContext& ctx, SweepResult& result) {
     bridge_of[*topo.bridges[b]->config().loader_ip] = b;
   }
 
-  Deployer deployer(net.scheduler(), admin);
+  // The callbacks run on the admin's region, so they record only what the
+  // deployer itself knows: another region's bridge is off limits until
+  // advance() returns.
+  Deployer deployer(admin.scheduler(), admin);
   bool plan_done = false;
   std::vector<std::size_t> step_bridge;  // bridge index per rollout entry
   deployer.deploy(
       std::move(plan),
       [&plan_done](const std::vector<DeployResult>&) { plan_done = true; },
       [&](const DeployResult& step) {
-        // Snapshot the bridge the moment its new generation took over.
-        const std::size_t b = bridge_of.at(step.node);
         RolloutStepResult rs;
-        rs.bridge = topo.shape.node_names[b];
-        rs.stage = stages[b];
         rs.ok = step.ok;
         rs.attempts = step.attempts;
         rs.load_ms = netsim::to_millis(step.load_time());
-        rs.frames_before_load = topo.bridges[b]->plane().stats().received;
         result.rollout.push_back(std::move(rs));
-        step_bridge.push_back(b);
+        step_bridge.push_back(bridge_of.at(step.node));
       });
 
-  net.scheduler().run_for(ctx.options.traffic_window);
+  ctx.advance(ctx.options.traffic_window);
 
   // A plan that outlasted the traffic window (lossy links, long retry
   // backoffs) must not read as success: record the bridges never reached
   // as failed steps so rollout_ok() is false.
   if (!plan_done) {
     for (const std::size_t b : order) {
-      const bool seen =
-          std::find(step_bridge.begin(), step_bridge.end(), b) != step_bridge.end();
-      if (!seen) {
-        RolloutStepResult rs;
-        rs.bridge = topo.shape.node_names[b];
-        rs.stage = stages[b];
-        rs.ok = false;
-        result.rollout.push_back(std::move(rs));
+      if (std::find(step_bridge.begin(), step_bridge.end(), b) == step_bridge.end()) {
+        result.rollout.emplace_back();
         step_bridge.push_back(b);
       }
     }
   }
 
-  // Close the books: what each new generation processed after taking over.
+  // Close the books. The monitor recorded its plane's received count when
+  // it started, on the bridge's own clock: frames the old code handled
+  // before that, the new generation after.
   for (std::size_t i = 0; i < result.rollout.size(); ++i) {
     RolloutStepResult& rs = result.rollout[i];
-    auto& node = *topo.bridges[step_bridge[i]];
-    if (auto* monitor = dynamic_cast<bridge::MonitorSwitchlet*>(
-            node.node().loader().find(options_.image))) {
+    const std::size_t b = step_bridge[i];
+    bridge::BridgeNode& node = *topo.bridges[b];
+    rs.bridge = node.config().name;
+    rs.stage = stages[b];
+    if (const auto* monitor = dynamic_cast<const bridge::MonitorSwitchlet*>(
+            node.node().loader().find(kRolloutImage))) {
+      rs.frames_before_load = monitor->received_at_start();
       rs.frames_after_load = monitor->report().frames;
-    } else if (rs.ok) {
-      // Loaded but not the monitor image: fall back to plane work since
-      // the load. (Failed steps keep 0: no new generation ever ran.)
-      rs.frames_after_load = node.plane().stats().received - rs.frames_before_load;
     }
-    if (auto* loader = dynamic_cast<active::NetLoaderSwitchlet*>(
+    if (const auto* loader = dynamic_cast<const active::NetLoaderSwitchlet*>(
             node.node().loader().find("loader.net"))) {
       rs.bytes_pushed = loader->stats().bytes_received;
     }
@@ -973,74 +938,6 @@ SweepResult TopologySweep::run_cell(const netsim::TopologySpec& spec) {
 
 SweepResult TopologySweep::run_cell(const netsim::TopologySpec& spec,
                                     Workload& workload) {
-  if (options_.shard_regions >= 1 || options_.threads > 1) {
-    return run_cell_sharded(spec, workload);
-  }
-  return run_cell_single(spec, workload);
-}
-
-SweepResult TopologySweep::run_cell_single(const netsim::TopologySpec& spec,
-                                           Workload& workload) {
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  const std::uint64_t rss_before = current_rss_bytes();
-  netsim::Network net;
-  bridge::BridgedTopology topo =
-      bridge::build_topology(net, spec, options_.node_config, options_.build);
-  const double build_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                wall_start)
-          .count();
-  const std::uint64_t rss_after = current_rss_bytes();
-
-  SweepResult r;
-  r.build_ms = build_ms;
-  if (rss_after > rss_before && !topo.hosts.empty()) {
-    r.bytes_per_station = static_cast<double>(rss_after - rss_before) /
-                          static_cast<double>(topo.hosts.size());
-  }
-  r.spec = spec;
-  r.label = spec.label();
-  r.workload = std::string(workload.name());
-  r.bridges = static_cast<int>(topo.bridges.size());
-  r.lans = static_cast<int>(topo.shape.lans.size());
-  r.hosts = static_cast<int>(topo.hosts.size());
-  for (const auto& b : topo.bridges) {
-    r.ports += static_cast<int>(b->plane().bridge_ports().size());
-  }
-
-  net.scheduler().run_for(options_.convergence_window);
-  r.stp_converged = topo.stp_converged();
-
-  WorkloadContext ctx{options_};
-  ctx.single_net = &net;
-  ctx.single_topo = &topo;
-  workload.run(ctx, r);
-
-  r.blocked_ports = topo.count_gates(bridge::PortGate::kBlocked);
-  r.forwarding_ports = topo.count_gates(bridge::PortGate::kForwarding);
-  r.mac_entries = topo.mac_entries();
-  for (netsim::LanSegment* lan : topo.shape.lans) {
-    r.frames_carried += lan->stats().frames_carried;
-    r.bytes_carried += lan->stats().bytes_carried;
-    r.frames_lost += lan->stats().frames_lost;
-    r.receivers_visited += lan->stats().receivers_visited;
-  }
-  r.events = net.scheduler().executed();
-  r.heap_inserts = net.scheduler().inserts();
-  r.scheduled_entries = net.scheduler().scheduled();
-  r.virtual_seconds = netsim::to_seconds(net.now().time_since_epoch());
-  r.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-          .count();
-  r.events_per_sec = r.wall_seconds > 0 ? static_cast<double>(r.events) / r.wall_seconds
-                                        : 0.0;
-  r.peak_rss_bytes = peak_rss_bytes_now();
-  return r;
-}
-
-SweepResult TopologySweep::run_cell_sharded(const netsim::TopologySpec& spec,
-                                            Workload& workload) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   const std::uint64_t rss_before = current_rss_bytes();

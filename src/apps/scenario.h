@@ -3,10 +3,12 @@
 // C++. Used by the `scenario_sim` example and the scenario tests.
 //
 // TopologySweep (below) is the batch counterpart: build each TopologySpec
-// of a grid in a fresh Network, wait out STP convergence, then hand the
-// running extended LAN to a pluggable Workload and collect per-cell stats
-// -- events/sec, wall time, convergence, table sizes, plus whatever the
-// workload measured -- for benches and capacity planning.
+// of a grid as a fresh sharded cell (per-region Networks under a
+// ParallelRunner; one region on one inline scheduler by default), wait out
+// STP convergence, then hand the running extended LAN to a pluggable
+// Workload and collect per-cell stats -- events/sec, wall time,
+// convergence, table sizes, plus whatever the workload measured -- for
+// benches and capacity planning.
 //
 // Three workloads ship here:
 //   * FloodPingWorkload  -- broadcast burst + neighbor pings (learning);
@@ -25,8 +27,7 @@
 //     std::string_view name() const override { return "jitter"; }
 //     void run(WorkloadContext& ctx, SweepResult& r) override {
 //       // 1. place apps on ctx.host(i) (schedule per-host work on
-//       //    ctx.host(i).scheduler() -- in a sharded cell each shard has
-//       //    its own clock);
+//       //    ctx.host(i).scheduler() -- each region has its own clock);
 //       // 2. drive traffic: ctx.advance(ctx.options.traffic_window);
 //       // 3. record what you measured into `r` (reuse streams/rollout or
 //       //    the core counters).
@@ -145,10 +146,12 @@ struct RolloutStepResult {
   bool ok = false;           ///< the image loaded and started
   int attempts = 0;          ///< TFTP attempts the deployer needed
   double load_ms = 0.0;      ///< request leaving admin -> switchlet running
-  /// Frames the bridge's plane had forwarded when the new generation took
-  /// over (work done by the old code)...
+  /// Frames the bridge's plane had received when the new generation
+  /// started (work done by the old code)...
   std::uint64_t frames_before_load = 0;
-  /// ...and frames the freshly loaded generation itself processed after.
+  /// ...and frames the new generation itself processed after. The two sum
+  /// to the plane's received count at cell end. Both stay 0 on a bridge
+  /// the new generation never reached.
   std::uint64_t frames_after_load = 0;
   std::uint64_t bytes_pushed = 0;  ///< image bytes the loader received
 };
@@ -197,9 +200,9 @@ struct SweepResult {
   double events_per_sec = 0.0;   ///< events / wall_seconds
 
   // station-scale cost (the million-station cell's acceptance columns)
-  double build_ms = 0.0;              ///< build_topology wall time
+  double build_ms = 0.0;              ///< topology build wall time
   std::uint64_t peak_rss_bytes = 0;   ///< process peak RSS at cell end
-  /// Resident-set growth across build_topology divided by the station
+  /// Resident-set growth across the topology build divided by the station
   /// count -- the marginal memory an idle station costs (0 when the
   /// platform exposes no RSS, or when reclaimed pages hide the delta).
   double bytes_per_station = 0.0;
@@ -224,13 +227,13 @@ struct SweepOptions {
   int probe_broadcasts = 10;
   /// Every host pings its successor host (learning + directed workload).
   bool neighbor_pings = true;
-  /// Worker threads driving a sharded cell. 1 (the default) with
-  /// shard_regions == 0 keeps the original single-Network path.
+  /// Worker threads driving the cell's regions (1, the default, runs them
+  /// inline on the caller).
   int threads = 1;
-  /// Regions for the sharded build: 0 derives it from `threads`, >= 1
-  /// forces the sharded path with exactly that many regions (1 region is
-  /// the sharded machinery on a single scheduler -- the parity baseline
-  /// the seed-stability test pins against the legacy path).
+  /// Regions the cell is built as: 0 builds one per thread (so the
+  /// default cell is one region on one scheduler), >= 1 exactly that
+  /// many. Results do not depend on `threads`; on tie-free cells they do
+  /// not depend on the region count either.
   int shard_regions = 0;
   /// run_grid: build and measure each cell in its OWN forked worker
   /// process (Linux only; elsewhere it falls back to in-process cells).
@@ -248,58 +251,44 @@ struct SweepOptions {
 /// Everything a Workload may touch while driving one built, converged
 /// cell. Owned by run_cell; valid only for the duration of Workload::run.
 ///
-/// The context abstracts over the two execution modes -- a single-Network
-/// cell (one scheduler) and a sharded cell (one scheduler per region,
-/// advanced by a ParallelRunner). Mode-agnostic workloads use the unified
-/// views below and advance() and run identically, bit for bit, in both
-/// modes; single-mode workloads grab net()/topo() and throw when handed a
-/// sharded cell.
+/// Every cell is sharded: one scheduler per region, advanced in lockstep
+/// by a ParallelRunner (the default cell is one region on one inline
+/// scheduler). A workload that allocates and schedules only through the
+/// views below, and advance(), gives the same results at every thread
+/// count, and on tie-free cells at every region count.
 struct WorkloadContext {
   const SweepOptions& options;
 
-  // Exactly one mode is populated by run_cell.
-  netsim::Network* single_net = nullptr;
-  bridge::BridgedTopology* single_topo = nullptr;
   bridge::ShardedTopology* sharded = nullptr;
   netsim::ParallelRunner* runner = nullptr;
 
-  [[nodiscard]] bool is_sharded() const { return sharded != nullptr; }
+  /// Always null, and is_sharded() always true: only
+  /// bench/e2e/ab_bench.cpp still names them, in branches no cell takes.
+  /// Remove them together with those branches.
+  netsim::Network* single_net = nullptr;
+  bridge::BridgedTopology* single_topo = nullptr;
+  [[nodiscard]] bool is_sharded() const { return true; }
 
-  // ---- mode-agnostic views ----
   [[nodiscard]] std::size_t host_count() const;
-  /// Host at global attachment ordinal `i` (oracle order in both modes).
+  /// Host at global attachment ordinal `i` (the plan's lan-major order).
   [[nodiscard]] stack::HostStack& host(std::size_t i) const;
-  /// Where host ordinal `i` attaches (global plan, both modes).
+  /// Where host ordinal `i` attaches (global plan).
   [[nodiscard]] const netsim::Topology::HostAttach& host_attach(std::size_t i) const;
   [[nodiscard]] std::size_t lan_count() const;
-  /// NICs attached to global LAN `l` (summed over replicas when sharded).
+  /// NICs attached to global LAN `l`, summed over its replicas.
   [[nodiscard]] std::size_t lan_attached_count(std::size_t l) const;
-  /// Creates a workload-owned station NIC on global LAN `l` (the owning
-  /// region's replica when sharded). MAC assignment continues the cell's
-  /// global counter, so sharded and single-Network cells stay
-  /// address-identical.
+  /// The clock of global LAN `l`'s owning region: where its hosts and any
+  /// add_station_nic(_, l) NIC run.
+  [[nodiscard]] netsim::Scheduler& lan_scheduler(std::size_t l) const;
+  /// Creates a workload-owned station NIC on the owning region's replica
+  /// of global LAN `l`. MAC assignment continues the cell's global
+  /// counter, so a cell's addresses do not depend on its region count.
   [[nodiscard]] netsim::Nic& add_station_nic(const std::string& name,
                                              std::size_t l) const;
-  /// Advances virtual time: the single scheduler, or every shard in
-  /// conservative lockstep windows.
+  /// Advances virtual time on every region in conservative lockstep
+  /// windows.
   void advance(netsim::Duration d) const;
-
-  // ---- single-Network-only accessors ----
-  /// Throws std::logic_error (kSingleNetworkOnlyMessage) when the cell is
-  /// sharded: workloads that reach for the global Network/topology (the
-  /// staged rollout's BFS deployment) have not been taught shard
-  /// ownership yet.
-  [[nodiscard]] netsim::Network& net() const;
-  [[nodiscard]] bridge::BridgedTopology& topo() const;
 };
-
-/// The exact refusal a single-Network-only workload throws on a sharded
-/// cell. Shared with the rollout-pin test so the wording changes in one
-/// place when a workload graduates to shard awareness (as the aggregate
-/// workload did).
-inline constexpr const char* kSingleNetworkOnlyMessage =
-    "this workload drives the global Network directly and only supports "
-    "single-Network cells (SweepOptions::threads == 1, shard_regions == 0)";
 
 /// A traffic pattern the sweep drives over each built topology. Implement
 /// run() to place apps, advance the scheduler through the traffic window,
@@ -413,15 +402,14 @@ class TtcpStreamWorkload final : public Workload {
 /// (no queueing skew). `materialize_background` flips to the reference
 /// model so tests can assert the equivalence on small cells.
 ///
-/// Shard-aware: the workload runs mode-agnostically. The background
-/// sample is drawn from ONE seeded RNG walking LANs in global order (so
-/// sharded and single cells sample identical stations); each LAN's
-/// generator NIC is created on the LAN's owning region, and its replay is
-/// scheduled on that region's clock (any host of the LAN lives there).
-/// Talker pings use one answer slot per talker, and the cross-LAN ttcp
-/// stream rides the mailbox path when its endpoints land on different
-/// regions. On tie-free cells the sharded observables match the
-/// single-scheduler oracle bit for bit.
+/// Shard-aware: the background sample is drawn from ONE seeded RNG walking
+/// LANs in global order (so every region count samples identical
+/// stations); each LAN's generator NIC is created on the LAN's owning
+/// region, and its replay is scheduled on that region's clock (any host of
+/// the LAN lives there). Talker pings use one answer slot per talker, and
+/// the cross-LAN ttcp stream rides the mailbox path when its endpoints
+/// land on different regions. On tie-free cells the observables at any
+/// region count match the 1-region cell bit for bit.
 class AggregateHostWorkload final : public Workload {
  public:
   struct Options {
@@ -460,17 +448,21 @@ class AggregateHostWorkload final : public Workload {
 };
 
 /// The paper's section 5.2 staged deployment, replayed as a workload: an
-/// admin host on lan0 pushes a named switchlet image to every bridge's
-/// network loader -- bridges nearest the admin first, the stage growing
-/// with BFS distance exactly as the paper grows the extended LAN's
+/// admin host on lan0 pushes the bridge.monitor switchlet to every
+/// bridge's network loader -- bridges nearest the admin first, the stage
+/// growing with BFS distance exactly as the paper grows the extended LAN's
 /// diameter -- while background pings keep frames moving. Requires
 /// SweepOptions::build.netloader (throws std::logic_error otherwise).
 /// Fills SweepResult::rollout.
+///
+/// Shard-aware: the admin station and its Deployer run on lan0's owning
+/// region, each background ping on its source host's clock, and TFTP to a
+/// bridge in another region crosses the cut LANs' mailboxes. The step
+/// callback records only what the deployer knows; every per-bridge
+/// counter (the monitor's, the loader's) is read after advance().
 class RolloutWorkload final : public Workload {
  public:
   struct Options {
-    /// Named image every bridge's registry can resolve.
-    std::string image = "bridge.monitor";
     /// Padding appended to the image (simulated code size; drives TFTP
     /// transfer time like bench/sec75_load_time).
     std::size_t payload_padding = 4096;
@@ -481,7 +473,7 @@ class RolloutWorkload final : public Workload {
   };
 
   RolloutWorkload() = default;
-  explicit RolloutWorkload(Options options) : options_(std::move(options)) {}
+  explicit RolloutWorkload(Options options) : options_(options) {}
 
   [[nodiscard]] std::string_view name() const override { return "rollout"; }
   void run(WorkloadContext& ctx, SweepResult& result) override;
@@ -490,8 +482,8 @@ class RolloutWorkload final : public Workload {
   Options options_;
 };
 
-/// Builds each cell of a grid in a fresh Network, converges it, and hands
-/// it to a Workload (FloodPingWorkload when none is given).
+/// Builds each cell of a grid as a fresh sharded cell, converges it, and
+/// hands it to a Workload (FloodPingWorkload when none is given).
 class TopologySweep {
  public:
   explicit TopologySweep(SweepOptions options = {}) : options_(std::move(options)) {}
@@ -524,12 +516,6 @@ class TopologySweep {
   [[nodiscard]] static std::string format_json(const std::vector<SweepResult>& cells);
 
  private:
-  /// The original path: one Network, one scheduler.
-  [[nodiscard]] SweepResult run_cell_single(const netsim::TopologySpec& spec,
-                                            Workload& workload);
-  /// The sharded path: per-region Networks under a ParallelRunner.
-  [[nodiscard]] SweepResult run_cell_sharded(const netsim::TopologySpec& spec,
-                                             Workload& workload);
   /// Fork-per-cell grid executor (Linux; see SweepOptions::fork_cells).
   [[nodiscard]] std::vector<SweepResult> run_grid_forked(
       const std::vector<netsim::TopologySpec>& grid, Workload& workload);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 
 namespace ab::bridge {
 
@@ -65,12 +66,11 @@ std::optional<active::PortId> MacTable::lookup(ether::MacAddress dst,
   // it, so no live entry can carry it); without this guard the probe
   // would "find" the first empty slot and return its default port.
   if (key == kEmptyKey) return std::nullopt;
-  // Destination-cache fast path: re-validate the way's cached slot (learn
-  // and expire move or retire slots, and they reset the cache; a matching
-  // key in the cached slot is always the live entry).
-  const std::size_t way = static_cast<std::size_t>(key) & cache_mask_;
-  if (key == cached_keys_[way] && slots_[cached_slots_[way]].key == key) {
-    const Slot& s = slots_[cached_slots_[way]];
+  // Destination-cache fast path: re-validate the cached slot (learn and
+  // expire move or retire slots, and they reset the cache; a matching key
+  // in the cached slot is always the live entry).
+  if (key == cached_key_ && slots_[cached_slot_].key == key) {
+    const Slot& s = slots_[cached_slot_];
     if (now - s.learned > horizon()) return std::nullopt;  // stale
     return s.port;
   }
@@ -78,8 +78,8 @@ std::optional<active::PortId> MacTable::lookup(ether::MacAddress dst,
   while (true) {
     const Slot& s = slots_[i];
     if (s.key == key) {
-      cached_keys_[way] = key;
-      cached_slots_[way] = i;
+      cached_key_ = key;
+      cached_slot_ = i;
       if (now - s.learned > horizon()) return std::nullopt;  // stale
       return s.port;
     }
@@ -137,7 +137,7 @@ LearningBridgeSwitchlet::LearningBridgeSwitchlet(std::shared_ptr<ForwardingPlane
                                                  netsim::Duration sweep_interval,
                                                  netsim::Arena* mac_arena)
     : plane_(std::move(plane)),
-      table_(aging, netsim::seconds(15), MacTable::kDefaultDestCacheWays, mac_arena),
+      table_(aging, netsim::seconds(15), mac_arena),
       sweep_interval_(sweep_interval) {
   if (!plane_) throw std::invalid_argument("LearningBridgeSwitchlet: null plane");
   if (sweep_interval_ <= netsim::Duration::zero()) {

@@ -14,11 +14,9 @@
 // group destinations always flood.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "src/active/switchlet.h"
@@ -38,16 +36,12 @@ namespace ab::bridge {
 /// contiguous array with no bucket chains and no per-entry allocation.
 /// Expired entries leave tombstones that are recycled by the next learn of
 /// a colliding address and swept out whenever the table grows. On top sits
-/// a small direct-mapped destination cache: Jain's DEC-TR-592 measured
-/// bridge traffic heavily skewed toward a small destination working set,
-/// so the hot destinations' lookups skip the probe entirely. The way count
-/// is a constructor knob (power of two; way = low address bits) because
-/// the right width was settled empirically -- see the mac_lookup bench's
-/// dest_cache experiment and the verdict in docs/BENCHMARKS.md: the
-/// one-entry cache won BOTH traces, including the interleaved-flows trace
-/// built to thrash it, because the Fibonacci-hashed table behind it
-/// resolves a miss in ~one probe -- the wider cache's extra way indexing
-/// cost more than its hit-rate gain returned.
+/// a one-entry destination cache: Jain's DEC-TR-592 measured bridge
+/// traffic heavily skewed toward a small destination working set, so a
+/// hot destination's repeat lookups skip the probe entirely. One entry
+/// beat a 4-way cache on both a skewed-burst and an interleaved-flows
+/// trace (see docs/BENCHMARKS.md): the Fibonacci-hashed table behind it
+/// resolves a miss in ~one probe, so wider ways cost more than they hit.
 class MacTable {
  public:
   struct Entry {
@@ -55,14 +49,6 @@ class MacTable {
     active::PortId port = active::kNoPort;
     netsim::TimePoint learned{};
   };
-
-  /// Destination-cache ways kept after the mac_lookup bench experiment
-  /// (docs/BENCHMARKS.md): one entry beat 4 ways on the skewed-burst AND
-  /// the interleaved-flows traces (the miss path is already ~one probe),
-  /// so the shipped cache is the cheapest one that exists.
-  static constexpr std::size_t kDefaultDestCacheWays = 1;
-  /// Upper bound on the knob: the cache must stay a few cache lines.
-  static constexpr std::size_t kMaxDestCacheWays = 8;
 
   MacTable() : MacTable(netsim::seconds(300)) {}
   /// `slab_arena` (optional) backs the slot array: growth allocates from
@@ -73,18 +59,10 @@ class MacTable {
   /// worker thread mid-window.
   explicit MacTable(netsim::Duration aging,
                     netsim::Duration fast_aging = netsim::seconds(15),
-                    std::size_t dest_cache_ways = kDefaultDestCacheWays,
                     netsim::Arena* slab_arena = nullptr)
       : aging_(aging),
         fast_aging_(fast_aging),
-        slots_(netsim::ArenaAllocator<Slot>(slab_arena)),
-        cache_mask_(dest_cache_ways - 1) {
-    if (dest_cache_ways == 0 || dest_cache_ways > kMaxDestCacheWays ||
-        (dest_cache_ways & (dest_cache_ways - 1)) != 0) {
-      throw std::invalid_argument("MacTable: dest_cache_ways must be a power "
-                                  "of two in [1, 8]");
-    }
-  }
+        slots_(netsim::ArenaAllocator<Slot>(slab_arena)) {}
 
   /// Records (source address, now, port), replacing any previous entry.
   /// Group and zero addresses are never learned.
@@ -137,7 +115,7 @@ class MacTable {
   /// capacity sized for `for_size` live entries.
   void grow(std::size_t for_size);
 
-  void reset_dest_cache() const { cached_keys_.fill(kEmptyKey); }
+  void reset_dest_cache() const { cached_key_ = kEmptyKey; }
 
   netsim::Duration aging_;
   netsim::Duration fast_aging_;
@@ -145,16 +123,14 @@ class MacTable {
   SlotVector slots_;          ///< power-of-two; empty until the first learn
   std::size_t size_ = 0;      ///< live entries
   std::size_t used_ = 0;      ///< live entries + tombstones
-  /// Direct-mapped destination cache: per way, the slot the previous
-  /// successful lookup of that way's address landed on. Written ONLY by
-  /// lookup() -- the datapath learns the source right before looking up
-  /// the destination, so a learn() that wrote the cache would evict the
-  /// hot destination every frame. Reset by anything that moves or retires
-  /// slots (grow/expire/clear); learn() never does either to a live
-  /// cached slot. Ways beyond cache_mask_+1 stay at kEmptyKey.
-  std::size_t cache_mask_;
-  mutable std::array<std::uint64_t, kMaxDestCacheWays> cached_keys_{};
-  mutable std::array<std::size_t, kMaxDestCacheWays> cached_slots_{};
+  /// Destination cache: the key and slot of the previous successful
+  /// lookup. Written ONLY by lookup() -- the datapath learns the source
+  /// right before looking up the destination, so a learn() that wrote the
+  /// cache would evict the hot destination every frame. Reset by anything
+  /// that moves or retires slots (grow/expire/clear); learn() never does
+  /// either to a live cached slot.
+  mutable std::uint64_t cached_key_ = kEmptyKey;
+  mutable std::size_t cached_slot_ = 0;
 };
 
 /// Per-switchlet counters.

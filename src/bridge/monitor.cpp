@@ -40,6 +40,7 @@ MonitorSwitchlet::MonitorSwitchlet(std::shared_ptr<ForwardingPlane> plane)
 
 void MonitorSwitchlet::start(active::SafeEnv& env) {
   env_ = &env;
+  received_at_start_ = plane_->stats().received;
   wrapped_ = plane_->set_switch_function([this](const active::Packet& p) {
     const ether::Frame& frame = p.frame();
     report_.frames += 1;

@@ -42,11 +42,18 @@ class MonitorSwitchlet final : public active::Switchlet {
   [[nodiscard]] const MonitorReport& report() const { return report_; }
   void reset() { report_ = MonitorReport{}; }
 
+  /// The plane's received count when start() inserted the tap: frames the
+  /// code before this generation handled. Recorded on the bridge's own
+  /// clock, so a sharded cell reads it race-free once the window ends;
+  /// until reset(), it plus report().frames is the plane's received count.
+  [[nodiscard]] std::uint64_t received_at_start() const { return received_at_start_; }
+
  private:
   std::shared_ptr<ForwardingPlane> plane_;
   active::SafeEnv* env_ = nullptr;
   MonitorReport report_;
   ForwardingPlane::SwitchFunction wrapped_;
+  std::uint64_t received_at_start_ = 0;
   bool running_ = false;
 };
 

@@ -7,8 +7,8 @@
 
 namespace ab::bridge {
 
-netsim::LanSegment& ShardedTopology::owner_lan(std::size_t l) {
-  return *regions[static_cast<std::size_t>(plan.lan_owner[l])]->replicas[l];
+ShardedTopology::Region& ShardedTopology::owner_region(std::size_t l) {
+  return *regions[static_cast<std::size_t>(plan.lan_owner[l])];
 }
 
 netsim::LanStats ShardedTopology::lan_stats(std::size_t l) const {
@@ -84,16 +84,23 @@ ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
   // builder is deterministic for a given spec, so this is exactly the
   // oracle's plan.
   netsim::Network plan_net;
-  const netsim::Topology shape = netsim::TopologyBuilder(plan_net).build(spec);
+  netsim::Topology shape = netsim::TopologyBuilder(plan_net).build(spec);
   built.plan = partition_regions(shape, region_count);
   const RegionPlan& plan = built.plan;
 
-  std::map<const netsim::LanSegment*, std::size_t> lan_of;
+  std::map<const netsim::LanSegment*, int> lan_of;
   for (std::size_t l = 0; l < shape.lans.size(); ++l) {
-    lan_of[shape.lans[l]] = l;
+    lan_of[shape.lans[l]] = static_cast<int>(l);
     built.lan_names.push_back(shape.lans[l]->name());
   }
-  built.host_attach = shape.hosts;
+  built.node_lans.reserve(shape.node_ports.size());
+  for (const std::vector<netsim::LanSegment*>& ports : shape.node_ports) {
+    std::vector<int>& lans = built.node_lans.emplace_back();
+    for (const netsim::LanSegment* seg : ports) lans.push_back(lan_of.at(seg));
+  }
+  // The plan's host list is the biggest thing the shape holds (one entry
+  // per station): take it rather than copy it.
+  built.host_attach = std::move(shape.hosts);
 
   for (int r = 0; r < plan.regions; ++r) {
     built.regions.push_back(std::make_unique<ShardedTopology::Region>());
@@ -132,11 +139,10 @@ ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
     if (options.netloader) cfg.loader_ip = topology_loader_ip(i);
     auto node = std::make_unique<BridgeNode>(region.net.scheduler(), std::move(cfg));
     int port = 0;
-    for (netsim::LanSegment* seg : shape.node_ports[i]) {
-      const std::size_t l = lan_of.at(seg);
+    for (const int l : built.node_lans[i]) {
       node->add_port(region.net.add_nic(
           region.arena, shape.node_names[i] + ".eth" + std::to_string(port++),
-          *region.replicas[l], next_mac()));
+          *region.replicas[static_cast<std::size_t>(l)], next_mac()));
     }
     if (options.dumb) node->load_dumb();
     if (options.learning) node->load_learning();
@@ -147,12 +153,11 @@ ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
   }
 
   // Hosts, in global ordinal order, each in its LAN's owning region.
-  built.hosts.reserve(shape.hosts.size());
-  for (std::size_t ordinal = 0; ordinal < shape.hosts.size(); ++ordinal) {
-    const netsim::Topology::HostAttach& h = shape.hosts[ordinal];
+  built.hosts.reserve(built.host_attach.size());
+  for (std::size_t ordinal = 0; ordinal < built.host_attach.size(); ++ordinal) {
+    const netsim::Topology::HostAttach& h = built.host_attach[ordinal];
     const std::size_t l = static_cast<std::size_t>(h.lan);
-    const int r = plan.lan_owner[l];
-    auto& region = *built.regions[static_cast<std::size_t>(r)];
+    ShardedTopology::Region& region = built.owner_region(l);
     stack::HostConfig cfg;
     cfg.ip = topology_host_ip(ordinal);
     if (options.host_cost_model) cfg.tx_cost = netsim::CostModel::linux_host();
@@ -164,8 +169,6 @@ ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
         region.arena.create<stack::HostStack>(region.net.scheduler(), nic, cfg);
     host->nic().set_tx_queue_limit(options.host_tx_queue_limit);
     built.hosts.push_back(host);
-    built.host_region.push_back(r);
-    region.hosts.push_back(host);
   }
 
   // Mailboxes: for each cut LAN, one SPSC channel per ordered (producer,

@@ -4,11 +4,12 @@
 // bridges and stations living in the region that owns them, cut segments
 // replicated per region and stitched together with relay mailboxes.
 //
-// Observational parity with the single-Network build is load-bearing: the
-// determinism property test compares a sharded run bit-for-bit against the
-// build_topology oracle. So the sharded builder assigns MAC addresses from
-// a GLOBAL counter in the oracle's creation order (bridges in node order,
-// then hosts in ordinal order), reuses the oracle's names and IPs, and
+// Observational parity with the single-Network build is load-bearing: a
+// test pins the 1-region build against build_topology NIC by NIC and event
+// by event, and the determinism tests compare multi-region cells against
+// that 1-region oracle. So the sharded builder assigns MAC addresses from
+// a GLOBAL counter in build_topology's creation order (bridges in node
+// order, then hosts in ordinal order), reuses its names and IPs, and
 // counts each frame's lan stats at exactly one replica (the one its sender
 // transmits on).
 //
@@ -33,7 +34,7 @@ namespace ab::bridge {
 
 /// A topology split across per-region simulation worlds. Global views
 /// (bridges, hosts, lan stats) are indexed exactly like the single-Network
-/// build's, so workloads and sweeps can treat both uniformly.
+/// build's, whatever the region count.
 struct ShardedTopology {
   /// One region's world. Non-movable (Network pins scheduler and segment
   /// addresses), so regions live behind unique_ptr.
@@ -53,7 +54,6 @@ struct ShardedTopology {
     /// (arena-owned), or nullptr when the region has no presence there.
     std::vector<netsim::LanSegment*> replicas;
     std::vector<std::unique_ptr<BridgeNode>> bridges;  ///< local, node order
-    std::vector<stack::HostStack*> hosts;  ///< local, global-ordinal order
   };
 
   netsim::TopologySpec spec;
@@ -66,17 +66,19 @@ struct ShardedTopology {
   // Global oracle-ordered views.
   std::vector<BridgeNode*> bridges;      ///< node position order
   std::vector<stack::HostStack*> hosts;  ///< host ordinal order
-  std::vector<int> host_region;          ///< region of each host ordinal
   std::vector<netsim::Topology::HostAttach> host_attach;  ///< global plan
   std::vector<std::string> lan_names;    ///< global lan order
+  /// Per node position: the global lan index of each port, port order.
+  std::vector<std::vector<int>> node_lans;
   /// MAC ids consumed so far (global counter, starts at 1 like Network's).
   /// Workload probe NICs continue from here so a sharded cell's address
   /// assignment matches the single-Network build exactly.
   std::uint32_t next_mac_id = 1;
 
   [[nodiscard]] std::size_t lan_count() const { return lan_names.size(); }
-  /// The owning region's replica of lan `l` (where its hosts attach).
-  [[nodiscard]] netsim::LanSegment& owner_lan(std::size_t l);
+  /// The region that owns lan `l`: its hosts and its station NICs live
+  /// there, on that region's replica and clock.
+  [[nodiscard]] Region& owner_region(std::size_t l);
   /// Stats summed over every replica of lan `l`. Each carried frame is
   /// counted at exactly one replica (its sender's), so the sum equals the
   /// single-Network segment's stats.

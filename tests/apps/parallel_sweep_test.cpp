@@ -1,13 +1,14 @@
-// The sharded parallel core's acceptance property: a sharded cell is
-// OBSERVABLY IDENTICAL to the single-Network oracle -- same frames, bytes,
-// pings, MAC tables, stream bytes -- and a sharded cell's results are a
-// pure function of the cell, independent of thread count and repeatable
-// run to run.
+// The sharded parallel core's acceptance property: a cell split across
+// regions is OBSERVABLY IDENTICAL to the 1-region oracle (the default
+// cell: one region on one scheduler) -- same frames, bytes, pings, MAC
+// tables, stream bytes -- and a cell's results are a pure function of the
+// cell, independent of thread count and repeatable run to run. The 1-region
+// build itself is pinned against the single-Network build_topology.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "src/apps/scenario.h"
+#include "src/bridge/sharded_topology.h"
+#include "src/bridge/topology.h"
 
 namespace ab::apps {
 namespace {
@@ -22,9 +23,10 @@ netsim::TopologySpec star_cell() {
 
 // The observable contract: everything a user of the sweep reads that does
 // not depend on HOW the event loop was partitioned. Scheduler-internal
-// counters (events, heap_inserts) are compared only between sharded runs
-// -- splitting one delivery walk across replicas legitimately changes the
-// event count against the oracle, never the traffic.
+// counters (events, heap_inserts) are compared only between runs with the
+// same region count -- splitting one delivery walk across replicas
+// legitimately changes the event count against the oracle, never the
+// traffic.
 void expect_observables_equal(const SweepResult& a, const SweepResult& b,
                               const std::string& what) {
   EXPECT_EQ(a.frames_carried, b.frames_carried) << what;
@@ -51,7 +53,7 @@ void expect_observables_equal(const SweepResult& a, const SweepResult& b,
 TEST(ParallelSweep, ShardedFloodPingMatchesOracleAtEveryThreadCount) {
   const netsim::TopologySpec spec = star_cell();
 
-  TopologySweep oracle_sweep;  // defaults: single Network, one scheduler
+  TopologySweep oracle_sweep;  // defaults: one region, one scheduler
   const SweepResult oracle = oracle_sweep.run_cell(spec);
   ASSERT_TRUE(oracle.stp_converged);
   ASSERT_EQ(oracle.pings_answered, oracle.pings_sent);
@@ -224,30 +226,82 @@ TEST(ParallelSweep, ShardedRingAgreesOnSteadyStateAndWithItself) {
   }
 }
 
-TEST(ParallelSweep, OneRegionShardedEqualsLegacyPathExactly) {
-  // shard_regions=1 runs the sharded machinery -- builder, runner, context
-  // -- on a single region. With no cut segments there is nothing the
-  // partitioning could change, so even the scheduler-internal counters
-  // must equal the legacy single-Network path's: the seed-stability anchor
-  // that pins the new path to the old one.
+TEST(ParallelSweep, OneRegionBuildEqualsSingleNetworkBuildExactly) {
+  // The reference for the sharded builder: build_sharded_topology at one
+  // region must assemble exactly what build_topology assembles on one
+  // Network -- every LAN's NICs in the same attach order with the same
+  // names and MACs, the same host addresses -- and, driven through the
+  // same program, execute the same events down to the scheduler internals.
   const netsim::TopologySpec spec = star_cell();
+  const SweepOptions defaults;
 
-  TopologySweep legacy_sweep;
-  const SweepResult legacy = legacy_sweep.run_cell(spec);
+  netsim::Network net;
+  bridge::BridgedTopology single = bridge::build_topology(net, spec);
+  bridge::ShardedTopology sharded = bridge::build_sharded_topology(spec, 1);
+  ASSERT_EQ(sharded.regions.size(), 1u);
+  bridge::ShardedTopology::Region& region = *sharded.regions.front();
 
-  SweepOptions opts;
-  opts.shard_regions = 1;
-  TopologySweep sweep(opts);
-  const SweepResult sharded = sweep.run_cell(spec);
+  ASSERT_EQ(sharded.lan_count(), single.shape.lans.size());
+  for (std::size_t l = 0; l < sharded.lan_count(); ++l) {
+    const std::vector<netsim::Nic*>& want = single.shape.lans[l]->attached();
+    const std::vector<netsim::Nic*>& got = region.replicas[l]->attached();
+    ASSERT_EQ(got.size(), want.size()) << "lan " << l;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i]->name(), want[i]->name()) << "lan " << l << " nic " << i;
+      EXPECT_EQ(got[i]->mac(), want[i]->mac()) << "lan " << l << " nic " << i;
+    }
+  }
+  ASSERT_EQ(sharded.hosts.size(), single.hosts.size());
+  for (std::size_t h = 0; h < single.hosts.size(); ++h) {
+    EXPECT_EQ(sharded.hosts[h]->ip(), single.hosts[h]->ip()) << "host " << h;
+  }
 
-  expect_observables_equal(sharded, legacy, "1-region vs legacy");
-  EXPECT_EQ(sharded.events, legacy.events);
-  EXPECT_EQ(sharded.heap_inserts, legacy.heap_inserts);
-  EXPECT_EQ(sharded.scheduled_entries, legacy.scheduled_entries);
-  EXPECT_EQ(sharded.bridges, legacy.bridges);
-  EXPECT_EQ(sharded.lans, legacy.lans);
-  EXPECT_EQ(sharded.hosts, legacy.hosts);
-  EXPECT_EQ(sharded.ports, legacy.ports);
+  // Convergence, then one ping from every host to its successor, driven
+  // straight on each build's one scheduler.
+  const auto drive = [&defaults](netsim::Scheduler& clock,
+                                 const std::vector<stack::HostStack*>& hosts,
+                                 std::vector<int>& answered) {
+    clock.run_for(defaults.convergence_window);
+    answered.assign(hosts.size(), 0);
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      int* slot = &answered[i];
+      hosts[i]->set_echo_handler(
+          [slot](const stack::HostStack::EchoReply&) { ++*slot; });
+      hosts[i]->send_echo_request(hosts[(i + 1) % hosts.size()]->ip(), 7,
+                                  static_cast<std::uint16_t>(i), {});
+    }
+    clock.run_for(defaults.traffic_window);
+  };
+  std::vector<int> single_answered;
+  std::vector<int> sharded_answered;
+  drive(net.scheduler(), single.hosts, single_answered);
+  drive(region.net.scheduler(), sharded.hosts, sharded_answered);
+  EXPECT_EQ(sharded_answered, single_answered);
+  EXPECT_EQ(single_answered, std::vector<int>(single.hosts.size(), 1));
+
+  const netsim::Scheduler& a = net.scheduler();
+  const netsim::Scheduler& b = region.net.scheduler();
+  EXPECT_EQ(b.executed(), a.executed());
+  EXPECT_EQ(b.inserts(), a.inserts());
+  EXPECT_EQ(b.scheduled(), a.scheduled());
+  for (std::size_t l = 0; l < sharded.lan_count(); ++l) {
+    const netsim::LanStats want = single.shape.lans[l]->stats();
+    const netsim::LanStats got = sharded.lan_stats(l);
+    EXPECT_EQ(got.frames_carried, want.frames_carried) << "lan " << l;
+    EXPECT_EQ(got.bytes_carried, want.bytes_carried) << "lan " << l;
+    EXPECT_EQ(got.frames_lost, want.frames_lost) << "lan " << l;
+    EXPECT_EQ(got.receivers_visited, want.receivers_visited) << "lan " << l;
+    EXPECT_EQ(got.receivers_skipped, want.receivers_skipped) << "lan " << l;
+  }
+  ASSERT_EQ(sharded.bridges.size(), single.bridges.size());
+  for (std::size_t n = 0; n < single.bridges.size(); ++n) {
+    const auto& want = single.bridges[n]->plane().bridge_ports();
+    const auto& got = sharded.bridges[n]->plane().bridge_ports();
+    ASSERT_EQ(got.size(), want.size()) << "bridge " << n;
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      EXPECT_EQ(got[p].gate, want[p].gate) << "bridge " << n << " port " << p;
+    }
+  }
 }
 
 TEST(ParallelSweep, ShardedRunsAreRepeatable) {
@@ -269,36 +323,11 @@ TEST(ParallelSweep, ShardedRunsAreRepeatable) {
   EXPECT_EQ(runs[0].scheduled_entries, runs[1].scheduled_entries);
 }
 
-TEST(ParallelSweep, SingleNetworkOnlyWorkloadsRejectShardedCells) {
-  // Staged rollouts reach for the global Network; until they are taught
-  // shard ownership they must refuse loudly, not corrupt silently. The
-  // message is compared against the constant the refusal actually throws
-  // (kSingleNetworkOnlyMessage) so workloads graduating off the refusal --
-  // as the aggregate workload has -- shrink this test instead of breaking
-  // it, while the text itself stays pinned where it is defined: it is the
-  // only thing a user sees when a sweep config quietly combined a
-  // single-Network workload with shard_regions > 0.
-  const netsim::TopologySpec spec = star_cell();
-  SweepOptions opts;
-  opts.shard_regions = 2;
-  opts.build.netloader = true;  // what RolloutWorkload needs, so the throw
-                                // below is about sharding, not netloaders
-
-  RolloutWorkload rollout;
-  TopologySweep sweep(opts);
-  try {
-    (void)sweep.run_cell(spec, rollout);
-    FAIL() << "RolloutWorkload must refuse a sharded cell";
-  } catch (const std::logic_error& e) {
-    EXPECT_EQ(std::string(e.what()), kSingleNetworkOnlyMessage) << "RolloutWorkload";
-  }
-}
-
 TEST(ParallelSweep, ShardedAggregateMatchesOracleBitIdentically) {
   // The aggregate workload partitioned across regions -- per-LAN generator
   // NICs on their owning shard, talkers pinging on per-host clocks, the
   // ttcp stream riding cut-LAN mailboxes -- must reproduce the
-  // single-Network oracle's traffic exactly on a tie-free cell, at every
+  // 1-region oracle's traffic exactly on a tie-free cell, at every
   // thread count, and sharded runs must agree with each other on
   // scheduler internals too.
   netsim::TopologySpec spec = star_cell();
@@ -374,7 +403,7 @@ TEST(ParallelSweep, ShardedAggregateBackgroundReplayIsSeedStable) {
   EXPECT_EQ(runs[0].heap_inserts, runs[1].heap_inserts);
 
   // Pre-encoded replay vs fully materialized stations: the sample and the
-  // wire bytes must agree, sharded exactly like the single-Network
+  // wire bytes must agree, at 2 regions exactly like the 1-region
   // equivalence pinned in sweep_test.cpp.
   AggregateHostWorkload::Options mat = wopts;
   mat.materialize_background = true;
@@ -386,6 +415,100 @@ TEST(ParallelSweep, ShardedAggregateBackgroundReplayIsSeedStable) {
   EXPECT_EQ(full.pings_sent, runs[0].pings_sent);
   EXPECT_EQ(full.pings_answered, runs[0].pings_answered);
   EXPECT_EQ(full.mac_entries, runs[0].mac_entries);
+}
+
+/// Runs a RolloutWorkload, then closes its books against the bridges: on
+/// every step that loaded, the frames the plane received before the new
+/// generation started plus the frames that generation processed must be
+/// exactly the plane's received count -- no frame counted twice, none
+/// lost. Reads the bridges after the inner run's advance(), like the
+/// rollout itself.
+class RolloutBooksCheck final : public Workload {
+ public:
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+
+  void run(WorkloadContext& ctx, SweepResult& result) override {
+    inner_.run(ctx, result);
+    for (const RolloutStepResult& step : result.rollout) {
+      if (!step.ok) continue;
+      bridge::BridgeNode* node = nullptr;
+      for (bridge::BridgeNode* b : ctx.sharded->bridges) {
+        if (b->config().name == step.bridge) node = b;
+      }
+      ASSERT_NE(node, nullptr) << step.bridge;
+      EXPECT_EQ(step.frames_before_load + step.frames_after_load,
+                node->plane().stats().received)
+          << step.bridge;
+      ++checked_;
+    }
+  }
+
+  [[nodiscard]] int checked() const { return checked_; }
+
+ private:
+  RolloutWorkload inner_;
+  int checked_ = 0;
+};
+
+void expect_rollout_equal(const SweepResult& a, const SweepResult& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.pings_sent, b.pings_sent) << what;
+  EXPECT_EQ(a.pings_answered, b.pings_answered) << what;
+  ASSERT_EQ(a.rollout.size(), b.rollout.size()) << what;
+  for (std::size_t i = 0; i < a.rollout.size(); ++i) {
+    const RolloutStepResult& x = a.rollout[i];
+    const RolloutStepResult& y = b.rollout[i];
+    EXPECT_EQ(x.bridge, y.bridge) << what << " step " << i;
+    EXPECT_EQ(x.stage, y.stage) << what << " step " << i;
+    EXPECT_EQ(x.ok, y.ok) << what << " step " << i;
+    EXPECT_EQ(x.attempts, y.attempts) << what << " step " << i;
+    EXPECT_EQ(x.load_ms, y.load_ms) << what << " step " << i;  // exact
+    EXPECT_EQ(x.frames_before_load, y.frames_before_load) << what << " step " << i;
+    EXPECT_EQ(x.frames_after_load, y.frames_after_load) << what << " step " << i;
+    EXPECT_EQ(x.bytes_pushed, y.bytes_pushed) << what << " step " << i;
+  }
+}
+
+TEST(ParallelSweep, ShardedRolloutMatchesOracle) {
+  // The staged rollout split across two regions: the admin and its
+  // deployer on the hub LAN's region, the third bridge's TFTP transfer
+  // crossing the hub's mailboxes, background pings on their hosts' clocks.
+  // Every step, ping and scheduler counter must be independent of the
+  // thread count, and every step and ping must equal the 1-region oracle's.
+  const netsim::TopologySpec spec = star_cell();
+
+  SweepOptions oracle_opts;
+  oracle_opts.build.netloader = true;
+  RolloutBooksCheck oracle_rollout;
+  TopologySweep oracle_sweep(oracle_opts);
+  const SweepResult oracle = oracle_sweep.run_cell(spec, oracle_rollout);
+  ASSERT_TRUE(oracle.rollout_ok());
+  ASSERT_EQ(oracle.rollout.size(), 3u);
+  EXPECT_EQ(oracle_rollout.checked(), 3);
+  ASSERT_GT(oracle.pings_answered, 0);
+
+  SweepResult reference;  // the threads=1 run
+  for (const int threads : {1, 2, 4}) {
+    SweepOptions opts = oracle_opts;
+    opts.shard_regions = 2;
+    opts.threads = threads;
+    RolloutBooksCheck rollout;
+    TopologySweep sweep(opts);
+    const SweepResult sharded = sweep.run_cell(spec, rollout);
+    const std::string what = "rollout threads=" + std::to_string(threads);
+
+    EXPECT_EQ(rollout.checked(), 3) << what;
+    expect_rollout_equal(sharded, oracle, what + " vs oracle");
+    expect_observables_equal(sharded, oracle, what + " vs oracle");
+    if (threads == 1) {
+      reference = sharded;
+    } else {
+      expect_rollout_equal(sharded, reference, what + " vs threads=1");
+      EXPECT_EQ(sharded.events, reference.events) << what;
+      EXPECT_EQ(sharded.heap_inserts, reference.heap_inserts) << what;
+      EXPECT_EQ(sharded.scheduled_entries, reference.scheduled_entries) << what;
+    }
+  }
 }
 
 TEST(ParallelSweep, ForkedGridMatchesInProcessGrid) {

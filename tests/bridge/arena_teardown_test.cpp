@@ -66,8 +66,7 @@ TEST(BridgeArena, MacTableSlotStorageGrowsInArena) {
   // (bounded by geometric growth). Entries must survive several
   // generations of that.
   netsim::Arena arena;
-  MacTable table(netsim::seconds(300), netsim::seconds(15),
-                 MacTable::kDefaultDestCacheWays, &arena);
+  MacTable table(netsim::seconds(300), netsim::seconds(15), &arena);
   const netsim::TimePoint now{};
   for (std::uint32_t i = 1; i <= 1000; ++i) {
     table.learn(ether::MacAddress::local(0, i),
