@@ -128,7 +128,12 @@ class ScenarioRunner {
 /// One ttcp stream's outcome inside a sweep cell.
 struct StreamResult {
   std::string label;              ///< "host3_0 -> host9_1"
-  std::size_t bytes_sent = 0;     ///< payload bytes the sender issued
+  /// Payload bytes the sender issued. For unpaced TCP, the bytes written
+  /// into the socket so far -- the sender writes as the window opens, so
+  /// this equals bytes_per_stream only once the stream is fully written; a
+  /// stream cut off by the traffic window still reads bytes_received <
+  /// bytes_sent (the written-but-unacked bytes sit in the send buffer).
+  std::size_t bytes_sent = 0;
   std::size_t bytes_received = 0; ///< payload bytes the sink completed
   /// UDP: datagrams the sink reassembled. TCP: segments the sink's
   /// connection received.
@@ -367,8 +372,9 @@ class TtcpStreamWorkload final : public Workload {
     Placement placement = Placement::kPaired;
     Transport transport = Transport::kUdp;
     /// kTcp only: application write pacing per stream in bits/s (the
-    /// offered-load knob of the incast bench); 0 queues the whole stream
-    /// at connect time and lets the congestion window clock the wire.
+    /// offered-load knob of the incast bench); 0 writes like a blocking
+    /// ttcp -- a bounded send buffer, topped up as acks free it -- and lets
+    /// the congestion window clock the wire (see TcpTtcpSender).
     double offered_rate_bps = 0.0;
   };
 

@@ -3,6 +3,26 @@
 #include <stdexcept>
 
 namespace ab::apps {
+namespace {
+
+// The payload pattern: byte k is k mod 256, long enough that every write's
+// view fits. Write s is the view at offset s mod 256, so its byte i is
+// uint8_t(s + i) -- a sequence stamp a sink could check -- with no
+// per-write fill.
+util::ByteBuffer make_pattern(std::size_t write_size) {
+  util::ByteBuffer pattern(write_size + 255);
+  for (std::size_t k = 0; k < pattern.size(); ++k) {
+    pattern[k] = static_cast<std::uint8_t>(k);
+  }
+  return pattern;
+}
+
+util::ByteView pattern_write(const util::ByteBuffer& pattern, std::size_t write,
+                             std::size_t length) {
+  return util::ByteView(pattern).subspan(write % 256, length);
+}
+
+}  // namespace
 
 TtcpSender::TtcpSender(stack::HostStack& host, TtcpConfig config)
     : host_(&host), config_(config) {
@@ -10,24 +30,19 @@ TtcpSender::TtcpSender(stack::HostStack& host, TtcpConfig config)
   if (config_.destination.is_zero()) {
     throw std::invalid_argument("ttcp: zero destination");
   }
+  pattern_ = make_pattern(config_.write_size);
 }
 
 void TtcpSender::start() {
   std::size_t remaining = config_.total_bytes;
-  std::uint32_t seq = 0;
-  while (remaining > 0) {
+  for (std::size_t write = 0; remaining > 0; ++write) {
     const std::size_t chunk = std::min(config_.write_size, remaining);
-    util::ByteBuffer payload(chunk);
-    // Stamp a sequence number so sinks could detect reordering if a test
-    // wants to; fill the rest with a cheap pattern.
-    for (std::size_t i = 0; i < chunk; ++i) {
-      payload[i] = static_cast<std::uint8_t>(seq + i);
-    }
-    host_->send_udp(config_.destination, 5000, config_.port, std::move(payload));
+    const util::ByteView payload = pattern_write(pattern_, write, chunk);
+    host_->send_udp(config_.destination, 5000, config_.port,
+                    util::ByteBuffer(payload.begin(), payload.end()));
     remaining -= chunk;
     writes_issued_ += 1;
     bytes_issued_ += chunk;
-    ++seq;
   }
 }
 
@@ -46,6 +61,7 @@ TcpTtcpSender::TcpTtcpSender(stack::HostStack& host, TtcpConfig config,
   if (offered_rate_bps_ < 0) {
     throw std::invalid_argument("ttcp: negative offered rate");
   }
+  pattern_ = make_pattern(config_.write_size);
 }
 
 void TcpTtcpSender::start() {
@@ -54,35 +70,50 @@ void TcpTtcpSender::start() {
   if (offered_rate_bps_ > 0) {
     // Paced: one write per interval on the host's OWN scheduler, so the
     // pacing clock shards with the host.
-    socket_->set_on_established([this] { write_next(); });
-  } else {
-    // Unpaced: queue the whole stream now (the socket buffers across the
-    // handshake) and half-close; the FIN rides out with the last data.
-    while (bytes_issued_ < config_.total_bytes) write_next();
-    socket_->set_on_established([this] { socket_->close(); });
+    socket_->set_on_established([this] { write_paced(); });
+    return;
+  }
+  // Unpaced: fill the send buffer now (the socket holds it across the
+  // handshake) and refill it as acks drain it, on the host's own
+  // scheduler; the FIN rides out with the last data.
+  fill();
+  socket_->set_on_established([this] {
+    if (stream_written()) socket_->close();
+  });
+  socket_->set_on_send_space([this] {
+    if (stream_written()) return;
+    fill();
+    if (stream_written()) socket_->close();
+  });
+}
+
+void TcpTtcpSender::write() {
+  const std::size_t chunk =
+      std::min(config_.write_size, config_.total_bytes - bytes_issued_);
+  socket_->send(pattern_write(pattern_, writes_issued_, chunk));
+  bytes_issued_ += chunk;
+  writes_issued_ += 1;
+}
+
+void TcpTtcpSender::fill() {
+  while (!stream_written() && socket_->send_buffered() < kSendBufferBytes) {
+    write();
   }
 }
 
-void TcpTtcpSender::write_next() {
-  const std::size_t chunk =
-      std::min(config_.write_size, config_.total_bytes - bytes_issued_);
-  util::ByteBuffer payload(chunk);
-  for (std::size_t i = 0; i < chunk; ++i) {
-    payload[i] = static_cast<std::uint8_t>(seq_ + i);
-  }
-  socket_->send(payload);
-  bytes_issued_ += chunk;
-  writes_issued_ += 1;
-  ++seq_;
-  if (offered_rate_bps_ <= 0) return;
-  if (bytes_issued_ >= config_.total_bytes) {
+void TcpTtcpSender::write_paced() {
+  // The connection gave up (retry limit) or was reset: nothing to write into.
+  if (socket_->state() == stack::TcpState::kClosed) return;
+  write();
+  if (stream_written()) {
     socket_->close();
     return;
   }
-  const double seconds = static_cast<double>(chunk) * 8.0 / offered_rate_bps_;
+  const double seconds =
+      static_cast<double>(config_.write_size) * 8.0 / offered_rate_bps_;
   host_->scheduler().schedule_after(
       netsim::Duration(static_cast<std::int64_t>(seconds * 1e9)),
-      [this] { write_next(); });
+      [this] { write_paced(); });
 }
 
 TtcpSink::TtcpSink(netsim::Scheduler& scheduler, stack::HostStack& host,

@@ -6,7 +6,9 @@
 // (large writes fragment at the IP layer, exactly like the paper's 8 KB
 // case); its own HostStack cost model paces the wire like the 1997 Linux
 // sender did. The sink timestamps the first and last byte and reports
-// goodput.
+// goodput. Like a real ttcp, which fills one pattern buffer once, every
+// sender takes its payload from one pattern built at construction: write s
+// carries the bytes uint8_t(s + i).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,8 @@ struct TtcpConfig {
   std::size_t total_bytes = 1 << 20;
 };
 
-/// Transmitting side. start() queues every write; the host's processing
+/// Transmitting side. start() queues every write, each a copy of its view
+/// of the pattern (a datagram owns its payload); the host's processing
 /// element paces the actual frames.
 class TtcpSender {
  public:
@@ -41,6 +44,7 @@ class TtcpSender {
  private:
   stack::HostStack* host_;
   TtcpConfig config_;
+  util::ByteBuffer pattern_;
   std::size_t writes_issued_ = 0;
   std::size_t bytes_issued_ = 0;
 };
@@ -48,10 +52,26 @@ class TtcpSender {
 /// TCP flavor of the sender: opens a real connection (src/stack/tcp.h),
 /// streams `total_bytes` through it in `write_size` application writes,
 /// and closes, so saturation shows up as congestion behavior (retransmits,
-/// cwnd) instead of raw datagram loss. With `offered_rate_bps` > 0 the
-/// application paces one write per interval on the host's own scheduler
-/// (shard-safe; the incast bench's offered-load knob); 0 queues everything
-/// at connect time and lets the congestion window clock the wire.
+/// cwnd) instead of raw datagram loss. Writes are views of the pattern, so
+/// they cost no allocation here.
+///
+/// With `offered_rate_bps` == 0 it writes the way a blocking ttcp writes
+/// against SO_SNDBUF, and the congestion window clocks the wire: start()
+/// writes until the socket buffers kSendBufferBytes, every ack that frees
+/// buffer space tops it up again (TcpSocket::set_on_send_space), and the
+/// last write is followed by the half-close -- or establishment is, when
+/// the whole stream fit at start(), since close() before then would abort
+/// the connect. The bound is at least 3 x 0xFFFF: two of the largest
+/// windows a 16-bit field advertises plus the largest MSS its option
+/// carries. So after any cumulative ack the buffer still covers the window
+/// plus one MSS, transmission never reaches the buffer's tail before the
+/// stream's end, and the wire -- segments, times, FIN placement -- is
+/// exactly that of queueing the whole stream at connect time.
+///
+/// With `offered_rate_bps` > 0 the application paces one write per
+/// interval on the host's own scheduler (shard-safe; the incast bench's
+/// offered-load knob) and stops once the socket has closed (retry give-up
+/// or reset) with bytes still unwritten.
 class TcpTtcpSender {
  public:
   TcpTtcpSender(stack::HostStack& host, TtcpConfig config,
@@ -60,6 +80,9 @@ class TcpTtcpSender {
 
   void start();
 
+  /// Payload bytes written into the socket so far; `total_bytes` once the
+  /// whole stream is written. Unpaced, that is at most the send-buffer
+  /// bound (plus one write) ahead of what the peer has acked.
   [[nodiscard]] std::size_t bytes_issued() const { return bytes_issued_; }
   [[nodiscard]] std::size_t writes_issued() const { return writes_issued_; }
   /// True once start() has opened the connection (a staggered start may
@@ -73,17 +96,32 @@ class TcpTtcpSender {
   }
 
  private:
-  void write_next();
+  /// Unpaced send-buffer bound (see the class comment).
+  static constexpr std::size_t kSendBufferBytes = 256 * 1024;
+  static_assert(kSendBufferBytes >= 3 * 0xFFFF,
+                "the buffer must cover two 16-bit windows plus one MSS");
+
+  [[nodiscard]] bool stream_written() const {
+    return bytes_issued_ == config_.total_bytes;
+  }
+  /// Writes the stream's next chunk into the socket.
+  void write();
+  /// Unpaced: writes until the socket buffers kSendBufferBytes or the
+  /// stream is written.
+  void fill();
+  /// Paced: one write per interval until the stream is written or the
+  /// socket has closed.
+  void write_paced();
 
   stack::HostStack* host_;
   TtcpConfig config_;
   double offered_rate_bps_;
   std::uint16_t src_port_;
   stack::TcpConfig tcp_config_;
+  util::ByteBuffer pattern_;
   stack::TcpSocket* socket_ = nullptr;
   std::size_t writes_issued_ = 0;
   std::size_t bytes_issued_ = 0;
-  std::uint32_t seq_ = 0;
 };
 
 /// Receiving side. Binds the UDP port and accumulates timing.

@@ -629,7 +629,9 @@ void TcpSocket::process_ack(const TcpSegment& segment) {
       default:
         break;
     }
-    if (state_ != TcpState::kClosed) transmit_pending();
+    if (state_ == TcpState::kClosed) return;
+    if (on_send_space_) on_send_space_();
+    transmit_pending();
     return;
   }
   // Duplicate ack (RFC 5681): same cumulative ack, nothing piggybacked,

@@ -228,6 +228,14 @@ class TcpSocket {
   void set_on_peer_fin(EventHandler handler) { on_peer_fin_ = std::move(handler); }
   /// Reached kClosed (normal teardown, reset, or retry give-up).
   void set_on_closed(EventHandler handler) { on_closed_ = std::move(handler); }
+  /// An ack advanced snd_una: called once per such ack, after it has
+  /// released the acked buffer bytes and updated cwnd, and immediately
+  /// before the socket transmits what the ack opened -- so a writer that
+  /// tops up its send buffer here (a blocking write against SO_SNDBUF)
+  /// lands its bytes in that same transmit pass. Never called for a
+  /// duplicate ack, nor once the socket is kClosed; the SYN|ACK that
+  /// completes an active open reports through on_established instead.
+  void set_on_send_space(EventHandler handler) { on_send_space_ = std::move(handler); }
   /// Conformance hook: appends cwnd (bytes) after every ack that runs the
   /// congestion-control update, so a test can pin the whole slow-start ->
   /// AIMD trajectory against a hand-computed table. Pass nullptr to stop.
@@ -339,6 +347,7 @@ class TcpSocket {
   EventHandler on_established_;
   EventHandler on_peer_fin_;
   EventHandler on_closed_;
+  EventHandler on_send_space_;
   std::vector<std::uint32_t>* cwnd_trace_ = nullptr;
 };
 

@@ -491,6 +491,152 @@ TEST(TcpConformance, OutOfWindowSegmentIgnoredWithResyncAck) {
   EXPECT_FALSE(acks[0].seg.has(TcpSegment::kRst));
 }
 
+// Scenario: the retry limit. With max_retries = 2 and every data frame
+// dropped after establishment, the lone segment goes out three times --
+// the original, then exactly rto and 2*rto later as the timer backs off --
+// and the third expiry gives up: kClosed, on_closed exactly once, nothing
+// more on the wire, and no timer left behind.
+TEST(TcpConformance, RtoGiveUpClosesAfterMaxRetries) {
+  TcpPair t;
+  t.warm_arp();
+  TcpConfig cfg;
+  cfg.max_retries = 2;
+  t.establish(cfg);
+  if (HasFatalFailure()) return;
+  ASSERT_EQ(t.client->rto(), milliseconds(200));  // clamped at rto_min
+
+  int closed_calls = 0;
+  netsim::TimePoint closed_at{};
+  t.client->set_on_closed([&] {
+    closed_calls += 1;
+    closed_at = t.net.scheduler().now();
+  });
+  t.drop_next(has_payload(), 1000);  // every data frame from here on
+  const netsim::TimePoint sent_at = t.net.scheduler().now();
+  t.client->send(util::to_bytes(std::string(600, 'x')));
+  t.net.scheduler().run();
+
+  EXPECT_EQ(t.client->state(), TcpState::kClosed);
+  EXPECT_EQ(closed_calls, 1);
+  EXPECT_EQ(t.client->stats().rto_retransmits, 2u);
+  EXPECT_EQ(t.client->stats().fast_retransmits, 0u);
+  EXPECT_TRUE(t.server_received.empty());
+
+  // The whole trace is the three transmissions: the server never heard a
+  // byte, so it sent nothing, and the client sent nothing after giving up.
+  const auto data = t.sent_by(*t.a, has_payload());
+  ASSERT_EQ(data.size(), 3u);
+  EXPECT_EQ(t.trace.size(), 3u);
+  EXPECT_EQ(data[1].at - data[0].at, milliseconds(200));  // rto
+  EXPECT_EQ(data[2].at - data[1].at, milliseconds(400));  // 2 * rto
+  // Third expiry, the backed-off 800 ms after the second retransmission.
+  EXPECT_EQ(closed_at - sent_at, milliseconds(200 + 400 + 800));
+  EXPECT_LT(t.trace.back().at, closed_at);
+  EXPECT_TRUE(t.net.scheduler().empty());
+  EXPECT_EQ(t.net.scheduler().now(), closed_at);
+}
+
+// ------------------------------------------------------- send-space hook
+
+constexpr Ipv4Addr kLocalIp(10, 0, 0, 1);
+constexpr Ipv4Addr kPeerIp(10, 0, 0, 2);
+constexpr std::uint32_t kPeerIss = 5000;
+
+/// One socket driven by hand: every segment it emits is decoded into
+/// `wire` the moment it is emitted, and the test plays the peer by feeding
+/// segments straight into on_segment(). No LAN, no host pipeline.
+struct HandDrivenSocket {
+  netsim::Scheduler scheduler;
+  std::vector<TcpSegment> wire;
+  TcpSocket socket;
+
+  explicit HandDrivenSocket(TcpConfig config)
+      : socket(scheduler, kLocalIp, kClientPort, kPeerIp, kServerPort, config,
+               [this](Ipv4Addr, util::ByteBuffer bytes) {
+                 wire.push_back(decode_tcp(kLocalIp, kPeerIp, bytes).value());
+               }) {}
+
+  /// Delivers a peer segment with `flags` at peer sequence `seq` acking
+  /// `ack`, advertising the largest 16-bit window.
+  void from_peer(std::uint8_t flags, std::uint32_t seq, std::uint32_t ack) {
+    TcpSegment s;
+    s.src_port = kServerPort;
+    s.dst_port = kClientPort;
+    s.seq = seq;
+    s.ack = ack;
+    s.flags = flags;
+    s.window = 0xFFFF;
+    socket.on_segment(s);
+  }
+};
+
+// Contract: the hook fires once per ack that advances snd_una, after that
+// ack's cwnd increase and before any segment the ack releases is emitted;
+// never on a duplicate ack, and never for the ack that takes the socket to
+// kClosed (or any segment after it).
+TEST(TcpSendSpaceHook, FiresOncePerAdvancingAckBeforeItsSegments) {
+  TcpConfig cfg;
+  cfg.mss = 1000;
+  cfg.initial_cwnd_segments = 1;
+  HandDrivenSocket h(cfg);
+  h.socket.connect();
+  h.from_peer(TcpSegment::kSyn | TcpSegment::kAck, kPeerIss, 1);
+  ASSERT_EQ(h.socket.state(), TcpState::kEstablished);
+  ASSERT_EQ(h.wire.size(), 2u);  // SYN, handshake ACK
+
+  struct Call {
+    std::uint32_t cwnd;
+    std::size_t wire_size;
+  };
+  std::vector<Call> calls;
+  h.socket.set_on_send_space([&] {
+    calls.push_back({h.socket.cwnd(), h.wire.size()});
+  });
+  int closed_calls = 0;
+  h.socket.set_on_closed([&] { closed_calls += 1; });
+
+  h.socket.send(util::to_bytes(std::string(4000, 'd')));
+  ASSERT_EQ(h.wire.size(), 3u);  // cwnd = 1 MSS: one segment out
+
+  // Ack of segment 1: slow start grows cwnd to 2 MSS, which the hook
+  // already sees; segments 2 and 3 are emitted only after it returns.
+  h.from_peer(TcpSegment::kAck, kPeerIss + 1, 1001);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].cwnd, 2000u);
+  EXPECT_EQ(calls[0].wire_size, 3u);
+  EXPECT_EQ(h.wire.size(), 5u);
+
+  // A duplicate ack moves nothing: no call.
+  h.from_peer(TcpSegment::kAck, kPeerIss + 1, 1001);
+  EXPECT_EQ(calls.size(), 1u);
+  EXPECT_EQ(h.socket.stats().dup_acks_received, 1u);
+
+  // One cumulative ack for segments 2 and 3: one call.
+  h.from_peer(TcpSegment::kAck, kPeerIss + 1, 3001);
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[1].cwnd, 3000u);
+  EXPECT_EQ(calls[1].wire_size, 5u);
+  EXPECT_EQ(h.wire.size(), 6u);  // segment 4, the last of the buffer
+
+  h.from_peer(TcpSegment::kAck, kPeerIss + 1, 4001);
+  ASSERT_EQ(calls.size(), 3u);
+  EXPECT_EQ(calls[2].cwnd, 4000u);
+
+  // The peer closes (FIN, nothing newly acked: no call), then so do we:
+  // the ack of our FIN advances snd_una but closes the socket, so the
+  // hook stays silent -- and so it does for anything arriving afterwards.
+  h.from_peer(TcpSegment::kFin | TcpSegment::kAck, kPeerIss + 1, 4001);
+  ASSERT_EQ(h.socket.state(), TcpState::kCloseWait);
+  EXPECT_EQ(calls.size(), 3u);
+  h.socket.close();
+  ASSERT_EQ(h.socket.state(), TcpState::kLastAck);
+  h.from_peer(TcpSegment::kAck, kPeerIss + 2, 4002);
+  EXPECT_EQ(h.socket.state(), TcpState::kClosed);
+  EXPECT_EQ(closed_calls, 1);
+  h.from_peer(TcpSegment::kAck, kPeerIss + 2, 4002);
+  EXPECT_EQ(calls.size(), 3u);
+}
+
 // ------------------------------------------------------ host stack surface
 
 TEST(TcpHostStack, StaggeredCloseDeliversFinAndFreesThePort) {
