@@ -41,6 +41,11 @@
 // A mac_lookup cell times the learning bridge's flat open-addressing MAC
 // table (with its destination cache) against the unordered_map it
 // replaced, on DEC-TR-592-style skewed destination traffic.
+// A mac_growth cell (always run, smoke included, first so its forked child
+// starts from a near-empty heap) pins MAC-table memory: 256 tables learn
+// 2,048 addresses in lockstep, kreg-flood's learning pattern, and the
+// peak-RSS growth per learned entry goes to BENCH_topology.json, where
+// check_bench_smoke.sh bounds it.
 // The station-scale cell (always run, smoke included) builds star-8x125000
 // -- 1,125,000 arena-backed stations -- under the aggregate workload and
 // pins per-station build time, memory and receiver visits per carried
@@ -55,6 +60,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench/fork_cell.h"
 #include "src/apps/scenario.h"
 #include "src/apps/ttcp.h"
 #include "src/bridge/bridge_node.h"
@@ -325,6 +331,46 @@ MacLookupProfile run_mac_lookup_profile(std::size_t entries, std::size_t lookups
   return p;
 }
 
+/// MAC-table memory under kreg-flood's learning pattern: `tables` bridges
+/// each learn `addresses` stations in lockstep -- one new address per
+/// table per round, the way the cell's ARP floods teach every bridge every
+/// station -- so every table outgrows each array at the same round.
+/// Reports the peak-RSS growth per learned entry. At a load factor under
+/// 1/2 the final array holds ~2 slots per entry, so 16-byte slots that
+/// free each outgrown array measure ~33 B per entry; 24-byte slots measure
+/// ~49 B, and tables that keep every outgrown array pay for those too.
+struct MacGrowthProfile {
+  std::size_t tables = 0;
+  std::size_t addresses = 0;
+  std::uint64_t entries = 0;           ///< live entries after the last round
+  std::uint64_t rss_growth_bytes = 0;  ///< peak RSS after minus before
+  [[nodiscard]] double growth_per_entry() const {
+    return entries > 0
+               ? static_cast<double>(rss_growth_bytes) / static_cast<double>(entries)
+               : 0.0;
+  }
+};
+
+MacGrowthProfile run_mac_growth_profile(std::size_t tables, std::size_t addresses) {
+  MacGrowthProfile p;
+  p.tables = tables;
+  p.addresses = addresses;
+  std::vector<bridge::MacTable> bridges(tables);
+  const netsim::TimePoint now{};
+  const std::uint64_t rss_before = bench::peak_rss_bytes();
+  for (std::size_t a = 0; a < addresses; ++a) {
+    const ether::MacAddress mac = ether::MacAddress::local(
+        static_cast<std::uint32_t>(a / 16), static_cast<std::uint16_t>(a % 16));
+    for (bridge::MacTable& table : bridges) {
+      table.learn(mac, static_cast<active::PortId>(a % 4), now);
+    }
+  }
+  const std::uint64_t rss_after = bench::peak_rss_bytes();
+  for (const bridge::MacTable& table : bridges) p.entries += table.size();
+  p.rss_growth_bytes = rss_after > rss_before ? rss_after - rss_before : 0;
+  return p;
+}
+
 /// The three acceptance cells every workload section must cover.
 /// TCP incast: N senders, each on its own leaf LAN, converge through one
 /// (ideal-cost) bridge onto a single hub-attached sink, with the aggregate
@@ -450,6 +496,30 @@ int main(int argc, char** argv) {
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+
+  // ---- MAC-table memory under lockstep learning ---------------------------
+  // In a forked child, so the peak-RSS growth is the cell's own; and first,
+  // before any other cell has grown this process's heap, so the child
+  // starts from a near-empty heap and table growth shows up in its peak
+  // RSS. A failed fork or child reports 0 entries. Smoke keeps the full
+  // size; the cell takes milliseconds.
+  constexpr std::size_t kGrowthTables = 256;
+  constexpr std::size_t kGrowthAddresses = 2048;
+  const MacGrowthProfile mac_growth = bench::run_in_child<MacGrowthProfile>(
+      [] { return run_mac_growth_profile(kGrowthTables, kGrowthAddresses); });
+  std::printf(
+      "mac_growth: %zu tables x %zu addresses -> %llu entries, peak RSS +%.1f MiB "
+      "(%.1f B/entry)\n",
+      mac_growth.tables, mac_growth.addresses,
+      static_cast<unsigned long long>(mac_growth.entries),
+      static_cast<double>(mac_growth.rss_growth_bytes) / (1024.0 * 1024.0),
+      mac_growth.growth_per_entry());
+  const bool mac_growth_ok = mac_growth.entries == kGrowthTables * kGrowthAddresses;
+  if (!mac_growth_ok) {
+    std::fprintf(stderr, "mac_growth: learned %llu of %zu entries -- investigate\n",
+                 static_cast<unsigned long long>(mac_growth.entries),
+                 kGrowthTables * kGrowthAddresses);
   }
 
   // ---- flood+pings over the shape grid ------------------------------------
@@ -730,8 +800,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write BENCH_topology.json\n");
     return 1;
   }
-  // flood_profile, egress_profile, ttcp_write_profile and mac_lookup each
-  // stay on one line: scripts/check_bench_smoke.sh greps them.
+  // flood_profile, egress_profile, ttcp_write_profile, mac_lookup and
+  // mac_growth each stay on one line: scripts/check_bench_smoke.sh greps
+  // them.
   std::fprintf(f,
                "{\n"
                "  \"experiment\": \"topology_sweep\",\n"
@@ -753,6 +824,9 @@ int main(int argc, char** argv) {
                "  \"mac_lookup\": {\"entries\": %zu, \"lookups\": %zu, "
                "\"flat_ns_per_lookup\": %.1f, \"map_ns_per_lookup\": %.1f, "
                "\"speedup\": %.2f},\n"
+               "  \"mac_growth\": {\"tables\": %zu, \"addresses\": %zu, "
+               "\"entries\": %llu, \"rss_growth_bytes\": %llu, "
+               "\"rss_growth_per_entry\": %.2f},\n"
                "  \"aggregate_profile\": {\"cell\": \"%s\", \"stations\": %d, "
                "\"build_ms\": %.2f, \"build_us_per_station\": %.3f, "
                "\"peak_rss_bytes\": %llu, \"bytes_per_station\": %.1f, "
@@ -788,7 +862,11 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(write_profile.inserts),
                write_profile.inserts_per_write, write_profile.per_fragment_model(),
                mac.entries, mac.lookups, mac.flat_ns_per_lookup,
-               mac.map_ns_per_lookup, mac.speedup,
+               mac.map_ns_per_lookup, mac.speedup, mac_growth.tables,
+               mac_growth.addresses,
+               static_cast<unsigned long long>(mac_growth.entries),
+               static_cast<unsigned long long>(mac_growth.rss_growth_bytes),
+               mac_growth.growth_per_entry(),
                station.label.c_str(), station.hosts, station.build_ms,
                build_us_per_station,
                static_cast<unsigned long long>(station.peak_rss_bytes),
@@ -813,7 +891,8 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote BENCH_topology.json\n");
   return headline.stp_converged && rollouts_ok && flood_ok && egress_ok &&
-                 write_ok && mac.hits_agree && station_ok && incast_ok && incast_lazy
+                 write_ok && mac.hits_agree && mac_growth_ok && station_ok &&
+                 incast_ok && incast_lazy
              ? 0
              : 1;
 }

@@ -43,12 +43,7 @@
 #include <string>
 #include <vector>
 
-#if defined(__linux__)
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
+#include "bench/fork_cell.h"
 #include "src/netsim/baseline_scheduler.h"
 #include "src/netsim/scheduler.h"
 #include "src/util/rng.h"
@@ -235,17 +230,6 @@ WorkloadResult burst_insert(std::size_t bursts, std::size_t burst_len,
   return out;
 }
 
-/// Process peak RSS in bytes (ru_maxrss); 0 where unsupported.
-std::uint64_t peak_rss_bytes() {
-#if defined(__linux__)
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;  // KiB on Linux
-#else
-  return 0;
-#endif
-}
-
 struct SaturatedResult {
   std::uint64_t fired = 0;
   double seconds = 0.0;
@@ -296,7 +280,7 @@ SaturatedResult saturated_run_in_process(std::size_t entries, std::size_t backlo
   SaturatedPort port;
   port.sched = &sched;
   port.limit = entries;
-  const std::uint64_t rss_before = peak_rss_bytes();
+  const std::uint64_t rss_before = bench::peak_rss_bytes();
   const auto start = std::chrono::steady_clock::now();
   std::vector<netsim::Scheduler::TimedEntry> burst(backlog);
   for (auto& e : burst) {
@@ -311,42 +295,17 @@ SaturatedResult saturated_run_in_process(std::size_t entries, std::size_t backlo
   out.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   out.fired = port.fired;
-  const std::uint64_t rss_after = peak_rss_bytes();
+  const std::uint64_t rss_after = bench::peak_rss_bytes();
   out.rss_growth_bytes = rss_after > rss_before ? rss_after - rss_before : 0;
   return out;
 }
 
-/// Runs the cell in a forked child (Linux), so the peak-RSS growth is the
-/// cell's own and not hidden by memory an earlier cell left resident. A
-/// failed fork or child reports fired == 0.
+/// Runs the cell in a forked child, so the peak-RSS growth is the cell's
+/// own and not hidden by memory an earlier cell left resident. A failed
+/// fork or child reports fired == 0.
 SaturatedResult saturated_run(std::size_t entries, std::size_t backlog) {
-#if defined(__linux__)
-  int fds[2];
-  if (pipe(fds) != 0) return SaturatedResult{};
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return SaturatedResult{};
-  }
-  if (pid == 0) {
-    close(fds[0]);
-    const SaturatedResult r = saturated_run_in_process(entries, backlog);
-    const bool ok = write(fds[1], &r, sizeof r) == static_cast<ssize_t>(sizeof r);
-    close(fds[1]);
-    _exit(ok ? 0 : 1);
-  }
-  close(fds[1]);
-  SaturatedResult r;
-  const bool got = read(fds[0], &r, sizeof r) == static_cast<ssize_t>(sizeof r);
-  close(fds[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) return SaturatedResult{};
-  return r;
-#else
-  return saturated_run_in_process(entries, backlog);
-#endif
+  return bench::run_in_child<SaturatedResult>(
+      [&] { return saturated_run_in_process(entries, backlog); });
 }
 
 struct Comparison {

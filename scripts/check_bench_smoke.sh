@@ -65,6 +65,11 @@
 #      store that holds only its unfired backlog measures ~0, one that
 #      keeps every fired entry's callback, time and order (the store
 #      before run compaction) costs ~80 B or more.
+#  11. mac_growth (BENCH_topology.json): 256 MAC tables learn 2,048
+#      addresses each in lockstep (kreg-flood's learning pattern), in a
+#      forked child. Every table must hold every address, and the peak-RSS
+#      growth per learned entry must stay at or below 40 B: 16-byte slots
+#      that free each outgrown array measure ~33, 24-byte slots ~49.
 #
 # Usage: scripts/check_bench_smoke.sh [build-dir]   (default: build-release)
 set -euo pipefail
@@ -159,6 +164,24 @@ fi
 
 grep -q '"mac_lookup"' "$topo_json" \
   || fail "$topo_json has no mac_lookup cell"
+
+growth_line=$(grep '"mac_growth"' "$topo_json") \
+  || fail "$topo_json has no mac_growth cell"
+growth_tables=$(field "$growth_line" tables)
+growth_addresses=$(field "$growth_line" addresses)
+growth_entries=$(field "$growth_line" entries)
+growth_per_entry=$(field "$growth_line" rss_growth_per_entry)
+[ -n "$growth_tables" ] && [ -n "$growth_addresses" ] && [ -n "$growth_entries" ] \
+  && [ -n "$growth_per_entry" ] \
+  || fail "could not parse mac_growth from: $growth_line"
+if [ "$growth_entries" -ne $((growth_tables * growth_addresses)) ]; then
+  fail "mac_growth tables lost entries: $growth_entries of $((growth_tables * growth_addresses))"
+fi
+# 0 means the platform hides RSS; the bound holds trivially there.
+max_mac_growth=40
+if ! awk -v g="$growth_per_entry" -v max="$max_mac_growth" 'BEGIN { exit !(g <= max) }'; then
+  fail "MAC-table memory regressed: peak RSS grew $growth_per_entry B per learned entry over $growth_entries entries (limit: $max_mac_growth; 16-byte slots: ~33, 24-byte slots: ~49)"
+fi
 
 agg_line=$(grep '"aggregate_profile"' "$topo_json") \
   || fail "$topo_json has no aggregate_profile cell"
@@ -340,6 +363,7 @@ echo "check_bench_smoke: OK (batch_insert + timed_run cells present;" \
   "flood profile at $epb events and $ipb inserts/broadcast for $receivers receivers;" \
   "egress hop at $ipf inserts/flood on $ports ports;" \
   "ttcp write at $ipw inserts/write over $frags fragments; mac_lookup present;" \
+  "MAC tables at $growth_per_entry B peak-RSS growth per learned entry;" \
   "$stations stations at $bps B and $bups us each, $agg_vpf receiver visits/frame," \
   "$agg_answered/$agg_sent pings;" \
   "tcp incast $inc_goodput Mb/s goodput, slowest stream $inc_min Mb/s, all bytes delivered," \

@@ -23,13 +23,11 @@ BridgeNode::BridgeNode(netsim::Scheduler& scheduler, BridgeNodeConfig config)
   auto plane = plane_;
   const StpConfig stp = config_.stp;
   const netsim::Duration aging = config_.mac_aging;
-  netsim::Arena* arena = config_.arena;
   node_.loader().registry().add("bridge.dumb", [plane] {
     return std::make_unique<DumbBridgeSwitchlet>(plane);
   });
-  node_.loader().registry().add("bridge.learning", [plane, aging, arena] {
-    return std::make_unique<LearningBridgeSwitchlet>(
-        plane, aging, netsim::Duration::zero(), arena);
+  node_.loader().registry().add("bridge.learning", [plane, aging] {
+    return std::make_unique<LearningBridgeSwitchlet>(plane, aging);
   });
   node_.loader().registry().add("stp.ieee",
                                 [plane, stp] { return make_ieee_stp(plane, stp); });
@@ -59,8 +57,8 @@ DumbBridgeSwitchlet* BridgeNode::load_dumb() {
 }
 
 LearningBridgeSwitchlet* BridgeNode::load_learning() {
-  auto loaded = node_.loader().load_instance(std::make_unique<LearningBridgeSwitchlet>(
-      plane_, config_.mac_aging, netsim::Duration::zero(), config_.arena));
+  auto loaded = node_.loader().load_instance(
+      std::make_unique<LearningBridgeSwitchlet>(plane_, config_.mac_aging));
   return static_cast<LearningBridgeSwitchlet*>(loaded.value());
 }
 

@@ -31,12 +31,6 @@ struct BridgeNodeConfig {
   netsim::Duration mac_aging = netsim::seconds(300);
   /// When set, a network loader (TFTP at this IP) is available to load.
   std::optional<stack::Ipv4Addr> loader_ip;
-  /// When set, bridge-side backing buffers (the learning switchlet's
-  /// MAC-table slot array, for programmatic AND network-delivered loads)
-  /// draw from this arena instead of the heap. The topology builders pass
-  /// their cell arena -- each region's own in a sharded cell, because the
-  /// table grows on that region's worker thread. Must outlive the bridge.
-  netsim::Arena* arena = nullptr;
   std::shared_ptr<util::LogSink> log_sink;
 };
 

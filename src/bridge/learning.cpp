@@ -11,14 +11,15 @@ void MacTable::grow(std::size_t for_size) {
   // runs stay short; rebuilding drops every tombstone.
   std::size_t capacity = 16;
   while (capacity < for_size * 2) capacity *= 2;
-  SlotVector old = std::move(slots_);
+  // `old` frees the replaced generation when it goes out of scope.
+  std::vector<Slot> old = std::move(slots_);
   slots_.assign(capacity, Slot{});
   used_ = size_;
   reset_dest_cache();
-  for (Slot& s : old) {
-    if (s.key == kEmptyKey || s.key == kTombstoneKey) continue;
-    std::size_t i = slot_index(s.key);
-    while (slots_[i].key != kEmptyKey) i = (i + 1) & (slots_.size() - 1);
+  for (const Slot& s : old) {
+    if (!s.live()) continue;
+    std::size_t i = slot_index(s.key());
+    while (slots_[i].key_port != kEmptySlot) i = (i + 1) & (slots_.size() - 1);
     slots_[i] = s;
   }
 }
@@ -37,24 +38,25 @@ void MacTable::learn(ether::MacAddress src, active::PortId port,
   // and an insert lands only on an empty or tombstone slot -- never on
   // the live slot a valid cache entry points at.
   const std::uint64_t key = src.value();
+  const std::uint64_t key_port = (key << 16) | port;
   std::size_t i = slot_index(key);
   std::size_t insert_at = slots_.size();  // first tombstone on the probe path
   while (true) {
     Slot& s = slots_[i];
-    if (s.key == key) {  // refresh in place
-      s.port = port;
+    if (s.key() == key) {  // refresh in place
+      s.key_port = key_port;
       s.learned = now;
       return;
     }
-    if (s.key == kEmptyKey) break;
-    if (s.key == kTombstoneKey && insert_at == slots_.size()) insert_at = i;
+    if (s.key_port == kEmptySlot) break;
+    if (s.key_port == kTombstoneSlot && insert_at == slots_.size()) insert_at = i;
     i = (i + 1) & (slots_.size() - 1);
   }
   if (insert_at == slots_.size()) {
     insert_at = i;
     used_ += 1;  // consuming a fresh slot, not recycling a tombstone
   }
-  slots_[insert_at] = Slot{key, port, now};
+  slots_[insert_at] = Slot{key_port, now};
   size_ += 1;
 }
 
@@ -62,28 +64,28 @@ std::optional<active::PortId> MacTable::lookup(ether::MacAddress dst,
                                                netsim::TimePoint now) const {
   if (size_ == 0) return std::nullopt;
   const std::uint64_t key = dst.value();
-  // The zero address doubles as the empty-slot sentinel (learn() rejects
-  // it, so no live entry can carry it); without this guard the probe
-  // would "find" the first empty slot and return its default port.
+  // Both slot sentinels carry the zero key (learn() rejects it, so no
+  // live entry can); without this guard the probe would "find" the first
+  // empty slot and return its port bits.
   if (key == kEmptyKey) return std::nullopt;
   // Destination-cache fast path: re-validate the cached slot (learn and
   // expire move or retire slots, and they reset the cache; a matching key
   // in the cached slot is always the live entry).
-  if (key == cached_key_ && slots_[cached_slot_].key == key) {
+  if (key == cached_key_ && slots_[cached_slot_].key() == key) {
     const Slot& s = slots_[cached_slot_];
     if (now - s.learned > horizon()) return std::nullopt;  // stale
-    return s.port;
+    return s.port();
   }
   std::size_t i = slot_index(key);
   while (true) {
     const Slot& s = slots_[i];
-    if (s.key == key) {
+    if (s.key() == key) {
       cached_key_ = key;
       cached_slot_ = i;
       if (now - s.learned > horizon()) return std::nullopt;  // stale
-      return s.port;
+      return s.port();
     }
-    if (s.key == kEmptyKey) return std::nullopt;
+    if (s.key_port == kEmptySlot) return std::nullopt;
     i = (i + 1) & (slots_.size() - 1);
   }
 }
@@ -91,10 +93,9 @@ std::optional<active::PortId> MacTable::lookup(ether::MacAddress dst,
 std::size_t MacTable::expire(netsim::TimePoint now) {
   std::size_t removed = 0;
   for (Slot& s : slots_) {
-    if (s.key == kEmptyKey || s.key == kTombstoneKey) continue;
+    if (!s.live()) continue;
     if (now - s.learned > horizon()) {
-      s = Slot{};
-      s.key = kTombstoneKey;  // keeps probe chains over this slot intact
+      s = Slot{kTombstoneSlot};  // keeps probe chains over this slot intact
       ++removed;
     }
   }
@@ -122,22 +123,21 @@ std::vector<MacTable::Entry> MacTable::entries() const {
   std::vector<Entry> out;
   out.reserve(size_);
   for (const Slot& s : slots_) {
-    if (s.key == kEmptyKey || s.key == kTombstoneKey) continue;
+    if (!s.live()) continue;
     std::array<std::uint8_t, ether::MacAddress::kSize> octets{};
     for (std::size_t b = 0; b < octets.size(); ++b) {
-      octets[b] = static_cast<std::uint8_t>(s.key >> (8 * (octets.size() - 1 - b)));
+      octets[b] = static_cast<std::uint8_t>(s.key() >> (8 * (octets.size() - 1 - b)));
     }
-    out.push_back(Entry{ether::MacAddress(octets), s.port, s.learned});
+    out.push_back(Entry{ether::MacAddress(octets), s.port(), s.learned});
   }
   return out;
 }
 
 LearningBridgeSwitchlet::LearningBridgeSwitchlet(std::shared_ptr<ForwardingPlane> plane,
                                                  netsim::Duration aging,
-                                                 netsim::Duration sweep_interval,
-                                                 netsim::Arena* mac_arena)
+                                                 netsim::Duration sweep_interval)
     : plane_(std::move(plane)),
-      table_(aging, netsim::seconds(15), mac_arena),
+      table_(aging, netsim::seconds(15)),
       sweep_interval_(sweep_interval) {
   if (!plane_) throw std::invalid_argument("LearningBridgeSwitchlet: null plane");
   if (sweep_interval_ <= netsim::Duration::zero()) {

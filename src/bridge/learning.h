@@ -21,7 +21,6 @@
 
 #include "src/active/switchlet.h"
 #include "src/bridge/forwarding.h"
-#include "src/netsim/arena.h"
 #include "src/netsim/time.h"
 
 namespace ab::bridge {
@@ -33,9 +32,11 @@ namespace ab::bridge {
 /// Storage is a single open-addressing hash table -- linear probing over a
 /// power-of-two slot array keyed on the raw 48-bit address -- so the
 /// per-frame destination lookup on the forwarding fast path touches one
-/// contiguous array with no bucket chains and no per-entry allocation.
-/// Expired entries leave tombstones that are recycled by the next learn of
-/// a colliding address and swept out whenever the table grows. On top sits
+/// contiguous array of 16-byte slots with no bucket chains and no
+/// per-entry allocation. Growth frees the array it replaces, so a table
+/// holds one generation of slots, not every array it outgrew. Expired
+/// entries leave tombstones that are recycled by the next learn of a
+/// colliding address and swept out whenever the table grows. On top sits
 /// a one-entry destination cache: Jain's DEC-TR-592 measured bridge
 /// traffic heavily skewed toward a small destination working set, so a
 /// hot destination's repeat lookups skip the probe entirely. One entry
@@ -51,18 +52,9 @@ class MacTable {
   };
 
   MacTable() : MacTable(netsim::seconds(300)) {}
-  /// `slab_arena` (optional) backs the slot array: growth allocates from
-  /// the arena instead of the heap (deallocation of a retired generation
-  /// is deferred to arena teardown -- bounded by geometric growth). The
-  /// arena must outlive the table's last learn(), and a sharded cell must
-  /// hand each bridge ITS region's arena: the table grows on the region's
-  /// worker thread mid-window.
   explicit MacTable(netsim::Duration aging,
-                    netsim::Duration fast_aging = netsim::seconds(15),
-                    netsim::Arena* slab_arena = nullptr)
-      : aging_(aging),
-        fast_aging_(fast_aging),
-        slots_(netsim::ArenaAllocator<Slot>(slab_arena)) {}
+                    netsim::Duration fast_aging = netsim::seconds(15))
+      : aging_(aging), fast_aging_(fast_aging) {}
 
   /// Records (source address, now, port), replacing any previous entry.
   /// Group and zero addresses are never learned.
@@ -88,20 +80,31 @@ class MacTable {
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
  private:
-  /// Slot keys are the 48-bit address value; the two sentinels live
-  /// outside that range (kEmpty doubles as the zero address, which learn()
-  /// rejects, so it can never collide with a live key).
+  /// Keys are the 48-bit address value. The zero key is never stored
+  /// (learn() rejects the zero address) and never probed for (lookup()
+  /// rejects it), so it marks an empty destination cache.
   static constexpr std::uint64_t kEmptyKey = 0;
-  static constexpr std::uint64_t kTombstoneKey = std::uint64_t{1} << 48;
+
+  /// One entry in 16 bytes: the address packed above the port in one word,
+  /// beside the learn time. Both sentinels carry the zero key, so no
+  /// lookup key can equal either -- zero, broadcast and every group
+  /// address miss (an all-ones tombstone would alias broadcast). The
+  /// empty slot is the all-zero word, so a value-initialized array is
+  /// empty; the tombstone is the zero key with port 1.
+  static constexpr std::uint64_t kEmptySlot = 0;
+  static constexpr std::uint64_t kTombstoneSlot = 1;
 
   struct Slot {
-    std::uint64_t key = kEmptyKey;
-    active::PortId port = active::kNoPort;
+    std::uint64_t key_port = kEmptySlot;  ///< address << 16 | port
     netsim::TimePoint learned{};
+
+    [[nodiscard]] std::uint64_t key() const { return key_port >> 16; }
+    [[nodiscard]] active::PortId port() const {
+      return static_cast<active::PortId>(key_port);
+    }
+    [[nodiscard]] bool live() const { return key() != kEmptyKey; }
   };
-  /// Slot storage draws from the construction-time arena when one was
-  /// given (see the constructor), plain heap otherwise.
-  using SlotVector = std::vector<Slot, netsim::ArenaAllocator<Slot>>;
+  static_assert(sizeof(Slot) == 16);
 
   [[nodiscard]] netsim::Duration horizon() const { return fast_ ? fast_aging_ : aging_; }
 
@@ -112,7 +115,7 @@ class MacTable {
   }
 
   /// Rebuilds the slot array (live entries only, tombstones dropped) at a
-  /// capacity sized for `for_size` live entries.
+  /// capacity sized for `for_size` live entries, freeing the old array.
   void grow(std::size_t for_size);
 
   void reset_dest_cache() const { cached_key_ = kEmptyKey; }
@@ -120,7 +123,7 @@ class MacTable {
   netsim::Duration aging_;
   netsim::Duration fast_aging_;
   bool fast_ = false;
-  SlotVector slots_;          ///< power-of-two; empty until the first learn
+  std::vector<Slot> slots_;   ///< power-of-two; empty until the first learn
   std::size_t size_ = 0;      ///< live entries
   std::size_t used_ = 0;      ///< live entries + tombstones
   /// Destination cache: the key and slot of the previous successful
@@ -149,13 +152,9 @@ class LearningBridgeSwitchlet final : public active::Switchlet {
   /// aging/4 clamped to [1s, aging]. (lookup() already ignores stale
   /// entries, but without the sweep a long simulation's table would keep
   /// every MAC it ever saw.)
-  /// `mac_arena` (optional) backs the MacTable's slot array -- the
-  /// topology builders pass their cell arena (per region when sharded) so
-  /// a thousand-bridge cell keeps no per-bridge heap tables.
   LearningBridgeSwitchlet(std::shared_ptr<ForwardingPlane> plane,
                           netsim::Duration aging = netsim::seconds(300),
-                          netsim::Duration sweep_interval = netsim::Duration::zero(),
-                          netsim::Arena* mac_arena = nullptr);
+                          netsim::Duration sweep_interval = netsim::Duration::zero());
   ~LearningBridgeSwitchlet() override;
 
   [[nodiscard]] std::string_view name() const override { return "bridge.learning"; }

@@ -135,7 +135,6 @@ ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
     auto& region = *built.regions[static_cast<std::size_t>(r)];
     BridgeNodeConfig cfg = node_config;
     cfg.name = shape.node_names[i];
-    cfg.arena = &region.arena;  // MAC tables grow on this region's thread
     if (options.netloader) cfg.loader_ip = topology_loader_ip(i);
     auto node = std::make_unique<BridgeNode>(region.net.scheduler(), std::move(cfg));
     int port = 0;

@@ -42,13 +42,13 @@ struct ShardedTopology {
     netsim::Network net;
     netsim::Shard sync{net.scheduler()};
     /// Owns EVERY per-object simulation state the region holds: its LAN
-    /// replicas, its bridges' port NICs and MAC-table slabs, and its
-    /// stations' NICs + HostStacks -- in creation order (segments, then
-    /// bridge ports, then stations), so the reverse finalizer walk
-    /// destroys NICs before the segments they detach from. Declared
-    /// before `bridges` so the BridgeNode shells (which reference port
-    /// NICs through their planes) are destroyed first. Only this region's
-    /// worker thread may allocate from it mid-window (MacTable growth).
+    /// replicas, its bridges' port NICs, and its stations' NICs +
+    /// HostStacks -- in creation order (segments, then bridge ports, then
+    /// stations), so the reverse finalizer walk destroys NICs before the
+    /// segments they detach from. Declared before `bridges` so the
+    /// BridgeNode shells (which reference port NICs through their planes)
+    /// are destroyed first. The bridges' MAC tables are not arena state:
+    /// they grow on the region's worker thread through the heap.
     netsim::Arena arena;
     /// Per GLOBAL lan index: this region's replica of the segment
     /// (arena-owned), or nullptr when the region has no presence there.

@@ -127,7 +127,6 @@ BridgedTopology build_topology(netsim::Network& net, const netsim::TopologySpec&
   for (std::size_t i = 0; i < built.shape.node_ports.size(); ++i) {
     BridgeNodeConfig cfg = node_config;
     cfg.name = built.shape.node_names[i];
-    cfg.arena = built.arena.get();  // MAC-table slots join the cell slabs
     if (options.netloader) cfg.loader_ip = topology_loader_ip(i);
     auto node = std::make_unique<BridgeNode>(net.scheduler(), std::move(cfg));
     int port = 0;
@@ -135,7 +134,7 @@ BridgedTopology build_topology(netsim::Network& net, const netsim::TopologySpec&
       // Port NICs are arena-owned like station NICs; the BridgeNode shells
       // (destroyed before the arena -- declaration order) stay on the heap.
       node->add_port(net.add_nic(
-          *built.arena, built.shape.node_names[i] + ".eth" + std::to_string(port++),
+          built.arena, built.shape.node_names[i] + ".eth" + std::to_string(port++),
           *seg));
     }
     if (options.dumb) node->load_dumb();
@@ -158,9 +157,9 @@ BridgedTopology build_topology(netsim::Network& net, const netsim::TopologySpec&
     // NIC first, stack second, per station: arena teardown then runs the
     // stack's destructor before its NIC's.
     netsim::Nic& nic = net.add_nic(
-        *built.arena, h.name, *built.shape.lans[static_cast<std::size_t>(h.lan)]);
+        built.arena, h.name, *built.shape.lans[static_cast<std::size_t>(h.lan)]);
     stack::HostStack* host =
-        built.arena->create<stack::HostStack>(net.scheduler(), nic, cfg);
+        built.arena.create<stack::HostStack>(net.scheduler(), nic, cfg);
     host->nic().set_tx_queue_limit(options.host_tx_queue_limit);
     built.hosts.push_back(host);
   }

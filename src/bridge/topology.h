@@ -55,24 +55,20 @@ struct TopologyBuildOptions {
 /// Station state (each host's NIC + HostStack) lives in `arena`, not in
 /// per-object heap nodes: a million-station cell is a few thousand slab
 /// allocations instead of two million, teardown is a slab walk, and each
-/// station's NIC and stack are contiguous. The same arena owns the
-/// bridge-side per-object state -- every bridge port NIC and the learning
-/// switchlets' MAC-table slot arrays -- so only the BridgeNode shells
-/// (there are orders of magnitude fewer of them) stay individually owned.
-/// `hosts` holds arena pointers, which are stable for the topology's
-/// lifetime (moving the struct moves slab ownership, never the slabs).
+/// station's NIC and stack are contiguous. The same arena owns every
+/// bridge port NIC, so only the BridgeNode shells (there are orders of
+/// magnitude fewer of them) stay individually owned; the learning
+/// switchlets' MAC tables live on the heap and free the arrays they
+/// outgrow. `hosts` holds arena pointers, which are stable for the
+/// topology's lifetime (moving the struct moves slab ownership, never the
+/// slabs).
 struct BridgedTopology {
   netsim::Topology shape;
-  /// Owns every per-station object AND the bridge port NICs / MAC-table
-  /// slabs. Declared before `bridges` so teardown destroys the BridgeNodes
-  /// (whose planes and port tables reference the port NICs) BEFORE the
-  /// arena walks its finalizers in reverse creation order. Held through a
-  /// unique_ptr so the Arena's own address survives moving the struct:
-  /// the bridges captured `Arena*` at build time (BridgeNodeConfig::arena,
-  /// the MAC tables' ArenaAllocator), and an inline member would leave
-  /// every one of them dangling the first time a fixture or caller
-  /// move-assigned the build result.
-  std::unique_ptr<netsim::Arena> arena = std::make_unique<netsim::Arena>();
+  /// Owns every per-station object AND the bridge port NICs. Declared
+  /// before `bridges` so teardown destroys the BridgeNodes (whose planes
+  /// and port tables reference the port NICs) BEFORE the arena walks its
+  /// finalizers in reverse creation order.
+  netsim::Arena arena;
   std::vector<std::unique_ptr<BridgeNode>> bridges;
   std::vector<stack::HostStack*> hosts;  ///< arena-backed, creation order
 

@@ -96,45 +96,4 @@ class Arena {
   std::size_t objects_ = 0;
 };
 
-/// Standard-allocator shim over an Arena, for containers whose backing
-/// buffers should live in arena slabs (a bridge's MAC-table slot array, at
-/// a thousand bridges per cell, is the last per-object heap state on the
-/// sharded build's hot path). deallocate() is a no-op -- the arena frees
-/// slabs wholesale at teardown -- so a growing container retires its old
-/// buffer into the arena; geometric growth bounds that waste at one extra
-/// generation. With a null arena the shim degrades to plain new/delete, so
-/// a container type can offer arena backing without requiring it.
-template <typename T>
-class ArenaAllocator {
- public:
-  using value_type = T;
-  using propagate_on_container_move_assignment = std::true_type;
-  using propagate_on_container_swap = std::true_type;
-  using is_always_equal = std::false_type;
-
-  ArenaAllocator() = default;
-  explicit ArenaAllocator(Arena* arena) : arena_(arena) {}
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    if (arena_ != nullptr) {
-      return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    if (arena_ == nullptr) ::operator delete(p);
-  }
-
-  [[nodiscard]] Arena* arena() const { return arena_; }
-
-  friend bool operator==(const ArenaAllocator& a, const ArenaAllocator& b) {
-    return a.arena_ == b.arena_;
-  }
-
- private:
-  Arena* arena_ = nullptr;
-};
-
 }  // namespace ab::netsim

@@ -1,6 +1,7 @@
 #include "src/netsim/cost_model.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace ab::netsim {
 
@@ -84,8 +85,8 @@ void ProcessingElement::submit_burst(std::span<Work> work) {
     submit(work.front().len, std::move(work.front().done));
     return;
   }
-  burst_scratch_.clear();
-  burst_scratch_.reserve(work.size());
+  std::vector<Scheduler::TimedEntry> run;
+  run.reserve(work.size());
   for (Work& w : work) {
     const Duration service = next_service(w.len);
     const TimePoint start = std::max(scheduler_->now(), busy_until_);
@@ -95,10 +96,9 @@ void ProcessingElement::submit_burst(std::span<Work> work) {
     Scheduler::TimedEntry entry;
     entry.when = busy_until_;
     entry.fn = std::move(w.done);
-    burst_scratch_.push_back(std::move(entry));
+    run.push_back(std::move(entry));
   }
-  scheduler_->schedule_run_at(burst_scratch_);
-  burst_scratch_.clear();
+  scheduler_->schedule_run_at(run);
 }
 
 }  // namespace ab::netsim

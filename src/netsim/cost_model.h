@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "src/netsim/scheduler.h"
 #include "src/netsim/time.h"
@@ -112,7 +111,6 @@ class ProcessingElement {
 
   Scheduler* scheduler_;
   CostModel model_;
-  std::vector<Scheduler::TimedEntry> burst_scratch_;  ///< capacity reused
   TimePoint busy_until_{};
   std::uint32_t frames_since_gc_ = 0;
   std::uint64_t processed_ = 0;

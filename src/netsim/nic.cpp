@@ -163,11 +163,8 @@ void Nic::start_transmitter() {
       if (segment_ == paced_for) segment_->broadcast(frame, this);
       if (run_remaining_ == 0) start_transmitter();
     };
-    drain_scratch_.clear();
-    drain_scratch_.push_back(std::move(entry));
-    run_id_ = scheduler_->schedule_run_at(drain_scratch_);
+    run_id_ = scheduler_->schedule_run_at(std::span(&entry, 1));
     owns_run_ = true;
-    drain_scratch_.clear();
     return;
   }
   // Backlog: drain the whole queue as ONE monotone timed run, with the
@@ -186,10 +183,10 @@ void Nic::start_transmitter() {
   // mid-burst skips the remaining broadcasts (depositing the no-run
   // sentinel keeps the delivery slots aligned) rather than deliver them at
   // another segment's wrong serialization times.
-  drain_scratch_.clear();
-  delivery_scratch_.clear();
-  drain_scratch_.reserve(tx_queue_.size());
-  delivery_scratch_.reserve(tx_queue_.size());
+  std::vector<Scheduler::TimedEntry> completions;
+  std::vector<Scheduler::TimedEntry> deliveries;
+  completions.reserve(tx_queue_.size());
+  deliveries.reserve(tx_queue_.size());
   // The previous burst's delivery closures may still hold the old slot
   // vector (deliveries trail completions by the propagation delay); leave
   // it to them and start a fresh one. With no holders left, reuse it.
@@ -219,7 +216,7 @@ void Nic::start_transmitter() {
       burst_cursor_ += 1;
       if (run_remaining_ == 0) start_transmitter();
     };
-    drain_scratch_.push_back(std::move(entry));
+    completions.push_back(std::move(entry));
     Scheduler::TimedEntry delivery;
     delivery.when = completes + propagation;
     // No `this` capture: the delivery outlives any mid-flight detach (the
@@ -228,18 +225,16 @@ void Nic::start_transmitter() {
       const std::uint32_t run = (*slots)[slot];
       if (run != LanSegment::kNoPreparedRun) seg->deliver_prepared(run);
     };
-    delivery_scratch_.push_back(std::move(delivery));
+    deliveries.push_back(std::move(delivery));
     ++slot;
   }
   // Transmit run first, delivery run second: at equal timestamps (zero
   // propagation) a frame's completion still precedes its delivery, the
   // order the chain produced.
-  run_id_ = scheduler_->schedule_run_at(drain_scratch_);
+  run_id_ = scheduler_->schedule_run_at(completions);
   owns_run_ = true;
   run_tail_time_ = completes;
-  scheduler_->schedule_run_at(delivery_scratch_);
-  drain_scratch_.clear();
-  delivery_scratch_.clear();
+  scheduler_->schedule_run_at(deliveries);
 }
 
 void Nic::deliver(const ether::WireFrame& frame) {

@@ -255,9 +255,6 @@ class Nic {
   /// next burst resets the vector.
   std::shared_ptr<std::vector<std::uint32_t>> burst_slots_;
   std::size_t burst_cursor_ = 0;
-  /// Scratch for start_transmitter's burst drain (capacity reused).
-  std::vector<Scheduler::TimedEntry> drain_scratch_;
-  std::vector<Scheduler::TimedEntry> delivery_scratch_;
 };
 
 /// Collects claimed transmissions (Nic::try_prepare) across the NICs of

@@ -1,10 +1,11 @@
 // Teardown and lifetime safety of arena-owned bridge infrastructure: port
-// NICs, LAN segments, and MAC-table slot storage living in a cell arena
-// (per region when sharded) instead of per-object heap nodes. The netsim
-// mirror of these tests (tests/netsim/arena_test.cpp) covers station NICs;
-// here the arena additionally owns the segments and the bridge side, and
-// the in-flight state spans ports: a TxBatch run started by a flood holds
-// frames for several port NICs at once when the arena dies.
+// NICs and LAN segments living in a cell arena (per region when sharded)
+// instead of per-object heap nodes. The bridges' MAC tables stay on the
+// heap. The netsim mirror of these tests (tests/netsim/arena_test.cpp)
+// covers station NICs; here the arena additionally owns the segments and
+// the bridge ports, and the in-flight state spans ports: a TxBatch run
+// started by a flood holds frames for several port NICs at once when the
+// arena dies.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,13 +25,12 @@ ether::Frame bcast(ether::MacAddress src) {
 }
 
 TEST(BridgeArena, ArenaOwnedBridgeInfrastructureCarriesTraffic) {
-  // A hand-assembled two-LAN bridge whose segments, port NICs, and
-  // MAC-table slabs ALL live in one arena -- the exact ownership layout
-  // build_topology and the sharded builder produce. Declaration order is
-  // the teardown contract: net outlives the arena (its scheduler never
-  // runs again after the arena dies), and the BridgeNode shell, declared
-  // last, is destroyed first so its port-table unbind still finds live
-  // NICs.
+  // A hand-assembled two-LAN bridge whose segments and port NICs ALL live
+  // in one arena -- the exact ownership layout build_topology and the
+  // sharded builder produce. Declaration order is the teardown contract:
+  // net outlives the arena (its scheduler never runs again after the arena
+  // dies), and the BridgeNode shell, declared last, is destroyed first so
+  // its port-table unbind still finds live NICs.
   netsim::Network net;
   netsim::Arena arena;
   netsim::LanSegment& lan_a = net.add_segment(arena, "lan_a");
@@ -38,7 +38,6 @@ TEST(BridgeArena, ArenaOwnedBridgeInfrastructureCarriesTraffic) {
 
   BridgeNodeConfig cfg;
   cfg.name = "b0";
-  cfg.arena = &arena;
   auto bridge = std::make_unique<BridgeNode>(net.scheduler(), std::move(cfg));
   bridge->add_port(net.add_nic(arena, "b0.eth0", lan_a));
   bridge->add_port(net.add_nic(arena, "b0.eth1", lan_b));
@@ -56,30 +55,8 @@ TEST(BridgeArena, ArenaOwnedBridgeInfrastructureCarriesTraffic) {
   net.scheduler().run_for(netsim::seconds(1));
 
   EXPECT_EQ(got, 1);
-  EXPECT_EQ(learning->table().size(), 1u);  // a's MAC, learned via the slab
+  EXPECT_EQ(learning->table().size(), 1u);  // a's MAC
   EXPECT_GT(arena.stats().bytes_reserved, 0u);
-}
-
-TEST(BridgeArena, MacTableSlotStorageGrowsInArena) {
-  // Growth rebuilds the slot array from arena memory; the retired
-  // generation's buffer is intentionally NOT freed until arena teardown
-  // (bounded by geometric growth). Entries must survive several
-  // generations of that.
-  netsim::Arena arena;
-  MacTable table(netsim::seconds(300), netsim::seconds(15), &arena);
-  const netsim::TimePoint now{};
-  for (std::uint32_t i = 1; i <= 1000; ++i) {
-    table.learn(ether::MacAddress::local(0, i),
-                static_cast<active::PortId>(i % 4), now);
-  }
-  EXPECT_EQ(table.size(), 1000u);
-  EXPECT_GE(table.capacity(), 2048u);  // load factor < 1/2 after growth
-  EXPECT_GT(arena.stats().bytes_reserved, 0u);
-  for (std::uint32_t i = 1; i <= 1000; ++i) {
-    const auto port = table.lookup(ether::MacAddress::local(0, i), now);
-    ASSERT_TRUE(port.has_value()) << i;
-    EXPECT_EQ(*port, static_cast<active::PortId>(i % 4)) << i;
-  }
 }
 
 TEST(BridgeArena, ShardedRegionTeardownMidFloodIsSafe) {

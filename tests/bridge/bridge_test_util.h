@@ -20,8 +20,8 @@ namespace ab::bridge::testing {
 struct TwoLanFixture {
   netsim::Network net;
   /// The whole build result stays alive: its arena owns the bridge's port
-  /// NICs (and MAC-table slabs), so plucking the BridgeNode out of a
-  /// temporary would leave it wired to freed NICs.
+  /// NICs, so plucking the BridgeNode out of a temporary would leave it
+  /// wired to freed NICs.
   BridgedTopology topo;
   netsim::LanSegment* lan_a;
   netsim::LanSegment* lan_b;

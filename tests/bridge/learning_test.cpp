@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "tests/bridge/bridge_test_util.h"
 
 namespace ab::bridge {
@@ -72,27 +75,67 @@ TEST(MacTable, ExpireSweepsStaleEntries) {
 
 TEST(MacTableFlatHash, MassInsertLookupAcrossGrowth) {
   // Thousands of stations force several rehashes and long probe runs; every
-  // address must stay findable with its latest port.
+  // address must stay findable with its latest port. Ports span the whole
+  // 16-bit range (0xFFFF included) and the highest and lowest unicast
+  // addresses are learned too, so the address and port packed into one
+  // slot word must come back out exactly.
   MacTable table;
   const netsim::TimePoint t0{};
   constexpr int kStations = 3000;
+  const auto station = [](int i) {
+    return ether::MacAddress::local(static_cast<std::uint32_t>(i / 8),
+                                    static_cast<std::uint16_t>(i % 8));
+  };
+  const auto port_of = [](int i) {
+    return static_cast<active::PortId>(i * 0xFFFF / (kStations - 1));
+  };
+  std::map<ether::MacAddress, active::PortId> expected;
   for (int i = 0; i < kStations; ++i) {
-    table.learn(ether::MacAddress::local(static_cast<std::uint32_t>(i / 8),
-                                         static_cast<std::uint16_t>(i % 8)),
-                static_cast<active::PortId>(i % 5), t0);
+    table.learn(station(i), port_of(i), t0);
+    expected[station(i)] = port_of(i);
   }
-  EXPECT_EQ(table.size(), static_cast<std::size_t>(kStations));
+  ASSERT_EQ(port_of(kStations - 1), 0xFFFF);
+  const std::map<ether::MacAddress, active::PortId> extremes = {
+      {ether::MacAddress({0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}), 0xFFFF},
+      {ether::MacAddress({0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE}), 0},
+      {ether::MacAddress({0xFC, 0x00, 0x00, 0x00, 0x00, 0x01}), 0x8000},
+      {ether::MacAddress({0x00, 0x00, 0x00, 0x00, 0x00, 0x01}), 0xFFFE},
+  };
+  for (const auto& [mac, port] : extremes) {
+    table.learn(mac, port, t0);
+    expected[mac] = port;
+  }
+  EXPECT_EQ(table.size(), expected.size());
   // Occupancy is kept at or below 3/4, so probes terminate quickly.
   EXPECT_GE(table.capacity() * 3, table.size() * 4);
-  for (int i = 0; i < kStations; ++i) {
-    const auto hit =
-        table.lookup(ether::MacAddress::local(static_cast<std::uint32_t>(i / 8),
-                                              static_cast<std::uint16_t>(i % 8)),
-                     t0);
-    ASSERT_TRUE(hit.has_value()) << i;
-    EXPECT_EQ(*hit, static_cast<active::PortId>(i % 5));
+  for (const auto& [mac, port] : expected) {
+    const auto hit = table.lookup(mac, t0);
+    ASSERT_TRUE(hit.has_value()) << mac.to_string();
+    EXPECT_EQ(*hit, port) << mac.to_string();
   }
-  EXPECT_EQ(table.entries().size(), static_cast<std::size_t>(kStations));
+  const std::vector<MacTable::Entry> entries = table.entries();
+  EXPECT_EQ(entries.size(), expected.size());
+  for (const MacTable::Entry& e : entries) {
+    const auto it = expected.find(e.mac);
+    ASSERT_NE(it, expected.end()) << e.mac.to_string();
+    EXPECT_EQ(e.port, it->second) << e.mac.to_string();
+    EXPECT_EQ(e.learned, t0);
+  }
+}
+
+/// No lookup key may match a slot sentinel: zero, broadcast and group
+/// addresses are never learned, so they must miss whatever the table holds.
+/// Looked up at the epoch, where no slot reads as stale: a sentinel that
+/// matched would answer instead of hiding behind the aging check.
+void expect_no_group_or_zero_hits(const MacTable& table) {
+  for (const ether::MacAddress never :
+       {ether::MacAddress(), ether::MacAddress::broadcast(),
+        ether::MacAddress::all_bridges(), ether::MacAddress::dec_bridge_group(),
+        ether::MacAddress({0x01, 0x00, 0x00, 0x00, 0x00, 0x00}),
+        ether::MacAddress({0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE})}) {
+    EXPECT_FALSE(table.lookup(never, netsim::TimePoint{}).has_value())
+        << never.to_string();
+  }
 }
 
 TEST(MacTableFlatHash, ExpiryTombstonesKeepCollidingEntriesReachable) {
@@ -110,6 +153,7 @@ TEST(MacTableFlatHash, ExpiryTombstonesKeepCollidingEntriesReachable) {
   const std::size_t removed = table.expire(t0 + netsim::seconds(101));
   EXPECT_EQ(removed, static_cast<std::size_t>(kStations / 2));
   EXPECT_EQ(table.size(), static_cast<std::size_t>(kStations / 2));
+  expect_no_group_or_zero_hits(table);
   for (int i = 1; i < kStations; i += 2) {
     EXPECT_TRUE(table
                     .lookup(ether::MacAddress::local(7, static_cast<std::uint16_t>(i)),
@@ -127,6 +171,21 @@ TEST(MacTableFlatHash, ExpiryTombstonesKeepCollidingEntriesReachable) {
     EXPECT_EQ(*table.lookup(ether::MacAddress::local(7, static_cast<std::uint16_t>(i)),
                             t0 + netsim::seconds(102)),
               9);
+  }
+
+  // Tables that are mostly tombstones, over many address sets: the probe
+  // for each never-learned key crosses tombstones in most of them, so a
+  // sentinel that aliased one of those keys would answer it somewhere.
+  for (std::uint32_t node = 0; node < 32; ++node) {
+    SCOPED_TRACE(node);
+    MacTable tombstoned(netsim::seconds(100));
+    for (int i = 0; i < 96; ++i) {
+      tombstoned.learn(ether::MacAddress::local(node, static_cast<std::uint16_t>(i)), 1,
+                       t0 + netsim::seconds(i % 8 == 0 ? 1 : 0));
+    }
+    EXPECT_EQ(tombstoned.expire(t0 + netsim::seconds(100) + netsim::milliseconds(500)),
+              84u);
+    expect_no_group_or_zero_hits(tombstoned);
   }
 }
 
