@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <exception>
 #include <type_traits>
 
 #if defined(__linux__)
@@ -28,7 +30,9 @@ inline std::uint64_t peak_rss_bytes() {
 /// Returns `cell()` computed in a forked child (Linux; in process
 /// elsewhere). The result comes back over a pipe as raw bytes, so it must
 /// be trivially copyable. A failed fork, pipe or child yields a
-/// value-initialized Result.
+/// value-initialized Result; so does a cell that throws, whose exception
+/// the child prints to stderr before it exits. The child never returns
+/// into the caller's code.
 template <typename Result, typename Cell>
 Result run_in_child(Cell cell) {
   static_assert(std::is_trivially_copyable_v<Result>);
@@ -43,8 +47,15 @@ Result run_in_child(Cell cell) {
   }
   if (pid == 0) {
     close(fds[0]);
-    const Result r = cell();
-    const bool ok = write(fds[1], &r, sizeof r) == static_cast<ssize_t>(sizeof r);
+    bool ok = false;
+    try {
+      const Result r = cell();
+      ok = write(fds[1], &r, sizeof r) == static_cast<ssize_t>(sizeof r);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "run_in_child: cell threw: %s\n", e.what());
+    } catch (...) {
+      std::fprintf(stderr, "run_in_child: cell threw a non-std exception\n");
+    }
     close(fds[1]);
     _exit(ok ? 0 : 1);
   }

@@ -478,6 +478,47 @@ TcpIncastProfile run_tcp_incast_profile(int senders, std::size_t bytes_each) {
   return p;
 }
 
+/// The million-station cell's columns, carried back from its forked child
+/// as raw bytes.
+struct StationProfile {
+  int stations = 0;
+  double build_ms = 0.0;
+  std::uint64_t peak_rss_bytes = 0;
+  double bytes_per_station = 0.0;
+  std::uint64_t frames_carried = 0;
+  std::uint64_t receivers_visited = 0;
+  int pings_sent = 0;
+  int pings_answered = 0;
+  std::uint64_t events = 0;
+  double wall_seconds = 0.0;
+  [[nodiscard]] double visits_per_frame() const {
+    return frames_carried > 0 ? static_cast<double>(receivers_visited) /
+                                    static_cast<double>(frames_carried)
+                              : 0.0;
+  }
+};
+
+StationProfile run_station_profile(const netsim::TopologySpec& spec,
+                                   int background_per_lan) {
+  apps::AggregateHostWorkload::Options opts;
+  opts.background_per_lan = background_per_lan;
+  apps::AggregateHostWorkload aggregate(opts);
+  apps::TopologySweep sweep;
+  const apps::SweepResult r = sweep.run_cell(spec, aggregate);
+  StationProfile p;
+  p.stations = r.hosts;
+  p.build_ms = r.build_ms;
+  p.peak_rss_bytes = r.peak_rss_bytes;
+  p.bytes_per_station = r.bytes_per_station;
+  p.frames_carried = r.frames_carried;
+  p.receivers_visited = r.receivers_visited;
+  p.pings_sent = r.pings_sent;
+  p.pings_answered = r.pings_answered;
+  p.events = r.events;
+  p.wall_seconds = r.wall_seconds;
+  return p;
+}
+
 std::vector<netsim::TopologySpec> acceptance_cells() {
   std::vector<netsim::TopologySpec> grid;
   grid.push_back(spec_of(netsim::TopologyShape::kRing, 32, 4));
@@ -735,35 +776,27 @@ int main(int argc, char** argv) {
   // flood, learning, and directed forwarding without 10^6 live timers.
   // Always run, smoke included: the per-station build/memory bounds below
   // are the acceptance gate for slab-backed station state.
-  apps::AggregateHostWorkload::Options agg_opts;
-  agg_opts.background_per_lan = smoke ? 8 : 16;
-  apps::AggregateHostWorkload aggregate(agg_opts);
-  std::vector<netsim::TopologySpec> station_grid;
-  station_grid.push_back(spec_of(netsim::TopologyShape::kStar, 8, 125000));
-  // Fork the cell even though the grid has one entry: peak_rss_bytes and
-  // bytes_per_station are then measured in a child process that built ONLY
-  // this cell, not inherited from whatever the earlier grids above grew
-  // the parent's heap to. (Non-Linux falls back to in-process.)
-  apps::SweepOptions station_opts;
-  station_opts.fork_cells = true;
-  apps::TopologySweep station_sweep(station_opts);
-  const std::vector<apps::SweepResult> station_cells =
-      station_sweep.run_grid(station_grid, aggregate);
-  const apps::SweepResult& station = station_cells.front();
-  const double visits_per_frame =
-      station.frames_carried > 0
-          ? static_cast<double>(station.receivers_visited) /
-                static_cast<double>(station.frames_carried)
-          : 0.0;
-  std::printf("\n%s", apps::TopologySweep::format_table(station_cells).c_str());
+  const netsim::TopologySpec station_spec =
+      spec_of(netsim::TopologyShape::kStar, 8, 125000);
+  const std::string station_cell = station_spec.label();
+  // In a forked child: peak_rss_bytes and bytes_per_station are then
+  // measured in a process that built ONLY this cell, not inherited from
+  // whatever the earlier grids above grew the parent's heap to. A failed
+  // child reports 0 stations. (Non-Linux runs it in process.)
+  const int background_per_lan = smoke ? 8 : 16;
+  const StationProfile station = bench::run_in_child<StationProfile>(
+      [&] { return run_station_profile(station_spec, background_per_lan); });
+  const double visits_per_frame = station.visits_per_frame();
   std::printf(
-      "station scale %s: %d stations built in %.0f ms (%.2f us/station), "
-      "%.0f bytes/station, peak RSS %.0f MiB, %.1f receiver visits/frame\n",
-      station.label.c_str(), station.hosts, station.build_ms,
-      station.hosts > 0 ? station.build_ms * 1e3 / station.hosts : 0.0,
+      "\nstation scale %s: %d stations built in %.0f ms (%.2f us/station), "
+      "%.0f bytes/station, peak RSS %.0f MiB, %.1f receiver visits/frame; "
+      "%llu events in %.2f s wall, %d/%d pings answered\n",
+      station_cell.c_str(), station.stations, station.build_ms,
+      station.stations > 0 ? station.build_ms * 1e3 / station.stations : 0.0,
       station.bytes_per_station,
       static_cast<double>(station.peak_rss_bytes) / (1024.0 * 1024.0),
-      visits_per_frame);
+      visits_per_frame, static_cast<unsigned long long>(station.events),
+      station.wall_seconds, station.pings_answered, station.pings_sent);
   // Bounds sized against the pre-arena model, where every station cost
   // individual heap objects (Nic + HostStack + an eager per-NIC deque) and
   // LAN attachment paid a per-NIC membership scan: 1433 B and 16.2 us per
@@ -780,9 +813,9 @@ int main(int argc, char** argv) {
   // concerns; a regression to the full walk costs ~125,000.
   constexpr double kMaxVisitsPerFrame = 16.0;
   const double build_us_per_station =
-      station.hosts > 0 ? station.build_ms * 1e3 / station.hosts : 1e9;
+      station.stations > 0 ? station.build_ms * 1e3 / station.stations : 1e9;
   const bool station_ok =
-      station.hosts >= 1000000 &&
+      station.stations >= 1000000 &&
       (station.bytes_per_station == 0.0 ||  // RSS not visible on this platform
        station.bytes_per_station <= kMaxBytesPerStation) &&
       build_us_per_station <= kMaxBuildUsPerStation &&
@@ -832,7 +865,8 @@ int main(int argc, char** argv) {
                "\"peak_rss_bytes\": %llu, \"bytes_per_station\": %.1f, "
                "\"frames_carried\": %llu, \"receivers_visited\": %llu, "
                "\"receiver_visits_per_frame\": %.2f, "
-               "\"pings_sent\": %d, \"pings_answered\": %d},\n"
+               "\"pings_sent\": %d, \"pings_answered\": %d, "
+               "\"events\": %llu, \"wall_seconds\": %.6f},\n"
                "  \"tcp_incast\": {\"senders\": %d, \"link_mbps\": %.1f, "
                "\"offered_mbps\": %.1f, \"goodput_mbps\": %.2f, "
                "\"fair_share_mbps\": %.2f, \"min_stream_mbps\": %.2f, "
@@ -843,8 +877,7 @@ int main(int argc, char** argv) {
                "  \"cells\": %s,\n"
                "  \"ttcp_streams\": %s,\n"
                "  \"ttcp_hub\": %s,\n"
-               "  \"rollout\": %s,\n"
-               "  \"station_scale\": %s"
+               "  \"rollout\": %s"
                "}\n",
                smoke ? "true" : "false", headline.label.c_str(),
                headline.stp_converged ? "true" : "false",
@@ -867,14 +900,15 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(mac_growth.entries),
                static_cast<unsigned long long>(mac_growth.rss_growth_bytes),
                mac_growth.growth_per_entry(),
-               station.label.c_str(), station.hosts, station.build_ms,
+               station_cell.c_str(), station.stations, station.build_ms,
                build_us_per_station,
                static_cast<unsigned long long>(station.peak_rss_bytes),
                station.bytes_per_station,
                static_cast<unsigned long long>(station.frames_carried),
                static_cast<unsigned long long>(station.receivers_visited),
-               visits_per_frame, station.pings_sent,
-               station.pings_answered, incast.senders, incast.link_mbps,
+               visits_per_frame, station.pings_sent, station.pings_answered,
+               static_cast<unsigned long long>(station.events),
+               station.wall_seconds, incast.senders, incast.link_mbps,
                incast.offered_mbps, incast.goodput_mbps,
                incast.fair_share_mbps, incast.min_stream_mbps,
                static_cast<unsigned long long>(incast.retransmits),
@@ -886,8 +920,7 @@ int main(int argc, char** argv) {
                apps::TopologySweep::format_json(cells).c_str(),
                apps::TopologySweep::format_json(ttcp_cells).c_str(),
                apps::TopologySweep::format_json(hub_cells).c_str(),
-               apps::TopologySweep::format_json(rollout_cells).c_str(),
-               apps::TopologySweep::format_json(station_cells).c_str());
+               apps::TopologySweep::format_json(rollout_cells).c_str());
   std::fclose(f);
   std::printf("wrote BENCH_topology.json\n");
   return headline.stp_converged && rollouts_ok && flood_ok && egress_ok &&

@@ -16,12 +16,13 @@
 // bytes_per_station. Speedups for this cell are computed over SIM time
 // (wall_seconds - build_ms/1000): the build is serial by design and would
 // otherwise cap the measured scaling long before the event loop does.
-// Each aggregate row runs in its own forked child (SweepOptions::
-// fork_cells), so its bytes_per_station is that row's own RSS growth, not
-// a delta over heap an earlier row freed. Always full scale, --smoke
-// included: the bit-identity assertion against the 1-region oracle and the
-// 4-thread speedup bound in scripts/check_bench_smoke.sh are the
-// tentpole's acceptance gate.
+// Each aggregate row runs in its own forked child (bench::run_in_child),
+// so its bytes_per_station is that row's own RSS growth, not a delta over
+// heap an earlier row freed; a row whose child failed comes back as zeros
+// and fails the bench. Always full scale, --smoke included: the
+// bit-identity assertion against the 1-region oracle and the 4-thread
+// speedup bound in scripts/check_bench_smoke.sh are the tentpole's
+// acceptance gate.
 //
 // Output: BENCH_parallel.json in the working directory. Each run stays on
 // one line: scripts/check_bench_smoke.sh greps them. Speedups are relative
@@ -34,19 +35,68 @@
 #include <thread>
 #include <vector>
 
+#include "bench/fork_cell.h"
 #include "src/apps/scenario.h"
 
 namespace {
 
-struct RunRow {
-  std::string run;   // "legacy" (the 1-region oracle) or "sharded-t<N>"
-  int threads = 1;
-  int shard_regions = 0;
-  ab::apps::SweepResult result;
+/// The columns an aggregate row prints and compares, carried back from the
+/// row's forked child as raw bytes.
+struct AggColumns {
+  int hosts = 0;
+  std::uint64_t frames_carried = 0;
+  std::uint64_t bytes_carried = 0;
+  std::uint64_t frames_lost = 0;
+  std::size_t mac_entries = 0;
+  int pings_sent = 0;
+  int pings_answered = 0;
+  std::uint64_t events = 0;
+  std::uint64_t heap_inserts = 0;
+  std::uint64_t scheduled_entries = 0;
+  /// Stream count and byte sums over the cell's streams (the aggregate
+  /// workload runs one).
+  std::size_t streams = 0;
+  std::uint64_t stream_bytes_sent = 0;
+  std::uint64_t stream_bytes_received = 0;
+  double build_ms = 0.0;
+  double wall_seconds = 0.0;
+  double bytes_per_station = 0.0;
 };
 
-bool counters_match(const ab::apps::SweepResult& a,
-                    const ab::apps::SweepResult& b) {
+AggColumns agg_columns(const ab::apps::SweepResult& r) {
+  AggColumns c;
+  c.hosts = r.hosts;
+  c.frames_carried = r.frames_carried;
+  c.bytes_carried = r.bytes_carried;
+  c.frames_lost = r.frames_lost;
+  c.mac_entries = r.mac_entries;
+  c.pings_sent = r.pings_sent;
+  c.pings_answered = r.pings_answered;
+  c.events = r.events;
+  c.heap_inserts = r.heap_inserts;
+  c.scheduled_entries = r.scheduled_entries;
+  c.streams = r.streams.size();
+  for (const ab::apps::StreamResult& s : r.streams) {
+    c.stream_bytes_sent += s.bytes_sent;
+    c.stream_bytes_received += s.bytes_received;
+  }
+  c.build_ms = r.build_ms;
+  c.wall_seconds = r.wall_seconds;
+  c.bytes_per_station = r.bytes_per_station;
+  return c;
+}
+
+template <typename Result>
+struct RunRow {
+  std::string run;   // "[agg-]legacy" (the 1-region oracle) or "[agg-]sharded-t<N>"
+  int threads = 1;
+  int shard_regions = 0;
+  Result result;
+};
+
+/// Every counter, scheduler internals included (SweepResult or AggColumns).
+template <typename Result>
+bool counters_match(const Result& a, const Result& b) {
   return a.frames_carried == b.frames_carried &&
          a.bytes_carried == b.bytes_carried &&
          a.frames_lost == b.frames_lost && a.mac_entries == b.mac_entries &&
@@ -72,17 +122,17 @@ int main(int argc, char** argv) {
       "star-" + std::to_string(spec.nodes) + "x" +
       std::to_string(spec.hosts_per_lan);
 
-  std::vector<RunRow> rows;
+  std::vector<RunRow<ab::apps::SweepResult>> rows;
 
   {
-    RunRow row;
+    RunRow<ab::apps::SweepResult> row;
     row.run = "legacy";
     ab::apps::TopologySweep sweep;  // one region, one inline scheduler
     row.result = sweep.run_cell(spec);
     rows.push_back(std::move(row));
   }
   for (const int threads : {1, 2, 4, 8}) {
-    RunRow row;
+    RunRow<ab::apps::SweepResult> row;
     row.run = "sharded-t" + std::to_string(threads);
     row.threads = threads;
     row.shard_regions = 8;
@@ -126,22 +176,22 @@ int main(int argc, char** argv) {
 
   // One child at a time: concurrent rows would share the cores their
   // speedups measure (and each holds ~1 GB).
-  const auto run_agg_row = [&agg_spec](ab::apps::SweepOptions opts) {
-    opts.fork_cells = true;
-    opts.max_parallel_cells = 1;
-    ab::apps::AggregateHostWorkload workload;
-    ab::apps::TopologySweep sweep(opts);
-    return sweep.run_grid({agg_spec}, workload).front();
+  const auto run_agg_row = [&agg_spec](const ab::apps::SweepOptions& opts) {
+    return ab::bench::run_in_child<AggColumns>([&] {
+      ab::apps::AggregateHostWorkload workload;
+      ab::apps::TopologySweep sweep(opts);
+      return agg_columns(sweep.run_cell(agg_spec, workload));
+    });
   };
-  std::vector<RunRow> agg_rows;
+  std::vector<RunRow<AggColumns>> agg_rows;
   {
-    RunRow row;
+    RunRow<AggColumns> row;
     row.run = "agg-legacy";
     row.result = run_agg_row(ab::apps::SweepOptions{});
     agg_rows.push_back(std::move(row));
   }
   for (const int threads : {1, 2, 4, 8}) {
-    RunRow row;
+    RunRow<AggColumns> row;
     row.run = "agg-sharded-t" + std::to_string(threads);
     row.threads = threads;
     row.shard_regions = 8;
@@ -152,9 +202,20 @@ int main(int argc, char** argv) {
     agg_rows.push_back(std::move(row));
   }
 
+  // A failed child reads as zeros, and zeros agree with zeros: every row
+  // must have built the cell and run it before any comparison counts.
+  bool agg_ran = true;
+  for (const RunRow<AggColumns>& row : agg_rows) {
+    if (row.result.hosts == 0 || row.result.events == 0) {
+      agg_ran = false;
+      std::fprintf(stderr, "FAIL: %s came back empty (its child failed)\n",
+                   row.run.c_str());
+    }
+  }
+
   // Determinism gate, aggregate cell: sharded runs bit-identical across
   // thread counts (scheduler internals included)...
-  const ab::apps::SweepResult& agg_1t = agg_rows[1].result;
+  const AggColumns& agg_1t = agg_rows[1].result;
   bool agg_deterministic = true;
   for (std::size_t i = 2; i < agg_rows.size(); ++i) {
     if (!counters_match(agg_rows[i].result, agg_1t)) {
@@ -167,24 +228,17 @@ int main(int argc, char** argv) {
   // traffic EXACTLY (star cells are tie-free): frames, bytes, pings, MAC
   // tables, and the ttcp stream's bytes. This is the in-bench bit-identity
   // assertion the sharded aggregate workload ships under.
-  const ab::apps::SweepResult& agg_legacy = agg_rows[0].result;
-  bool agg_matches_legacy =
+  const AggColumns& agg_legacy = agg_rows[0].result;
+  const bool agg_matches_legacy =
       agg_1t.frames_carried == agg_legacy.frames_carried &&
       agg_1t.bytes_carried == agg_legacy.bytes_carried &&
       agg_1t.frames_lost == agg_legacy.frames_lost &&
       agg_1t.mac_entries == agg_legacy.mac_entries &&
       agg_1t.pings_sent == agg_legacy.pings_sent &&
       agg_1t.pings_answered == agg_legacy.pings_answered &&
-      agg_1t.streams.size() == agg_legacy.streams.size();
-  if (agg_matches_legacy) {
-    for (std::size_t s = 0; s < agg_1t.streams.size(); ++s) {
-      agg_matches_legacy =
-          agg_matches_legacy &&
-          agg_1t.streams[s].bytes_sent == agg_legacy.streams[s].bytes_sent &&
-          agg_1t.streams[s].bytes_received ==
-              agg_legacy.streams[s].bytes_received;
-    }
-  }
+      agg_1t.streams == agg_legacy.streams &&
+      agg_1t.stream_bytes_sent == agg_legacy.stream_bytes_sent &&
+      agg_1t.stream_bytes_received == agg_legacy.stream_bytes_received;
   if (!agg_matches_legacy) {
     std::fprintf(stderr,
                  "FAIL: sharded aggregate traffic diverges from legacy\n");
@@ -192,7 +246,7 @@ int main(int argc, char** argv) {
 
   // Sim time excludes the serial topology build; below zero never happens
   // but guard the division anyway.
-  const auto sim_seconds = [](const ab::apps::SweepResult& r) {
+  const auto sim_seconds = [](const AggColumns& r) {
     const double sim = r.wall_seconds - r.build_ms / 1000.0;
     return sim > 0.0 ? sim : r.wall_seconds;
   };
@@ -205,7 +259,7 @@ int main(int argc, char** argv) {
               cell.c_str(), hw);
   std::printf("%-12s %7s %7s %12s %10s %12s %8s\n", "run", "threads",
               "regions", "events", "wall_s", "events/s", "speedup");
-  for (const RunRow& row : rows) {
+  for (const RunRow<ab::apps::SweepResult>& row : rows) {
     const double speedup =
         (row.shard_regions > 0 && base_eps > 0.0)
             ? row.result.events_per_sec / base_eps
@@ -223,7 +277,7 @@ int main(int argc, char** argv) {
   std::printf("%-16s %7s %7s %10s %10s %10s %12s %8s\n", "run", "threads",
               "regions", "build_s", "wall_s", "sim_s", "B/station",
               "speedup");
-  for (const RunRow& row : agg_rows) {
+  for (const RunRow<AggColumns>& row : agg_rows) {
     const double sim = sim_seconds(row.result);
     const double speedup =
         (row.shard_regions > 0 && sim > 0.0) ? agg_base_sim / sim : 1.0;
@@ -253,7 +307,7 @@ int main(int argc, char** argv) {
                smoke ? "true" : "false", cell.c_str(), hw,
                deterministic ? "true" : "false");
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RunRow& row = rows[i];
+    const RunRow<ab::apps::SweepResult>& row = rows[i];
     const double speedup =
         (row.shard_regions > 0 && base_eps > 0.0)
             ? row.result.events_per_sec / base_eps
@@ -282,12 +336,10 @@ int main(int argc, char** argv) {
                agg_deterministic ? "true" : "false",
                agg_matches_legacy ? "true" : "false");
   for (std::size_t i = 0; i < agg_rows.size(); ++i) {
-    const RunRow& row = agg_rows[i];
+    const RunRow<AggColumns>& row = agg_rows[i];
     const double sim = sim_seconds(row.result);
     const double speedup =
         (row.shard_regions > 0 && sim > 0.0) ? agg_base_sim / sim : 1.0;
-    std::uint64_t stream_bytes = 0;
-    for (const auto& s : row.result.streams) stream_bytes += s.bytes_received;
     std::fprintf(f,
                  "    {\"run\": \"%s\", \"threads\": %d, "
                  "\"shard_regions\": %d, \"events\": %llu, "
@@ -302,7 +354,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(row.result.bytes_carried),
                  row.result.pings_answered,
                  static_cast<unsigned long long>(row.result.mac_entries),
-                 static_cast<unsigned long long>(stream_bytes),
+                 static_cast<unsigned long long>(row.result.stream_bytes_received),
                  row.result.build_ms, row.result.bytes_per_station,
                  row.result.wall_seconds, sim, speedup,
                  i + 1 < agg_rows.size() ? "," : "");
@@ -311,5 +363,5 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote BENCH_parallel.json\n");
 
-  return (deterministic && agg_deterministic && agg_matches_legacy) ? 0 : 1;
+  return deterministic && agg_ran && agg_deterministic && agg_matches_legacy ? 0 : 1;
 }

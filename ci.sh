@@ -58,6 +58,13 @@ cmake --build build-release -j
 # parallel_scaling --smoke runs the sharded star cell at 1/2/4/8 worker
 # threads and exits non-zero if any thread count changes any counter.
 (cd build-release && ./parallel_scaling --smoke && cat BENCH_parallel.json)
+# The end-to-end benchmark's self-check on shrunken cells: builds bench/e2e against
+# this tree, runs every workload on shrunken cells, and fails on its
+# correctness gate -- so a simulator change that breaks the benchmark's
+# build or gate fails here, not on the next benchmark run.
+bench/e2e/run.sh --smoke > /dev/null
+(cd build-release && ./ablation_spanning_tree && ./ablation_learning \
+  && ./fig9_ping_latency && ./table1_protocol_transition) > /dev/null
 # Guards: the batch-insert and timed-run cells exist, the flood profile
 # stays at O(1) delivery events per broadcast per segment, the transmit
 # hops (NIC burst drain, bridge egress TxBatch, fragmented write through
@@ -66,11 +73,5 @@ cmake --build build-release -j
 # budgets with every ping answered. Plus the sharded-core guards: the
 # scaling runs are deterministic across thread counts, and the 4-thread
 # speedup holds 2.0x when the runner actually has >= 4 hardware threads.
+# Last, so a failing guard cannot keep the steps above from running.
 ./scripts/check_bench_smoke.sh build-release
-# The end-to-end benchmark's self-check on shrunken cells: builds bench/e2e against
-# this tree, runs every workload on shrunken cells, and fails on its
-# correctness gate -- so a simulator change that breaks the benchmark's
-# build or gate fails here, not on the next benchmark run.
-bench/e2e/run.sh --smoke > /dev/null
-(cd build-release && ./ablation_spanning_tree && ./ablation_learning \
-  && ./fig9_ping_latency && ./table1_protocol_transition) > /dev/null

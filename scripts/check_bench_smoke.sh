@@ -51,14 +51,18 @@
 #      >= 4 hardware threads; starved CI containers (1 vCPU) skip the
 #      bound with an explicit note rather than fake it.
 #   9. aggregate_parallel (same file, "agg-" rows): the million-station
-#      cell through the sharded core. The partitioned aggregate workload
-#      must reproduce the legacy single-scheduler run bit-identically
-#      (frames, bytes, pings, MAC entries -- aggregate_matches_legacy from
-#      the bench, cross-checked on the rows here), every sharded thread
-#      count must agree with agg-sharded-t1 on events and frames, the
-#      4-thread speedup over SIM time (the serial build excluded) must
-#      reach 2.0x under the same hardware-thread guard as #8, and
-#      bytes_per_station must stay inside the same 1024 B budget as #6.
+#      cell through the sharded core. It must have run at size (the same
+#      1,000,000-station floor as #6) with events on every agg- row: each
+#      row runs in a forked child, and a failed child reads as zeros,
+#      which would agree with zeros below. The partitioned aggregate
+#      workload must reproduce the legacy single-scheduler run
+#      bit-identically (frames, bytes, pings, MAC entries --
+#      aggregate_matches_legacy from the bench, cross-checked on the rows
+#      here), every sharded thread count must agree with agg-sharded-t1 on
+#      events and frames, the 4-thread speedup over SIM time (the serial
+#      build excluded) must reach 2.0x under the same hardware-thread
+#      guard as #8, and bytes_per_station must stay inside the same
+#      1024 B budget as #6.
 #  10. saturated_run (BENCH_scheduler.json): one timed run extended at a
 #      standing backlog of 64, measured in its own forked child. Its
 #      peak-RSS growth per fired entry must stay at or below 8 B: a run
@@ -299,6 +303,19 @@ else
 fi
 
 # --- aggregate_parallel: the million-station cell, sharded ---------------
+
+agg_stations=$(field "$(grep '"aggregate_stations"' "$par_json")" aggregate_stations)
+[ -n "$agg_stations" ] || fail "could not parse aggregate_stations from $par_json"
+if ! awk -v n="$agg_stations" -v min="$min_stations" 'BEGIN { exit !(n >= min) }'; then
+  fail "sharded aggregate cell shrank: $agg_stations stations (floor: $min_stations)"
+fi
+for run in agg-legacy agg-sharded-t1 agg-sharded-t2 agg-sharded-t4 agg-sharded-t8; do
+  line=$(grep "\"run\": \"$run\"" "$par_json") || fail "$par_json has no $run run"
+  ev=$(field "$line" events)
+  if [ -z "$ev" ] || [ "$ev" -eq 0 ]; then
+    fail "$run ran no events (its forked child failed?)"
+  fi
+done
 
 grep -q '"aggregate_deterministic": true' "$par_json" \
   || fail "$par_json: sharded aggregate runs diverge across thread counts"

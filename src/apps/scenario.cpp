@@ -5,15 +5,12 @@
 #include <chrono>
 #include <map>
 #include <stdexcept>
-#include <thread>
 
 #if defined(__linux__)
 #include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #endif
 
 #include "src/apps/deployer.h"
@@ -406,6 +403,16 @@ void FloodPingWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   for (const int slot : answered) result.pings_answered += slot;
 }
 
+namespace {
+
+/// Every ttcp stream a workload starts writes the paper's 8 KB writes.
+constexpr std::size_t kTtcpWriteSize = 8192;
+/// Successive streams of a TtcpStreamWorkload start this far apart (ARP
+/// staggering).
+constexpr netsim::Duration kStreamStagger = netsim::milliseconds(10);
+
+}  // namespace
+
 void TtcpStreamWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   const std::size_t host_count = ctx.host_count();
   if (host_count < 2 || options_.streams < 1) {
@@ -487,22 +494,21 @@ void TtcpStreamWorkload::run(WorkloadContext& ctx, SweepResult& result) {
     TtcpConfig cfg;
     cfg.destination = sink_host.ip();
     cfg.port = port;
-    cfg.write_size = options_.write_size;
+    cfg.write_size = kTtcpWriteSize;
     cfg.total_bytes = options_.bytes_per_stream;
     if (options_.transport == Transport::kTcp) {
       stream.tcp_sink = std::make_unique<TcpTtcpSink>(sink_host.scheduler(),
                                                       sink_host, port);
-      stream.tcp_sender = std::make_unique<TcpTtcpSender>(
-          sender_host, cfg, options_.offered_rate_bps);
+      stream.tcp_sender = std::make_unique<TcpTtcpSender>(sender_host, cfg);
       TcpTtcpSender* raw = stream.tcp_sender.get();
-      sender_host.scheduler().schedule_after(options_.stagger * s,
+      sender_host.scheduler().schedule_after(kStreamStagger * s,
                                              [raw] { raw->start(); });
     } else {
       stream.sink =
           std::make_unique<TtcpSink>(sink_host.scheduler(), sink_host, port);
       stream.sender = std::make_unique<TtcpSender>(sender_host, cfg);
       TtcpSender* raw = stream.sender.get();
-      sender_host.scheduler().schedule_after(options_.stagger * s,
+      sender_host.scheduler().schedule_after(kStreamStagger * s,
                                              [raw] { raw->start(); });
     }
     live.push_back(std::move(stream));
@@ -538,6 +544,22 @@ void TtcpStreamWorkload::run(WorkloadContext& ctx, SweepResult& result) {
     result.streams.push_back(std::move(sr));
   }
 }
+
+namespace {
+
+/// Spacing between a LAN's consecutive background frames. Must exceed the
+/// frames' serialization time so the one generator NIC never queues (that
+/// idleness is what makes aggregate == materialized).
+constexpr netsim::Duration kBackgroundGap = netsim::milliseconds(4);
+/// Background starts this far into the traffic window (lets the talker
+/// ping/ARP flurry settle first).
+constexpr netsim::Duration kBackgroundStart = netsim::milliseconds(100);
+/// Broadcasts in the probe burst on lan0.
+constexpr int kProbeBroadcasts = 4;
+/// Bytes of the one ttcp stream between the first talkers of two LANs.
+constexpr std::size_t kTalkerStreamBytes = 64 * 1024;
+
+}  // namespace
 
 void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   // Everything below goes through the context's views, so the same code
@@ -599,53 +621,49 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   }
 
   // ---- flood burst from a probe on lan0 ----
-  if (options_.probe_broadcasts > 0) {
-    netsim::Nic& probe = ctx.add_station_nic(result.label + ".probe", 0);
-    std::vector<ether::WireFrame> burst;
-    burst.reserve(static_cast<std::size_t>(options_.probe_broadcasts));
-    for (int i = 0; i < options_.probe_broadcasts; ++i) {
-      burst.emplace_back(ether::Frame::ethernet2(
-          ether::MacAddress::broadcast(), probe.mac(),
-          ether::EtherType::kExperimental, {static_cast<std::uint8_t>(i)}));
-    }
-    probe.transmit_burst(burst);
+  netsim::Nic& probe = ctx.add_station_nic(result.label + ".probe", 0);
+  std::vector<ether::WireFrame> burst;
+  burst.reserve(kProbeBroadcasts);
+  for (int i = 0; i < kProbeBroadcasts; ++i) {
+    burst.emplace_back(ether::Frame::ethernet2(
+        ether::MacAddress::broadcast(), probe.mac(),
+        ether::EtherType::kExperimental, {static_cast<std::uint8_t>(i)}));
   }
+  probe.transmit_burst(burst);
 
   // ---- one ttcp stream between the first talkers of two LANs ----
   std::unique_ptr<TtcpSink> sink;
   std::unique_ptr<TtcpSender> sender;
   std::string stream_label;
-  if (options_.ttcp_bytes > 0) {
-    std::size_t lan_a = lan_count;
-    std::size_t lan_b = lan_count;
-    for (std::size_t l = 0; l < by_lan.size(); ++l) {
-      if (by_lan[l].empty()) continue;
-      if (lan_a == lan_count) {
-        lan_a = l;
-      } else if (lan_b == lan_count) {
-        lan_b = l;
-        break;
-      }
+  std::size_t lan_a = lan_count;
+  std::size_t lan_b = lan_count;
+  for (std::size_t l = 0; l < by_lan.size(); ++l) {
+    if (by_lan[l].empty()) continue;
+    if (lan_a == lan_count) {
+      lan_a = l;
+    } else if (lan_b == lan_count) {
+      lan_b = l;
+      break;
     }
-    if (lan_b == lan_count) lan_b = lan_a;  // single populated LAN
-    if (lan_a != lan_count && (lan_a != lan_b || by_lan[lan_a].size() >= 2)) {
-      const std::size_t src = by_lan[lan_a][0];
-      const std::size_t dst = lan_a == lan_b ? by_lan[lan_a][1] : by_lan[lan_b][0];
-      stack::HostStack& sender_host = ctx.host(src);
-      stack::HostStack& sink_host = ctx.host(dst);
-      stream_label = ctx.host_attach(src).name + " -> " + ctx.host_attach(dst).name;
-      // Sink timing on the SINK's clock (its shard's scheduler when the
-      // endpoints live in different regions -- the stream then rides the
-      // cut LAN's mailboxes like any other cross-region frame).
-      sink = std::make_unique<TtcpSink>(sink_host.scheduler(), sink_host, 5001);
-      TtcpConfig cfg;
-      cfg.destination = sink_host.ip();
-      cfg.port = 5001;
-      cfg.write_size = options_.write_size;
-      cfg.total_bytes = options_.ttcp_bytes;
-      sender = std::make_unique<TtcpSender>(sender_host, cfg);
-      sender->start();
-    }
+  }
+  if (lan_b == lan_count) lan_b = lan_a;  // single populated LAN
+  if (lan_a != lan_count && (lan_a != lan_b || by_lan[lan_a].size() >= 2)) {
+    const std::size_t src = by_lan[lan_a][0];
+    const std::size_t dst = lan_a == lan_b ? by_lan[lan_a][1] : by_lan[lan_b][0];
+    stack::HostStack& sender_host = ctx.host(src);
+    stack::HostStack& sink_host = ctx.host(dst);
+    stream_label = ctx.host_attach(src).name + " -> " + ctx.host_attach(dst).name;
+    // Sink timing on the SINK's clock (its shard's scheduler when the
+    // endpoints live in different regions -- the stream then rides the
+    // cut LAN's mailboxes like any other cross-region frame).
+    sink = std::make_unique<TtcpSink>(sink_host.scheduler(), sink_host, 5001);
+    TtcpConfig cfg;
+    cfg.destination = sink_host.ip();
+    cfg.port = 5001;
+    cfg.write_size = kTtcpWriteSize;
+    cfg.total_bytes = kTalkerStreamBytes;
+    sender = std::make_unique<TtcpSender>(sender_host, cfg);
+    sender->start();
   }
 
   // ---- aggregate background: seeded sample of each LAN's idle stations ----
@@ -702,14 +720,13 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
       const ether::WireFrame echo_frame(ether::Frame::ethernet2(
           talker_mac, st_mac, ether::EtherType::kIpv4, h.encode(echo.encode())));
 
-      const netsim::Duration at =
-          options_.background_start + options_.background_gap * static_cast<int>(j);
+      const netsim::Duration at = kBackgroundStart + kBackgroundGap * static_cast<int>(j);
       // The station, its LAN's generator, and the LAN's talker all live in
       // the LAN's owning region, so the station's clock is the right clock
       // for either tx NIC.
       netsim::Scheduler& clock = station.scheduler();
       clock.schedule_after(at, [tx_nic, arp_frame] { tx_nic->transmit(arp_frame); });
-      clock.schedule_after(at + options_.background_gap / 2,
+      clock.schedule_after(at + kBackgroundGap / 2,
                            [tx_nic, echo_frame] { tx_nic->transmit(echo_frame); });
       ++result.pings_sent;
     }
@@ -778,6 +795,13 @@ std::vector<int> rollout_stages(const std::vector<std::vector<int>>& node_lans,
 /// The switchlet every rollout step pushes: a passive tap, so the new
 /// generation's own frame count is readable per bridge.
 constexpr const char* kRolloutImage = "bridge.monitor";
+/// Padding appended to the image (simulated code size; drives TFTP
+/// transfer time like bench/sec75_load_time).
+constexpr std::size_t kRolloutImagePadding = 4096;
+/// Hosts pinging their successor during the rollout, capped so
+/// thousand-station cells don't drown the deployment being measured.
+constexpr std::size_t kRolloutPingPairs = 32;
+constexpr netsim::Duration kRolloutPingInterval = netsim::milliseconds(500);
 
 }  // namespace
 
@@ -805,18 +829,15 @@ void RolloutWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   const std::size_t hosts = ctx.host_count();
   const double window_secs = netsim::to_seconds(ctx.options.traffic_window);
   if (hosts >= 2) {
-    const std::size_t pairs = std::min<std::size_t>(
-        hosts, static_cast<std::size_t>(options_.max_background_pairs));
+    const std::size_t pairs = std::min(hosts, kRolloutPingPairs);
     const int count = std::max(
-        1, static_cast<int>(window_secs /
-                            netsim::to_seconds(options_.ping_interval)) -
-               1);
+        1, static_cast<int>(window_secs / netsim::to_seconds(kRolloutPingInterval)) - 1);
     for (std::size_t i = 0; i < pairs; ++i) {
       stack::HostStack& src = ctx.host(i);
       stack::HostStack& dst = ctx.host((i + 1) % hosts);
       auto app = std::make_unique<PingApp>(src.scheduler(), src, dst.ip(),
                                            static_cast<std::uint16_t>(0x200 + i));
-      app->run(count, 64, options_.ping_interval);
+      app->run(count, 64, kRolloutPingInterval);
       result.pings_sent += count;
       pings.push_back(std::move(app));
     }
@@ -831,7 +852,7 @@ void RolloutWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   });
 
   active::SwitchletImage image = active::SwitchletImage::named(kRolloutImage);
-  image.payload.assign(options_.payload_padding, 0xAB);
+  image.payload.assign(kRolloutImagePadding, 0xAB);
 
   std::vector<DeployStep> plan;
   std::map<stack::Ipv4Addr, std::size_t> bridge_of;  // loader IP -> bridge index
@@ -1012,217 +1033,12 @@ std::vector<SweepResult> TopologySweep::run_grid(
 
 std::vector<SweepResult> TopologySweep::run_grid(
     const std::vector<netsim::TopologySpec>& grid, Workload& workload) {
-#if defined(__linux__)
-  // Even a single-cell grid forks when asked: the point is per-cell RSS
-  // isolation (peak_rss_bytes measured in a child that built ONLY this
-  // cell), not just parallelism across cells.
-  if (options_.fork_cells && !grid.empty()) {
-    return run_grid_forked(grid, workload);
-  }
-#endif
   std::vector<SweepResult> cells;
   cells.reserve(grid.size());
   for (const netsim::TopologySpec& spec : grid) {
     cells.push_back(run_cell(spec, workload));
   }
   return cells;
-}
-
-#if defined(__linux__)
-namespace {
-
-// ---- fork-per-cell result shuttle ----
-// The child serializes every measured field over its pipe; the parent
-// reattaches what it already knows (spec, label, workload). Labels go last
-// on their lines because they contain spaces.
-
-void write_result(std::FILE* f, const SweepResult& r) {
-  std::fprintf(
-      f,
-      "cell %d %d %d %d %d %d %d %llu %llu %llu %llu %zu %d %d %llu %llu %llu "
-      "%.17g %.17g %.17g %.17g %llu %.17g\n",
-      r.bridges, r.lans, r.hosts, r.ports, r.stp_converged ? 1 : 0,
-      r.blocked_ports, r.forwarding_ports,
-      static_cast<unsigned long long>(r.frames_carried),
-      static_cast<unsigned long long>(r.bytes_carried),
-      static_cast<unsigned long long>(r.frames_lost),
-      static_cast<unsigned long long>(r.receivers_visited), r.mac_entries, r.pings_sent,
-      r.pings_answered, static_cast<unsigned long long>(r.events),
-      static_cast<unsigned long long>(r.heap_inserts),
-      static_cast<unsigned long long>(r.scheduled_entries), r.virtual_seconds,
-      r.wall_seconds, r.events_per_sec, r.build_ms,
-      static_cast<unsigned long long>(r.peak_rss_bytes), r.bytes_per_station);
-  std::fprintf(f, "streams %zu\n", r.streams.size());
-  for (const StreamResult& s : r.streams) {
-    std::fprintf(f, "%zu %zu %zu %.17g %.17g %llu %llu %s\n", s.bytes_sent,
-                 s.bytes_received, s.datagrams, s.goodput_mbps, s.loss_fraction,
-                 static_cast<unsigned long long>(s.retransmits),
-                 static_cast<unsigned long long>(s.cwnd_final), s.label.c_str());
-  }
-  std::fprintf(f, "rollout %zu\n", r.rollout.size());
-  for (const RolloutStepResult& s : r.rollout) {
-    std::fprintf(f, "%d %d %d %.17g %llu %llu %llu %s\n", s.stage, s.ok ? 1 : 0,
-                 s.attempts, s.load_ms,
-                 static_cast<unsigned long long>(s.frames_before_load),
-                 static_cast<unsigned long long>(s.frames_after_load),
-                 static_cast<unsigned long long>(s.bytes_pushed), s.bridge.c_str());
-  }
-}
-
-/// Reads the rest of the line (after the numeric prefix) as a label.
-std::string read_label(std::FILE* f) {
-  std::string label;
-  int c = std::fgetc(f);
-  if (c == ' ') c = std::fgetc(f);  // the separator before the label
-  while (c != EOF && c != '\n') {
-    label.push_back(static_cast<char>(c));
-    c = std::fgetc(f);
-  }
-  return label;
-}
-
-bool read_result(std::FILE* f, SweepResult& r) {
-  int stp = 0;
-  unsigned long long frames = 0, bytes = 0, lost = 0, visited = 0, events = 0,
-                     inserts = 0, scheduled = 0, rss = 0;
-  if (std::fscanf(f,
-                  " cell %d %d %d %d %d %d %d %llu %llu %llu %llu %zu %d %d %llu "
-                  "%llu %llu %lg %lg %lg %lg %llu %lg",
-                  &r.bridges, &r.lans, &r.hosts, &r.ports, &stp, &r.blocked_ports,
-                  &r.forwarding_ports, &frames, &bytes, &lost, &visited,
-                  &r.mac_entries, &r.pings_sent, &r.pings_answered, &events,
-                  &inserts, &scheduled, &r.virtual_seconds, &r.wall_seconds,
-                  &r.events_per_sec, &r.build_ms, &rss,
-                  &r.bytes_per_station) != 23) {
-    return false;
-  }
-  r.stp_converged = stp != 0;
-  r.frames_carried = frames;
-  r.bytes_carried = bytes;
-  r.frames_lost = lost;
-  r.receivers_visited = visited;
-  r.events = events;
-  r.heap_inserts = inserts;
-  r.scheduled_entries = scheduled;
-  r.peak_rss_bytes = rss;
-
-  std::size_t count = 0;
-  if (std::fscanf(f, " streams %zu", &count) != 1) return false;
-  r.streams.resize(count);
-  for (StreamResult& s : r.streams) {
-    unsigned long long retransmits = 0, cwnd_final = 0;
-    if (std::fscanf(f, " %zu %zu %zu %lg %lg %llu %llu", &s.bytes_sent,
-                    &s.bytes_received, &s.datagrams, &s.goodput_mbps,
-                    &s.loss_fraction, &retransmits, &cwnd_final) != 7) {
-      return false;
-    }
-    s.retransmits = retransmits;
-    s.cwnd_final = cwnd_final;
-    s.label = read_label(f);
-  }
-  if (std::fscanf(f, " rollout %zu", &count) != 1) return false;
-  r.rollout.resize(count);
-  for (RolloutStepResult& s : r.rollout) {
-    int ok = 0;
-    unsigned long long before = 0, after = 0, pushed = 0;
-    if (std::fscanf(f, " %d %d %d %lg %llu %llu %llu", &s.stage, &ok, &s.attempts,
-                    &s.load_ms, &before, &after, &pushed) != 7) {
-      return false;
-    }
-    s.ok = ok != 0;
-    s.frames_before_load = before;
-    s.frames_after_load = after;
-    s.bytes_pushed = pushed;
-    s.bridge = read_label(f);
-  }
-  return true;
-}
-
-}  // namespace
-#endif  // __linux__
-
-std::vector<SweepResult> TopologySweep::run_grid_forked(
-    const std::vector<netsim::TopologySpec>& grid, Workload& workload) {
-#if !defined(__linux__)
-  std::vector<SweepResult> cells;
-  cells.reserve(grid.size());
-  for (const netsim::TopologySpec& spec : grid) {
-    cells.push_back(run_cell(spec, workload));
-  }
-  return cells;
-#else
-  const int cap = std::max(
-      1, options_.max_parallel_cells > 0
-             ? options_.max_parallel_cells
-             : static_cast<int>(std::thread::hardware_concurrency()));
-
-  struct Child {
-    pid_t pid = -1;
-    int fd = -1;
-  };
-  std::vector<Child> children(grid.size());
-
-  const auto spawn = [&](std::size_t i) {
-    int fds[2];
-    if (pipe(fds) != 0) {
-      throw std::runtime_error("run_grid: pipe() failed");
-    }
-    const pid_t pid = fork();
-    if (pid < 0) {
-      close(fds[0]);
-      close(fds[1]);
-      throw std::runtime_error("run_grid: fork() failed");
-    }
-    if (pid == 0) {
-      // Child: a fresh address space, so this cell's getrusage peak and
-      // page residency are ITS OWN -- bytes_per_station no longer reads 0
-      // because some earlier, bigger cell already touched the pages.
-      close(fds[0]);
-      int status = 0;
-      std::FILE* out = fdopen(fds[1], "w");
-      try {
-        const SweepResult r = run_cell(grid[i], workload);
-        if (out != nullptr) {
-          write_result(out, r);
-          std::fflush(out);
-        }
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "run_grid cell %zu: %s\n", i, e.what());
-        status = 1;
-      }
-      if (out != nullptr) std::fclose(out);
-      _exit(status);
-    }
-    close(fds[1]);
-    children[i] = Child{pid, fds[0]};
-  };
-
-  std::vector<SweepResult> cells(grid.size());
-  std::size_t spawned = 0;
-  for (std::size_t reaped = 0; reaped < grid.size(); ++reaped) {
-    while (spawned < grid.size() &&
-           spawned - reaped < static_cast<std::size_t>(cap)) {
-      spawn(spawned++);
-    }
-    // Read the oldest child to EOF (younger siblings keep running; a child
-    // that outgrows the pipe buffer simply blocks until its turn).
-    Child& child = children[reaped];
-    std::FILE* in = fdopen(child.fd, "r");
-    const bool parsed = in != nullptr && read_result(in, cells[reaped]);
-    if (in != nullptr) std::fclose(in);
-    int status = 0;
-    waitpid(child.pid, &status, 0);
-    const bool exited_ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (!parsed || !exited_ok) {
-      throw std::runtime_error("run_grid: forked cell " +
-                               grid[reaped].label() + " failed");
-    }
-    cells[reaped].spec = grid[reaped];
-    cells[reaped].label = grid[reaped].label();
-    cells[reaped].workload = std::string(workload.name());
-  }
-  return cells;
-#endif
 }
 
 std::vector<netsim::TopologySpec> TopologySweep::make_grid(

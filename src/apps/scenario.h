@@ -240,15 +240,6 @@ struct SweepOptions {
   /// many. Results do not depend on `threads`; on tie-free cells they do
   /// not depend on the region count either.
   int shard_regions = 0;
-  /// run_grid: build and measure each cell in its OWN forked worker
-  /// process (Linux only; elsewhere it falls back to in-process cells).
-  /// Besides the wall-clock win, per-cell processes give every cell a
-  /// fresh getrusage peak and untouched pages, so peak_rss_bytes and
-  /// bytes_per_station measure THAT cell instead of whichever earlier
-  /// cell in the process was biggest.
-  bool fork_cells = false;
-  /// Concurrent forked cells (0: hardware concurrency).
-  int max_parallel_cells = 0;
   bridge::BridgeNodeConfig node_config;
   bridge::TopologyBuildOptions build;
 };
@@ -366,16 +357,8 @@ class TtcpStreamWorkload final : public Workload {
   struct Options {
     int streams = 4;                       ///< concurrent sender/sink pairs
     std::size_t bytes_per_stream = 256 * 1024;
-    std::size_t write_size = 8192;         ///< the paper's 8 KB writes
-    /// Successive streams start this far apart (ARP staggering).
-    netsim::Duration stagger = netsim::milliseconds(10);
     Placement placement = Placement::kPaired;
     Transport transport = Transport::kUdp;
-    /// kTcp only: application write pacing per stream in bits/s (the
-    /// offered-load knob of the incast bench); 0 writes like a blocking
-    /// ttcp -- a bounded send buffer, topped up as acks free it -- and lets
-    /// the congestion window clock the wire (see TcpTtcpSender).
-    double offered_rate_bps = 0.0;
   };
 
   TtcpStreamWorkload() = default;
@@ -403,8 +386,8 @@ class TtcpStreamWorkload final : public Workload {
 /// background from each sampled station's own NIC: the frames, their
 /// timestamps, the bridges' learned tables, and every scheduler/LAN
 /// counter match exactly on loss-free segments, because the only
-/// difference is which NIC clocked the frame onto the wire and
-/// background_gap keeps the generator's transmitter idle between frames
+/// difference is which NIC clocked the frame onto the wire and the
+/// background gap keeps the generator's transmitter idle between frames
 /// (no queueing skew). `materialize_background` flips to the reference
 /// model so tests can assert the equivalence on small cells.
 ///
@@ -423,24 +406,12 @@ class AggregateHostWorkload final : public Workload {
     int talkers_per_lan = 2;
     /// Idle stations per LAN whose chatter is modeled, sampled by seed.
     int background_per_lan = 16;
-    /// Spacing between a LAN's consecutive background frames. Must exceed
-    /// the frames' serialization time so the one generator NIC never
-    /// queues (that idleness is what makes aggregate == materialized).
-    netsim::Duration background_gap = netsim::milliseconds(4);
-    /// Background starts this far into the traffic window (lets the
-    /// talker ping/ARP flurry settle first).
-    netsim::Duration background_start = netsim::milliseconds(100);
     /// Seeds the background sample. Same seed, same cell -> bit-identical
     /// counters.
     std::uint64_t seed = 1;
     /// Replay each background frame from its own station's NIC instead of
     /// the per-LAN generator (the fully-materialized reference model).
     bool materialize_background = false;
-    /// Broadcast burst from a probe NIC on lan0 (0 disables).
-    int probe_broadcasts = 4;
-    /// One ttcp stream between the first talkers of two LANs (0 disables).
-    std::size_t ttcp_bytes = 64 * 1024;
-    std::size_t write_size = 8192;  ///< the paper's 8 KB writes
   };
 
   AggregateHostWorkload() = default;
@@ -468,24 +439,8 @@ class AggregateHostWorkload final : public Workload {
 /// counter (the monitor's, the loader's) is read after advance().
 class RolloutWorkload final : public Workload {
  public:
-  struct Options {
-    /// Padding appended to the image (simulated code size; drives TFTP
-    /// transfer time like bench/sec75_load_time).
-    std::size_t payload_padding = 4096;
-    /// Hosts pinging their successor during the rollout, capped so
-    /// thousand-station cells don't drown the deployment being measured.
-    int max_background_pairs = 32;
-    netsim::Duration ping_interval = netsim::milliseconds(500);
-  };
-
-  RolloutWorkload() = default;
-  explicit RolloutWorkload(Options options) : options_(options) {}
-
   [[nodiscard]] std::string_view name() const override { return "rollout"; }
   void run(WorkloadContext& ctx, SweepResult& result) override;
-
- private:
-  Options options_;
 };
 
 /// Builds each cell of a grid as a fresh sharded cell, converges it, and
@@ -522,10 +477,6 @@ class TopologySweep {
   [[nodiscard]] static std::string format_json(const std::vector<SweepResult>& cells);
 
  private:
-  /// Fork-per-cell grid executor (Linux; see SweepOptions::fork_cells).
-  [[nodiscard]] std::vector<SweepResult> run_grid_forked(
-      const std::vector<netsim::TopologySpec>& grid, Workload& workload);
-
   SweepOptions options_;
 };
 

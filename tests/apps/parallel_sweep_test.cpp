@@ -6,6 +6,14 @@
 // build itself is pinned against the single-Network build_topology.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <stdexcept>
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+
+#include "bench/fork_cell.h"
 #include "src/apps/scenario.h"
 #include "src/bridge/sharded_topology.h"
 #include "src/bridge/topology.h"
@@ -511,37 +519,67 @@ TEST(ParallelSweep, ShardedRolloutMatchesOracle) {
   }
 }
 
-TEST(ParallelSweep, ForkedGridMatchesInProcessGrid) {
-  // Fork-per-cell must be a pure execution-strategy change: same cells,
-  // same order, same traffic numbers as the in-process loop. (On non-Linux
-  // builds fork_cells falls back to the in-process loop, so the test still
-  // holds trivially.)
-  const auto grid = TopologySweep::make_grid(
-      {netsim::TopologyShape::kLine}, {1, 2}, 1);
+// bench::run_in_child is the one fork harness the benches use to measure a
+// cell in a process of its own.
 
-  TopologySweep in_process;
-  const auto serial = in_process.run_grid(grid);
-
-  SweepOptions opts;
-  opts.fork_cells = true;
-  opts.max_parallel_cells = 2;
-  TopologySweep forked_sweep(opts);
-  const auto forked = forked_sweep.run_grid(grid);
-
-  ASSERT_EQ(forked.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(forked[i].label, serial[i].label);
-    EXPECT_EQ(forked[i].workload, serial[i].workload);
-    expect_observables_equal(forked[i], serial[i], forked[i].label);
-    EXPECT_EQ(forked[i].events, serial[i].events);
-    EXPECT_EQ(forked[i].bridges, serial[i].bridges);
-    EXPECT_EQ(forked[i].hosts, serial[i].hosts);
+TEST(ForkCell, ChildCellMatchesInProcessCell) {
+  // Forking is a pure execution-strategy change: a cell's columns come
+  // back from the child exactly as the same cell computes them in process,
+  // and the child reports its own process's peak RSS.
+  struct Columns {
+    std::uint64_t frames_carried = 0;
+    std::uint64_t events = 0;
+    int pings_answered = 0;
+    std::uint64_t peak_rss_bytes = 0;
+  };
+  const auto cell = [] {
+    TopologySweep sweep;
+    const SweepResult r = sweep.run_cell(star_cell());
+    return Columns{r.frames_carried, r.events, r.pings_answered, r.peak_rss_bytes};
+  };
+  const Columns child = bench::run_in_child<Columns>(cell);
+  const Columns in_process = cell();
+  ASSERT_GT(in_process.frames_carried, 0u);
+  EXPECT_EQ(child.frames_carried, in_process.frames_carried);
+  EXPECT_EQ(child.events, in_process.events);
+  EXPECT_EQ(child.pings_answered, in_process.pings_answered);
 #if defined(__linux__)
-    // Each forked cell reports its own process's peak, not a predecessor's.
-    EXPECT_GT(forked[i].peak_rss_bytes, 0u);
+  EXPECT_GT(child.peak_rss_bytes, 0u);
 #endif
-  }
 }
+
+#if defined(__linux__)
+TEST(ForkCell, AThrowingCellComesBackEmptyAndNeverReturnsIntoTheCaller) {
+  // A child whose cell throws must end inside run_in_child. If the
+  // exception escaped, the child would go on running this test -- and,
+  // under gtest, the rest of the suite -- as a second copy of the caller.
+  // The catch block below is reachable only by such a child; it leaves a
+  // mark in a file both processes share, then exits.
+  struct Columns {
+    std::uint64_t events = 0;
+    int hosts = 0;
+  };
+  std::FILE* escaped = std::tmpfile();
+  ASSERT_NE(escaped, nullptr);
+  const pid_t parent = getpid();
+  Columns got{7, 7};
+  try {
+    got = bench::run_in_child<Columns>([]() -> Columns {
+      throw std::runtime_error("cell failed");
+    });
+  } catch (...) {
+    if (getpid() == parent) throw;
+    std::fputs("the child returned into the caller", escaped);
+    std::fflush(escaped);
+    _exit(0);
+  }
+  EXPECT_EQ(got.events, 0u);
+  EXPECT_EQ(got.hosts, 0);
+  ASSERT_EQ(std::fseek(escaped, 0, SEEK_END), 0);
+  EXPECT_EQ(std::ftell(escaped), 0L);
+  std::fclose(escaped);
+}
+#endif
 
 }  // namespace
 }  // namespace ab::apps
