@@ -385,7 +385,11 @@ MacGrowthProfile run_mac_growth_profile(std::size_t tables, std::size_t addresse
 /// relay, drop filter or capture, so nothing reads wire bytes and the lazy
 /// datapath must build none. Encoding every transmitted frame read 0.50
 /// per frame carried here: one encode per frame a host sends, which the
-/// bridge then carries onto a second segment.
+/// bridge then carries onto a second segment. It also counts the payload
+/// bytes the host stacks copy (DatapathCounters::bytes_copied) per byte
+/// the sink received: each byte is copied once, into the segment that
+/// encodes it, so a loss-free run reads 1.0 and retransmissions add their
+/// bytes; codecs that copy on both encode and decode read 4.0.
 struct TcpIncastProfile {
   int senders = 0;
   double link_mbps = 0.0;
@@ -399,10 +403,16 @@ struct TcpIncastProfile {
   std::size_t connections = 0;
   std::uint64_t encodes = 0;         ///< Frame::encode calls over the run
   std::uint64_t frames_carried = 0;  ///< summed over the cell's segments
+  std::uint64_t bytes_copied = 0;    ///< payload bytes copied over the run
   [[nodiscard]] double encodes_per_frame() const {
     return frames_carried == 0 ? 0.0
                                : static_cast<double>(encodes) /
                                      static_cast<double>(frames_carried);
+  }
+  [[nodiscard]] double copies_per_payload_byte() const {
+    return bytes_received == 0 ? 0.0
+                               : static_cast<double>(bytes_copied) /
+                                     static_cast<double>(bytes_received);
   }
 };
 
@@ -452,6 +462,7 @@ TcpIncastProfile run_tcp_incast_profile(int senders, std::size_t bytes_each) {
 
   TcpIncastProfile p;
   p.encodes = ether::datapath_counters().encodes;
+  p.bytes_copied = ether::datapath_counters().bytes_copied;
   for (const auto& segment : net.segments()) {
     p.frames_carried += segment->stats().frames_carried;
   }
@@ -712,20 +723,26 @@ int main(int argc, char** argv) {
   std::printf("\n%s", apps::TopologySweep::format_table(hub_cells).c_str());
 
   // ---- TCP incast onto a hub sink -----------------------------------------
+  // Payload copies per byte received: one (the encode) plus retransmitted
+  // bytes; a second copy anywhere on the path reads >= 2. Mirrored in
+  // scripts/check_bench_smoke.sh.
+  constexpr double kMaxCopiesPerPayloadByte = 1.5;
   const TcpIncastProfile incast =
       run_tcp_incast_profile(8, smoke ? 256 * 1024 : 1024 * 1024);
   std::printf(
       "\ntcp incast: %d senders offering %.0f Mb/s onto a %.0f Mb/s hub link "
       "-> %.1f Mb/s goodput (fair share %.1f, slowest stream %.1f), "
       "%llu retransmits, %llu/%llu bytes delivered on %zu connections, "
-      "%llu encodes over %llu frames carried\n",
+      "%llu encodes over %llu frames carried, %.3f payload copies per byte "
+      "received\n",
       incast.senders, incast.offered_mbps, incast.link_mbps,
       incast.goodput_mbps, incast.fair_share_mbps, incast.min_stream_mbps,
       static_cast<unsigned long long>(incast.retransmits),
       static_cast<unsigned long long>(incast.bytes_received),
       static_cast<unsigned long long>(incast.bytes_expected),
       incast.connections, static_cast<unsigned long long>(incast.encodes),
-      static_cast<unsigned long long>(incast.frames_carried));
+      static_cast<unsigned long long>(incast.frames_carried),
+      incast.copies_per_payload_byte());
   // Reliability is exact (every offered byte delivered); the goodput bounds
   // are loose constant factors that only an incast COLLAPSE (RTO
   // synchronization serializing the streams) can break. Mirrored in
@@ -748,6 +765,17 @@ int main(int argc, char** argv) {
                  "tcp incast cell encoded %.4f times per frame carried with "
                  "nothing reading the bytes -- transmit is forcing an encode\n",
                  incast.encodes_per_frame());
+  }
+  // Each payload byte is copied once, into its segment; receive decodes
+  // views. Mirrored in scripts/check_bench_smoke.sh.
+  const bool incast_copy_once =
+      incast.bytes_received > 0 &&
+      incast.copies_per_payload_byte() <= kMaxCopiesPerPayloadByte;
+  if (!incast_copy_once) {
+    std::fprintf(stderr,
+                 "tcp incast cell copied %.3f payload bytes per byte received "
+                 "(limit %.1f) -- a codec is copying again\n",
+                 incast.copies_per_payload_byte(), kMaxCopiesPerPayloadByte);
   }
 
   // ---- staged switchlet rollout -------------------------------------------
@@ -873,7 +901,8 @@ int main(int argc, char** argv) {
                "\"retransmits\": %llu, \"bytes_expected\": %llu, "
                "\"bytes_received\": %llu, \"connections\": %zu, "
                "\"encodes\": %llu, \"frames_carried\": %llu, "
-               "\"encodes_per_frame\": %.4f},\n"
+               "\"encodes_per_frame\": %.4f, \"bytes_copied\": %llu, "
+               "\"copies_per_payload_byte\": %.4f},\n"
                "  \"cells\": %s,\n"
                "  \"ttcp_streams\": %s,\n"
                "  \"ttcp_hub\": %s,\n"
@@ -917,6 +946,8 @@ int main(int argc, char** argv) {
                incast.connections, static_cast<unsigned long long>(incast.encodes),
                static_cast<unsigned long long>(incast.frames_carried),
                incast.encodes_per_frame(),
+               static_cast<unsigned long long>(incast.bytes_copied),
+               incast.copies_per_payload_byte(),
                apps::TopologySweep::format_json(cells).c_str(),
                apps::TopologySweep::format_json(ttcp_cells).c_str(),
                apps::TopologySweep::format_json(hub_cells).c_str(),
@@ -925,7 +956,7 @@ int main(int argc, char** argv) {
   std::printf("wrote BENCH_topology.json\n");
   return headline.stp_converged && rollouts_ok && flood_ok && egress_ok &&
                  write_ok && mac.hits_agree && mac_growth_ok && station_ok &&
-                 incast_ok && incast_lazy
+                 incast_ok && incast_lazy && incast_copy_once
              ? 0
              : 1;
 }

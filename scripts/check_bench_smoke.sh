@@ -74,6 +74,12 @@
 #      forked child. Every table must hold every address, and the peak-RSS
 #      growth per learned entry must stay at or below 40 B: 16-byte slots
 #      that free each outgrown array measure ~33, 24-byte slots ~49.
+#  12. tcp_incast (BENCH_topology.json): the payload bytes the host stacks
+#      copy per byte the sink received must stay at or below 1.5. Each
+#      byte is copied once, into the segment that encodes it (plus
+#      retransmissions), and receive decodes views: the smoke cell reads
+#      1.0. One more copy anywhere on the path (a copying decoder) reads
+#      2.0, and the fully copying codecs read 4.0.
 #
 # Usage: scripts/check_bench_smoke.sh [build-dir]   (default: build-release)
 set -euo pipefail
@@ -259,6 +265,14 @@ fi
 if ! awk -v e="$inc_epf" -v n="$inc_frames" 'BEGIN { exit !(n > 0 && e <= 0) }'; then
   fail "tcp incast encoded $inc_epf times per frame over $inc_frames frames with nothing reading the bytes (limit: 0, eager encode: 0.50)"
 fi
+# Guard 12, matching incast_copy_once / kMaxCopiesPerPayloadByte in
+# bench/macro_topology.cpp.
+inc_cpb=$(field "$incast_line" copies_per_payload_byte)
+[ -n "$inc_cpb" ] || fail "could not parse copies_per_payload_byte from: $incast_line"
+max_cpb=1.5
+if ! awk -v c="$inc_cpb" -v max="$max_cpb" 'BEGIN { exit !(c > 0 && c <= max) }'; then
+  fail "tcp incast copied $inc_cpb payload bytes per byte received (limit: $max_cpb; one copy: 1.0, a copying decoder: 2.0)"
+fi
 
 # --- BENCH_parallel.json: sharded-core determinism + scaling -------------
 
@@ -384,6 +398,6 @@ echo "check_bench_smoke: OK (batch_insert + timed_run cells present;" \
   "$stations stations at $bps B and $bups us each, $agg_vpf receiver visits/frame," \
   "$agg_answered/$agg_sent pings;" \
   "tcp incast $inc_goodput Mb/s goodput, slowest stream $inc_min Mb/s, all bytes delivered," \
-  "$inc_epf encodes/frame over $inc_frames frames;" \
+  "$inc_epf encodes/frame over $inc_frames frames, $inc_cpb payload copies/byte;" \
   "sharded runs deterministic, $parallel_note;" \
   "sharded aggregate bit-identical to legacy at $agg_bps B/station, $aggregate_note)"

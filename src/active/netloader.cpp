@@ -124,16 +124,17 @@ void NetLoaderSwitchlet::send_udp_to(const stack::TftpEndpoint& peer,
   d.src_port = local_port;
   d.dst_port = peer.port;
   d.payload = std::move(payload);
-  const util::ByteBuffer udp_bytes = stack::encode_udp(config_.ip, peer.ip, d);
+  util::ByteBuffer packet = stack::encode_udp(config_.ip, peer.ip, d);
   stack::Ipv4Header h;
   h.protocol = static_cast<std::uint8_t>(stack::IpProto::kUdp);
   h.src = config_.ip;
   h.dst = peer.ip;
+  h.write_in_place(packet);
   const ether::MacAddress my_mac = env_->ports().interface_mac(it->second.port);
   env_->ports().send_on(it->second.port,
                         ether::Frame::ethernet2(it->second.mac, my_mac,
                                                 ether::EtherType::kIpv4,
-                                                h.encode(udp_bytes)));
+                                                std::move(packet)));
 }
 
 }  // namespace ab::active

@@ -118,8 +118,8 @@ void PortTable::unbind_in(PortId id) {
   e.in.reset();
 }
 
-bool PortTable::send_on(PortId id, const ether::Frame& frame) {
-  return entry(id).nic->transmit(frame);
+bool PortTable::send_on(PortId id, ether::Frame frame) {
+  return entry(id).nic->transmit(std::move(frame));
 }
 
 void PortTable::deliver_to_port(PortId id, const Packet& packet) {

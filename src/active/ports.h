@@ -155,7 +155,8 @@ class PortTable {
   /// paper's network loader sits *below* Unixnet (it is part of the loader,
   /// with its own four-layer stack), so its replies do not contend with the
   /// bridge's output claims. Returns false if the NIC dropped the frame.
-  bool send_on(PortId id, const ether::Frame& frame);
+  /// The frame is moved onto the wire; its payload is not copied.
+  bool send_on(PortId id, ether::Frame frame);
 
   /// Delivers a packet to the InputPort bound on `id` (queue or handler).
   /// Called by the Demux fallback path; no-op if the port is unbound.

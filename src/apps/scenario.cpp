@@ -717,8 +717,10 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
       h.src = st_ip;
       h.dst = talker_ip;
       h.identification = static_cast<std::uint16_t>(j + 1);
+      util::ByteBuffer packet = echo.encode();
+      h.write_in_place(packet);
       const ether::WireFrame echo_frame(ether::Frame::ethernet2(
-          talker_mac, st_mac, ether::EtherType::kIpv4, h.encode(echo.encode())));
+          talker_mac, st_mac, ether::EtherType::kIpv4, std::move(packet)));
 
       const netsim::Duration at = kBackgroundStart + kBackgroundGap * static_cast<int>(j);
       // The station, its LAN's generator, and the LAN's talker all live in

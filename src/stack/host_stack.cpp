@@ -47,8 +47,8 @@ void HostStack::unbind_udp(std::uint16_t port) {
 TcpSocket& HostStack::make_tcp_socket(const TcpKey& key, TcpConfig config) {
   auto socket = std::make_unique<TcpSocket>(
       *scheduler_, config_.ip, key.local_port, key.remote_ip, key.remote_port,
-      config, [this](Ipv4Addr dst, util::ByteBuffer tcp_bytes) {
-        send_ipv4(IpProto::kTcp, dst, tcp_bytes);
+      config, [this](Ipv4Addr dst, util::ByteBuffer packet) {
+        send_ipv4(IpProto::kTcp, dst, std::move(packet));
       });
   auto [it, inserted] = cold().tcp_sockets.emplace(key, std::move(socket));
   if (!inserted) {
@@ -90,8 +90,7 @@ void HostStack::send_udp(Ipv4Addr dst, std::uint16_t src_port, std::uint16_t dst
   d.src_port = src_port;
   d.dst_port = dst_port;
   d.payload = std::move(payload);
-  const util::ByteBuffer udp_bytes = encode_udp(config_.ip, dst, d);
-  send_ipv4(IpProto::kUdp, dst, udp_bytes);
+  send_ipv4(IpProto::kUdp, dst, encode_udp(config_.ip, dst, d));
 }
 
 void HostStack::send_echo_request(Ipv4Addr dst, std::uint16_t id, std::uint16_t seq,
@@ -106,9 +105,8 @@ void HostStack::send_echo_request(Ipv4Addr dst, std::uint16_t id, std::uint16_t 
 
 // ------------------------------------------------------------- send path
 
-void HostStack::send_ipv4(IpProto proto, Ipv4Addr dst, util::ByteView payload) {
+void HostStack::send_ipv4(IpProto proto, Ipv4Addr dst, util::ByteBuffer packet) {
   stats_.ip_packets_sent += 1;
-  const std::size_t max_payload_per_frame = config_.mtu - Ipv4Header::kSize;
 
   Ipv4Header h;
   h.protocol = static_cast<std::uint8_t>(proto);
@@ -116,14 +114,16 @@ void HostStack::send_ipv4(IpProto proto, Ipv4Addr dst, util::ByteView payload) {
   h.dst = dst;
   h.identification = next_ip_id_++;
 
-  if (payload.size() <= max_payload_per_frame) {
-    transmit_ip_packet(dst, h.encode(payload));
+  if (packet.size() <= config_.mtu) {
+    h.write_in_place(packet);
+    transmit_ip_packet(dst, std::move(packet));
     return;
   }
 
   // Fragment on 8-byte boundaries, as RFC 791 requires; the whole train
   // then goes through ARP and the processing element as one burst.
-  const std::size_t unit = max_payload_per_frame & ~std::size_t{7};
+  const util::ByteView payload = transport_bytes(packet);
+  const std::size_t unit = (config_.mtu - Ipv4Header::kSize) & ~std::size_t{7};
   std::vector<util::ByteBuffer> fragments;
   fragments.reserve((payload.size() + unit - 1) / unit);
   std::size_t offset = 0;
@@ -284,16 +284,16 @@ void HostStack::handle_ipv4(util::ByteView payload) {
     stats_.rx_parse_errors += 1;
     return;
   }
-  Ipv4Packet& pkt = decoded.value();
+  const Ipv4PacketView& pkt = decoded.value();
   if (pkt.header.dst != config_.ip) return;  // promiscuous NICs see others' traffic
   if (pkt.header.is_fragment()) {
-    handle_reassembly(pkt.header, std::move(pkt.payload));
+    handle_reassembly(pkt.header, pkt.payload);
     return;
   }
   deliver(pkt.header, pkt.payload);
 }
 
-void HostStack::handle_reassembly(const Ipv4Header& header, util::ByteBuffer payload) {
+void HostStack::handle_reassembly(const Ipv4Header& header, util::ByteView payload) {
   const ReassemblyKey key{header.src, header.identification, header.protocol};
   auto [it, inserted] = cold().reassemblies.try_emplace(key);
   Reassembly& r = it->second;
@@ -307,7 +307,8 @@ void HostStack::handle_reassembly(const Ipv4Header& header, util::ByteBuffer pay
   }
   const std::size_t offset = static_cast<std::size_t>(header.fragment_offset) * 8;
   if (!header.more_fragments) r.total_len = offset + payload.size();
-  r.holes[offset] = std::move(payload);
+  r.holes[offset].assign(payload.begin(), payload.end());  // outlives the frame
+  ether::datapath_counters().bytes_copied += payload.size();
 
   if (r.total_len == SIZE_MAX) return;
   // Check contiguity from zero.
@@ -323,6 +324,7 @@ void HostStack::handle_reassembly(const Ipv4Header& header, util::ByteBuffer pay
     std::copy(bytes.begin(), bytes.end(),
               whole.begin() + static_cast<std::ptrdiff_t>(off));
   }
+  ether::datapath_counters().bytes_copied += whole.size();
   Ipv4Header h = header;
   h.more_fragments = false;
   h.fragment_offset = 0;

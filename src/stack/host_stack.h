@@ -196,10 +196,15 @@ class HostStack {
   void handle_arp(util::ByteView payload);
   void handle_ipv4(util::ByteView payload);
   void deliver(const Ipv4Header& header, util::ByteView payload);
-  void handle_reassembly(const Ipv4Header& header, util::ByteBuffer payload);
+  /// Parks a fragment's payload (a copy: it outlives the frame) and
+  /// delivers the datagram once every byte has arrived.
+  void handle_reassembly(const Ipv4Header& header, util::ByteView payload);
 
-  /// Builds the IP packet(s) for `payload` and routes them through ARP.
-  void send_ipv4(IpProto proto, Ipv4Addr dst, util::ByteView payload);
+  /// Sends a transport message built behind Ipv4Header::kSize bytes of
+  /// headroom: writes the IP header into the headroom in place when the
+  /// packet fits the MTU, else cuts it into fragments (copies), and routes
+  /// the result through ARP.
+  void send_ipv4(IpProto proto, Ipv4Addr dst, util::ByteBuffer packet);
   void transmit_ip_packet(Ipv4Addr dst, util::ByteBuffer packet);
   /// The fragment-train path: one ARP lookup for the whole burst, and the
   /// resolved (or later flushed) frames pace through the processing

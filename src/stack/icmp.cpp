@@ -1,22 +1,26 @@
 #include "src/stack/icmp.h"
 
+#include "src/ether/frame.h"
 #include "src/stack/checksum.h"
+#include "src/stack/ipv4.h"
 #include "src/util/string_util.h"
 
 namespace ab::stack {
 
 util::ByteBuffer IcmpEcho::encode() const {
-  util::BufWriter w;
+  util::BufWriter w(Ipv4Header::kSize + 8 + payload.size());
+  w.zeros(Ipv4Header::kSize);  // headroom for the IP header
   w.u8(static_cast<std::uint8_t>(type));
   w.u8(0);   // code
   w.u16(0);  // checksum placeholder
   w.u16(id);
   w.u16(seq);
   w.bytes(payload);
+  ether::datapath_counters().bytes_copied += payload.size();
   util::ByteBuffer bytes = w.take();
-  const std::uint16_t csum = internet_checksum(bytes);
-  bytes[2] = static_cast<std::uint8_t>(csum >> 8);
-  bytes[3] = static_cast<std::uint8_t>(csum);
+  const std::uint16_t csum = internet_checksum(transport_bytes(bytes));
+  bytes[Ipv4Header::kSize + 2] = static_cast<std::uint8_t>(csum >> 8);
+  bytes[Ipv4Header::kSize + 3] = static_cast<std::uint8_t>(csum);
   return bytes;
 }
 
@@ -45,6 +49,7 @@ util::Expected<IcmpEcho, std::string> IcmpEcho::decode(util::ByteView wire) {
   echo.seq = r.u16();
   const util::ByteView payload = r.rest();
   echo.payload.assign(payload.begin(), payload.end());
+  ether::datapath_counters().bytes_copied += payload.size();
   return echo;
 }
 

@@ -25,7 +25,8 @@ struct IcmpEcho {
 
   [[nodiscard]] bool is_request() const { return type == IcmpType::kEchoRequest; }
 
-  /// Serializes with a correct ICMP checksum.
+  /// Serializes with a correct ICMP checksum, behind Ipv4Header::kSize
+  /// bytes of headroom (see encode_udp): the message starts at that offset.
   [[nodiscard]] util::ByteBuffer encode() const;
 
   /// Parses and validates an echo request/reply. Non-echo ICMP types are a

@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "src/ether/frame.h"
 #include "src/stack/checksum.h"
 #include "src/util/string_util.h"
 
@@ -29,14 +30,14 @@ std::string Ipv4Addr::to_string() const {
                       (value_ >> 8) & 0xFF, value_ & 0xFF);
 }
 
-util::ByteBuffer Ipv4Header::encode(util::ByteView payload) const {
-  const std::size_t total = kSize + payload.size();
-  if (total > 0xFFFF) throw std::length_error("IPv4 packet exceeds 65535 bytes");
+void Ipv4Header::write_in_place(std::span<std::uint8_t> packet) const {
+  if (packet.size() < kSize) throw std::length_error("IPv4 packet shorter than its header");
+  if (packet.size() > 0xFFFF) throw std::length_error("IPv4 packet exceeds 65535 bytes");
 
-  util::BufWriter w(total);  // the payload lands in the reserved tail
+  util::BufWriter w(packet.first(kSize));
   w.u8(0x45);  // version 4, IHL 5
   w.u8(tos);
-  w.u16(static_cast<std::uint16_t>(total));
+  w.u16(static_cast<std::uint16_t>(packet.size()));
   w.u16(identification);
   std::uint16_t frag = fragment_offset & 0x1FFF;
   if (dont_fragment) frag |= 0x4000;
@@ -48,16 +49,25 @@ util::ByteBuffer Ipv4Header::encode(util::ByteView payload) const {
   w.u32(src.value());
   w.u32(dst.value());
 
-  util::ByteBuffer bytes = w.take();
-  const std::uint16_t csum = internet_checksum(util::ByteView(bytes).first(kSize));
-  bytes[10] = static_cast<std::uint8_t>(csum >> 8);
-  bytes[11] = static_cast<std::uint8_t>(csum);
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  return bytes;
+  const std::uint16_t csum = internet_checksum(packet.first(kSize));
+  packet[10] = static_cast<std::uint8_t>(csum >> 8);
+  packet[11] = static_cast<std::uint8_t>(csum);
 }
 
-util::Expected<Ipv4Packet, std::string> Ipv4Header::decode(
-    util::ByteView wire) {
+util::ByteBuffer Ipv4Header::encode(util::ByteView payload) const {
+  if (kSize + payload.size() > 0xFFFF) {
+    throw std::length_error("IPv4 packet exceeds 65535 bytes");
+  }
+  util::BufWriter w(kSize + payload.size());
+  w.zeros(kSize);
+  w.bytes(payload);
+  ether::datapath_counters().bytes_copied += payload.size();
+  util::ByteBuffer packet = w.take();
+  write_in_place(packet);
+  return packet;
+}
+
+util::Expected<Ipv4PacketView, std::string> Ipv4Header::decode(util::ByteView wire) {
   if (wire.size() < kSize) {
     return util::Unexpected{util::format("IPv4 packet of %zu bytes too short",
                                          wire.size())};
@@ -75,7 +85,7 @@ util::Expected<Ipv4Packet, std::string> Ipv4Header::decode(
     return util::Unexpected{std::string("IPv4 header checksum mismatch")};
   }
 
-  Ipv4Packet pkt;
+  Ipv4PacketView pkt;
   Ipv4Header& h = pkt.header;
   h.tos = r.u8();
   h.total_length = r.u16();
@@ -95,9 +105,7 @@ util::Expected<Ipv4Packet, std::string> Ipv4Header::decode(
   h.dst = Ipv4Addr(r.u32());
   if (header_len > kSize) r.skip(header_len - kSize);  // options ignored
 
-  const std::size_t payload_len = h.total_length - header_len;
-  const util::ByteView payload = r.view(payload_len);
-  pkt.payload.assign(payload.begin(), payload.end());
+  pkt.payload = r.view(h.total_length - header_len);
   return pkt;
 }
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -52,12 +53,20 @@ class Ipv4Addr {
 };
 
 /// Flag bits + fragment offset handling for the 16-bit frag field.
+///
+/// Send side: the transport encoders (encode_tcp, encode_udp,
+/// IcmpEcho::encode) build their message behind kSize bytes of headroom,
+/// and the sender writes the header into that headroom in place
+/// (write_in_place), so an unfragmented packet is one buffer written once.
+/// Only the host stack's fragmenter copies payload into new packets
+/// (encode). Receive side: decode returns a view into the bytes it was
+/// given.
 struct Ipv4Header {
   static constexpr std::size_t kSize = 20;  ///< we never emit options
   static constexpr std::uint8_t kDefaultTtl = 64;
 
   std::uint8_t tos = 0;
-  std::uint16_t total_length = 0;  ///< header + payload, filled by encode()
+  std::uint16_t total_length = 0;  ///< header + payload, filled by encoding
   std::uint16_t identification = 0;
   bool dont_fragment = false;
   bool more_fragments = false;
@@ -71,20 +80,39 @@ struct Ipv4Header {
     return more_fragments || fragment_offset != 0;
   }
 
-  /// Serializes header + payload with a correct header checksum.
+  /// Completes a packet built behind headroom: writes this header, with
+  /// total length packet.size() and a correct checksum, over the first
+  /// kSize bytes; the rest of `packet` is the payload, left untouched.
+  /// Throws std::length_error when the packet is shorter than the header
+  /// or longer than 65535 bytes.
+  void write_in_place(std::span<std::uint8_t> packet) const;
+
+  /// Serializes header + a copy of `payload` (the fragmenter's path).
   [[nodiscard]] util::ByteBuffer encode(util::ByteView payload) const;
 
   /// Parses and validates (version, IHL, checksum, total length). Packets
-  /// with options are accepted (options skipped).
-  [[nodiscard]] static util::Expected<struct Ipv4Packet, std::string> decode(
+  /// with options are accepted (options skipped). The payload is a view
+  /// into `wire`, cut at total_length (link padding dropped).
+  [[nodiscard]] static util::Expected<struct Ipv4PacketView, std::string> decode(
       util::ByteView wire);
+  /// A view must not outlive its bytes: decoding a temporary is an error.
+  static void decode(util::ByteBuffer&&) = delete;
 };
 
-/// A parsed IPv4 packet: header plus a copy of the payload.
-struct Ipv4Packet {
+/// A parsed IPv4 packet: the header plus a view of its payload inside the
+/// bytes Ipv4Header::decode was given, valid only while they are. Code
+/// that keeps a payload past its frame (reassembly) copies it.
+struct Ipv4PacketView {
   Ipv4Header header;
-  util::ByteBuffer payload;
+  util::ByteView payload;
 };
+
+/// The transport message of a packet a transport encoder built: the bytes
+/// behind its Ipv4Header::kSize bytes of headroom.
+[[nodiscard]] inline util::ByteView transport_bytes(util::ByteView packet) {
+  return packet.subspan(Ipv4Header::kSize);
+}
+void transport_bytes(util::ByteBuffer&&) = delete;
 
 }  // namespace ab::stack
 

@@ -1,8 +1,11 @@
 #include "src/stack/tcp.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
+#include "src/ether/frame.h"
 #include "src/stack/checksum.h"
 #include "src/util/string_util.h"
 
@@ -57,21 +60,45 @@ util::Expected<TcpOptions, std::string> parse_tcp_options(util::ByteView options
   return out;
 }
 
-util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip,
-                            const TcpSegment& segment) {
-  return encode_tcp(src_ip, dst_ip, segment, segment.payload);
+TcpSegmentView TcpSegment::view() const& {
+  TcpSegmentView v;
+  static_cast<TcpHeader&>(v) = *this;
+  v.options = options;
+  v.payload = payload;
+  return v;
 }
 
-util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip, const TcpSegment& header,
-                            util::ByteView payload) {
-  if (header.options.size() > kMaxOptionBytes) {
+TcpSegment TcpSegmentView::to_owned() const {
+  TcpSegment s;
+  static_cast<TcpHeader&>(s) = *this;
+  s.options.assign(options.begin(), options.end());
+  s.payload.assign(payload.begin(), payload.end());
+  return s;
+}
+
+util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip,
+                            const TcpSegment& segment) {
+  return encode_tcp(src_ip, dst_ip, segment, segment.options, segment.payload);
+}
+
+util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip, const TcpHeader& header,
+                            util::ByteView options, util::ByteView payload,
+                            util::ByteView payload_tail) {
+  if (options.size() > kMaxOptionBytes) {
     throw std::length_error("TCP options exceed 40 bytes");
   }
-  const std::size_t padded_options = (header.options.size() + 3) & ~std::size_t{3};
+  const std::size_t padded_options = (options.size() + 3) & ~std::size_t{3};
   const std::size_t header_len = TcpSegment::kHeaderSize + padded_options;
   const std::uint8_t data_offset = static_cast<std::uint8_t>(header_len / 4);
+  const std::size_t payload_len = payload.size() + payload_tail.size();
 
-  util::BufWriter w(header_len + payload.size());
+  // Headroom and header are zeroed in place (the options' padding is
+  // end-of-list bytes) and written through a fixed writer; the payload is
+  // appended into the reserved tail, its one copy.
+  util::ByteBuffer bytes;
+  bytes.reserve(Ipv4Header::kSize + header_len + payload_len);
+  bytes.resize(Ipv4Header::kSize + header_len);
+  util::BufWriter w(std::span<std::uint8_t>(bytes).subspan(Ipv4Header::kSize));
   w.u16(header.src_port);
   w.u16(header.dst_port);
   w.u32(header.seq);
@@ -81,25 +108,27 @@ util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip, const TcpSegment& 
   w.u16(header.window);
   w.u16(0);  // checksum placeholder
   w.u16(header.urgent);
-  w.bytes(header.options);
-  w.zeros(padded_options - header.options.size());  // pad with end-of-list
-  w.bytes(payload);
-  util::ByteBuffer bytes = w.take();
+  w.bytes(options);
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  bytes.insert(bytes.end(), payload_tail.begin(), payload_tail.end());
+  ether::datapath_counters().bytes_copied += payload_len;
 
-  const std::uint16_t csum = pseudo_checksum(src_ip, dst_ip, bytes);
-  bytes[16] = static_cast<std::uint8_t>(csum >> 8);
-  bytes[17] = static_cast<std::uint8_t>(csum);
+  const util::ByteView segment = transport_bytes(bytes);
+  const std::uint16_t csum = pseudo_checksum(src_ip, dst_ip, segment);
+  bytes[Ipv4Header::kSize + 16] = static_cast<std::uint8_t>(csum >> 8);
+  bytes[Ipv4Header::kSize + 17] = static_cast<std::uint8_t>(csum);
   return bytes;
 }
 
-util::Expected<TcpSegment, std::string> decode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip,
-                                                   util::ByteView wire) {
+util::Expected<TcpSegmentView, std::string> decode_tcp(Ipv4Addr src_ip,
+                                                       Ipv4Addr dst_ip,
+                                                       util::ByteView wire) {
   if (wire.size() < TcpSegment::kHeaderSize) {
     return util::Unexpected{
         util::format("TCP segment of %zu bytes too short", wire.size())};
   }
   util::BufReader r(wire);
-  TcpSegment s;
+  TcpSegmentView s;
   s.src_port = r.u16();
   s.dst_port = r.u16();
   s.seq = r.u32();
@@ -124,14 +153,12 @@ util::Expected<TcpSegment, std::string> decode_tcp(Ipv4Addr src_ip, Ipv4Addr dst
   if (pseudo_checksum(src_ip, dst_ip, wire) != 0) {
     return util::Unexpected{std::string("TCP checksum mismatch")};
   }
-  const util::ByteView options =
+  s.options =
       wire.subspan(TcpSegment::kHeaderSize, header_len - TcpSegment::kHeaderSize);
-  if (auto parsed = parse_tcp_options(options); !parsed) {
+  if (auto parsed = parse_tcp_options(s.options); !parsed) {
     return util::Unexpected{parsed.error()};
   }
-  s.options.assign(options.begin(), options.end());
-  const util::ByteView payload = wire.subspan(header_len);
-  s.payload.assign(payload.begin(), payload.end());
+  s.payload = wire.subspan(header_len);
   return s;
 }
 
@@ -192,9 +219,9 @@ void TcpSocket::connect() {
   iss_ = config_.iss;
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;
-  buffer_base_seq_ = iss_ + 1;
+  send_head_seq_ = iss_ + 1;
   state_ = TcpState::kSynSent;
-  emit(TcpSegment::kSyn, iss_, {}, /*retransmission=*/false);
+  emit(TcpSegment::kSyn, iss_, /*retransmission=*/false);
   rtt_timing_ = true;
   rtt_seq_ = snd_nxt_;
   rtt_sent_at_ = scheduler_->now();
@@ -222,7 +249,16 @@ void TcpSocket::send(util::ByteView data) {
   if (fin_pending_ || fin_sent_) {
     throw std::logic_error("TcpSocket::send after close");
   }
-  send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  if (!data.empty()) {
+    if (send_size_ + data.size() > send_ring_.size()) {
+      grow_send_ring(send_size_ + data.size());
+    }
+    const std::size_t end = (send_head_ + send_size_) & (send_ring_.size() - 1);
+    const std::size_t first = std::min(data.size(), send_ring_.size() - end);
+    std::memcpy(send_ring_.data() + end, data.data(), first);
+    std::memcpy(send_ring_.data(), data.data() + first, data.size() - first);
+    send_size_ += data.size();
+  }
   transmit_pending();
 }
 
@@ -254,7 +290,7 @@ void TcpSocket::abort() {
       become_closed();
       return;
     default:
-      emit(TcpSegment::kRst | TcpSegment::kAck, snd_nxt_, {}, /*retransmission=*/true);
+      emit(TcpSegment::kRst | TcpSegment::kAck, snd_nxt_, /*retransmission=*/true);
       become_closed();
       return;
   }
@@ -262,36 +298,56 @@ void TcpSocket::abort() {
 
 // -------------------------------------------------------------- emit side
 
-void TcpSocket::emit(std::uint8_t flags, std::uint32_t seq, util::ByteView payload,
-                     bool retransmission) {
-  TcpSegment s;
-  s.src_port = local_port_;
-  s.dst_port = remote_port_;
-  s.seq = seq;
-  s.flags = flags;
-  if (flags & TcpSegment::kAck) s.ack = rcv_nxt_;
-  s.window = config_.recv_window;
-  if (flags & TcpSegment::kSyn) {
-    // Advertise our MSS on every SYN / SYN|ACK.
-    const auto mss = static_cast<std::uint16_t>(
-        std::min<std::size_t>(config_.mss, 0xFFFF));
-    s.options = {2, 4, static_cast<std::uint8_t>(mss >> 8),
-                 static_cast<std::uint8_t>(mss)};
-  }
+std::pair<util::ByteView, util::ByteView> TcpSocket::buffered(std::size_t offset,
+                                                              std::size_t len) const {
+  if (len == 0) return {};
+  const util::ByteView ring(send_ring_);
+  const std::size_t start = (send_head_ + offset) & (ring.size() - 1);
+  const std::size_t first = std::min(len, ring.size() - start);
+  return {ring.subspan(start, first), ring.first(len - first)};
+}
+
+void TcpSocket::grow_send_ring(std::size_t need) {
+  util::ByteBuffer ring(std::bit_ceil(need));
+  const auto [head, tail] = buffered(0, send_size_);
+  std::copy(head.begin(), head.end(), ring.begin());
+  std::copy(tail.begin(), tail.end(),
+            ring.begin() + static_cast<std::ptrdiff_t>(head.size()));
+  send_ring_ = std::move(ring);
+  send_head_ = 0;
+}
+
+void TcpSocket::emit(std::uint8_t flags, std::uint32_t seq, bool retransmission,
+                     std::size_t offset, std::size_t len) {
+  TcpHeader h;
+  h.src_port = local_port_;
+  h.dst_port = remote_port_;
+  h.seq = seq;
+  h.flags = flags;
+  if (flags & TcpSegment::kAck) h.ack = rcv_nxt_;
+  h.window = config_.recv_window;
+  // Advertise our MSS on every SYN / SYN|ACK.
+  const auto mss = static_cast<std::uint16_t>(std::min<std::size_t>(config_.mss, 0xFFFF));
+  const std::uint8_t mss_option[4] = {2, 4, static_cast<std::uint8_t>(mss >> 8),
+                                      static_cast<std::uint8_t>(mss)};
+  const util::ByteView options =
+      (flags & TcpSegment::kSyn) ? util::ByteView(mss_option) : util::ByteView();
   stats_.segments_sent += 1;
-  if (!retransmission) stats_.bytes_sent += payload.size();
-  send_segment_(remote_ip_, encode_tcp(local_ip_, remote_ip_, s, payload));
+  if (!retransmission) stats_.bytes_sent += len;
+  const auto [payload, payload_tail] = buffered(offset, len);
+  send_segment_(remote_ip_,
+                encode_tcp(local_ip_, remote_ip_, h, options, payload, payload_tail));
 }
 
 void TcpSocket::send_ack() {
-  emit(TcpSegment::kAck, snd_nxt_, {}, /*retransmission=*/false);
+  emit(TcpSegment::kAck, snd_nxt_, /*retransmission=*/false);
 }
 
 void TcpSocket::transmit_pending() {
   if (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait) return;
   const std::uint32_t window = std::min(cwnd_, snd_wnd_);
   while (true) {
-    const std::size_t avail = send_buffer_.size() - unsent_;
+    const std::size_t avail = send_size_ - unsent_;
     const std::uint32_t flight = snd_nxt_ - snd_una_;
     if (avail > 0) {
       if (flight >= window) return;  // window-limited: acks will re-enter
@@ -305,8 +361,7 @@ void TcpSocket::transmit_pending() {
       const std::uint32_t seq = buffer_seq(unsent_);
       emit(static_cast<std::uint8_t>(TcpSegment::kAck |
                                      (takes_fin ? TcpSegment::kFin : 0)),
-           seq, util::ByteView(send_buffer_).subspan(unsent_, len),
-           /*retransmission=*/false);
+           seq, /*retransmission=*/false, unsent_, len);
       unsent_ += len;
       snd_nxt_ = seq + static_cast<std::uint32_t>(len);
       if (takes_fin) {
@@ -325,8 +380,7 @@ void TcpSocket::transmit_pending() {
       if (takes_fin) return;
     } else if (fin_pending_ && !fin_sent_) {
       fin_seq_ = snd_nxt_;
-      emit(TcpSegment::kAck | TcpSegment::kFin, snd_nxt_, {},
-           /*retransmission=*/false);
+      emit(TcpSegment::kAck | TcpSegment::kFin, snd_nxt_, /*retransmission=*/false);
       snd_nxt_ += 1;
       fin_sent_ = true;
       state_ = state_ == TcpState::kCloseWait ? TcpState::kLastAck
@@ -353,21 +407,20 @@ void TcpSocket::retransmit_front(bool from_rto) {
         state_ == TcpState::kSynReceived
             ? static_cast<std::uint8_t>(TcpSegment::kSyn | TcpSegment::kAck)
             : TcpSegment::kSyn;
-    emit(flags, iss_, {}, /*retransmission=*/true);
+    emit(flags, iss_, /*retransmission=*/true);
     return;
   }
   const std::uint32_t data_end = fin_sent_ ? fin_seq_ : snd_nxt_;
   if (seq_lt(snd_una_, data_end)) {
-    const std::size_t index = snd_una_ - buffer_base_seq_;
+    const std::size_t offset = snd_una_ - send_head_seq_;
     const std::size_t len =
         std::min(config_.mss, static_cast<std::size_t>(data_end - snd_una_));
     const bool takes_fin = fin_sent_ && snd_una_ + len == fin_seq_;
     emit(static_cast<std::uint8_t>(TcpSegment::kAck |
                                    (takes_fin ? TcpSegment::kFin : 0)),
-         snd_una_, util::ByteView(send_buffer_).subspan(index, len),
-         /*retransmission=*/true);
+         snd_una_, /*retransmission=*/true, offset, len);
   } else if (fin_sent_) {
-    emit(TcpSegment::kAck | TcpSegment::kFin, fin_seq_, {}, /*retransmission=*/true);
+    emit(TcpSegment::kAck | TcpSegment::kFin, fin_seq_, /*retransmission=*/true);
   }
 }
 
@@ -431,7 +484,7 @@ void TcpSocket::take_rtt_sample(netsim::Duration sample) {
 
 // ----------------------------------------------------------- receive side
 
-void TcpSocket::on_segment(const TcpSegment& segment) {
+void TcpSocket::on_segment(const TcpSegmentView& segment) {
   stats_.segments_received += 1;
   switch (state_) {
     case TcpState::kClosed:
@@ -484,7 +537,7 @@ void TcpSocket::on_segment(const TcpSegment& segment) {
   }
 }
 
-void TcpSocket::handle_listen(const TcpSegment& segment) {
+void TcpSocket::handle_listen(const TcpSegmentView& segment) {
   if (segment.has(TcpSegment::kRst) || segment.has(TcpSegment::kAck) ||
       !segment.has(TcpSegment::kSyn)) {
     return;
@@ -500,16 +553,16 @@ void TcpSocket::handle_listen(const TcpSegment& segment) {
   iss_ = config_.iss;
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;
-  buffer_base_seq_ = iss_ + 1;
+  send_head_seq_ = iss_ + 1;
   state_ = TcpState::kSynReceived;
-  emit(TcpSegment::kSyn | TcpSegment::kAck, iss_, {}, /*retransmission=*/false);
+  emit(TcpSegment::kSyn | TcpSegment::kAck, iss_, /*retransmission=*/false);
   rtt_timing_ = true;
   rtt_seq_ = snd_nxt_;
   rtt_sent_at_ = scheduler_->now();
   arm_rto();
 }
 
-void TcpSocket::handle_syn_sent(const TcpSegment& segment) {
+void TcpSocket::handle_syn_sent(const TcpSegmentView& segment) {
   const bool ack_ok = segment.has(TcpSegment::kAck) &&
                       seq_lt(iss_, segment.ack) && seq_leq(segment.ack, snd_nxt_);
   if (segment.has(TcpSegment::kAck) && !ack_ok) return;  // stale ack
@@ -545,26 +598,19 @@ void TcpSocket::handle_syn_sent(const TcpSegment& segment) {
   }
   // Simultaneous open: our SYN is still in flight; answer with SYN|ACK.
   state_ = TcpState::kSynReceived;
-  emit(TcpSegment::kSyn | TcpSegment::kAck, iss_, {}, /*retransmission=*/true);
+  emit(TcpSegment::kSyn | TcpSegment::kAck, iss_, /*retransmission=*/true);
   arm_rto();
 }
 
 void TcpSocket::release_acked(std::uint32_t ack) {
-  // Map the cumulative ack back to a buffer index; SYN/FIN units sit
-  // outside the buffer, so clamp to its bounds.
-  const std::uint32_t offset = ack - buffer_base_seq_;
-  const std::size_t acked_index =
-      std::min(static_cast<std::size_t>(offset), send_buffer_.size());
-  if (acked_index > send_head_) send_head_ = acked_index;
-  // Trim the acked prefix once it dominates the buffer.
-  if (send_head_ >= 4096 && send_head_ * 2 >= send_buffer_.size()) {
-    send_buffer_.erase(send_buffer_.begin(),
-                       send_buffer_.begin() +
-                           static_cast<std::ptrdiff_t>(send_head_));
-    buffer_base_seq_ += static_cast<std::uint32_t>(send_head_);
-    unsent_ -= send_head_;
-    send_head_ = 0;
-  }
+  // SYN/FIN units sit outside the buffer, so clamp to the bytes it holds.
+  const std::size_t acked =
+      std::min(static_cast<std::size_t>(ack - send_head_seq_), send_size_);
+  if (acked == 0) return;
+  send_head_ = (send_head_ + acked) & (send_ring_.size() - 1);
+  send_size_ -= acked;
+  unsent_ -= acked;
+  send_head_seq_ += static_cast<std::uint32_t>(acked);
 }
 
 void TcpSocket::on_new_ack(std::uint32_t acked) {
@@ -581,7 +627,7 @@ void TcpSocket::on_new_ack(std::uint32_t acked) {
   if (cwnd_trace_ != nullptr) cwnd_trace_->push_back(cwnd_);
 }
 
-void TcpSocket::process_ack(const TcpSegment& segment) {
+void TcpSocket::process_ack(const TcpSegmentView& segment) {
   const std::uint32_t ack = segment.ack;
   if (seq_lt(snd_nxt_, ack)) {  // acks data never sent: re-sync and drop
     send_ack();
@@ -655,7 +701,7 @@ void TcpSocket::process_ack(const TcpSegment& segment) {
   }
 }
 
-void TcpSocket::process_payload(const TcpSegment& segment) {
+void TcpSocket::process_payload(const TcpSegmentView& segment) {
   const std::uint32_t payload_len = static_cast<std::uint32_t>(segment.payload.size());
   bool advanced = false;
   if (payload_len > 0) {
@@ -690,6 +736,7 @@ void TcpSocket::process_payload(const TcpSegment& segment) {
         // that drives the sender's fast retransmit.
         stats_.out_of_order_segments += 1;
         ooo_.emplace(seq, util::ByteBuffer(data.begin(), data.end()));
+        ether::datapath_counters().bytes_copied += data.size();
         stats_.dup_acks_sent += 1;
         send_ack();
         return;

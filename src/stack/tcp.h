@@ -32,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/netsim/scheduler.h"
@@ -44,8 +45,8 @@ namespace ab::stack {
 
 // ----------------------------------------------------------- segment codec
 
-/// A decoded TCP segment (RFC 793 header; options carried raw).
-struct TcpSegment {
+/// The fixed RFC 793 header fields, shared by both segment forms below.
+struct TcpHeader {
   static constexpr std::size_t kHeaderSize = 20;  ///< without options
 
   static constexpr std::uint8_t kFin = 0x01;
@@ -61,16 +62,40 @@ struct TcpSegment {
   std::uint8_t flags = 0;
   std::uint16_t window = 0;
   std::uint16_t urgent = 0;
+
+  [[nodiscard]] bool has(std::uint8_t flag) const { return (flags & flag) != 0; }
+  /// Sequence space a segment with `payload_size` payload bytes occupies
+  /// (payload plus SYN/FIN).
+  [[nodiscard]] std::uint32_t seq_len(std::size_t payload_size) const {
+    return static_cast<std::uint32_t>(payload_size) + (has(kSyn) ? 1u : 0u) +
+           (has(kFin) ? 1u : 0u);
+  }
+};
+
+struct TcpSegmentView;
+
+/// A TCP segment that owns its bytes: what encoders and tests build.
+struct TcpSegment : TcpHeader {
   /// Raw option bytes exactly as carried on the wire (padded length).
   util::ByteBuffer options;
   util::ByteBuffer payload;
 
-  [[nodiscard]] bool has(std::uint8_t flag) const { return (flags & flag) != 0; }
-  /// Sequence space the segment occupies (payload plus SYN/FIN).
-  [[nodiscard]] std::uint32_t seq_len() const {
-    return static_cast<std::uint32_t>(payload.size()) + (has(kSyn) ? 1u : 0u) +
-           (has(kFin) ? 1u : 0u);
-  }
+  [[nodiscard]] std::uint32_t seq_len() const { return TcpHeader::seq_len(payload.size()); }
+  /// This segment as the socket receives one, valid while it lives.
+  [[nodiscard]] TcpSegmentView view() const&;
+  void view() && = delete;
+};
+
+/// A received TCP segment, decoded in place: the header fields by value,
+/// options and payload as views into the bytes decode_tcp was given. It is
+/// valid only while those bytes are -- inside the receive callback that
+/// decoded it; to_owned() copies it for anything that keeps it longer.
+struct TcpSegmentView : TcpHeader {
+  util::ByteView options;
+  util::ByteView payload;
+
+  [[nodiscard]] std::uint32_t seq_len() const { return TcpHeader::seq_len(payload.size()); }
+  [[nodiscard]] TcpSegment to_owned() const;
 };
 
 /// Options this stack understands after a structural walk of the TLVs.
@@ -84,25 +109,31 @@ struct TcpOptions {
 [[nodiscard]] util::Expected<TcpOptions, std::string> parse_tcp_options(
     util::ByteView options);
 
-/// Serializes a segment, computing the checksum over the RFC 793 pseudo
+/// Serializes a segment behind Ipv4Header::kSize bytes of headroom, which
+/// the sender fills with Ipv4Header::write_in_place; the segment itself
+/// starts at that offset. Computes the checksum over the RFC 793 pseudo
 /// header (src/dst IP, protocol 6, TCP length). Options are padded to a
 /// 4-byte boundary with end-of-option-list bytes.
 [[nodiscard]] util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip,
                                           const TcpSegment& segment);
 
-/// The same encoding with the payload passed as a view -- `header.payload`
-/// is ignored -- so a sender serializes straight from its send buffer
-/// instead of first copying the bytes into a TcpSegment. One allocation.
+/// The same encoding from a header, its raw options and a payload in up
+/// to two pieces, `payload` then `payload_tail` -- a ring buffer's run to
+/// its wrap and the rest from its start -- so a sender serializes straight
+/// from its send buffer. One allocation, one copy of the payload.
 [[nodiscard]] util::ByteBuffer encode_tcp(Ipv4Addr src_ip, Ipv4Addr dst_ip,
-                                          const TcpSegment& header,
-                                          util::ByteView payload);
+                                          const TcpHeader& header,
+                                          util::ByteView options,
+                                          util::ByteView payload,
+                                          util::ByteView payload_tail = {});
 
 /// Parses and validates a TCP segment carried between `src_ip`/`dst_ip`:
 /// minimum length, data offset in [5, 15] and within the buffer, checksum,
-/// and structurally valid options.
-[[nodiscard]] util::Expected<TcpSegment, std::string> decode_tcp(Ipv4Addr src_ip,
-                                                                 Ipv4Addr dst_ip,
-                                                                 util::ByteView wire);
+/// and structurally valid options. The result views `wire`.
+[[nodiscard]] util::Expected<TcpSegmentView, std::string> decode_tcp(
+    Ipv4Addr src_ip, Ipv4Addr dst_ip, util::ByteView wire);
+/// A view must not outlive its bytes: decoding a temporary is an error.
+void decode_tcp(Ipv4Addr, Ipv4Addr, util::ByteBuffer&&) = delete;
 
 // ------------------------------------------------------------- connection
 
@@ -174,8 +205,10 @@ struct TcpStats {
 /// tcp_listen); tests may drive one directly with a custom send callback.
 class TcpSocket {
  public:
-  /// Carries one encoded segment toward `dst` (HostStack: send_ipv4).
-  using SendSegmentFn = std::function<void(Ipv4Addr dst, util::ByteBuffer tcp_bytes)>;
+  /// Carries one encoded segment toward `dst`: encode_tcp's output, the
+  /// segment behind Ipv4Header::kSize bytes of headroom (HostStack:
+  /// send_ipv4 writes the IP header there).
+  using SendSegmentFn = std::function<void(Ipv4Addr dst, util::ByteBuffer packet)>;
   /// In-order application data as it becomes deliverable.
   using ReceiveHandler = std::function<void(util::ByteView data)>;
   using EventHandler = std::function<void()>;
@@ -218,9 +251,11 @@ class TcpSocket {
   /// Bytes sent but not yet cumulatively acked (SYN/FIN excluded).
   [[nodiscard]] std::size_t bytes_in_flight() const;
   /// Application bytes queued and not yet acked.
-  [[nodiscard]] std::size_t send_buffered() const {
-    return send_buffer_.size() - send_head_;
-  }
+  [[nodiscard]] std::size_t send_buffered() const { return send_size_; }
+  /// Bytes the send ring holds room for: a power of two (0 before the
+  /// first send) that doubles when a send outgrows it. Memory, not a
+  /// limit: send() accepts everything.
+  [[nodiscard]] std::size_t send_capacity() const { return send_ring_.size(); }
 
   void set_receive_handler(ReceiveHandler handler) { on_receive_ = std::move(handler); }
   void set_on_established(EventHandler handler) { on_established_ = std::move(handler); }
@@ -242,8 +277,11 @@ class TcpSocket {
   void record_cwnd_trace(std::vector<std::uint32_t>* out) { cwnd_trace_ = out; }
 
   /// Entry point from the owner's IPv4 demux: one parsed, checksum-valid
-  /// segment addressed to this connection.
-  void on_segment(const TcpSegment& segment);
+  /// segment addressed to this connection. The socket reads the segment
+  /// during the call and keeps nothing that views it: in-order payload
+  /// goes to the receive handler as a view, out-of-order payload is
+  /// copied when parked.
+  void on_segment(const TcpSegmentView& segment);
 
  private:
   /// Serial-number arithmetic (RFC 1982 style) for the 32-bit seq space.
@@ -257,8 +295,10 @@ class TcpSocket {
     bool operator()(std::uint32_t a, std::uint32_t b) const { return seq_lt(a, b); }
   };
 
-  void emit(std::uint8_t flags, std::uint32_t seq, util::ByteView payload,
-            bool retransmission);
+  /// Sends one segment whose payload is the `len` buffered bytes from
+  /// send-buffer offset `offset` (none by default).
+  void emit(std::uint8_t flags, std::uint32_t seq, bool retransmission,
+            std::size_t offset = 0, std::size_t len = 0);
   void send_ack();
   /// Pushes buffered data (and the pending FIN) as far as the windows allow.
   void transmit_pending();
@@ -273,15 +313,21 @@ class TcpSocket {
   void enter_established();
   void enter_time_wait();
   void become_closed();
-  void process_ack(const TcpSegment& segment);
-  void process_payload(const TcpSegment& segment);
-  void handle_listen(const TcpSegment& segment);
-  void handle_syn_sent(const TcpSegment& segment);
-  /// First unacked data byte's index into send_buffer_ is send_head_; the
-  /// byte at index i carries sequence number buffer_base_seq_ + i.
-  [[nodiscard]] std::uint32_t buffer_seq(std::size_t index) const {
-    return buffer_base_seq_ + static_cast<std::uint32_t>(index);
+  void process_ack(const TcpSegmentView& segment);
+  void process_payload(const TcpSegmentView& segment);
+  void handle_listen(const TcpSegmentView& segment);
+  void handle_syn_sent(const TcpSegmentView& segment);
+  /// Sequence number of the byte at send-buffer offset `offset`.
+  [[nodiscard]] std::uint32_t buffer_seq(std::size_t offset) const {
+    return send_head_seq_ + static_cast<std::uint32_t>(offset);
   }
+  /// The `len` bytes from send-buffer offset `offset`: the run to the
+  /// ring's wrap, then the rest from its start (empty if it does not wrap).
+  [[nodiscard]] std::pair<util::ByteView, util::ByteView> buffered(
+      std::size_t offset, std::size_t len) const;
+  /// Reallocates the ring to the power of two at or above `need`, its
+  /// bytes unwrapped to the start.
+  void grow_send_ring(std::size_t need);
   void release_acked(std::uint32_t ack);
 
   netsim::Scheduler* scheduler_;
@@ -305,13 +351,15 @@ class TcpSocket {
   bool fin_sent_ = false;
   std::uint32_t fin_seq_ = 0;  ///< sequence number the FIN occupies
 
-  // Send buffer: bytes [send_head_, size) are unacked-or-unsent; the byte
-  // at index i has sequence number buffer_base_seq_ + i. The acked prefix
-  // is trimmed wholesale once it dominates, keeping acks O(1) amortized.
-  std::vector<std::uint8_t> send_buffer_;
-  std::size_t send_head_ = 0;
-  std::size_t unsent_ = 0;  ///< index of the first never-transmitted byte
-  std::uint32_t buffer_base_seq_ = 0;
+  // Send buffer: a ring whose size is a power of two. It holds send_size_
+  // bytes, unacked then unsent; the one at offset k sits at ring index
+  // (send_head_ + k) & (size - 1) and carries sequence number
+  // send_head_seq_ + k. An ack releases bytes by moving the head.
+  util::ByteBuffer send_ring_;
+  std::size_t send_head_ = 0;  ///< ring index of the first unacked byte
+  std::size_t send_size_ = 0;
+  std::size_t unsent_ = 0;  ///< offset of the first never-transmitted byte
+  std::uint32_t send_head_seq_ = 0;
 
   // Receive sequence space.
   std::uint32_t irs_ = 0;

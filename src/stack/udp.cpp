@@ -1,5 +1,6 @@
 #include "src/stack/udp.h"
 
+#include "src/ether/frame.h"
 #include "src/stack/checksum.h"
 #include "src/util/string_util.h"
 
@@ -28,18 +29,20 @@ util::ByteBuffer encode_udp(Ipv4Addr src_ip, Ipv4Addr dst_ip,
   const std::size_t total = kUdpHeader + datagram.payload.size();
   if (total > 0xFFFF) throw std::length_error("UDP datagram exceeds 65535 bytes");
 
-  util::BufWriter w;
+  util::BufWriter w(Ipv4Header::kSize + total);
+  w.zeros(Ipv4Header::kSize);  // headroom for the IP header
   w.u16(datagram.src_port);
   w.u16(datagram.dst_port);
   w.u16(static_cast<std::uint16_t>(total));
   w.u16(0);  // checksum placeholder
   w.bytes(datagram.payload);
+  ether::datapath_counters().bytes_copied += datagram.payload.size();
   util::ByteBuffer bytes = w.take();
 
-  std::uint16_t csum = pseudo_checksum(src_ip, dst_ip, bytes);
+  std::uint16_t csum = pseudo_checksum(src_ip, dst_ip, transport_bytes(bytes));
   if (csum == 0) csum = 0xFFFF;  // RFC 768: zero is transmitted as all-ones
-  bytes[6] = static_cast<std::uint8_t>(csum >> 8);
-  bytes[7] = static_cast<std::uint8_t>(csum);
+  bytes[Ipv4Header::kSize + 6] = static_cast<std::uint8_t>(csum >> 8);
+  bytes[Ipv4Header::kSize + 7] = static_cast<std::uint8_t>(csum);
   return bytes;
 }
 
@@ -66,6 +69,7 @@ util::Expected<UdpDatagram, std::string> decode_udp(Ipv4Addr src_ip, Ipv4Addr ds
   }
   const util::ByteView payload = r.view(length - kUdpHeader);
   d.payload.assign(payload.begin(), payload.end());
+  ether::datapath_counters().bytes_copied += payload.size();
   return d;
 }
 

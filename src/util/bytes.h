@@ -180,6 +180,10 @@ class BufWriter {
   }
 
   BufWriter& zeros(std::size_t n) {
+    if (!is_fixed_) {
+      grow_.resize(grow_.size() + n);
+      return *this;
+    }
     for (std::size_t i = 0; i < n; ++i) u8(0);
     return *this;
   }

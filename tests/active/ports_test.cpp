@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/ether/frame.h"
 #include "src/netsim/network.h"
 
 namespace ab::active {
@@ -149,6 +150,21 @@ TEST(PortTable, SendOnBypassesOutputBindings) {
   // No output bind exists; the loader-infrastructure path still sends.
   f.table.send_on(0, ether::Frame::ethernet2(f.eth1->mac(), f.eth0->mac(),
                                              ether::EtherType::kExperimental, {1}));
+  f.net.scheduler().run();
+  EXPECT_EQ(got, 1);
+}
+
+TEST(PortTable, SendOnMovesATemporaryFrameWithoutCopyingItsPayload) {
+  Fixture f;
+  int got = 0;
+  f.eth1->set_rx_handler([&](const ether::WireFrame& frame) {
+    got += frame.frame().payload.size() == 200 ? 1 : 0;
+  });
+  ether::datapath_counters() = {};
+  f.table.send_on(0, ether::Frame::ethernet2(f.eth1->mac(), f.eth0->mac(),
+                                             ether::EtherType::kExperimental,
+                                             util::ByteBuffer(200, 0x5A)));
+  EXPECT_EQ(ether::datapath_counters().bytes_copied, 0u);
   f.net.scheduler().run();
   EXPECT_EQ(got, 1);
 }

@@ -1,9 +1,12 @@
 // TCP segment and option parser robustness sweeps, run under the same
 // ASan/UBSan job as codec_fuzz_test: truncated headers, bogus data offsets,
 // random flag soup and structurally broken options must produce a parse
-// error, never a crash or an over-read. Mirrors the fuzz_decoder discipline
-// of tests/fuzz/codec_fuzz_test.cpp.
+// error, never a crash or an over-read. decode_tcp returns views, so every
+// option and payload view it returns must lie inside the input buffer.
+// Mirrors the fuzz_decoder discipline of tests/fuzz/codec_fuzz_test.cpp.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "src/stack/tcp.h"
 #include "src/util/rng.h"
@@ -13,6 +16,23 @@ namespace {
 
 const Ipv4Addr kSrc(10, 0, 0, 1);
 const Ipv4Addr kDst(10, 0, 0, 2);
+
+/// True when `view` lies within `buffer`.
+bool inside(util::ByteView view, util::ByteView buffer) {
+  const auto begin = reinterpret_cast<std::uintptr_t>(buffer.data());
+  const auto at = reinterpret_cast<std::uintptr_t>(view.data());
+  return at >= begin && at + view.size() <= begin + buffer.size();
+}
+
+/// Decodes `wire` and, when it parses, checks that the views stay inside it.
+void decode_checked(util::ByteView wire) {
+  const auto decoded = decode_tcp(kSrc, kDst, wire);
+  if (!decoded) return;
+  EXPECT_TRUE(inside(decoded->options, wire));
+  EXPECT_TRUE(inside(decoded->payload, wire));
+  EXPECT_EQ(decoded->options.size() + decoded->payload.size() + TcpSegment::kHeaderSize,
+            wire.size());
+}
 
 util::ByteBuffer random_bytes(util::Rng& rng, std::size_t max_len) {
   util::ByteBuffer out(rng.index(max_len + 1));
@@ -30,7 +50,9 @@ util::ByteBuffer valid_segment() {
   s.window = 0xFFFF;
   s.options = {2, 4, 0x05, 0xB4};  // MSS 1460
   s.payload = util::ByteBuffer(64, 0x5A);
-  return encode_tcp(kSrc, kDst, s);
+  const util::ByteBuffer packet = encode_tcp(kSrc, kDst, s);
+  const util::ByteView segment = transport_bytes(packet);
+  return util::ByteBuffer(segment.begin(), segment.end());
 }
 
 class TcpSegmentFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -39,7 +61,7 @@ TEST_P(TcpSegmentFuzz, RandomAndMutatedBuffersNeverCrashDecode) {
   util::Rng rng(GetParam());
   for (int i = 0; i < 400; ++i) {
     const util::ByteBuffer junk = random_bytes(rng, 256);
-    (void)decode_tcp(kSrc, kDst, junk);  // must not crash; result irrelevant
+    decode_checked(junk);  // must not crash; most junk fails to parse
   }
   const util::ByteBuffer valid = valid_segment();
   for (int i = 0; i < 400; ++i) {
@@ -54,7 +76,7 @@ TEST_P(TcpSegmentFuzz, RandomAndMutatedBuffersNeverCrashDecode) {
       const util::ByteBuffer extra = random_bytes(rng, 32);
       mutated.insert(mutated.end(), extra.begin(), extra.end());
     }
-    (void)decode_tcp(kSrc, kDst, mutated);
+    decode_checked(mutated);
   }
 }
 
@@ -82,6 +104,7 @@ TEST(TcpSegmentFuzz, EveryDataOffsetIsRejectedOrBounded) {
     if (offset < 5) {
       EXPECT_FALSE(decoded.has_value());
     }
+    decode_checked(mutated);
   }
   // Truncate to every length below a full header.
   for (std::size_t len = 0; len < TcpSegment::kHeaderSize; ++len) {
@@ -93,8 +116,10 @@ TEST(TcpSegmentFuzz, EveryDataOffsetIsRejectedOrBounded) {
 
 TEST(TcpSegmentFuzz, ValidSegmentStillDecodes) {
   // Sanity for the mutation sweeps above: their base buffer is valid.
-  const auto decoded = decode_tcp(kSrc, kDst, valid_segment());
+  const util::ByteBuffer valid = valid_segment();
+  const auto decoded = decode_tcp(kSrc, kDst, valid);
   ASSERT_TRUE(decoded.has_value()) << decoded.error();
+  decode_checked(valid);
   EXPECT_EQ(decoded.value().payload.size(), 64u);
   auto options = parse_tcp_options(decoded.value().options);
   ASSERT_TRUE(options.has_value());

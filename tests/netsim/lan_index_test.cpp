@@ -156,8 +156,9 @@ ether::WireFrame echo_request(ether::MacAddress dst, ether::MacAddress src,
   h.protocol = static_cast<std::uint8_t>(stack::IpProto::kIcmp);
   h.src = Ipv4Addr(10, 9, 9, 9);
   h.dst = to;
-  return ether::Frame::ethernet2(dst, src, ether::EtherType::kIpv4,
-                                 h.encode(echo.encode()));
+  util::ByteBuffer packet = echo.encode();
+  h.write_in_place(packet);
+  return ether::Frame::ethernet2(dst, src, ether::EtherType::kIpv4, std::move(packet));
 }
 
 ether::WireFrame arp_frame(ether::MacAddress dst, ether::MacAddress src,

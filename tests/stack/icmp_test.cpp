@@ -3,9 +3,18 @@
 #include <gtest/gtest.h>
 
 #include "src/stack/checksum.h"
+#include "src/stack/ipv4.h"
 
 namespace ab::stack {
 namespace {
+
+/// IcmpEcho::encode's message, without the IP headroom it is built behind.
+util::ByteBuffer message_bytes(const IcmpEcho& e) {
+  const util::ByteBuffer packet = e.encode();
+  EXPECT_EQ(packet.size(), Ipv4Header::kSize + 8 + e.payload.size());
+  const util::ByteView message = transport_bytes(packet);
+  return util::ByteBuffer(message.begin(), message.end());
+}
 
 TEST(Icmp, EchoRequestRoundTrip) {
   IcmpEcho e;
@@ -13,7 +22,7 @@ TEST(Icmp, EchoRequestRoundTrip) {
   e.id = 0x1234;
   e.seq = 7;
   e.payload = util::to_bytes("ping payload");
-  const auto back = IcmpEcho::decode(e.encode());
+  const auto back = IcmpEcho::decode(message_bytes(e));
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->is_request());
   EXPECT_EQ(back->id, 0x1234);
@@ -39,14 +48,14 @@ TEST(Icmp, ChecksumDetectsCorruption) {
   e.id = 1;
   e.seq = 1;
   e.payload = {1, 2, 3, 4};
-  util::ByteBuffer wire = e.encode();
+  util::ByteBuffer wire = message_bytes(e);
   wire[8] ^= 0x10;
   EXPECT_FALSE(IcmpEcho::decode(wire).has_value());
 }
 
 TEST(Icmp, DecodeRejectsNonEchoTypes) {
   IcmpEcho e;
-  util::ByteBuffer wire = e.encode();
+  util::ByteBuffer wire = message_bytes(e);
   wire[0] = 3;  // destination unreachable
   // Fix checksum so the type check is what fires.
   wire[2] = 0;
@@ -67,7 +76,7 @@ TEST(Icmp, EmptyPayloadRoundTrips) {
   IcmpEcho e;
   e.id = 5;
   e.seq = 6;
-  const auto back = IcmpEcho::decode(e.encode());
+  const auto back = IcmpEcho::decode(message_bytes(e));
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->payload.empty());
 }

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/stack/checksum.h"
 
 namespace ab::stack {
 namespace {
+
+util::ByteBuffer copy_of(util::ByteView bytes) {
+  return util::ByteBuffer(bytes.begin(), bytes.end());
+}
 
 TEST(Ipv4Addr, ParseAndFormat) {
   const auto a = Ipv4Addr::parse("10.0.0.1");
@@ -43,7 +49,8 @@ TEST(Ipv4Header, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back->header.identification, 0xBEEF);
   EXPECT_EQ(back->header.ttl, 31);
   EXPECT_EQ(back->header.protocol, 17);
-  EXPECT_EQ(back->payload, payload);
+  EXPECT_EQ(copy_of(back->payload), payload);
+  EXPECT_EQ(back->payload.data(), wire.data() + Ipv4Header::kSize);  // a view
   EXPECT_FALSE(back->header.is_fragment());
 }
 
@@ -53,7 +60,8 @@ TEST(Ipv4Header, FragmentFieldsRoundTrip) {
   h.dst = Ipv4Addr(2, 2, 2, 2);
   h.more_fragments = true;
   h.fragment_offset = 185;  // x8 = offset 1480
-  const auto back = Ipv4Header::decode(h.encode(util::ByteBuffer{}));
+  const util::ByteBuffer wire = h.encode(util::ByteBuffer{});
+  const auto back = Ipv4Header::decode(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->header.more_fragments);
   EXPECT_FALSE(back->header.dont_fragment);
@@ -66,7 +74,8 @@ TEST(Ipv4Header, DontFragmentBitRoundTrips) {
   h.src = Ipv4Addr(1, 1, 1, 1);
   h.dst = Ipv4Addr(2, 2, 2, 2);
   h.dont_fragment = true;
-  const auto back = Ipv4Header::decode(h.encode(util::ByteBuffer{}));
+  const util::ByteBuffer wire = h.encode(util::ByteBuffer{});
+  const auto back = Ipv4Header::decode(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->header.dont_fragment);
   EXPECT_FALSE(back->header.is_fragment());
@@ -84,7 +93,8 @@ TEST(Ipv4Header, DecodeRejectsCorruptChecksum) {
 }
 
 TEST(Ipv4Header, DecodeRejectsShortAndWrongVersion) {
-  EXPECT_FALSE(Ipv4Header::decode(util::ByteBuffer(10, 0)).has_value());
+  const util::ByteBuffer short_packet(10, 0);
+  EXPECT_FALSE(Ipv4Header::decode(short_packet).has_value());
   Ipv4Header h;
   h.src = Ipv4Addr(1, 1, 1, 1);
   h.dst = Ipv4Addr(2, 2, 2, 2);
@@ -120,7 +130,7 @@ TEST(Ipv4Header, TrailingEthernetPaddingIsIgnored) {
   wire.resize(wire.size() + 25, 0);  // simulated padding
   const auto back = Ipv4Header::decode(wire);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->payload, (util::ByteBuffer{0xAA}));
+  EXPECT_EQ(copy_of(back->payload), (util::ByteBuffer{0xAA}));
 }
 
 TEST(Ipv4Header, EncodeRejectsOversizedPacket) {
@@ -128,6 +138,23 @@ TEST(Ipv4Header, EncodeRejectsOversizedPacket) {
   h.src = Ipv4Addr(1, 1, 1, 1);
   h.dst = Ipv4Addr(2, 2, 2, 2);
   EXPECT_THROW((void)h.encode(util::ByteBuffer(0x10000, 0)), std::length_error);
+  util::ByteBuffer oversized(0x10000, 0);
+  EXPECT_THROW(h.write_in_place(oversized), std::length_error);
+  util::ByteBuffer no_room(Ipv4Header::kSize - 1, 0);
+  EXPECT_THROW(h.write_in_place(no_room), std::length_error);
+}
+
+TEST(Ipv4Header, WriteInPlaceFillsTheHeadroomAndLeavesThePayload) {
+  Ipv4Header h;
+  h.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
+  h.src = Ipv4Addr(10, 0, 0, 1);
+  h.dst = Ipv4Addr(10, 0, 0, 2);
+  h.identification = 77;
+  const util::ByteBuffer payload = {5, 4, 3, 2, 1};
+  util::ByteBuffer packet = h.encode(payload);
+  std::fill_n(packet.begin(), Ipv4Header::kSize, 0xEE);  // stale headroom bytes
+  h.write_in_place(packet);
+  EXPECT_EQ(packet, h.encode(payload));
 }
 
 }  // namespace

@@ -28,6 +28,10 @@ using netsim::seconds;
 constexpr std::uint16_t kServerPort = 5001;
 constexpr std::uint16_t kClientPort = 4001;
 
+util::ByteBuffer copy_of(util::ByteView bytes) {
+  return util::ByteBuffer(bytes.begin(), bytes.end());
+}
+
 // ------------------------------------------------------------- codec tests
 
 TEST(TcpCodec, EncodeDecodeRoundTrip) {
@@ -42,7 +46,8 @@ TEST(TcpCodec, EncodeDecodeRoundTrip) {
   s.options = {2, 4, 0x05, 0xB4};  // MSS 1460
   s.payload = util::to_bytes("payload");
 
-  const util::ByteBuffer wire = encode_tcp(src, dst, s);
+  const util::ByteBuffer packet = encode_tcp(src, dst, s);
+  const util::ByteView wire = transport_bytes(packet);
   auto decoded = decode_tcp(src, dst, wire);
   ASSERT_TRUE(decoded.has_value()) << decoded.error();
   EXPECT_EQ(decoded.value().src_port, s.src_port);
@@ -51,7 +56,11 @@ TEST(TcpCodec, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.value().ack, s.ack);
   EXPECT_EQ(decoded.value().flags, s.flags);
   EXPECT_EQ(decoded.value().window, s.window);
-  EXPECT_EQ(decoded.value().payload, s.payload);
+  EXPECT_EQ(copy_of(decoded.value().payload), s.payload);
+  // Views into the wire bytes, not copies.
+  EXPECT_EQ(decoded.value().payload.data(), wire.data() + wire.size() - s.payload.size());
+  EXPECT_EQ(decoded.value().options.data(), wire.data() + TcpSegment::kHeaderSize);
+  EXPECT_EQ(decoded.value().to_owned().payload, s.payload);
 
   auto options = parse_tcp_options(decoded.value().options);
   ASSERT_TRUE(options.has_value());
@@ -65,7 +74,8 @@ TEST(TcpCodec, DecodeRejectsCorruption) {
   s.src_port = 1;
   s.dst_port = 2;
   s.payload = util::to_bytes("x");
-  util::ByteBuffer wire = encode_tcp(src, dst, s);
+  const util::ByteBuffer packet = encode_tcp(src, dst, s);
+  const util::ByteBuffer wire = copy_of(transport_bytes(packet));
 
   util::ByteBuffer flipped = wire;
   flipped[5] ^= 0x40;
@@ -84,9 +94,9 @@ TEST(TcpCodec, DecodeRejectsCorruption) {
 }
 
 TEST(TcpCodec, PayloadViewEncodingIsByteIdenticalToThePayloadInSegmentForm) {
-  // TcpSocket serializes straight from its send buffer through the view
-  // overload; it must produce exactly the bytes the segment form does, and
-  // ignore whatever the header's own payload holds.
+  // TcpSocket serializes straight from its send ring through the view
+  // overload, the payload in one piece or, across the ring's wrap, in two;
+  // it must produce exactly the bytes the segment form does at every split.
   const Ipv4Addr src(10, 0, 0, 1), dst(10, 0, 0, 2);
   util::ByteBuffer send_buffer(1401);
   for (std::size_t i = 0; i < send_buffer.size(); ++i) {
@@ -94,23 +104,27 @@ TEST(TcpCodec, PayloadViewEncodingIsByteIdenticalToThePayloadInSegmentForm) {
   }
   for (const std::size_t len : {0u, 1u, 2u, 3u, 47u, 536u, 1399u, 1400u}) {
     for (const bool syn : {false, true}) {
-      TcpSegment header;
-      header.src_port = 4001;
-      header.dst_port = 5001;
-      header.seq = 0x80000000u + static_cast<std::uint32_t>(len);
-      header.ack = 0x01020304;
-      header.flags = syn ? TcpSegment::kSyn | TcpSegment::kAck
-                         : TcpSegment::kAck | TcpSegment::kPsh;
-      header.window = 0xFFFF;
-      if (syn) header.options = {2, 4, 0x05, 0x78};  // MSS 1400
+      TcpSegment segment;
+      segment.src_port = 4001;
+      segment.dst_port = 5001;
+      segment.seq = 0x80000000u + static_cast<std::uint32_t>(len);
+      segment.ack = 0x01020304;
+      segment.flags = syn ? TcpSegment::kSyn | TcpSegment::kAck
+                          : TcpSegment::kAck | TcpSegment::kPsh;
+      segment.window = 0xFFFF;
+      if (syn) segment.options = {2, 4, 0x05, 0x78};  // MSS 1400
       // Odd start: the view is not the buffer's first byte.
       const util::ByteView payload = util::ByteView(send_buffer).subspan(1, len);
-
-      TcpSegment segment = header;
-      segment.payload.assign(payload.begin(), payload.end());
-      header.payload = util::to_bytes("ignored");
-      EXPECT_EQ(encode_tcp(src, dst, header, payload), encode_tcp(src, dst, segment))
-          << "payload " << len << (syn ? " with SYN options" : "");
+      segment.payload = copy_of(payload);
+      const util::ByteBuffer expected = encode_tcp(src, dst, segment);
+      const TcpHeader& header = segment;
+      for (const std::size_t split : {std::size_t{0}, len / 2, len}) {
+        EXPECT_EQ(encode_tcp(src, dst, header, segment.options, payload.first(split),
+                             payload.subspan(split)),
+                  expected)
+            << "payload " << len << " split at " << split
+            << (syn ? " with SYN options" : "");
+      }
     }
   }
 }
@@ -146,7 +160,8 @@ std::optional<SeenSegment> parse_tcp_frame(netsim::TimePoint at,
   auto seg = decode_tcp(packet.value().header.src, packet.value().header.dst,
                         packet.value().payload);
   if (!seg) return std::nullopt;
-  return SeenSegment{at, packet.value().header.src, std::move(seg.value())};
+  // The trace outlives the frame: keep an owning copy.
+  return SeenSegment{at, packet.value().header.src, seg.value().to_owned()};
 }
 
 using SegMatch = std::function<bool(const TcpSegment&)>;
@@ -469,8 +484,8 @@ TEST(TcpConformance, OutOfWindowSegmentIgnoredWithResyncAck) {
   ip.protocol = static_cast<std::uint8_t>(IpProto::kTcp);
   ip.src = t.a->ip();
   ip.dst = t.b->ip();
-  const util::ByteBuffer packet =
-      ip.encode(encode_tcp(t.a->ip(), t.b->ip(), stray));
+  util::ByteBuffer packet = encode_tcp(t.a->ip(), t.b->ip(), stray);
+  ip.write_in_place(packet);
   t.lan->broadcast(ether::Frame::ethernet2(t.b->nic().mac(), t.a->nic().mac(),
                                            ether::EtherType::kIpv4, packet),
                    nullptr);
@@ -543,8 +558,9 @@ constexpr Ipv4Addr kPeerIp(10, 0, 0, 2);
 constexpr std::uint32_t kPeerIss = 5000;
 
 /// One socket driven by hand: every segment it emits is decoded into
-/// `wire` the moment it is emitted, and the test plays the peer by feeding
-/// segments straight into on_segment(). No LAN, no host pipeline.
+/// `wire` the moment it is emitted (an owning copy: the emitted bytes die
+/// with the callback), and the test plays the peer by feeding segments
+/// straight into on_segment(). No LAN, no host pipeline.
 struct HandDrivenSocket {
   netsim::Scheduler scheduler;
   std::vector<TcpSegment> wire;
@@ -552,8 +568,10 @@ struct HandDrivenSocket {
 
   explicit HandDrivenSocket(TcpConfig config)
       : socket(scheduler, kLocalIp, kClientPort, kPeerIp, kServerPort, config,
-               [this](Ipv4Addr, util::ByteBuffer bytes) {
-                 wire.push_back(decode_tcp(kLocalIp, kPeerIp, bytes).value());
+               [this](Ipv4Addr, util::ByteBuffer packet) {
+                 wire.push_back(decode_tcp(kLocalIp, kPeerIp, transport_bytes(packet))
+                                    .value()
+                                    .to_owned());
                }) {}
 
   /// Delivers a peer segment with `flags` at peer sequence `seq` acking
@@ -566,7 +584,7 @@ struct HandDrivenSocket {
     s.ack = ack;
     s.flags = flags;
     s.window = 0xFFFF;
-    socket.on_segment(s);
+    socket.on_segment(s.view());
   }
 };
 
@@ -686,8 +704,8 @@ TEST(TcpHostStack, SegmentWithNoListenerIsCountedAndDropped) {
   ip.protocol = static_cast<std::uint8_t>(IpProto::kTcp);
   ip.src = t.a->ip();
   ip.dst = t.b->ip();
-  const util::ByteBuffer packet =
-      ip.encode(encode_tcp(t.a->ip(), t.b->ip(), syn));
+  util::ByteBuffer packet = encode_tcp(t.a->ip(), t.b->ip(), syn);
+  ip.write_in_place(packet);
   t.lan->broadcast(ether::Frame::ethernet2(t.b->nic().mac(), t.a->nic().mac(),
                                            ether::EtherType::kIpv4, packet),
                    nullptr);
