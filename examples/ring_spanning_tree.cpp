@@ -3,9 +3,9 @@
 // switchlet loaded the ring converges to a loop-free tree and traffic
 // flows normally.
 //
-// The ring is declared, not hand-wired: TopologyBuilder generates the
-// shape (try --nodes 32 for the macro-bench topology) and
-// bridge::build_topology assembles the nodes.
+// The ring is declared, not hand-wired: TopologyBuilder plans the shape
+// (try --nodes 32 for the macro-bench topology) and
+// bridge::build_topology creates its segments and assembles the nodes.
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>

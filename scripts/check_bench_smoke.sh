@@ -81,6 +81,11 @@
 #      1.0. One more copy anywhere on the path (a copying decoder) reads
 #      2.0, and the fully copying codecs read 4.0.
 #
+# Before any guard, each BENCH_*.json must be newer than the binary in the
+# build directory that writes it (micro_scheduler, macro_topology,
+# parallel_scaling): a file left by an earlier build fails here instead of
+# being judged as this build's.
+#
 # Usage: scripts/check_bench_smoke.sh [build-dir]   (default: build-release)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -103,6 +108,19 @@ field() {
 [ -f "$sched_json" ] || fail "missing $sched_json (run micro_scheduler first)"
 [ -f "$topo_json" ] || fail "missing $topo_json (run macro_topology first)"
 [ -f "$par_json" ] || fail "missing $par_json (run parallel_scaling first)"
+
+# Each file must come from the binary in this build directory: one older
+# than its writer was left by an earlier build, and its figures say
+# nothing about the code under guard.
+for pair in "$sched_json:micro_scheduler" "$topo_json:macro_topology" \
+            "$par_json:parallel_scaling"; do
+  json="${pair%:*}"
+  bin="$build_dir/${pair##*:}"
+  [ -f "$bin" ] || fail "missing $bin (the binary that writes $json)"
+  if [ "$bin" -nt "$json" ]; then
+    fail "stale $json: older than $bin (rerun ${pair##*:} --smoke in $build_dir)"
+  fi
+done
 
 grep -q '"batch_insert"' "$sched_json" \
   || fail "$sched_json has no batch_insert cell"

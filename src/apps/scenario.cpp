@@ -316,7 +316,7 @@ stack::HostStack& WorkloadContext::host(std::size_t i) const {
 
 const netsim::Topology::HostAttach& WorkloadContext::host_attach(
     std::size_t i) const {
-  return sharded->host_attach[i];
+  return sharded->shape.hosts[i];
 }
 
 std::size_t WorkloadContext::lan_count() const { return sharded->lan_count(); }
@@ -846,7 +846,8 @@ void RolloutWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   }
 
   // The deployment plan: every bridge, nearest stage first.
-  const std::vector<int> stages = rollout_stages(topo.node_lans, topo.lan_count(), 0);
+  const std::vector<int> stages =
+      rollout_stages(topo.shape.node_lans, topo.lan_count(), 0);
   std::vector<std::size_t> order(topo.bridges.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {

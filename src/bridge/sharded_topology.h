@@ -7,11 +7,12 @@
 // Observational parity with the single-Network build is load-bearing: a
 // test pins the 1-region build against build_topology NIC by NIC and event
 // by event, and the determinism tests compare multi-region cells against
-// that 1-region oracle. So the sharded builder assigns MAC addresses from
-// a GLOBAL counter in build_topology's creation order (bridges in node
-// order, then hosts in ordinal order), reuses its names and IPs, and
-// counts each frame's lan stats at exactly one replica (the one its sender
-// transmits on).
+// that 1-region oracle. So the sharded builder reads the same index plan
+// (netsim::TopologyBuilder::build), assembles every bridge and host
+// through the same assemble_bridge / assemble_host, assigns MAC addresses
+// from a GLOBAL counter in build_topology's creation order (bridges in
+// node order, then hosts in ordinal order), and counts each frame's lan
+// stats at exactly one replica (the one its sender transmits on).
 //
 // Ownership rules (the "sharded execution" contract, see ARCHITECTURE.md):
 //   * a node belongs to the region of its position block;
@@ -24,7 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/bridge/topology.h"
@@ -56,7 +56,9 @@ struct ShardedTopology {
     std::vector<std::unique_ptr<BridgeNode>> bridges;  ///< local, node order
   };
 
-  netsim::TopologySpec spec;
+  /// The index plan every region was built from (moved in, never copied:
+  /// its host list has one entry per station).
+  netsim::Topology shape;
   RegionPlan plan;
   std::vector<std::unique_ptr<Region>> regions;
   /// Cross-shard conduits, created in (cut lan, producer region, consumer
@@ -66,16 +68,12 @@ struct ShardedTopology {
   // Global oracle-ordered views.
   std::vector<BridgeNode*> bridges;      ///< node position order
   std::vector<stack::HostStack*> hosts;  ///< host ordinal order
-  std::vector<netsim::Topology::HostAttach> host_attach;  ///< global plan
-  std::vector<std::string> lan_names;    ///< global lan order
-  /// Per node position: the global lan index of each port, port order.
-  std::vector<std::vector<int>> node_lans;
   /// MAC ids consumed so far (global counter, starts at 1 like Network's).
   /// Workload probe NICs continue from here so a sharded cell's address
   /// assignment matches the single-Network build exactly.
   std::uint32_t next_mac_id = 1;
 
-  [[nodiscard]] std::size_t lan_count() const { return lan_names.size(); }
+  [[nodiscard]] std::size_t lan_count() const { return shape.segments.size(); }
   /// The region that owns lan `l`: its hosts and its station NICs live
   /// there, on that region's replica and clock.
   [[nodiscard]] Region& owner_region(std::size_t l);

@@ -1,7 +1,6 @@
 #include "src/bridge/topology.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -118,56 +117,80 @@ stack::Ipv4Addr topology_admin_ip(std::size_t ordinal) {
   return slice_ip(255, ordinal, 1, "admin");
 }
 
+namespace {
+
+netsim::Nic& add_nic(const AssemblySite& site, const std::string& name, int lan) {
+  netsim::LanSegment& segment = *site.lans[static_cast<std::size_t>(lan)];
+  if (site.mac_ids == nullptr) return site.net.add_nic(site.arena, name, segment);
+  const std::uint32_t id = (*site.mac_ids)++;
+  return site.net.add_nic(site.arena, name, segment,
+                          ether::MacAddress::local(id >> 16, id & 0xFFFF));
+}
+
+}  // namespace
+
+std::unique_ptr<BridgeNode> assemble_bridge(const AssemblySite& site,
+                                            const netsim::Topology& shape, std::size_t i,
+                                            BridgeNodeConfig config,
+                                            const TopologyBuildOptions& options) {
+  const std::string& name = shape.node_names[i];
+  config.name = name;
+  if (options.netloader) config.loader_ip = topology_loader_ip(i);
+  auto node = std::make_unique<BridgeNode>(site.net.scheduler(), std::move(config));
+  int port = 0;
+  for (const int lan : shape.node_lans[i]) {
+    node->add_port(add_nic(site, name + ".eth" + std::to_string(port++), lan));
+  }
+  if (options.dumb) node->load_dumb();
+  if (options.learning) node->load_learning();
+  if (options.stp) node->load_ieee();
+  if (options.netloader) node->load_netloader();
+  return node;
+}
+
+stack::HostStack* assemble_host(const AssemblySite& site,
+                                const netsim::Topology& shape, std::size_t ordinal,
+                                const TopologyBuildOptions& options) {
+  const netsim::Topology::HostAttach& h = shape.hosts[ordinal];
+  stack::HostConfig cfg;
+  cfg.ip = topology_host_ip(ordinal);
+  // No eager ARP reserve: the flat cache grows on a station's FIRST
+  // resolution, so the (vast) idle majority of a big cell pay nothing.
+  // An earlier per-host reserve proportional to hosts made topology
+  // memory quadratic (~200 MB of empty buckets on a 5000-station star).
+  if (options.host_cost_model) cfg.tx_cost = netsim::CostModel::linux_host();
+  netsim::Nic& nic = add_nic(site, h.name, h.lan);
+  auto* host = site.arena.create<stack::HostStack>(site.net.scheduler(), nic, cfg);
+  host->nic().set_tx_queue_limit(options.host_tx_queue_limit);
+  return host;
+}
+
 BridgedTopology build_topology(netsim::Network& net, const netsim::TopologySpec& spec,
                                BridgeNodeConfig node_config,
                                TopologyBuildOptions options) {
   BridgedTopology built;
-  built.shape = netsim::TopologyBuilder(net).build(spec);
-
-  for (std::size_t i = 0; i < built.shape.node_ports.size(); ++i) {
-    BridgeNodeConfig cfg = node_config;
-    cfg.name = built.shape.node_names[i];
-    if (options.netloader) cfg.loader_ip = topology_loader_ip(i);
-    auto node = std::make_unique<BridgeNode>(net.scheduler(), std::move(cfg));
-    int port = 0;
-    for (netsim::LanSegment* seg : built.shape.node_ports[i]) {
-      // Port NICs are arena-owned like station NICs; the BridgeNode shells
-      // (destroyed before the arena -- declaration order) stay on the heap.
-      node->add_port(net.add_nic(
-          built.arena, built.shape.node_names[i] + ".eth" + std::to_string(port++),
-          *seg));
-    }
-    if (options.dumb) node->load_dumb();
-    if (options.learning) node->load_learning();
-    if (options.stp) node->load_ieee();
-    if (options.netloader) node->load_netloader();
-    built.bridges.push_back(std::move(node));
+  netsim::Topology& plan = built.shape;
+  plan = netsim::TopologyBuilder::build(spec);
+  for (const netsim::Topology::Segment& seg : plan.segments) {
+    built.shape.lans.push_back(&net.add_segment(seg.name, seg.config));
   }
 
-  built.hosts.reserve(built.shape.hosts.size());
-  for (std::size_t ordinal = 0; ordinal < built.shape.hosts.size(); ++ordinal) {
-    const netsim::Topology::HostAttach& h = built.shape.hosts[ordinal];
-    stack::HostConfig cfg;
-    cfg.ip = topology_host_ip(ordinal);
-    // No eager ARP reserve: the flat cache grows on a station's FIRST
-    // resolution, so the (vast) idle majority of a big cell pay nothing.
-    // An earlier per-host reserve proportional to hosts made topology
-    // memory quadratic (~200 MB of empty buckets on a 5000-station star).
-    if (options.host_cost_model) cfg.tx_cost = netsim::CostModel::linux_host();
-    // NIC first, stack second, per station: arena teardown then runs the
-    // stack's destructor before its NIC's.
-    netsim::Nic& nic = net.add_nic(
-        built.arena, h.name, *built.shape.lans[static_cast<std::size_t>(h.lan)]);
-    stack::HostStack* host =
-        built.arena.create<stack::HostStack>(net.scheduler(), nic, cfg);
-    host->nic().set_tx_queue_limit(options.host_tx_queue_limit);
-    built.hosts.push_back(host);
+  // Port NICs and stations are arena-owned; the BridgeNode shells
+  // (destroyed before the arena -- declaration order) stay on the heap.
+  const AssemblySite site{net, built.arena, built.shape.lans};
+  for (std::size_t i = 0; i < plan.node_lans.size(); ++i) {
+    built.bridges.push_back(assemble_bridge(site, plan, i, node_config, options));
+  }
+  built.hosts.reserve(plan.hosts.size());
+  for (std::size_t ordinal = 0; ordinal < plan.hosts.size(); ++ordinal) {
+    built.hosts.push_back(assemble_host(site, plan, ordinal, options));
   }
   return built;
 }
 
 RegionPlan partition_regions(const netsim::Topology& shape, int regions) {
-  const int nodes = static_cast<int>(shape.node_ports.size());
+  const int nodes = static_cast<int>(shape.node_lans.size());
+  const std::size_t lans = shape.segments.size();
   RegionPlan plan;
   plan.regions = std::clamp(regions, 1, std::max(nodes, 1));
   plan.node_region.resize(static_cast<std::size_t>(nodes));
@@ -179,16 +202,13 @@ RegionPlan partition_regions(const netsim::Topology& shape, int regions) {
         static_cast<int>(static_cast<long long>(i) * plan.regions / nodes);
   }
 
-  std::map<const netsim::LanSegment*, std::size_t> lan_index;
-  for (std::size_t l = 0; l < shape.lans.size(); ++l) lan_index[shape.lans[l]] = l;
-
-  plan.lan_regions.assign(shape.lans.size(), {});
-  plan.lan_owner.assign(shape.lans.size(), 0);
+  plan.lan_regions.assign(lans, {});
+  plan.lan_owner.assign(lans, 0);
   // Lowest-numbered attached node per LAN; `nodes` = none attached yet.
-  std::vector<int> owner_node(shape.lans.size(), nodes);
+  std::vector<int> owner_node(lans, nodes);
   for (int i = 0; i < nodes; ++i) {
-    for (netsim::LanSegment* seg : shape.node_ports[static_cast<std::size_t>(i)]) {
-      const std::size_t l = lan_index.at(seg);
+    for (const int lan : shape.node_lans[static_cast<std::size_t>(i)]) {
+      const auto l = static_cast<std::size_t>(lan);
       std::vector<int>& rs = plan.lan_regions[l];
       const int r = plan.node_region[static_cast<std::size_t>(i)];
       if (std::find(rs.begin(), rs.end(), r) == rs.end()) rs.push_back(r);
@@ -196,7 +216,7 @@ RegionPlan partition_regions(const netsim::Topology& shape, int regions) {
     }
   }
 
-  for (std::size_t l = 0; l < shape.lans.size(); ++l) {
+  for (std::size_t l = 0; l < lans; ++l) {
     std::vector<int>& rs = plan.lan_regions[l];
     std::sort(rs.begin(), rs.end());
     plan.lan_owner[l] =
@@ -205,10 +225,10 @@ RegionPlan partition_regions(const netsim::Topology& shape, int regions) {
             : plan.node_region[static_cast<std::size_t>(owner_node[l])];
     if (rs.empty()) rs.push_back(plan.lan_owner[l]);
     if (rs.size() > 1) {
-      const netsim::Duration prop = shape.lans[l]->config().propagation;
+      const netsim::Duration prop = shape.segments[l].config.propagation;
       if (prop <= netsim::Duration::zero()) {
         throw std::invalid_argument(
-            "partition_regions: cut segment " + shape.lans[l]->name() +
+            "partition_regions: cut segment " + shape.segments[l].name +
             " has zero propagation delay -- the conservative window needs "
             "lookahead >= 1ns on every cross-region link");
       }

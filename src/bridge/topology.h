@@ -2,13 +2,16 @@
 // extended LAN -- one BridgeNode per node position (ports attached,
 // switchlets loaded) and one HostStack per planned host attachment point.
 //
-// This is the assembly half of the TopologyBuilder split: netsim generates
-// shapes without knowing what a bridge is; this header owns the
-// bridge/stack layers' side of the contract. The hand-wired two-LAN and
-// ring helpers the tests, examples, and benches used to copy around are
-// one-liners over this.
+// This is the assembly half of the TopologyBuilder split: netsim plans
+// shapes as indices without knowing what a bridge is; this header owns the
+// bridge/stack layers' side of the contract. assemble_bridge and
+// assemble_host are the one recipe for a node and a station, shared by
+// build_topology (one Network) and build_sharded_topology (per-region
+// worlds). The hand-wired two-LAN and ring helpers the tests, examples,
+// and benches used to copy around are one-liners over this.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -48,9 +51,9 @@ struct TopologyBuildOptions {
 /// IP of the `ordinal`-th workload-owned admin/probe station (10.255.0.0/16).
 [[nodiscard]] stack::Ipv4Addr topology_admin_ip(std::size_t ordinal);
 
-/// A built topology: the netsim wiring plan plus the assembled nodes.
-/// Bridges and hosts are positionally aligned with shape.node_ports /
-/// shape.hosts.
+/// A built topology: the netsim wiring plan, the segments created from it,
+/// and the assembled nodes. Bridges and hosts are positionally aligned
+/// with shape.node_lans / shape.hosts.
 ///
 /// Station state (each host's NIC + HostStack) lives in `arena`, not in
 /// per-object heap nodes: a million-station cell is a few thousand slab
@@ -63,7 +66,13 @@ struct TopologyBuildOptions {
 /// topology's lifetime (moving the struct moves slab ownership, never the
 /// slabs).
 struct BridgedTopology {
-  netsim::Topology shape;
+  /// The plan plus its live segments: lans[l] is the Network-owned
+  /// segment created from segments[l].
+  struct Shape : netsim::Topology {
+    std::vector<netsim::LanSegment*> lans;
+  };
+
+  Shape shape;
   /// Owns every per-station object AND the bridge port NICs. Declared
   /// before `bridges` so teardown destroys the BridgeNodes (whose planes
   /// and port tables reference the port NICs) BEFORE the arena walks its
@@ -72,7 +81,7 @@ struct BridgedTopology {
   std::vector<std::unique_ptr<BridgeNode>> bridges;
   std::vector<stack::HostStack*> hosts;  ///< arena-backed, creation order
 
-  /// Bridge at node position `i` (aligned with shape.node_ports).
+  /// Bridge at node position `i` (aligned with shape.node_lans).
   [[nodiscard]] BridgeNode& bridge(std::size_t i) { return *bridges[i]; }
   /// Host at attachment ordinal `i` (aligned with shape.hosts).
   [[nodiscard]] stack::HostStack& host(std::size_t i) { return *hosts[i]; }
@@ -92,14 +101,45 @@ struct BridgedTopology {
   [[nodiscard]] std::size_t mac_entries() const;
 };
 
-/// Builds `spec` inside `net` and assembles bridges and hosts on the plan.
-/// `node_config.name` is overridden per node with the plan's names; hosts
-/// get topology_host_ip of their plan ordinal (lan-major order), so
-/// thousand-station LANs assign unique addresses.
+/// Plans `spec`, creates its segments in `net` (Network-owned, so callers
+/// may attach their own NICs to shape.lans) and assembles bridges and
+/// hosts on them. MACs come from `net`'s counter. `node_config.name` is
+/// overridden per node with the plan's names; hosts get topology_host_ip
+/// of their plan ordinal (lan-major order), so thousand-station LANs
+/// assign unique addresses.
 [[nodiscard]] BridgedTopology build_topology(netsim::Network& net,
                                              const netsim::TopologySpec& spec,
                                              BridgeNodeConfig node_config = {},
                                              TopologyBuildOptions options = {});
+
+// ---------------------------------------------------------------------------
+// Assembly shared by build_topology and build_sharded_topology.
+
+/// One world's share of an assembly: its Network (clock + NIC factory),
+/// the arena that owns its NICs and stacks, and its live segment for each
+/// plan index (nullptr where the world has none). NIC MACs draw from
+/// `*mac_ids`, or from `net`'s own counter when it is null.
+struct AssemblySite {
+  netsim::Network& net;
+  netsim::Arena& arena;
+  std::span<netsim::LanSegment* const> lans;
+  std::uint32_t* mac_ids = nullptr;
+};
+
+/// Assembles node position `i` of `shape`: the plan's name, a loader IP
+/// when options.netloader, one arena port NIC per planned LAN in port
+/// order, then the switchlets `options` selects.
+[[nodiscard]] std::unique_ptr<BridgeNode> assemble_bridge(
+    const AssemblySite& site, const netsim::Topology& shape, std::size_t i,
+    BridgeNodeConfig config, const TopologyBuildOptions& options);
+
+/// Assembles host ordinal `ordinal` of `shape`: topology_host_ip(ordinal),
+/// the options' cost model and queue limit, and its NIC created before its
+/// stack in the arena (teardown then runs the stack's destructor first).
+[[nodiscard]] stack::HostStack* assemble_host(const AssemblySite& site,
+                                              const netsim::Topology& shape,
+                                              std::size_t ordinal,
+                                              const TopologyBuildOptions& options);
 
 // ---------------------------------------------------------------------------
 // Aggregate views over any bridge set (a BridgedTopology's, or a sharded

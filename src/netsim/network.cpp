@@ -86,9 +86,8 @@ std::string_view to_string(TopologyShape shape) {
 }
 
 std::string TopologySpec::label() const {
-  std::string base = util::format("%s%s-%dx%d", prefix.c_str(),
-                                  std::string(to_string(shape)).c_str(), nodes,
-                                  hosts_per_lan);
+  std::string base = util::format("%s-%dx%d", std::string(to_string(shape)).c_str(),
+                                  nodes, hosts_per_lan);
   // Random shapes are only reproducible given their parameters; bake them
   // into the tag so cells differing in degree/attach/seed stay
   // distinguishable in tables and bench JSON.
@@ -282,29 +281,6 @@ int TopologyBuilder::segment_count(const TopologySpec& spec) {
   return 0;
 }
 
-int TopologyBuilder::port_count(const TopologySpec& spec, int node) {
-  switch (spec.shape) {
-    case TopologyShape::kLine:
-    case TopologyShape::kRing:
-    case TopologyShape::kStar:
-    case TopologyShape::kTree:
-      return 2;
-    case TopologyShape::kMesh:
-      return spec.nodes - 1;
-    case TopologyShape::kRandomKRegular:
-      return spec.degree;
-    case TopologyShape::kScaleFree: {
-      int degree = 0;
-      for (const auto& [a, b] : random_edges(spec)) {
-        if (a == node || b == node) ++degree;
-      }
-      return degree;
-    }
-  }
-  (void)node;
-  return 0;
-}
-
 std::vector<std::pair<int, int>> TopologyBuilder::random_edges(
     const TopologySpec& spec) {
   validate(spec);
@@ -325,40 +301,39 @@ Topology TopologyBuilder::build(const TopologySpec& spec) {
   topo.spec = spec;
 
   // The random shapes are edge lists: one point-to-point segment per edge,
-  // generated (and connectivity-checked) before any segment exists.
+  // generated (and connectivity-checked) before anything is planned.
   std::vector<std::pair<int, int>> edges;
   const bool random_shape = spec.shape == TopologyShape::kRandomKRegular ||
                             spec.shape == TopologyShape::kScaleFree;
   if (random_shape) edges = random_edges(spec);
 
   const int segments = segment_count(spec);
-  topo.lans.reserve(static_cast<std::size_t>(segments));
+  topo.segments.reserve(static_cast<std::size_t>(segments));
   for (int i = 0; i < segments; ++i) {
     const auto it = spec.lan_overrides.find(i);
-    const LanConfig cfg = it != spec.lan_overrides.end() ? it->second : spec.lan;
-    topo.lans.push_back(
-        &net_->add_segment(spec.prefix + "lan" + std::to_string(i), cfg));
+    topo.segments.push_back(Topology::Segment{
+        "lan" + std::to_string(i),
+        it != spec.lan_overrides.end() ? it->second : spec.lan});
   }
 
-  const auto lan = [&](int i) { return topo.lans[static_cast<std::size_t>(i)]; };
-  topo.node_ports.resize(static_cast<std::size_t>(spec.nodes));
+  topo.node_lans.resize(static_cast<std::size_t>(spec.nodes));
   topo.node_names.reserve(static_cast<std::size_t>(spec.nodes));
   for (int i = 0; i < spec.nodes; ++i) {
-    topo.node_names.push_back(spec.prefix + "bridge" + std::to_string(i));
-    auto& ports = topo.node_ports[static_cast<std::size_t>(i)];
+    topo.node_names.push_back("bridge" + std::to_string(i));
+    auto& ports = topo.node_lans[static_cast<std::size_t>(i)];
     switch (spec.shape) {
       case TopologyShape::kLine:
-        ports = {lan(i), lan(i + 1)};
+        ports = {i, i + 1};
         break;
       case TopologyShape::kRing:
-        ports = {lan(i), lan((i + 1) % spec.nodes)};
+        ports = {i, (i + 1) % spec.nodes};
         break;
       case TopologyShape::kStar:
         // Leaf segment first so hosts on "node i's LAN" read naturally.
-        ports = {lan(i + 1), lan(0)};
+        ports = {i + 1, 0};
         break;
       case TopologyShape::kTree:
-        ports = {lan(tree_up_segment(i, spec.tree_arity)), lan(i + 1)};
+        ports = {tree_up_segment(i, spec.tree_arity), i + 1};
         break;
       case TopologyShape::kMesh: {
         // Pair (a, b), a < b, owns segment index  a*(2n-a-1)/2 + (b-a-1).
@@ -366,8 +341,7 @@ Topology TopologyBuilder::build(const TopologySpec& spec) {
           if (peer == i) continue;
           const int a = std::min(i, peer);
           const int b = std::max(i, peer);
-          const int seg = a * (2 * spec.nodes - a - 1) / 2 + (b - a - 1);
-          ports.push_back(lan(seg));
+          ports.push_back(a * (2 * spec.nodes - a - 1) / 2 + (b - a - 1));
         }
         break;
       }
@@ -377,7 +351,7 @@ Topology TopologyBuilder::build(const TopologySpec& spec) {
         // edge-list order.
         for (std::size_t e = 0; e < edges.size(); ++e) {
           if (edges[e].first == i || edges[e].second == i) {
-            ports.push_back(lan(static_cast<int>(e)));
+            ports.push_back(static_cast<int>(e));
           }
         }
         break;
@@ -385,11 +359,12 @@ Topology TopologyBuilder::build(const TopologySpec& spec) {
     }
   }
 
+  topo.hosts.reserve(static_cast<std::size_t>(segments) *
+                     static_cast<std::size_t>(spec.hosts_per_lan));
   for (int l = 0; l < segments; ++l) {
     for (int h = 0; h < spec.hosts_per_lan; ++h) {
       topo.hosts.push_back(Topology::HostAttach{
-          l, h,
-          spec.prefix + "host" + std::to_string(l) + "_" + std::to_string(h)});
+          l, h, "host" + std::to_string(l) + "_" + std::to_string(h)});
     }
   }
   return topo;

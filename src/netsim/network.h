@@ -6,10 +6,12 @@
 // the builder generalizes those to N-node shapes with M host attachment
 // points per LAN so tests, benches, and scenario sweeps can dial topology
 // size instead of hand-wiring segments. netsim knows nothing about bridges
-// or host stacks (they live layers above), so the builder creates the
-// segments and hands back a wiring plan: which segments each node connects
-// and where hosts attach. src/bridge/topology.h turns that plan into
-// assembled BridgeNodes and HostStacks.
+// or host stacks (they live layers above), so the builder creates nothing:
+// it hands back an index-only wiring plan -- each segment's name and
+// LanConfig, which segment indices each node connects, and where hosts
+// attach. src/bridge/topology.h creates the segments that plan names and
+// assembles BridgeNodes and HostStacks on them, in one Network or split
+// across regions.
 #pragma once
 
 #include <cstdint>
@@ -134,63 +136,56 @@ struct TopologySpec {
   LanConfig lan;
   /// Per-segment-index overrides (loss on one link, a slow uplink, ...).
   std::map<int, LanConfig> lan_overrides;
-  /// Prepended to every generated segment/node/host name, so several
-  /// topologies can share one Network.
-  std::string prefix;
 
   /// "ring-32x4" style tag used in sweep tables and bench JSON.
   [[nodiscard]] std::string label() const;
 };
 
-/// The wiring plan for one generated topology. Segments are live (created
-/// in the Network); nodes and hosts are attachment plans for the layers
-/// above.
+/// The wiring plan for one generated topology, as indices. It creates no
+/// segment: `segments` says what to create, `node_lans` and `hosts` say
+/// what attaches to which segment index.
 struct Topology {
+  /// One planned segment: what Network::add_segment takes.
+  struct Segment {
+    std::string name;
+    LanConfig config;
+  };
   /// One planned host attachment point.
   struct HostAttach {
-    int lan = 0;    ///< index into `lans`
+    int lan = 0;    ///< index into `segments`
     int index = 0;  ///< host ordinal on that segment
     std::string name;
   };
 
   TopologySpec spec;
-  std::vector<LanSegment*> lans;
-  /// node_ports[i] lists the segments node i bridges, in port order.
-  std::vector<std::vector<LanSegment*>> node_ports;
+  std::vector<Segment> segments;
+  /// node_lans[i] lists the segment indices node i bridges, in port order.
+  std::vector<std::vector<int>> node_lans;
   std::vector<std::string> node_names;
   std::vector<HostAttach> hosts;
 };
 
-/// Generates segments and wiring plans for TopologySpecs inside one
-/// Network. Pure netsim: the caller (or bridge::build_topology) decides
-/// what actually sits at each node position.
+/// Generates wiring plans for TopologySpecs. Pure netsim: the caller (or
+/// bridge::build_topology / build_sharded_topology) decides what segments
+/// to create and what actually sits at each node position.
 class TopologyBuilder {
  public:
-  explicit TopologyBuilder(Network& net) : net_(&net) {}
+  /// Returns the spec's plan. Throws std::invalid_argument on malformed
+  /// specs (too few nodes for the shape, negative host counts,
+  /// non-positive arity, infeasible degree); std::runtime_error if a
+  /// random shape cannot be made connected after bounded retries.
+  [[nodiscard]] static Topology build(const TopologySpec& spec);
 
-  /// Creates the spec's segments in the Network and returns the plan.
-  /// Throws std::invalid_argument on malformed specs (too few nodes for
-  /// the shape, negative host counts, non-positive arity, infeasible
-  /// degree); std::runtime_error if a random shape cannot be made
-  /// connected after bounded retries.
-  Topology build(const TopologySpec& spec);
-
-  /// Segments the spec will create (without building anything). Exact for
+  /// Segments the spec will plan (without planning anything). Exact for
   /// every shape, including the random ones (their edge counts are fixed
   /// by construction: nodes*degree/2 and C(attach+1,2)+(nodes-attach-1)*attach).
   [[nodiscard]] static int segment_count(const TopologySpec& spec);
-  /// Ports node `node` will have under this spec. For kScaleFree this
-  /// generates the (seeded, deterministic) graph to count the node's edges.
-  [[nodiscard]] static int port_count(const TopologySpec& spec, int node);
 
   /// The node-pair edge list a random spec generates (seeded, connected,
   /// deterministic). Exposed so tests can check connectivity/determinism
-  /// without building segments. Throws for the non-random shapes.
+  /// without planning the rest. Throws for the non-random shapes.
   [[nodiscard]] static std::vector<std::pair<int, int>> random_edges(
       const TopologySpec& spec);
-
- private:
-  Network* net_;
 };
 
 }  // namespace ab::netsim

@@ -235,11 +235,16 @@ TEST(ParallelSweep, ShardedRingAgreesOnSteadyStateAndWithItself) {
 }
 
 TEST(ParallelSweep, OneRegionBuildEqualsSingleNetworkBuildExactly) {
-  // The reference for the sharded builder: build_sharded_topology at one
-  // region must assemble exactly what build_topology assembles on one
-  // Network -- every LAN's NICs in the same attach order with the same
-  // names and MACs, the same host addresses -- and, driven through the
-  // same program, execute the same events down to the scheduler internals.
+  // The reference for the sharded builder. Both builders read the same
+  // index plan (TopologyBuilder::build) and assemble every bridge and host
+  // through the same assemble_bridge / assemble_host; they differ only in
+  // where segments live (Network-owned vs arena replicas) and where MACs
+  // come from (the Network's counter vs the cell's global one). So at one
+  // region build_sharded_topology must assemble exactly what
+  // build_topology assembles on one Network -- every LAN's NICs in the
+  // same attach order with the same names and MACs, the same host
+  // addresses -- and, driven through the same program, execute the same
+  // events down to the scheduler internals.
   const netsim::TopologySpec spec = star_cell();
   const SweepOptions defaults;
 

@@ -1,6 +1,6 @@
 // Shared topology fixtures for the bridge test suite, built on the
-// parametric TopologyBuilder (netsim generates the shape, bridge::build_
-// topology assembles the nodes). Switchlets are NOT preloaded: each test
+// parametric TopologyBuilder (netsim plans the shape, bridge::build_
+// topology creates its segments and assembles the nodes). Switchlets are NOT preloaded: each test
 // loads exactly the modules it exercises.
 #pragma once
 
@@ -92,15 +92,7 @@ struct RingFixture {
   }
 
   /// Count of ports in each gate state across all bridges.
-  int count_gates(PortGate gate) {
-    int count = 0;
-    for (auto& b : bridges) {
-      for (const auto& p : b->plane().bridge_ports()) {
-        if (p.gate == gate) ++count;
-      }
-    }
-    return count;
-  }
+  int count_gates(PortGate gate) const { return bridge::count_gates(bridges, gate); }
 };
 
 }  // namespace ab::bridge::testing

@@ -1,13 +1,20 @@
 // bridge::build_topology: assembled parametric topologies must carry real
 // traffic -- STP converges on loopy shapes, hosts ping across the extended
 // LAN, and shared segments with many bridges (star hubs, tree trunks) must
-// not melt down (regression for the TCN amplification storm).
+// not melt down (regression for the TCN amplification storm). Plus the
+// sharded side's plan contract: partition_regions on a bare plan, and NIC
+// identity at every region count.
 #include "src/bridge/topology.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/bridge/sharded_topology.h"
 #include "src/netsim/trace.h"
 
 namespace ab::bridge {
@@ -219,6 +226,88 @@ TEST(BuildTopology, TopologyChangeSurvivesLossySegment) {
   EXPECT_GT(root->stats().tcns_received, 0u);  // the change reached the root
   EXPECT_GT(retransmits, 0u);                  // ...because someone kept trying
   EXPECT_GT(tcas_received, 0u);                // ...until the ack landed
+}
+
+// ---------------------------------------------------------------------------
+// partition_regions reads the index plan alone: no Network, no segment.
+
+TEST(PartitionRegions, RingSplitsIntoContiguousBlocksCutAtTheSeams) {
+  // Ring of 6: node i bridges lan i and lan (i+1)%6. Two regions take
+  // nodes 0-2 and 3-5, so lan 3 (nodes 2, 3) and lan 0 (nodes 5, 0) are
+  // cut, each owned by the region of its lowest-numbered node.
+  netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kRing, 6);
+  spec.lan_overrides[3].propagation = netsim::microseconds(2);
+  // Faster still, but internal: an uncut LAN does not bound the window.
+  spec.lan_overrides[1].propagation = netsim::microseconds(1);
+  const RegionPlan plan = partition_regions(netsim::TopologyBuilder::build(spec), 2);
+
+  EXPECT_EQ(plan.regions, 2);
+  EXPECT_EQ(plan.node_region, (std::vector<int>{0, 0, 0, 1, 1, 1}));
+  EXPECT_EQ(plan.cut_lans, 2);
+  for (std::size_t l = 0; l < 6; ++l) EXPECT_EQ(plan.cut(l), l == 0 || l == 3) << l;
+  EXPECT_EQ(plan.lan_regions[0], (std::vector<int>{0, 1}));
+  EXPECT_EQ(plan.lan_regions[3], (std::vector<int>{0, 1}));
+  EXPECT_EQ(plan.lan_regions[4], (std::vector<int>{1}));
+  EXPECT_EQ(plan.lan_owner, (std::vector<int>{0, 0, 0, 0, 1, 1}));
+  // The smaller of the two cut LANs' propagation: lan 3's 2 us, not lan
+  // 0's default 5 us or uncut lan 1's 1 us.
+  EXPECT_EQ(plan.lookahead, netsim::microseconds(2));
+}
+
+TEST(PartitionRegions, ZeroPropagationIsRejectedOnlyOnACutLan) {
+  netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kRing, 6);
+  spec.lan_overrides[3].propagation = netsim::Duration::zero();
+  const netsim::Topology shape = netsim::TopologyBuilder::build(spec);
+  EXPECT_THROW((void)partition_regions(shape, 2), std::invalid_argument);
+  // At one region nothing is cut, so nothing needs lookahead.
+  RegionPlan whole;
+  EXPECT_NO_THROW(whole = partition_regions(shape, 1));
+  EXPECT_EQ(whole.cut_lans, 0);
+  EXPECT_EQ(whole.lookahead, netsim::Duration::zero());
+}
+
+// The sharded build's addresses are a function of the plan, not of the
+// partition: a cell's NIC names, MACs and host IPs at 2 and 4 regions are
+// those of its 1-region build (itself pinned against build_topology by
+// ParallelSweep.OneRegionBuildEqualsSingleNetworkBuildExactly).
+TEST(ShardedBuild, KRegularNicIdentityDoesNotDependOnRegionCount) {
+  netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kRandomKRegular, 8, 2);
+  spec.degree = 4;
+  spec.seed = 7;
+  struct Identity {
+    std::vector<std::pair<std::string, ether::MacAddress>> nics;  ///< ports, hosts
+    std::vector<stack::Ipv4Addr> ips;
+    std::uint32_t next_mac_id = 0;
+  };
+  const auto identity = [&spec](int regions) {
+    ShardedTopology topo = build_sharded_topology(spec, regions);
+    EXPECT_EQ(topo.regions.size(), static_cast<std::size_t>(regions));
+    Identity id;
+    for (BridgeNode* b : topo.bridges) {
+      for (const ForwardingPlane::Port& p : b->plane().bridge_ports()) {
+        id.nics.emplace_back(p.out->nic().name(), p.out->nic().mac());
+      }
+    }
+    for (stack::HostStack* h : topo.hosts) {
+      id.nics.emplace_back(h->nic().name(), h->nic().mac());
+      id.ips.push_back(h->ip());
+    }
+    id.next_mac_id = topo.next_mac_id;
+    return id;
+  };
+
+  const Identity one = identity(1);
+  ASSERT_EQ(one.nics.size(), 8u * 4u + 16u * 2u);  // 32 ports, 16 lans x 2 hosts
+  EXPECT_EQ(one.next_mac_id, 1u + 64u);
+  std::set<ether::MacAddress> macs;
+  for (const auto& nic : one.nics) macs.insert(nic.second);
+  EXPECT_EQ(macs.size(), one.nics.size());
+  for (const int regions : {2, 4}) {
+    const Identity split = identity(regions);
+    EXPECT_EQ(split.nics, one.nics) << regions << " regions";
+    EXPECT_EQ(split.ips, one.ips) << regions << " regions";
+    EXPECT_EQ(split.next_mac_id, one.next_mac_id) << regions << " regions";
+  }
 }
 
 }  // namespace

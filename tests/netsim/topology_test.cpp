@@ -1,5 +1,6 @@
-// TopologyBuilder shape math: segment counts, wiring plans, overrides,
-// host attachment plans, and validation -- all without any bridge layer.
+// TopologyBuilder shape math: segment counts, index wiring plans,
+// overrides, host attachment plans, and validation -- all without any
+// bridge layer or Network.
 #include "src/netsim/network.h"
 
 #include <gtest/gtest.h>
@@ -21,77 +22,69 @@ TopologySpec spec_of(TopologyShape shape, int nodes, int hosts = 0) {
 }
 
 TEST(TopologyBuilder, LineWiring) {
-  Network net;
-  const Topology t = TopologyBuilder(net).build(spec_of(TopologyShape::kLine, 4));
-  ASSERT_EQ(t.lans.size(), 5u);
-  ASSERT_EQ(t.node_ports.size(), 4u);
+  const Topology t = TopologyBuilder::build(spec_of(TopologyShape::kLine, 4));
+  ASSERT_EQ(t.segments.size(), 5u);
+  ASSERT_EQ(t.node_lans.size(), 4u);
   for (int i = 0; i < 4; ++i) {
-    const auto& ports = t.node_ports[static_cast<std::size_t>(i)];
-    ASSERT_EQ(ports.size(), 2u);
-    EXPECT_EQ(ports[0], t.lans[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(ports[1], t.lans[static_cast<std::size_t>(i + 1)]);
+    EXPECT_EQ(t.node_lans[static_cast<std::size_t>(i)], (std::vector<int>{i, i + 1}));
   }
   EXPECT_EQ(t.node_names[0], "bridge0");
-  EXPECT_EQ(net.find_segment("lan0"), t.lans[0]);
+  EXPECT_EQ(t.segments[0].name, "lan0");
 }
 
 TEST(TopologyBuilder, RingWrapsAround) {
-  Network net;
-  const Topology t = TopologyBuilder(net).build(spec_of(TopologyShape::kRing, 5));
-  ASSERT_EQ(t.lans.size(), 5u);
-  EXPECT_EQ(t.node_ports[4][0], t.lans[4]);
-  EXPECT_EQ(t.node_ports[4][1], t.lans[0]);  // the wrap that makes the loop
+  const Topology t = TopologyBuilder::build(spec_of(TopologyShape::kRing, 5));
+  ASSERT_EQ(t.segments.size(), 5u);
+  EXPECT_EQ(t.node_lans[4][0], 4);
+  EXPECT_EQ(t.node_lans[4][1], 0);  // the wrap that makes the loop
 }
 
 TEST(TopologyBuilder, StarSharesTheHub) {
-  Network net;
-  const Topology t = TopologyBuilder(net).build(spec_of(TopologyShape::kStar, 6));
-  ASSERT_EQ(t.lans.size(), 7u);
+  const Topology t = TopologyBuilder::build(spec_of(TopologyShape::kStar, 6));
+  ASSERT_EQ(t.segments.size(), 7u);
   for (int i = 0; i < 6; ++i) {
-    const auto& ports = t.node_ports[static_cast<std::size_t>(i)];
-    EXPECT_EQ(ports[0], t.lans[static_cast<std::size_t>(i + 1)]);  // own leaf
-    EXPECT_EQ(ports[1], t.lans[0]);                                // the hub
+    const auto& ports = t.node_lans[static_cast<std::size_t>(i)];
+    EXPECT_EQ(ports[0], i + 1);  // own leaf
+    EXPECT_EQ(ports[1], 0);      // the hub
   }
 }
 
 TEST(TopologyBuilder, TreeParentsAreConsistent) {
-  Network net;
   TopologySpec spec = spec_of(TopologyShape::kTree, 7);
   spec.tree_arity = 2;
-  const Topology t = TopologyBuilder(net).build(spec);
-  ASSERT_EQ(t.lans.size(), 8u);
+  const Topology t = TopologyBuilder::build(spec);
+  ASSERT_EQ(t.segments.size(), 8u);
   // Node 0 hangs off the root LAN; its down-segment is lan1.
-  EXPECT_EQ(t.node_ports[0][0], t.lans[0]);
-  EXPECT_EQ(t.node_ports[0][1], t.lans[1]);
+  EXPECT_EQ(t.node_lans[0][0], 0);
+  EXPECT_EQ(t.node_lans[0][1], 1);
   // Nodes 1 and 2 are node 0's children: their up-port is node 0's
   // down-segment.
-  EXPECT_EQ(t.node_ports[1][0], t.lans[1]);
-  EXPECT_EQ(t.node_ports[2][0], t.lans[1]);
+  EXPECT_EQ(t.node_lans[1][0], 1);
+  EXPECT_EQ(t.node_lans[2][0], 1);
   // Nodes 3 and 4 hang off node 1's down-segment (lan2).
-  EXPECT_EQ(t.node_ports[3][0], t.lans[2]);
-  EXPECT_EQ(t.node_ports[4][0], t.lans[2]);
+  EXPECT_EQ(t.node_lans[3][0], 2);
+  EXPECT_EQ(t.node_lans[4][0], 2);
 }
 
 TEST(TopologyBuilder, MeshIsFullyConnectedAndLoopFreePerPair) {
-  Network net;
   const int n = 5;
-  const Topology t = TopologyBuilder(net).build(spec_of(TopologyShape::kMesh, n));
-  ASSERT_EQ(t.lans.size(), static_cast<std::size_t>(n * (n - 1) / 2));
+  const Topology t = TopologyBuilder::build(spec_of(TopologyShape::kMesh, n));
+  ASSERT_EQ(t.segments.size(), static_cast<std::size_t>(n * (n - 1) / 2));
   // Every node has n-1 ports; every pair of nodes shares exactly one LAN.
-  for (const auto& ports : t.node_ports) EXPECT_EQ(ports.size(), 4u);
-  std::set<const LanSegment*> used;
+  for (const auto& ports : t.node_lans) EXPECT_EQ(ports.size(), 4u);
+  std::set<int> used;
   for (int a = 0; a < n; ++a) {
     for (int b = a + 1; b < n; ++b) {
-      const LanSegment* shared = nullptr;
-      for (auto* pa : t.node_ports[static_cast<std::size_t>(a)]) {
-        for (auto* pb : t.node_ports[static_cast<std::size_t>(b)]) {
+      int shared = -1;
+      for (const int pa : t.node_lans[static_cast<std::size_t>(a)]) {
+        for (const int pb : t.node_lans[static_cast<std::size_t>(b)]) {
           if (pa == pb) {
-            EXPECT_EQ(shared, nullptr) << "pair shares two segments";
+            EXPECT_EQ(shared, -1) << "pair shares two segments";
             shared = pa;
           }
         }
       }
-      ASSERT_NE(shared, nullptr) << "pair " << a << "," << b << " unconnected";
+      ASSERT_NE(shared, -1) << "pair " << a << "," << b << " unconnected";
       EXPECT_TRUE(used.insert(shared).second)
           << "segment serves more than one pair";
     }
@@ -99,43 +92,28 @@ TEST(TopologyBuilder, MeshIsFullyConnectedAndLoopFreePerPair) {
 }
 
 TEST(TopologyBuilder, LanOverridesApply) {
-  Network net;
   TopologySpec spec = spec_of(TopologyShape::kLine, 2);
   spec.lan.bit_rate = 100e6;
   LanConfig slow;
   slow.bit_rate = 10e6;
   slow.loss = 0.25;
   spec.lan_overrides[1] = slow;
-  const Topology t = TopologyBuilder(net).build(spec);
-  EXPECT_EQ(t.lans[0]->config().bit_rate, 100e6);
-  EXPECT_EQ(t.lans[1]->config().bit_rate, 10e6);
-  EXPECT_EQ(t.lans[1]->config().loss, 0.25);
-  EXPECT_EQ(t.lans[2]->config().bit_rate, 100e6);
+  const Topology t = TopologyBuilder::build(spec);
+  EXPECT_EQ(t.segments[0].config.bit_rate, 100e6);
+  EXPECT_EQ(t.segments[1].config.bit_rate, 10e6);
+  EXPECT_EQ(t.segments[1].config.loss, 0.25);
+  EXPECT_EQ(t.segments[2].config.bit_rate, 100e6);
 }
 
 TEST(TopologyBuilder, HostPlanCoversEveryLan) {
-  Network net;
   const Topology t =
-      TopologyBuilder(net).build(spec_of(TopologyShape::kRing, 3, /*hosts=*/2));
+      TopologyBuilder::build(spec_of(TopologyShape::kRing, 3, /*hosts=*/2));
   ASSERT_EQ(t.hosts.size(), 6u);
   EXPECT_EQ(t.hosts[0].lan, 0);
   EXPECT_EQ(t.hosts[0].index, 0);
   EXPECT_EQ(t.hosts[0].name, "host0_0");
   EXPECT_EQ(t.hosts[5].lan, 2);
   EXPECT_EQ(t.hosts[5].index, 1);
-}
-
-TEST(TopologyBuilder, PrefixKeepsTopologiesApart) {
-  Network net;
-  TopologySpec a = spec_of(TopologyShape::kRing, 3);
-  a.prefix = "a.";
-  TopologySpec b = spec_of(TopologyShape::kRing, 3);
-  b.prefix = "b.";
-  TopologyBuilder builder(net);
-  (void)builder.build(a);
-  (void)builder.build(b);  // would throw on duplicate segment names
-  EXPECT_NE(net.find_segment("a.lan0"), nullptr);
-  EXPECT_NE(net.find_segment("b.lan0"), nullptr);
 }
 
 TEST(TopologyBuilder, LabelNamesShapeAndSize) {
@@ -154,15 +132,13 @@ TEST(TopologyBuilder, LabelNamesShapeAndSize) {
 }
 
 TEST(TopologyBuilder, RejectsMalformedSpecs) {
-  Network net;
-  TopologyBuilder builder(net);
-  EXPECT_THROW(builder.build(spec_of(TopologyShape::kLine, 0)), std::invalid_argument);
-  EXPECT_THROW(builder.build(spec_of(TopologyShape::kMesh, 1)), std::invalid_argument);
-  EXPECT_THROW(builder.build(spec_of(TopologyShape::kRing, 3, -1)),
-               std::invalid_argument);
+  const auto build = [](const TopologySpec& spec) { (void)TopologyBuilder::build(spec); };
+  EXPECT_THROW(build(spec_of(TopologyShape::kLine, 0)), std::invalid_argument);
+  EXPECT_THROW(build(spec_of(TopologyShape::kMesh, 1)), std::invalid_argument);
+  EXPECT_THROW(build(spec_of(TopologyShape::kRing, 3, -1)), std::invalid_argument);
   TopologySpec bad_tree = spec_of(TopologyShape::kTree, 3);
   bad_tree.tree_arity = 0;
-  EXPECT_THROW(builder.build(bad_tree), std::invalid_argument);
+  EXPECT_THROW(build(bad_tree), std::invalid_argument);
 }
 
 TEST(TopologyBuilder, SegmentAndPortCountsMatchBuild) {
@@ -170,16 +146,26 @@ TEST(TopologyBuilder, SegmentAndPortCountsMatchBuild) {
        {TopologyShape::kLine, TopologyShape::kRing, TopologyShape::kStar,
         TopologyShape::kTree, TopologyShape::kMesh, TopologyShape::kRandomKRegular,
         TopologyShape::kScaleFree}) {
-    Network net;
     TopologySpec spec = spec_of(shape, 6);
     spec.degree = 2;
     spec.attach = 2;
-    const Topology t = TopologyBuilder(net).build(spec);
-    EXPECT_EQ(t.lans.size(),
+    const Topology t = TopologyBuilder::build(spec);
+    EXPECT_EQ(t.segments.size(),
               static_cast<std::size_t>(TopologyBuilder::segment_count(spec)));
-    for (int i = 0; i < spec.nodes; ++i) {
-      EXPECT_EQ(t.node_ports[static_cast<std::size_t>(i)].size(),
-                static_cast<std::size_t>(TopologyBuilder::port_count(spec, i)));
+    // Ports per node: two for the chain-like shapes, n-1 in a mesh, and a
+    // random shape's node degree in its edge list.
+    std::vector<int> degree(static_cast<std::size_t>(spec.nodes), 2);
+    if (shape == TopologyShape::kMesh) degree.assign(degree.size(), spec.nodes - 1);
+    if (shape == TopologyShape::kRandomKRegular || shape == TopologyShape::kScaleFree) {
+      degree.assign(degree.size(), 0);
+      for (const auto& [a, b] : TopologyBuilder::random_edges(spec)) {
+        ++degree[static_cast<std::size_t>(a)];
+        ++degree[static_cast<std::size_t>(b)];
+      }
+    }
+    for (std::size_t i = 0; i < degree.size(); ++i) {
+      EXPECT_EQ(t.node_lans[i].size(), static_cast<std::size_t>(degree[i]))
+          << to_string(shape) << " node " << i;
     }
   }
 }
@@ -261,39 +247,38 @@ TEST(TopologyBuilder, ScaleFreeIsConnectedSeedStableAndSkewed) {
 }
 
 TEST(TopologyBuilder, RandomShapeValidation) {
-  Network net;
-  TopologyBuilder builder(net);
+  const auto build = [](const TopologySpec& spec) { (void)TopologyBuilder::build(spec); };
   TopologySpec odd = spec_of(TopologyShape::kRandomKRegular, 5);
   odd.degree = 3;  // 5*3 odd: no such graph
-  EXPECT_THROW(builder.build(odd), std::invalid_argument);
+  EXPECT_THROW(build(odd), std::invalid_argument);
   TopologySpec too_dense = spec_of(TopologyShape::kRandomKRegular, 4);
   too_dense.degree = 4;
-  EXPECT_THROW(builder.build(too_dense), std::invalid_argument);
+  EXPECT_THROW(build(too_dense), std::invalid_argument);
   TopologySpec matching = spec_of(TopologyShape::kRandomKRegular, 6);
   matching.degree = 1;  // a perfect matching can never be connected
-  EXPECT_THROW(builder.build(matching), std::invalid_argument);
+  EXPECT_THROW(build(matching), std::invalid_argument);
   TopologySpec tiny_sf = spec_of(TopologyShape::kScaleFree, 2);
   tiny_sf.attach = 2;
-  EXPECT_THROW(builder.build(tiny_sf), std::invalid_argument);
+  EXPECT_THROW(build(tiny_sf), std::invalid_argument);
   EXPECT_THROW(TopologyBuilder::random_edges(spec_of(TopologyShape::kRing, 3)),
                std::invalid_argument);
 }
 
 TEST(TopologyBuilder, RandomShapeBuildMatchesEdgeList) {
-  Network net;
   TopologySpec spec = spec_of(TopologyShape::kRandomKRegular, 8);
   spec.degree = 4;
   spec.seed = 11;
   const auto edges = TopologyBuilder::random_edges(spec);
-  const Topology t = TopologyBuilder(net).build(spec);
-  ASSERT_EQ(t.lans.size(), edges.size());
+  const Topology t = TopologyBuilder::build(spec);
+  ASSERT_EQ(t.segments.size(), edges.size());
   // Segment e connects exactly the two endpoints of edge e.
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const auto& [a, b] = edges[e];
     int touching = 0;
     for (int node = 0; node < spec.nodes; ++node) {
-      const auto& ports = t.node_ports[static_cast<std::size_t>(node)];
-      const bool has = std::find(ports.begin(), ports.end(), t.lans[e]) != ports.end();
+      const auto& ports = t.node_lans[static_cast<std::size_t>(node)];
+      const bool has =
+          std::find(ports.begin(), ports.end(), static_cast<int>(e)) != ports.end();
       if (has) {
         ++touching;
         EXPECT_TRUE(node == a || node == b);
