@@ -314,9 +314,13 @@ stack::HostStack& WorkloadContext::host(std::size_t i) const {
   return *sharded->hosts[i];
 }
 
-const netsim::Topology::HostAttach& WorkloadContext::host_attach(
-    std::size_t i) const {
-  return sharded->shape.hosts[i];
+WorkloadContext::HostSite WorkloadContext::host_attach(std::size_t i) const {
+  const netsim::Topology::HostAttach& h = sharded->shape.hosts[i];
+  return HostSite{h.lan, h.index, h.name()};
+}
+
+std::size_t WorkloadContext::host_lan(std::size_t i) const {
+  return static_cast<std::size_t>(sharded->shape.hosts[i].lan);
 }
 
 std::size_t WorkloadContext::lan_count() const { return sharded->lan_count(); }
@@ -435,15 +439,12 @@ void TtcpStreamWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   std::vector<std::size_t> hub_hosts;
   std::vector<std::size_t> spoke_hosts;
   if (options_.placement == Placement::kHubTargeted) {
-    int hub_lan = 0;
+    std::size_t hub_lan = 0;
     for (std::size_t l = 1; l < ctx.lan_count(); ++l) {
-      if (ctx.lan_attached_count(l) >
-          ctx.lan_attached_count(static_cast<std::size_t>(hub_lan))) {
-        hub_lan = static_cast<int>(l);
-      }
+      if (ctx.lan_attached_count(l) > ctx.lan_attached_count(hub_lan)) hub_lan = l;
     }
     for (std::size_t h = 0; h < host_count; ++h) {
-      if (ctx.host_attach(h).lan == hub_lan) {
+      if (ctx.host_lan(h) == hub_lan) {
         hub_hosts.push_back(h);
       } else {
         spoke_hosts.push_back(h);
@@ -578,7 +579,7 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   // than assume).
   std::vector<std::vector<std::size_t>> by_lan(lan_count);
   for (std::size_t h = 0; h < host_count; ++h) {
-    by_lan[static_cast<std::size_t>(ctx.host_attach(h).lan)].push_back(h);
+    by_lan[ctx.host_lan(h)].push_back(h);
   }
 
   // Generator NICs attach FIRST, in both modes: LAN membership (and so

@@ -268,8 +268,17 @@ struct WorkloadContext {
   [[nodiscard]] std::size_t host_count() const;
   /// Host at global attachment ordinal `i` (the plan's lan-major order).
   [[nodiscard]] stack::HostStack& host(std::size_t i) const;
-  /// Where host ordinal `i` attaches (global plan).
-  [[nodiscard]] const netsim::Topology::HostAttach& host_attach(std::size_t i) const;
+  /// Where host ordinal `i` attaches (global plan), with its NIC's name
+  /// spelled out. The plan stores only the indices, so this builds the
+  /// name: a loop over every host reads host_lan instead.
+  struct HostSite {
+    int lan = 0;
+    int index = 0;
+    std::string name;
+  };
+  [[nodiscard]] HostSite host_attach(std::size_t i) const;
+  /// The global LAN host ordinal `i` attaches to.
+  [[nodiscard]] std::size_t host_lan(std::size_t i) const;
   [[nodiscard]] std::size_t lan_count() const;
   /// NICs attached to global LAN `l`, summed over its replicas.
   [[nodiscard]] std::size_t lan_attached_count(std::size_t l) const;

@@ -43,6 +43,8 @@ struct CostModel {
     return per_frame + per_byte * static_cast<std::int64_t>(len);
   }
 
+  friend bool operator==(const CostModel&, const CostModel&) = default;
+
   /// A free processing element (ideal hardware); the default for plain
   /// simulated hosts and for unit tests.
   [[nodiscard]] static CostModel ideal() { return {}; }

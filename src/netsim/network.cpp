@@ -9,21 +9,24 @@
 
 namespace ab::netsim {
 
-LanSegment& Network::add_segment(const std::string& name, LanConfig config) {
-  if (find_segment(name) != nullptr) {
+void Network::check_unique_segment_name(const std::string& name) const {
+  if (segments_by_name_.contains(name)) {
     throw std::invalid_argument("duplicate segment name: " + name);
   }
+}
+
+LanSegment& Network::add_segment(const std::string& name, LanConfig config) {
+  check_unique_segment_name(name);
   segments_.push_back(std::make_unique<LanSegment>(scheduler_, name, config));
+  segments_by_name_.emplace(name, segments_.back().get());
   return *segments_.back();
 }
 
 LanSegment& Network::add_segment(Arena& arena, const std::string& name,
                                  LanConfig config) {
-  if (find_segment(name) != nullptr) {
-    throw std::invalid_argument("duplicate segment name: " + name);
-  }
+  check_unique_segment_name(name);
   LanSegment* seg = arena.create<LanSegment>(scheduler_, name, config);
-  arena_segments_.push_back(seg);
+  segments_by_name_.emplace(name, seg);
   return *seg;
 }
 
@@ -53,13 +56,8 @@ Nic& Network::add_nic(Arena& arena, const std::string& name, LanSegment& segment
 }
 
 LanSegment* Network::find_segment(const std::string& name) const {
-  for (const auto& seg : segments_) {
-    if (seg->name() == name) return seg.get();
-  }
-  for (LanSegment* seg : arena_segments_) {
-    if (seg->name() == name) return seg;
-  }
-  return nullptr;
+  const auto it = segments_by_name_.find(name);
+  return it != segments_by_name_.end() ? it->second : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -261,6 +259,10 @@ int tree_up_segment(int node, int arity) {
 
 }  // namespace
 
+std::string Topology::HostAttach::name() const {
+  return "host" + std::to_string(lan) + "_" + std::to_string(index);
+}
+
 int TopologyBuilder::segment_count(const TopologySpec& spec) {
   switch (spec.shape) {
     case TopologyShape::kLine:
@@ -363,8 +365,7 @@ Topology TopologyBuilder::build(const TopologySpec& spec) {
                      static_cast<std::size_t>(spec.hosts_per_lan));
   for (int l = 0; l < segments; ++l) {
     for (int h = 0; h < spec.hosts_per_lan; ++h) {
-      topo.hosts.push_back(Topology::HostAttach{
-          l, h, "host" + std::to_string(l) + "_" + std::to_string(h)});
+      topo.hosts.push_back(Topology::HostAttach{l, h});
     }
   }
   return topo;

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -83,15 +84,19 @@ class Network {
   /// Every NIC created so far, in creation order.
   [[nodiscard]] const std::vector<std::unique_ptr<Nic>>& nics() const { return nics_; }
 
-  /// Finds a segment by name; nullptr if absent.
+  /// Finds a segment, owned or arena-backed, by name; nullptr if absent.
   [[nodiscard]] LanSegment* find_segment(const std::string& name) const;
 
  private:
+  /// Throws std::invalid_argument if a segment already has `name`.
+  void check_unique_segment_name(const std::string& name) const;
+
   Scheduler scheduler_;
   std::vector<std::unique_ptr<LanSegment>> segments_;
-  /// Non-owning index of arena-backed segments (duplicate-name checks and
-  /// find_segment). Their storage belongs to the caller's arena.
-  std::vector<LanSegment*> arena_segments_;
+  /// Every segment, owned or arena-backed, by name: one hash probe per
+  /// duplicate-name check and find_segment, so creating N segments is
+  /// linear. Arena segments' storage belongs to the caller's arena.
+  std::unordered_map<std::string, LanSegment*> segments_by_name_;
   std::vector<std::unique_ptr<Nic>> nics_;
   std::uint32_t next_mac_id_ = 1;
 };
@@ -150,11 +155,13 @@ struct Topology {
     std::string name;
     LanConfig config;
   };
-  /// One planned host attachment point.
+  /// One planned host attachment point. Its name is derived, not stored:
+  /// a million-station plan holds two ints per host, not a string.
   struct HostAttach {
     int lan = 0;    ///< index into `segments`
     int index = 0;  ///< host ordinal on that segment
-    std::string name;
+    /// "host<lan>_<index>": the station NIC's name.
+    [[nodiscard]] std::string name() const;
   };
 
   TopologySpec spec;

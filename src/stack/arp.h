@@ -51,10 +51,8 @@ struct ArpPacket {
 /// key row (the raw IPv4 word; 0 is the empty sentinel, and 0.0.0.0 is
 /// never a valid station address) with parallel MAC and timestamp rows --
 /// instead of an unordered_map of nodes. A host's resolver then costs two
-/// small flat vectors that start EMPTY (an idle station's cache is a
-/// couple of pointers, which is what lets a million-station arena hold
-/// one per host), and a lookup is a linear probe over contiguous keys
-/// with no bucket chain to chase. There is no per-entry erase (the stack
+/// small flat vectors that start EMPTY, and a lookup is a linear probe
+/// over contiguous keys with no bucket chain to chase. There is no per-entry erase (the stack
 /// never needed one): stale entries are filtered by ttl at lookup and
 /// dropped wholesale by clear().
 class ArpCache {

@@ -8,6 +8,12 @@
 // responder plus client, and a tiny UDP socket API. Transmissions pass
 // through a per-host ProcessingElement so benchmarks can charge the 1997
 // host's per-frame software cost.
+//
+// Most stations of a big cell never act, so a HostStack keeps resident
+// only what an idle station reads: its scheduler, NIC and address. The
+// configuration, counters, processing element, ARP cache and sockets live
+// in a box built on the station's first action (or at construction when
+// the configuration or logger is not the default).
 #pragma once
 
 #include <cstdint>
@@ -55,6 +61,8 @@ struct HostConfig {
   /// resolve, not the station population — the buckets are per-host
   /// memory.
   std::size_t arp_cache_reserve = 0;
+
+  friend bool operator==(const HostConfig&, const HostConfig&) = default;
 };
 
 /// Counters for assertions and benchmarks.
@@ -76,6 +84,8 @@ struct HostStats {
   std::uint64_t echo_replies_received = 0;
   std::uint64_t rx_parse_errors = 0;
   std::uint64_t unresolved_drops = 0;  ///< packets dropped: ARP never resolved
+
+  friend bool operator==(const HostStats&, const HostStats&) = default;
 };
 
 class HostStack {
@@ -95,14 +105,22 @@ class HostStack {
   HostStack(netsim::Scheduler& scheduler, netsim::Nic& nic, HostConfig config,
             util::Logger* log = nullptr);
 
-  [[nodiscard]] Ipv4Addr ip() const { return config_.ip; }
+  [[nodiscard]] Ipv4Addr ip() const { return ip_; }
   [[nodiscard]] netsim::Nic& nic() { return *nic_; }
   /// The scheduler this host runs on. In a sharded cell each shard has its
   /// own scheduler, so workloads must schedule per-host work HERE, never on
   /// a global clock.
   [[nodiscard]] netsim::Scheduler& scheduler() { return *scheduler_; }
-  [[nodiscard]] const HostStats& stats() const { return stats_; }
-  [[nodiscard]] netsim::ProcessingElement& tx_element() { return tx_pe_; }
+  /// This host's counters; all zero (one shared instance, no allocation)
+  /// while the station is idle.
+  [[nodiscard]] const HostStats& stats() const;
+  /// The transmit processing element. Builds the station's box if it is
+  /// still idle.
+  [[nodiscard]] netsim::ProcessingElement& tx_element() { return cold().tx_pe; }
+  /// True once the station has acted -- sent, bound, listened, or handled
+  /// an ARP or IPv4 frame -- or was built with a non-default configuration
+  /// or a logger. An idle station holds no box.
+  [[nodiscard]] bool active() const { return cold_ != nullptr; }
 
   /// Binds a UDP port. Throws std::invalid_argument if already bound.
   void bind_udp(std::uint16_t port, UdpHandler handler);
@@ -154,11 +172,6 @@ class HostStack {
     netsim::TimePoint started{};
   };
 
-  /// Everything a station only needs once it actively resolves, binds,
-  /// reassembles, or pings -- boxed so the million idle stations of a big
-  /// cell each cost one null pointer here instead of five empty
-  /// containers. Created on first use and never discarded (a station that
-  /// has spoken once is warm for the rest of the run).
   /// Demux key for one TCP connection.
   struct TcpKey {
     std::uint16_t local_port = 0;
@@ -171,7 +184,21 @@ class HostStack {
     TcpConfig config;
   };
 
+  /// Everything a station only needs once it acts -- boxed so the million
+  /// idle stations of a big cell each cost one null pointer here instead
+  /// of a configuration, counters, a processing element, an ARP cache and
+  /// five empty containers. Created on first use and never discarded (a
+  /// station that has spoken once is warm for the rest of the run).
   struct ColdState {
+    ColdState(netsim::Scheduler& scheduler, const HostConfig& host_config,
+              util::Logger* logger);
+
+    HostConfig config;
+    util::Logger* log;
+    netsim::ProcessingElement tx_pe;
+    ArpCache arp_cache;
+    std::uint16_t next_ip_id = 1;
+    HostStats stats;
     std::unordered_map<Ipv4Addr, PendingArp> pending_arp;
     /// Flooded duplicate copies of one request draw a single reply per
     /// dedupe window (shared implementation with the netloader).
@@ -186,7 +213,8 @@ class HostStack {
     EchoHandler echo_handler;
   };
 
-  /// The cold box, materialized on first demand.
+  /// The cold box, materialized on first demand with the default
+  /// configuration.
   ColdState& cold();
 
   /// Creates and registers a socket for `key` (must not exist yet).
@@ -220,13 +248,11 @@ class HostStack {
 
   netsim::Scheduler* scheduler_;
   netsim::Nic* nic_;
-  HostConfig config_;
-  util::Logger* log_;
-  netsim::ProcessingElement tx_pe_;
-  ArpCache arp_cache_;
+  Ipv4Addr ip_;
   std::unique_ptr<ColdState> cold_;  ///< null until the station first acts
-  std::uint16_t next_ip_id_ = 1;
-  HostStats stats_;
 };
+
+// An idle station's whole stack: two pointers, an address and a null box.
+static_assert(sizeof(HostStack) <= 48);
 
 }  // namespace ab::stack

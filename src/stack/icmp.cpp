@@ -7,7 +7,10 @@
 
 namespace ab::stack {
 
-util::ByteBuffer IcmpEcho::encode() const {
+namespace {
+
+util::ByteBuffer encode_echo(IcmpType type, std::uint16_t id, std::uint16_t seq,
+                             util::ByteView payload) {
   util::BufWriter w(Ipv4Header::kSize + 8 + payload.size());
   w.zeros(Ipv4Header::kSize);  // headroom for the IP header
   w.u8(static_cast<std::uint8_t>(type));
@@ -24,7 +27,27 @@ util::ByteBuffer IcmpEcho::encode() const {
   return bytes;
 }
 
+}  // namespace
+
+util::ByteBuffer IcmpEcho::encode() const { return encode_echo(type, id, seq, payload); }
+
 util::Expected<IcmpEcho, std::string> IcmpEcho::decode(util::ByteView wire) {
+  auto view = IcmpEchoView::decode(wire);
+  if (!view) return util::Unexpected{view.error()};
+  IcmpEcho echo;
+  echo.type = view->type;
+  echo.id = view->id;
+  echo.seq = view->seq;
+  echo.payload.assign(view->payload.begin(), view->payload.end());
+  ether::datapath_counters().bytes_copied += view->payload.size();
+  return echo;
+}
+
+util::ByteBuffer IcmpEchoView::encode_reply() const {
+  return encode_echo(IcmpType::kEchoReply, id, seq, payload);
+}
+
+util::Expected<IcmpEchoView, std::string> IcmpEchoView::decode(util::ByteView wire) {
   if (wire.size() < 8) {
     return util::Unexpected{util::format("ICMP message of %zu bytes too short",
                                          wire.size())};
@@ -43,20 +66,12 @@ util::Expected<IcmpEcho, std::string> IcmpEcho::decode(util::ByteView wire) {
     return util::Unexpected{util::format("unsupported ICMP code %u", code)};
   }
   r.skip(2);  // checksum
-  IcmpEcho echo;
+  IcmpEchoView echo;
   echo.type = static_cast<IcmpType>(type);
   echo.id = r.u16();
   echo.seq = r.u16();
-  const util::ByteView payload = r.rest();
-  echo.payload.assign(payload.begin(), payload.end());
-  ether::datapath_counters().bytes_copied += payload.size();
+  echo.payload = r.rest();
   return echo;
-}
-
-IcmpEcho IcmpEcho::make_reply() const {
-  IcmpEcho reply = *this;
-  reply.type = IcmpType::kEchoReply;
-  return reply;
 }
 
 }  // namespace ab::stack

@@ -209,6 +209,7 @@ class BufWriter {
 
  private:
   void put(const std::uint8_t* src, std::size_t n) {
+    if (n == 0) return;  // an empty span's data() may be null: no memcpy
     if (is_fixed_) {
       if (pos_ + n > fixed_.size()) {
         throw BufferOverflow("fixed buffer of " + std::to_string(fixed_.size()) +

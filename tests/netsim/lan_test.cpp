@@ -324,6 +324,24 @@ TEST(Network, FindSegmentAndDuplicateNames) {
   EXPECT_THROW(net.add_segment("x"), std::invalid_argument);
 }
 
+TEST(Network, OwnedAndArenaSegmentsShareOneNamespace) {
+  Network net;
+  Arena arena;  // destroyed first: it must not outlive the scheduler
+  LanSegment& owned = net.add_segment("owned");
+  LanSegment& pooled = net.add_segment(arena, "pooled");
+  EXPECT_EQ(net.find_segment("owned"), &owned);
+  EXPECT_EQ(net.find_segment("pooled"), &pooled);
+  EXPECT_EQ(net.find_segment("absent"), nullptr);
+  // A duplicate is rejected whichever kind holds the name first, and the
+  // failed call leaves the original in place.
+  EXPECT_THROW(net.add_segment(arena, "owned"), std::invalid_argument);
+  EXPECT_THROW(net.add_segment("pooled"), std::invalid_argument);
+  EXPECT_THROW(net.add_segment(arena, "pooled"), std::invalid_argument);
+  EXPECT_EQ(net.find_segment("owned"), &owned);
+  EXPECT_EQ(net.find_segment("pooled"), &pooled);
+  EXPECT_EQ(net.segments().size(), 1u);
+}
+
 TEST(Network, AutoAssignedMacsAreUnique) {
   Network net;
   LanSegment& lan = net.add_segment("lan");

@@ -111,7 +111,7 @@ TEST(TopologyBuilder, HostPlanCoversEveryLan) {
   ASSERT_EQ(t.hosts.size(), 6u);
   EXPECT_EQ(t.hosts[0].lan, 0);
   EXPECT_EQ(t.hosts[0].index, 0);
-  EXPECT_EQ(t.hosts[0].name, "host0_0");
+  EXPECT_EQ(t.hosts[0].name(), "host0_0");
   EXPECT_EQ(t.hosts[5].lan, 2);
   EXPECT_EQ(t.hosts[5].index, 1);
 }

@@ -277,6 +277,158 @@ TEST(HostStack, GenuineRequestRightAfterAReplyIsStillAnswered) {
   EXPECT_EQ(b.stats().arp_duplicate_replies, 0u);
 }
 
+// ------------------------------------------------------ idle stations
+
+/// One station and a probe NIC on a LAN; frames are handed to the station
+/// through Nic::deliver, the path a segment's delivery walk takes.
+struct IdleStation {
+  netsim::Network net;
+  netsim::LanSegment* lan = &net.add_segment("lan");
+  netsim::Nic* nic = &net.add_nic("station", *lan);
+  netsim::Nic* probe = &net.add_nic("probe", *lan);
+  HostStack host;
+  const Ipv4Addr probe_ip{10, 0, 0, 7};
+
+  explicit IdleStation(HostConfig cfg = {})
+      : host(net.scheduler(), *nic, with_ip(cfg)) {}
+
+  static HostConfig with_ip(HostConfig cfg) {
+    cfg.ip = Ipv4Addr(10, 0, 0, 2);
+    return cfg;
+  }
+
+  void hand(ether::Frame frame) { nic->deliver(ether::WireFrame(std::move(frame))); }
+
+  /// An IPv4 packet from the probe to `dst`, sent to the station's MAC.
+  ether::Frame ipv4_to(Ipv4Addr dst, IpProto proto, util::ByteBuffer packet) const {
+    Ipv4Header h;
+    h.protocol = static_cast<std::uint8_t>(proto);
+    h.src = probe_ip;
+    h.dst = dst;
+    h.write_in_place(packet);
+    return ether::Frame::ethernet2(nic->mac(), probe->mac(), ether::EtherType::kIpv4,
+                                   std::move(packet));
+  }
+
+  ether::Frame who_has(Ipv4Addr target) const {
+    return ether::Frame::ethernet2(
+        ether::MacAddress::broadcast(), probe->mac(), ether::EtherType::kArp,
+        ArpPacket::request(probe->mac(), probe_ip, target).encode());
+  }
+};
+
+TEST(HostStack, IdleStationStaysIdleOnFramesItDiscards) {
+  IdleStation s;
+  ASSERT_FALSE(s.host.active());
+  s.hand(s.who_has(Ipv4Addr(10, 0, 0, 9)));
+  s.hand(s.ipv4_to(Ipv4Addr(10, 0, 0, 9), IpProto::kUdp,
+                   encode_udp(s.probe_ip, Ipv4Addr(10, 0, 0, 9),
+                              UdpDatagram{1, 2, util::to_bytes("not yours")})));
+  s.hand(ether::Frame::llc_frame(ether::MacAddress::all_bridges(), s.probe->mac(),
+                                 ether::LlcHeader::spanning_tree(),
+                                 util::ByteBuffer(35, 0)));
+  EXPECT_EQ(s.nic->stats().rx_frames, 3u);  // all three reached the stack
+  EXPECT_FALSE(s.host.active());
+  EXPECT_EQ(s.host.stats(), HostStats{});
+
+  // Every idle station reads the same shared zeros.
+  IdleStation other;
+  EXPECT_EQ(&s.host.stats(), &other.host.stats());
+  EXPECT_EQ(s.net.scheduler().pending(), 0u);
+}
+
+TEST(HostStack, FirstSendBindOrHandledArpMakesAStationActive) {
+  IdleStation pinger;
+  pinger.host.send_echo_request(pinger.probe_ip, 1, 1, {});
+  EXPECT_TRUE(pinger.host.active());
+  EXPECT_EQ(pinger.host.stats().ip_packets_sent, 1u);
+  EXPECT_EQ(pinger.host.stats().arp_requests_sent, 1u);
+
+  IdleStation binder;
+  binder.host.bind_udp(4000, [](Ipv4Addr, const UdpDatagram&) {});
+  EXPECT_TRUE(binder.host.active());
+  EXPECT_EQ(binder.host.stats(), HostStats{});
+
+  IdleStation asked;
+  asked.hand(asked.who_has(asked.host.ip()));
+  EXPECT_TRUE(asked.host.active());
+  EXPECT_EQ(asked.host.stats().arp_replies_sent, 1u);
+}
+
+TEST(HostStack, NonDefaultConfigHoldsFromConstruction) {
+  HostConfig cfg;
+  cfg.mtu = 576;
+  cfg.answer_ping = false;
+  cfg.tx_cost = netsim::CostModel::linux_host();
+  IdleStation s(cfg);
+  EXPECT_TRUE(s.host.active());  // built with its box: the settings stick
+
+  // The ARP exchange: the station resolves the probe first.
+  HostConfig peer_cfg;
+  peer_cfg.ip = s.probe_ip;
+  HostStack peer(s.net.scheduler(), *s.probe, peer_cfg);
+  int delivered = 0;
+  peer.bind_udp(4000, [&](Ipv4Addr, const UdpDatagram& d) {
+    delivered += static_cast<int>(d.payload.size());
+  });
+  s.host.send_udp(peer.ip(), 1, 4000, util::ByteBuffer(1000, 0x5A));
+  s.net.scheduler().run();
+  EXPECT_EQ(delivered, 1000);
+  // 8 + 1000 UDP bytes cut at (576 - 20) & ~7 = 552 per fragment.
+  EXPECT_EQ(s.host.stats().fragments_sent, 2u);
+  EXPECT_EQ(peer.stats().reassemblies_done, 1u);
+
+  // Charged per frame by the Linux host model: the ARP request (28 B)
+  // and two fragments (20 + 552 and 20 + 456 B).
+  const netsim::ProcessingElement& pe = s.host.tx_element();
+  const netsim::CostModel model = netsim::CostModel::linux_host();
+  EXPECT_EQ(pe.processed(), 3u);
+  EXPECT_EQ(pe.busy_time(), model.cost(28) + model.cost(572) + model.cost(476));
+
+  // answer_ping = false: a ping draws no reply.
+  peer.send_echo_request(s.host.ip(), 1, 1, {});
+  s.net.scheduler().run();
+  EXPECT_EQ(s.host.stats().echo_requests_answered, 0u);
+  EXPECT_EQ(peer.stats().echo_replies_received, 0u);
+}
+
+TEST(HostStack, TxElementWorksOnAnIdleStation) {
+  IdleStation s;
+  netsim::ProcessingElement& pe = s.host.tx_element();
+  EXPECT_EQ(pe.processed(), 0u);
+  EXPECT_EQ(pe.model(), netsim::CostModel::ideal());
+  netsim::CostModel slow;
+  slow.per_frame = netsim::milliseconds(10);
+  pe.set_model(slow);
+
+  // The station's reply (an ARP reply, then the echo reply) pays it.
+  HostConfig peer_cfg;
+  peer_cfg.ip = s.probe_ip;
+  HostStack peer(s.net.scheduler(), *s.probe, peer_cfg);
+  netsim::TimePoint reply_at{};
+  peer.set_echo_handler([&](const HostStack::EchoReply&) { reply_at = s.net.now(); });
+  peer.send_echo_request(s.host.ip(), 1, 1, {});
+  s.net.scheduler().run();
+  EXPECT_EQ(s.host.tx_element().processed(), 2u);
+  EXPECT_GE(reply_at.time_since_epoch(), netsim::milliseconds(20));
+}
+
+TEST(HostStack, AnsweringAnEchoCopiesItsPayloadOnce) {
+  // The request is decoded as a view and the reply encoded from it: N
+  // payload bytes copied, into the reply.
+  IdleStation s;
+  constexpr std::size_t kPayload = 1000;
+  IcmpEcho request;
+  request.id = 3;
+  request.seq = 4;
+  request.payload = util::ByteBuffer(kPayload, 0xC3);
+  ether::Frame frame = s.ipv4_to(s.host.ip(), IpProto::kIcmp, request.encode());
+  const std::uint64_t before = ether::datapath_counters().bytes_copied;
+  s.hand(std::move(frame));
+  EXPECT_EQ(ether::datapath_counters().bytes_copied - before, kPayload);
+  EXPECT_EQ(s.host.stats().echo_requests_answered, 1u);
+}
+
 TEST(HostStack, PingSweepAcrossSizes) {
   // Latency-bench smoke: all Fig. 9 packet sizes complete.
   TwoHosts t;

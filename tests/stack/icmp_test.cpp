@@ -35,12 +35,18 @@ TEST(Icmp, ReplyPreservesIdSeqPayload) {
   e.id = 42;
   e.seq = 9;
   e.payload = {1, 2, 3};
-  const IcmpEcho reply = e.make_reply();
-  EXPECT_EQ(reply.type, IcmpType::kEchoReply);
-  EXPECT_FALSE(reply.is_request());
-  EXPECT_EQ(reply.id, 42);
-  EXPECT_EQ(reply.seq, 9);
-  EXPECT_EQ(reply.payload, e.payload);
+  const util::ByteBuffer request = message_bytes(e);
+  const auto view = IcmpEchoView::decode(request);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(view->is_request());
+  const util::ByteBuffer packet = view->encode_reply();
+  const auto reply = IcmpEcho::decode(transport_bytes(packet));
+  ASSERT_TRUE(reply.has_value());  // the checksum covers the reply's type
+  EXPECT_EQ(reply->type, IcmpType::kEchoReply);
+  EXPECT_FALSE(reply->is_request());
+  EXPECT_EQ(reply->id, 42);
+  EXPECT_EQ(reply->seq, 9);
+  EXPECT_EQ(reply->payload, e.payload);
 }
 
 TEST(Icmp, ChecksumDetectsCorruption) {

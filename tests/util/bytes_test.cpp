@@ -112,6 +112,17 @@ TEST(BufWriter, FixedModeThrowsOnOverflow) {
   EXPECT_THROW(w.u16(0x3344), BufferOverflow);
 }
 
+TEST(BufWriter, EmptyWriteIntoEmptyFixedWriterIsANoOp) {
+  // Both spans are empty with null data(): the write must not reach
+  // memcpy, which is undefined for a null pointer even at length zero
+  // (the sanitizer build aborts on it).
+  BufWriter w{std::span<std::uint8_t>()};
+  w.bytes(ByteView());
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_TRUE(w.view().empty());
+  EXPECT_THROW(w.u8(1), BufferOverflow);
+}
+
 TEST(BufWriter, TakeOnFixedWriterIsAnError) {
   std::array<std::uint8_t, 2> storage{};
   BufWriter w{std::span<std::uint8_t>(storage)};
