@@ -14,8 +14,8 @@
 //                 same-time deliveries, a fraction of broadcasts is
 //                 cancelled wholesale before firing (a pruned flood, a
 //                 torn-down segment). Per-event inserts pay k sifts and k
-//                 cancels per broadcast; schedule_batch_at pays one sift
-//                 and one BatchId cancel for the whole run.
+//                 cancels per broadcast; an equal-time schedule_run_at
+//                 pays one sift and one BatchId cancel for the whole run.
 //   timed_run     the transmit-burst pattern: a NIC (or processing
 //                 element) drains a k-frame backlog whose serialization
 //                 completion times are cumulative and known upfront --
@@ -23,6 +23,8 @@
 //                 sifts; schedule_run_at pays one, with the head re-keyed
 //                 in place as entries fire. A fraction of bursts is
 //                 cancelled wholesale (a torn-down stream).
+//                 batch_insert and timed_run share one insert loop; only
+//                 the entry times differ.
 //   saturated_run the saturated bridge port: ONE timed run kept alive by
 //                 try_extend_run at a standing backlog of 64 -- each entry
 //                 that fires appends one more past the tail -- for N
@@ -139,92 +141,50 @@ WorkloadResult fire_all(std::size_t count) {
   return out;
 }
 
-/// The flood fan-out insert pattern on the indexed core itself: per-event
-/// schedule_at loops vs one schedule_batch_at per broadcast, with every
-/// `cancel_every`-th broadcast cancelled wholesale before it fires. Both
-/// sides run the identical event program; only the insert/cancel API
-/// differs, so the ratio isolates what batching buys the hot path.
-template <bool kUseBatch>
-WorkloadResult flood_insert(std::size_t broadcasts, std::size_t fanout,
-                            std::size_t cancel_every) {
-  netsim::Scheduler sched;
-  std::uint64_t fired = 0;
-  std::vector<netsim::Scheduler::Callback> run(fanout);
-  std::vector<netsim::EventId> ids(fanout);
-
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t b = 0; b < broadcasts; ++b) {
-    const netsim::TimePoint when = sched.now() + netsim::microseconds(5);
-    const bool cancel = cancel_every != 0 && b % cancel_every == 0;
-    if constexpr (kUseBatch) {
-      for (std::size_t k = 0; k < fanout; ++k) run[k] = DeliveryCapture{&fired};
-      const netsim::BatchId id = sched.schedule_batch_at(when, run);
-      if (cancel) sched.cancel(id);
-    } else {
-      for (std::size_t k = 0; k < fanout; ++k) {
-        ids[k] = sched.schedule_at(when, DeliveryCapture{&fired});
-      }
-      if (cancel) {
-        for (std::size_t k = 0; k < fanout; ++k) sched.cancel(ids[k]);
-      }
-    }
-    // Drain every few broadcasts so the standing population stays at the
-    // LAN-burst scale rather than growing into a pathological heap.
-    if (b % 8 == 7) sched.run_for(netsim::microseconds(5));
-  }
-  sched.run();
-
-  WorkloadResult out;
-  out.events = broadcasts * fanout;  // schedule operations issued
-  out.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return out;
-}
-
-/// The transmit-burst insert pattern on the indexed core itself: per-event
-/// schedule_at loops vs one schedule_run_at per k-frame burst with
-/// cumulative completion times (the NIC's back-to-back serialization
-/// chain), with every `cancel_every`-th burst cancelled wholesale before
-/// firing. Both sides run the identical event program.
+/// The run insert pattern on the indexed core itself: per-event
+/// schedule_at loops vs one schedule_run_at per run of `len` entries, with
+/// every `cancel_every`-th run cancelled wholesale before firing. Entry k
+/// of a run fires at now() + first + k * step: a flood fan-out's same-time
+/// deliveries (step 0) or a NIC burst's back-to-back serialization chain
+/// (step = first). Both sides run the identical event program; only the
+/// insert/cancel API differs, so the ratio isolates what a run buys the
+/// hot path. Every 8th run drains `drain` of simulated time, so the
+/// standing population stays at the LAN-burst / queue-backlog scale rather
+/// than growing into a pathological heap.
 template <bool kUseRun>
-WorkloadResult burst_insert(std::size_t bursts, std::size_t burst_len,
-                            std::size_t cancel_every) {
+WorkloadResult run_insert(std::size_t runs, std::size_t len, std::size_t cancel_every,
+                          netsim::Duration first, netsim::Duration step,
+                          netsim::Duration drain) {
   netsim::Scheduler sched;
   std::uint64_t fired = 0;
-  std::vector<netsim::Scheduler::TimedEntry> run(burst_len);
-  std::vector<netsim::EventId> ids(burst_len);
-  constexpr netsim::Duration kSerialization = netsim::microseconds(120);
+  std::vector<netsim::Scheduler::TimedEntry> run(len);
+  std::vector<netsim::EventId> ids(len);
 
   const auto start = std::chrono::steady_clock::now();
-  for (std::size_t b = 0; b < bursts; ++b) {
-    const bool cancel = cancel_every != 0 && b % cancel_every == 0;
+  for (std::size_t r = 0; r < runs; ++r) {
+    const bool cancel = cancel_every != 0 && r % cancel_every == 0;
+    netsim::TimePoint when = sched.now() + first;
     if constexpr (kUseRun) {
-      netsim::TimePoint completes = sched.now();
-      for (std::size_t k = 0; k < burst_len; ++k) {
-        completes += kSerialization;
-        run[k].when = completes;
+      for (std::size_t k = 0; k < len; ++k, when += step) {
+        run[k].when = when;
         run[k].fn = DeliveryCapture{&fired};
       }
       const netsim::BatchId id = sched.schedule_run_at(run);
       if (cancel) sched.cancel(id);
     } else {
-      netsim::TimePoint completes = sched.now();
-      for (std::size_t k = 0; k < burst_len; ++k) {
-        completes += kSerialization;
-        ids[k] = sched.schedule_at(completes, DeliveryCapture{&fired});
+      for (std::size_t k = 0; k < len; ++k, when += step) {
+        ids[k] = sched.schedule_at(when, DeliveryCapture{&fired});
       }
       if (cancel) {
-        for (std::size_t k = 0; k < burst_len; ++k) sched.cancel(ids[k]);
+        for (std::size_t k = 0; k < len; ++k) sched.cancel(ids[k]);
       }
     }
-    // Drain every few bursts so the standing population stays at the
-    // queue-backlog scale rather than growing into a pathological heap.
-    if (b % 8 == 7) sched.run_for(kSerialization * 16);
+    if (r % 8 == 7) sched.run_for(drain);
   }
   sched.run();
 
   WorkloadResult out;
-  out.events = bursts * burst_len;  // schedule operations issued
+  out.events = runs * len;  // schedule operations issued
   out.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return out;
@@ -356,20 +316,26 @@ int main(int argc, char** argv) {
   Comparison churn{"timer_churn", {}, {}};
   Comparison drain{"fire_all", {}, {}};
   // For batch_insert and timed_run both sides run on the indexed core;
-  // "baseline" is the per-event insert loop the batch/run API replaces.
+  // "baseline" is the per-event insert loop the run API replaces.
   Comparison batch{"batch_insert", {}, {}};
   Comparison timed{"timed_run", {}, {}};
   const std::size_t bursts = smoke ? 8000 : 400000;
   const std::size_t burst_len = 6;  // an 8 KB write's fragment train
+  const netsim::Duration delivery = netsim::microseconds(5);
+  const netsim::Duration serialization = netsim::microseconds(120);
   for (int r = 0; r < reps; ++r) {
     const auto b1 = timer_churn<netsim::BaselineScheduler>(population, rounds);
     const auto i1 = timer_churn<netsim::Scheduler>(population, rounds);
     const auto b2 = fire_all<netsim::BaselineScheduler>(fires);
     const auto i2 = fire_all<netsim::Scheduler>(fires);
-    const auto b3 = flood_insert<false>(broadcasts, fanout, cancel_every);
-    const auto i3 = flood_insert<true>(broadcasts, fanout, cancel_every);
-    const auto b4 = burst_insert<false>(bursts, burst_len, cancel_every);
-    const auto i4 = burst_insert<true>(bursts, burst_len, cancel_every);
+    const auto b3 = run_insert<false>(broadcasts, fanout, cancel_every, delivery, {},
+                                      delivery);
+    const auto i3 = run_insert<true>(broadcasts, fanout, cancel_every, delivery, {},
+                                     delivery);
+    const auto b4 = run_insert<false>(bursts, burst_len, cancel_every, serialization,
+                                      serialization, serialization * 16);
+    const auto i4 = run_insert<true>(bursts, burst_len, cancel_every, serialization,
+                                     serialization, serialization * 16);
     if (r == 0 || b1.seconds < churn.baseline.seconds) churn.baseline = b1;
     if (r == 0 || i1.seconds < churn.indexed.seconds) churn.indexed = i1;
     if (r == 0 || b2.seconds < drain.baseline.seconds) drain.baseline = b2;

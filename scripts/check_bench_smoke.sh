@@ -3,9 +3,9 @@
 # paths, run by CI and ci.sh after the Release bench smoke:
 #
 #   1. BENCH_scheduler.json must carry the batch_insert AND timed_run cells
-#      (the schedule_batch_at / schedule_run_at microbenches) -- a refactor
-#      that silently drops either would stop tracking the batch paths
-#      across PRs.
+#      (schedule_run_at microbenches: batch_insert measures the equal-time
+#      run, timed_run the monotone one) -- a refactor that silently drops
+#      either would stop tracking the run paths across PRs.
 #   2. BENCH_topology.json's flood_profile must stay at O(1) scheduler
 #      events per broadcast. The bound is a small constant (the batched
 #      path measures 2.0: one transmit event + one per-segment delivery
@@ -87,7 +87,9 @@
 # Before any guard, each BENCH_*.json must be newer than the binary in the
 # build directory that writes it (micro_scheduler, macro_topology,
 # parallel_scaling): a file left by an earlier build fails here instead of
-# being judged as this build's.
+# being judged as this build's. A missing, stale or unparseable file stops
+# the script at once; a guard whose bound fails is recorded, the rest still
+# run, and the script lists every failed guard and exits 1 at the end.
 #
 # Usage: scripts/check_bench_smoke.sh [build-dir]   (default: build-release)
 set -euo pipefail
@@ -98,9 +100,17 @@ sched_json="$build_dir/BENCH_scheduler.json"
 topo_json="$build_dir/BENCH_topology.json"
 par_json="$build_dir/BENCH_parallel.json"
 
+# A missing, stale or unparseable file: the guards after it would judge
+# nothing, so stop at once.
 fail() {
   echo "check_bench_smoke: $1" >&2
   exit 1
+}
+
+# A bound that does not hold: recorded, so one failure cannot hide another.
+failures=()
+breach() {
+  failures+=("$1")
 }
 
 # Pulls "field": <number> out of a single-line JSON cell.
@@ -126,9 +136,9 @@ for pair in "$sched_json:micro_scheduler" "$topo_json:macro_topology" \
 done
 
 grep -q '"batch_insert"' "$sched_json" \
-  || fail "$sched_json has no batch_insert cell"
+  || breach "$sched_json has no batch_insert cell"
 grep -q '"timed_run"' "$sched_json" \
-  || fail "$sched_json has no timed_run cell"
+  || breach "$sched_json has no timed_run cell"
 
 sat_line=$(grep '"saturated_run"' "$sched_json") \
   || fail "$sched_json has no saturated_run cell"
@@ -139,7 +149,7 @@ sat_growth=$(field "$sat_line" rss_growth_per_entry)
 # 0 means the platform hides RSS; the bound holds trivially there.
 max_growth=8
 if ! awk -v g="$sat_growth" -v max="$max_growth" 'BEGIN { exit !(g <= max) }'; then
-  fail "saturated run keeps its history: peak RSS grew $sat_growth B per fired entry over $sat_entries entries (limit: $max_growth, history-keeping store: ~80)"
+  breach "saturated run keeps its history: peak RSS grew $sat_growth B per fired entry over $sat_entries entries (limit: $max_growth, history-keeping store: ~80)"
 fi
 
 # Each profile is emitted on one line; pull its fields out with sed.
@@ -155,14 +165,14 @@ ipb=$(field "$profile_line" inserts_per_broadcast)
 # bench/macro_topology.cpp.
 max_epb=4
 if ! awk -v epb="$epb" -v max="$max_epb" 'BEGIN { exit !(epb <= max) }'; then
-  fail "flood cell regressed: $epb events/broadcast with $receivers receivers (limit: $max_epb)"
+  breach "flood cell regressed: $epb events/broadcast with $receivers receivers (limit: $max_epb)"
 fi
 # Matches kMaxInsertsPerBroadcast: the k-broadcast flood drains as one
 # burst run plus one delivery run, so inserts/broadcast is ~2/k (measures
 # 0.02 at k=128), far below the per-frame chain's 2.0.
 max_ipb=0.25
 if ! awk -v ipb="$ipb" -v max="$max_ipb" 'BEGIN { exit !(ipb <= max) }'; then
-  fail "flood cell regressed to per-frame transmit inserts: $ipb inserts/broadcast (limit: $max_ipb, chain model: 2.0)"
+  breach "flood cell regressed to per-frame transmit inserts: $ipb inserts/broadcast (limit: $max_ipb, chain model: 2.0)"
 fi
 
 egress_line=$(grep '"egress_profile"' "$topo_json") \
@@ -176,7 +186,7 @@ ipf=$(field "$egress_line" inserts_per_flood)
 max_ipf=2
 if ! awk -v ipf="$ipf" -v max="$max_ipf" -v ports="$ports" \
      'BEGIN { exit !(ipf <= max && max < ports - 1) }'; then
-  fail "egress flood hop regressed: $ipf inserts/flood on $ports ports (limit: $max_ipf)"
+  breach "egress flood hop regressed: $ipf inserts/flood on $ports ports (limit: $max_ipf)"
 fi
 
 write_line=$(grep '"ttcp_write_profile"' "$topo_json") \
@@ -190,11 +200,11 @@ ipw=$(field "$write_line" inserts_per_write)
 max_ipw=2
 if ! awk -v ipw="$ipw" -v max="$max_ipw" -v frags="$frags" \
      'BEGIN { exit !(ipw <= max && max < frags) }'; then
-  fail "ttcp write hop regressed: $ipw inserts/write over $frags fragments (limit: $max_ipw)"
+  breach "ttcp write hop regressed: $ipw inserts/write over $frags fragments (limit: $max_ipw)"
 fi
 
 grep -q '"mac_lookup"' "$topo_json" \
-  || fail "$topo_json has no mac_lookup cell"
+  || breach "$topo_json has no mac_lookup cell"
 
 growth_line=$(grep '"mac_growth"' "$topo_json") \
   || fail "$topo_json has no mac_growth cell"
@@ -206,12 +216,12 @@ growth_per_entry=$(field "$growth_line" rss_growth_per_entry)
   && [ -n "$growth_per_entry" ] \
   || fail "could not parse mac_growth from: $growth_line"
 if [ "$growth_entries" -ne $((growth_tables * growth_addresses)) ]; then
-  fail "mac_growth tables lost entries: $growth_entries of $((growth_tables * growth_addresses))"
+  breach "mac_growth tables lost entries: $growth_entries of $((growth_tables * growth_addresses))"
 fi
 # 0 means the platform hides RSS; the bound holds trivially there.
 max_mac_growth=40
 if ! awk -v g="$growth_per_entry" -v max="$max_mac_growth" 'BEGIN { exit !(g <= max) }'; then
-  fail "MAC-table memory regressed: peak RSS grew $growth_per_entry B per learned entry over $growth_entries entries (limit: $max_mac_growth; 16-byte slots: ~33, 24-byte slots: ~49)"
+  breach "MAC-table memory regressed: peak RSS grew $growth_per_entry B per learned entry over $growth_entries entries (limit: $max_mac_growth; 16-byte slots: ~33, 24-byte slots: ~49)"
 fi
 
 agg_line=$(grep '"aggregate_profile"' "$topo_json") \
@@ -233,19 +243,19 @@ max_bps=424
 max_bups=6.0
 max_vpf=16
 if ! awk -v n="$stations" -v min="$min_stations" 'BEGIN { exit !(n >= min) }'; then
-  fail "station-scale cell shrank: $stations stations (floor: $min_stations)"
+  breach "station-scale cell shrank: $stations stations (floor: $min_stations)"
 fi
 if ! awk -v b="$bps" -v max="$max_bps" 'BEGIN { exit !(b == 0 || b <= max) }'; then
-  fail "station memory regressed: $bps bytes/station (limit: $max_bps; idle stations without their host-stack box: ~368, with it resident: ~761, per-object model: 1433)"
+  breach "station memory regressed: $bps bytes/station (limit: $max_bps; idle stations without their host-stack box: ~368, with it resident: ~761, per-object model: 1433)"
 fi
 if ! awk -v b="$bups" -v max="$max_bups" 'BEGIN { exit !(b <= max) }'; then
-  fail "station build time regressed: $bups us/station (limit: $max_bups, per-object model: 16.2)"
+  breach "station build time regressed: $bups us/station (limit: $max_bups, per-object model: 16.2)"
 fi
 if ! awk -v v="$agg_vpf" -v max="$max_vpf" 'BEGIN { exit !(v > 0 && v <= max) }'; then
-  fail "LAN delivery regressed: $agg_vpf receiver visits per carried frame (limit: $max_vpf, full walk: ~125000)"
+  breach "LAN delivery regressed: $agg_vpf receiver visits per carried frame (limit: $max_vpf, full walk: ~125000)"
 fi
 if [ "$agg_sent" -eq 0 ] || [ "$agg_answered" -ne "$agg_sent" ]; then
-  fail "aggregate workload lost pings: $agg_answered/$agg_sent answered"
+  breach "aggregate workload lost pings: $agg_answered/$agg_sent answered"
 fi
 
 # --- tcp_incast: reliability + goodput under 2x offered load -------------
@@ -268,23 +278,23 @@ inc_frames=$(field "$incast_line" frames_carried)
   && [ -n "$inc_frames" ] \
   || fail "could not parse tcp_incast from: $incast_line"
 if [ "$inc_conns" -ne "$inc_senders" ]; then
-  fail "tcp incast accepted $inc_conns/$inc_senders connections"
+  breach "tcp incast accepted $inc_conns/$inc_senders connections"
 fi
 if [ "$inc_received" != "$inc_expected" ]; then
-  fail "tcp incast lost bytes: $inc_received/$inc_expected delivered"
+  breach "tcp incast lost bytes: $inc_received/$inc_expected delivered"
 fi
 # Matches the incast_ok bounds in bench/macro_topology.cpp: goodput within
 # a constant factor of the link, slowest stream within a constant factor
 # of fair share. Only an incast collapse breaks these.
 if ! awk -v g="$inc_goodput" -v l="$inc_link" 'BEGIN { exit !(g >= l / 4.0) }'; then
-  fail "tcp incast goodput collapsed: $inc_goodput Mb/s on a $inc_link Mb/s link (floor: link/4)"
+  breach "tcp incast goodput collapsed: $inc_goodput Mb/s on a $inc_link Mb/s link (floor: link/4)"
 fi
 if ! awk -v m="$inc_min" -v f="$inc_fair" 'BEGIN { exit !(m >= f / 8.0) }'; then
-  fail "tcp incast starved a stream: slowest $inc_min Mb/s vs fair share $inc_fair Mb/s (floor: fair/8)"
+  breach "tcp incast starved a stream: slowest $inc_min Mb/s vs fair share $inc_fair Mb/s (floor: fair/8)"
 fi
 # Matches incast_lazy in bench/macro_topology.cpp.
 if ! awk -v e="$inc_epf" -v n="$inc_frames" 'BEGIN { exit !(n > 0 && e <= 0) }'; then
-  fail "tcp incast encoded $inc_epf times per frame over $inc_frames frames with nothing reading the bytes (limit: 0, eager encode: 0.50)"
+  breach "tcp incast encoded $inc_epf times per frame over $inc_frames frames with nothing reading the bytes (limit: 0, eager encode: 0.50)"
 fi
 # Guard 12, matching incast_copy_once / kMaxCopiesPerPayloadByte in
 # bench/macro_topology.cpp.
@@ -292,15 +302,15 @@ inc_cpb=$(field "$incast_line" copies_per_payload_byte)
 [ -n "$inc_cpb" ] || fail "could not parse copies_per_payload_byte from: $incast_line"
 max_cpb=1.5
 if ! awk -v c="$inc_cpb" -v max="$max_cpb" 'BEGIN { exit !(c > 0 && c <= max) }'; then
-  fail "tcp incast copied $inc_cpb payload bytes per byte received (limit: $max_cpb; one copy: 1.0, a copying decoder: 2.0)"
+  breach "tcp incast copied $inc_cpb payload bytes per byte received (limit: $max_cpb; one copy: 1.0, a copying decoder: 2.0)"
 fi
 
 # --- BENCH_parallel.json: sharded-core determinism + scaling -------------
 
 grep -q '"run": "legacy"' "$par_json" \
-  || fail "$par_json has no legacy baseline run"
+  || breach "$par_json has no legacy baseline run"
 grep -q '"deterministic": true' "$par_json" \
-  || fail "$par_json: bench reported non-deterministic sharded runs"
+  || breach "$par_json: bench reported non-deterministic sharded runs"
 
 hw=$(field "$(grep '"hardware_concurrency"' "$par_json")" hardware_concurrency)
 [ -n "$hw" ] || fail "could not parse hardware_concurrency from $par_json"
@@ -319,7 +329,7 @@ for t in 2 4 8; do
   ev=$(field "$line" events)
   fr=$(field "$line" frames_carried)
   if [ "$ev" != "$t1_events" ] || [ "$fr" != "$t1_frames" ]; then
-    fail "sharded-t$t diverges from sharded-t1: events $ev vs $t1_events, frames $fr vs $t1_frames"
+    breach "sharded-t$t diverges from sharded-t1: events $ev vs $t1_events, frames $fr vs $t1_frames"
   fi
 done
 
@@ -330,7 +340,7 @@ t4_speedup=$(field "$(grep '"run": "sharded-t4"' "$par_json")" speedup_vs_1t)
 if [ "$hw" -ge 4 ]; then
   if ! awk -v s="$t4_speedup" -v min="$min_speedup" \
        'BEGIN { exit !(s >= min) }'; then
-    fail "4-thread sharded speedup regressed: ${t4_speedup}x (floor: ${min_speedup}x on $hw hardware threads)"
+    breach "4-thread sharded speedup regressed: ${t4_speedup}x (floor: ${min_speedup}x on $hw hardware threads)"
   fi
   parallel_note="4-thread speedup ${t4_speedup}x on $hw hardware threads"
 else
@@ -342,20 +352,20 @@ fi
 agg_stations=$(field "$(grep '"aggregate_stations"' "$par_json")" aggregate_stations)
 [ -n "$agg_stations" ] || fail "could not parse aggregate_stations from $par_json"
 if ! awk -v n="$agg_stations" -v min="$min_stations" 'BEGIN { exit !(n >= min) }'; then
-  fail "sharded aggregate cell shrank: $agg_stations stations (floor: $min_stations)"
+  breach "sharded aggregate cell shrank: $agg_stations stations (floor: $min_stations)"
 fi
 for run in agg-legacy agg-sharded-t1 agg-sharded-t2 agg-sharded-t4 agg-sharded-t8; do
   line=$(grep "\"run\": \"$run\"" "$par_json") || fail "$par_json has no $run run"
   ev=$(field "$line" events)
   if [ -z "$ev" ] || [ "$ev" -eq 0 ]; then
-    fail "$run ran no events (its forked child failed?)"
+    breach "$run ran no events (its forked child failed?)"
   fi
 done
 
 grep -q '"aggregate_deterministic": true' "$par_json" \
-  || fail "$par_json: sharded aggregate runs diverge across thread counts"
+  || breach "$par_json: sharded aggregate runs diverge across thread counts"
 grep -q '"aggregate_matches_legacy": true' "$par_json" \
-  || fail "$par_json: sharded aggregate workload diverges from the legacy path"
+  || breach "$par_json: sharded aggregate workload diverges from the legacy path"
 
 agg_legacy_line=$(grep '"run": "agg-legacy"' "$par_json") \
   || fail "$par_json has no agg-legacy run"
@@ -371,7 +381,7 @@ for t in 2 4 8; do
   ev=$(field "$line" events)
   fr=$(field "$line" frames_carried)
   if [ "$ev" != "$agg_t1_events" ] || [ "$fr" != "$agg_t1_frames" ]; then
-    fail "agg-sharded-t$t diverges from agg-sharded-t1: events $ev vs $agg_t1_events, frames $fr vs $agg_t1_frames"
+    breach "agg-sharded-t$t diverges from agg-sharded-t1: events $ev vs $agg_t1_events, frames $fr vs $agg_t1_frames"
   fi
 done
 
@@ -384,7 +394,7 @@ for f in frames_carried bytes_carried pings_answered mac_entries \
   [ -n "$legacy_v" ] && [ -n "$t1_v" ] \
     || fail "could not parse $f from aggregate rows"
   if [ "$t1_v" != "$legacy_v" ]; then
-    fail "sharded aggregate $f diverges from legacy: $t1_v vs $legacy_v"
+    breach "sharded aggregate $f diverges from legacy: $t1_v vs $legacy_v"
   fi
 done
 
@@ -393,7 +403,7 @@ done
 agg_bps=$(field "$agg_t1_line" bytes_per_station)
 [ -n "$agg_bps" ] || fail "could not parse aggregate bytes_per_station"
 if ! awk -v b="$agg_bps" -v max="$max_bps" 'BEGIN { exit !(b == 0 || b <= max) }'; then
-  fail "sharded aggregate station memory regressed: $agg_bps bytes/station (limit: $max_bps; idle stations without their host-stack box: ~373)"
+  breach "sharded aggregate station memory regressed: $agg_bps bytes/station (limit: $max_bps; idle stations without their host-stack box: ~373)"
 fi
 
 # Speedup over sim time (the bench already subtracts the serial build);
@@ -403,11 +413,19 @@ agg_t4_speedup=$(field "$(grep '"run": "agg-sharded-t4"' "$par_json")" speedup_v
 if [ "$hw" -ge 4 ]; then
   if ! awk -v s="$agg_t4_speedup" -v min="$min_speedup" \
        'BEGIN { exit !(s >= min) }'; then
-    fail "4-thread aggregate speedup regressed: ${agg_t4_speedup}x (floor: ${min_speedup}x on $hw hardware threads)"
+    breach "4-thread aggregate speedup regressed: ${agg_t4_speedup}x (floor: ${min_speedup}x on $hw hardware threads)"
   fi
   aggregate_note="aggregate 4-thread speedup ${agg_t4_speedup}x"
 else
   aggregate_note="aggregate 4-thread speedup bound SKIPPED ($hw hardware thread(s) < 4; measured ${agg_t4_speedup}x)"
+fi
+
+if [ "${#failures[@]}" -gt 0 ]; then
+  echo "check_bench_smoke: ${#failures[@]} guard(s) failed:" >&2
+  for f in "${failures[@]}"; do
+    echo "check_bench_smoke: $f" >&2
+  done
+  exit 1
 fi
 
 echo "check_bench_smoke: OK (batch_insert + timed_run cells present;" \

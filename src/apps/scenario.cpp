@@ -464,22 +464,11 @@ void TtcpStreamWorkload::run(WorkloadContext& ctx, SweepResult& result) {
     // different LANs whenever more than one segment is populated.
     std::size_t src = static_cast<std::size_t>(s) % host_count;
     std::size_t dst = (src + host_count / 2) % host_count;
-    switch (options_.placement) {
-      case Placement::kPaired:
-        break;
-      case Placement::kHubTargeted:
-        if (!hub_hosts.empty()) {
-          src = spoke_hosts[static_cast<std::size_t>(s) % spoke_hosts.size()];
-          dst = hub_hosts[static_cast<std::size_t>(s) % hub_hosts.size()];
-        }
-        break;
-      case Placement::kAllPairs: {
-        // Distinct pairs: the sink stride grows once per full sender lap,
-        // cycling through 1..H-1 (stride H would collapse onto dst==src).
-        const std::size_t lap = static_cast<std::size_t>(s) / host_count;
-        dst = (src + 1 + lap % (host_count - 1)) % host_count;
-        break;
-      }
+    // kHubTargeted, when the hub/spoke split above holds: a spoke sender
+    // and a hub sink.
+    if (!hub_hosts.empty()) {
+      src = spoke_hosts[static_cast<std::size_t>(s) % spoke_hosts.size()];
+      dst = hub_hosts[static_cast<std::size_t>(s) % hub_hosts.size()];
     }
     if (dst == src) dst = (dst + 1) % host_count;
     stack::HostStack& sender_host = ctx.host(src);

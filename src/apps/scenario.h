@@ -351,10 +351,6 @@ class TtcpStreamWorkload final : public Workload {
     /// the other LANs: all streams converge on the hub's links, the
     /// bottleneck DEC-TR-592's skewed destination locality predicts.
     kHubTargeted,
-    /// Round-robin over distinct (sender, sink) pairs: sender s % H with
-    /// sink advanced by a growing stride, so successive streams cover
-    /// different pairs instead of re-running one pairing.
-    kAllPairs,
   };
 
   /// Which transport carries the streams.

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/netsim/cost_model.h"
-
 namespace ab::bridge {
 
 namespace {
@@ -158,9 +156,6 @@ stack::HostStack* assemble_host(const AssemblySite& site,
   // resolution, so the (vast) idle majority of a big cell pay nothing.
   // An earlier per-host reserve proportional to hosts made topology
   // memory quadratic (~200 MB of empty buckets on a 5000-station star).
-  // A cost model is a non-default config, so every station then builds
-  // its HostStack box at construction instead of on first action.
-  if (options.host_cost_model) cfg.tx_cost = netsim::CostModel::linux_host();
   netsim::Nic& nic = add_nic(site, h.name(), h.lan);
   auto* host = site.arena.create<stack::HostStack>(site.net.scheduler(), nic, cfg);
   host->nic().set_tx_queue_limit(options.host_tx_queue_limit);

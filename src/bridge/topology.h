@@ -30,8 +30,6 @@ struct TopologyBuildOptions {
   /// Give every bridge a network loader (TFTP server at topology_loader_ip
   /// of its index), so deployment workloads can push switchlets to it.
   bool netloader = false;
-  /// Charge the calibrated Linux-host tx cost at every host.
-  bool host_cost_model = false;
   std::size_t host_tx_queue_limit = 1 << 20;
 };
 

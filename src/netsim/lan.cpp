@@ -204,16 +204,20 @@ void LanSegment::deliver_sole(Nic* receiver, std::uint64_t epoch,
   receiver->deliver(frame);
 }
 
-void LanSegment::broadcast(const ether::WireFrame& frame, const Nic* sender) {
+bool LanSegment::carry(const ether::WireFrame& frame, const Nic* sender) {
   stats_.frames_carried += 1;
   stats_.bytes_carried += frame.wire_size();
   if (tap_) tap_(scheduler_->now(), sender, frame.wire());
   if (relay_) relay_(scheduler_->now(), sender, frame.wire());
   if (drop_filter_ && drop_filter_(scheduler_->now(), sender, frame.wire())) {
     stats_.frames_dropped_by_filter += 1;
-    return;  // before any loss draw: the seeded sequence is untouched
+    return false;  // before any loss draw: the seeded sequence is untouched
   }
+  return true;
+}
 
+void LanSegment::broadcast(const ether::WireFrame& frame, const Nic* sender) {
+  if (!carry(frame, sender)) return;
   // One scheduled event delivers the whole segment by walking the
   // snapshot. Every receiver shares the same WireFrame: one buffer, one
   // (lazy) decode, one FCS check.
@@ -224,15 +228,7 @@ void LanSegment::broadcast(const ether::WireFrame& frame, const Nic* sender) {
 
 std::uint32_t LanSegment::prepare_broadcast(const ether::WireFrame& frame,
                                             const Nic* sender) {
-  stats_.frames_carried += 1;
-  stats_.bytes_carried += frame.wire_size();
-  if (tap_) tap_(scheduler_->now(), sender, frame.wire());
-  if (relay_) relay_(scheduler_->now(), sender, frame.wire());
-  if (drop_filter_ && drop_filter_(scheduler_->now(), sender, frame.wire())) {
-    stats_.frames_dropped_by_filter += 1;
-    return kNoPreparedRun;  // the caller's delivery slot no-ops
-  }
-
+  if (!carry(frame, sender)) return kNoPreparedRun;  // the delivery slot no-ops
   // Same snapshot discipline as broadcast() -- loss draws in attach order,
   // so seeded loss sequences are identical whichever transmit path carried
   // the frame -- but the delivery event belongs to the caller's burst run,

@@ -231,6 +231,10 @@ class LanSegment {
 
   [[nodiscard]] std::uint32_t acquire_run();
   void release_run(std::uint32_t index);
+  /// The carry step broadcast and prepare_broadcast share: counts the
+  /// frame, shows it to the tap and the relay, then asks the drop filter.
+  /// False when the filter dropped it (counted), before any loss draw.
+  [[nodiscard]] bool carry(const ether::WireFrame& frame, const Nic* sender);
   /// Shared snapshot for broadcast / prepare_broadcast / inject_remote:
   /// classifies the frame, then draws loss over its receivers in attach
   /// order, `sender` and tombstones excluded. Returns the acquired run

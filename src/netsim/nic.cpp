@@ -71,15 +71,7 @@ bool Nic::transmit(ether::WireFrame frame) {
     const std::size_t wire_bytes = frame.wire_size();
     const TimePoint completes =
         run_tail_time_ + segment_->serialization_delay(wire_bytes);
-    LanSegment* const paced_for = segment_;
-    Scheduler::TimedEntry entry;
-    entry.when = completes;
-    entry.fn = [this, paced_for, frame] {
-      run_remaining_ -= 1;
-      if (segment_ == paced_for) segment_->broadcast(frame, this);
-      if (run_remaining_ == 0) start_transmitter();
-    };
-    if (scheduler_->try_extend_run(run_id_, std::move(entry))) {
+    if (scheduler_->try_extend_run(run_id_, completion(completes, frame))) {
       run_remaining_ += 1;
       run_tail_time_ = completes;
       stats_.tx_frames += 1;
@@ -115,9 +107,6 @@ std::optional<Scheduler::TimedEntry> Nic::try_prepare(ether::WireFrame frame) {
   const std::size_t wire_bytes = frame.wire_size();
   stats_.tx_frames += 1;
   stats_.tx_bytes += wire_bytes;
-  LanSegment* const paced_for = segment_;
-  Scheduler::TimedEntry entry;
-  entry.when = scheduler_->now() + segment_->serialization_delay(wire_bytes);
   // The claim is a one-entry run from this NIC's point of view: the caller
   // schedules it (alone or merged into a TxBatch run) and reports the
   // handle back through note_run(); until then run_id_ is stale and an
@@ -125,13 +114,20 @@ std::optional<Scheduler::TimedEntry> Nic::try_prepare(ether::WireFrame frame) {
   run_remaining_ = 1;
   run_id_ = BatchId{};
   owns_run_ = false;  // the caller's run; note_run() reports the handle
-  run_tail_time_ = entry.when;
-  entry.fn = [this, paced_for, frame = std::move(frame)] {
-    run_remaining_ -= 1;
-    if (segment_ == paced_for) segment_->broadcast(frame, this);
-    if (run_remaining_ == 0) start_transmitter();
-  };
-  return entry;
+  run_tail_time_ = scheduler_->now() + segment_->serialization_delay(wire_bytes);
+  return completion(run_tail_time_, std::move(frame));
+}
+
+Scheduler::TimedEntry Nic::completion(TimePoint when, ether::WireFrame frame) {
+  // Pacing is fixed now: the entry broadcasts only onto the segment the
+  // frame was paced for, so a NIC detached (or reattached elsewhere) in
+  // flight skips the broadcast instead of delivering at the wrong rate.
+  LanSegment* const paced_for = segment_;
+  return {when, [this, paced_for, frame = std::move(frame)] {
+            run_remaining_ -= 1;
+            if (segment_ == paced_for) segment_->broadcast(frame, this);
+            if (run_remaining_ == 0) start_transmitter();
+          }};
 }
 
 void Nic::start_transmitter() {
@@ -143,7 +139,6 @@ void Nic::start_transmitter() {
     return;
   }
   transmitting_ = true;
-  LanSegment* const paced_for = segment_;
   if (tx_queue_.size() == 1) {
     // Single frame: one completion event at the time the self-rearming
     // chain always produced -- but issued as a one-entry timed run, so a
@@ -151,18 +146,11 @@ void Nic::start_transmitter() {
     ether::WireFrame frame = std::move(tx_queue_.front());
     tx_queue_.pop_front();
     const std::size_t wire_bytes = frame.wire_size();
-    const Duration ser = segment_->serialization_delay(wire_bytes);
     stats_.tx_frames += 1;
     stats_.tx_bytes += wire_bytes;
     run_remaining_ = 1;
-    Scheduler::TimedEntry entry;
-    entry.when = scheduler_->now() + ser;
-    run_tail_time_ = entry.when;
-    entry.fn = [this, paced_for, frame = std::move(frame)] {
-      run_remaining_ -= 1;
-      if (segment_ == paced_for) segment_->broadcast(frame, this);
-      if (run_remaining_ == 0) start_transmitter();
-    };
+    run_tail_time_ = scheduler_->now() + segment_->serialization_delay(wire_bytes);
+    Scheduler::TimedEntry entry = completion(run_tail_time_, std::move(frame));
     run_id_ = scheduler_->schedule_run_at(std::span(&entry, 1));
     owns_run_ = true;
     return;
@@ -183,6 +171,7 @@ void Nic::start_transmitter() {
   // mid-burst skips the remaining broadcasts (depositing the no-run
   // sentinel keeps the delivery slots aligned) rather than deliver them at
   // another segment's wrong serialization times.
+  LanSegment* const paced_for = segment_;
   std::vector<Scheduler::TimedEntry> completions;
   std::vector<Scheduler::TimedEntry> deliveries;
   completions.reserve(tx_queue_.size());
@@ -255,10 +244,6 @@ void Nic::deliver(const ether::WireFrame& frame) {
   if (rx_handler_) rx_handler_(frame);
 }
 
-void Nic::deliver_wire(util::ByteView wire) {
-  deliver(ether::WireFrame::from_wire(util::ByteBuffer(wire.begin(), wire.end())));
-}
-
 BatchId TxBatch::flush(Scheduler& scheduler) {
   if (entries_.empty()) return BatchId{};
   // In-place stable insertion sort by completion time. N is the egress
@@ -282,9 +267,7 @@ BatchId TxBatch::flush(Scheduler& scheduler) {
   const BatchId id = scheduler.schedule_run_at(entries_);
   // Hand the run handle to every claiming NIC: its next frame, arriving
   // while the claim serializes, extends this run instead of queueing.
-  for (Nic* nic : claimants_) {
-    if (nic != nullptr) nic->note_run(id);
-  }
+  for (Nic* nic : claimants_) nic->note_run(id);
   entries_.clear();
   claimants_.clear();
   return id;

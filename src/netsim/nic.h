@@ -200,15 +200,18 @@ class Nic {
   /// Entry point for the segment's delivery events.
   void deliver(const ether::WireFrame& frame);
 
-  /// Legacy/test entry point: wraps raw wire bytes and delivers them.
-  void deliver_wire(util::ByteView wire);
-
   [[nodiscard]] const NicStats& stats() const { return stats_; }
 
  private:
   friend class LanSegment;  // maintains lan_index_; reads the station mode
 
   void start_transmitter();
+  /// The serialization-completion entry every frame this NIC sends
+  /// through a broadcast() completes with (single frame, try_prepare
+  /// claim, run extension): at `when` it counts the frame out of the
+  /// in-flight run, broadcasts it onto the segment it was paced for, and
+  /// restarts the transmitter once the run is done.
+  [[nodiscard]] Scheduler::TimedEntry completion(TimePoint when, ether::WireFrame frame);
   /// Frames charged against tx_queue_limit_: the queue plus the unfired
   /// remainder of the in-flight run beyond the frame serializing.
   [[nodiscard]] std::size_t backlog() const {
@@ -266,14 +269,9 @@ class Nic {
 /// capacity across flushes, so steady-state floods allocate nothing.
 class TxBatch {
  public:
-  void add(Scheduler::TimedEntry entry) {
-    entries_.push_back(std::move(entry));
-    claimants_.push_back(nullptr);
-  }
-
-  /// add() that also remembers whose transmitter the claim belongs to:
-  /// flush() hands the run's BatchId back to each claimant (note_run), so
-  /// a saturated port's next frame can extend the run in place.
+  /// Adds `nic`'s claim (Nic::try_prepare). flush() hands the run's
+  /// BatchId back to each claimant (note_run), so a saturated port's next
+  /// frame can extend the run in place.
   void add(Nic& nic, Scheduler::TimedEntry entry) {
     entries_.push_back(std::move(entry));
     claimants_.push_back(&nic);
@@ -290,7 +288,7 @@ class TxBatch {
 
  private:
   std::vector<Scheduler::TimedEntry> entries_;
-  std::vector<Nic*> claimants_;  ///< parallel to entries_; null for add(entry)
+  std::vector<Nic*> claimants_;  ///< parallel to entries_
 };
 
 }  // namespace ab::netsim

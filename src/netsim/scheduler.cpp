@@ -25,28 +25,6 @@ std::uint32_t Scheduler::acquire_slot() {
   return slot;
 }
 
-std::uint32_t Scheduler::acquire_run_slot(bool extendable) {
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  if (run_pool_.empty()) {
-    s.run = std::make_unique<Run>();
-  } else {
-    s.run = std::move(run_pool_.back());
-    run_pool_.pop_back();
-  }
-  s.run->extendable = extendable;
-  return slot;
-}
-
-BatchId Scheduler::insert_run(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  const RunEntry& first = s.run->entries.front();
-  heap_push(HeapEntry{first.when, first.order, slot});
-  pending_ += s.run->entries.size();
-  scheduled_ += s.run->entries.size();
-  return BatchId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
-}
-
 EventId Scheduler::schedule_at(TimePoint when, Callback fn) {
   if (!fn) throw std::invalid_argument("Scheduler: null callback");
   if (when < now_) when = now_;
@@ -74,32 +52,6 @@ EventId Scheduler::schedule_after(Duration delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-BatchId Scheduler::schedule_batch_at(TimePoint when, std::span<Callback> entries) {
-  if (entries.empty()) return BatchId{};  // null handle: cancelling is a no-op
-  // Validate everything before admitting anything, so a bad entry cannot
-  // leave a half-scheduled run behind.
-  for (const Callback& fn : entries) {
-    if (!fn) throw std::invalid_argument("Scheduler: null callback in batch");
-  }
-  if (when < now_) when = now_;
-
-  // An equal-time run: k consecutive order numbers at one timestamp, so
-  // interleaving with singles at that timestamp is exactly what k
-  // individual schedule_at calls would have produced.
-  const std::uint32_t slot = acquire_run_slot(/*extendable=*/false);
-  Run& run = *slots_[slot].run;
-  run.entries.reserve(entries.size());
-  for (Callback& fn : entries) {
-    run.entries.push_back(RunEntry{when, next_order_++, std::move(fn)});
-  }
-  return insert_run(slot);
-}
-
-BatchId Scheduler::schedule_batch_after(Duration delay, std::span<Callback> entries) {
-  if (delay < Duration::zero()) delay = Duration::zero();
-  return schedule_batch_at(now_ + delay, entries);
-}
-
 BatchId Scheduler::schedule_run_at(std::span<TimedEntry> entries) {
   if (entries.empty()) return BatchId{};  // null handle: cancelling is a no-op
   // Validate everything before admitting anything, so a bad entry cannot
@@ -113,17 +65,29 @@ BatchId Scheduler::schedule_run_at(std::span<TimedEntry> entries) {
     prev = e.when;
   }
 
+  const std::uint32_t slot = acquire_slot();
+  Slot& s = slots_[slot];
+  if (run_pool_.empty()) {
+    s.run = std::make_unique<Run>();
+  } else {
+    s.run = std::move(run_pool_.back());
+    run_pool_.pop_back();
+  }
   // Each entry takes the next order number, so its key (when, order) is
   // what an individual schedule_at would have issued it. Clamping to now()
-  // preserves monotonicity: a prefix of past times all clamp to now().
-  const std::uint32_t slot = acquire_run_slot(/*extendable=*/true);
-  Run& run = *slots_[slot].run;
+  // preserves monotonicity: a prefix of past times all clamp to now(), and
+  // equal times take consecutive orders at one timestamp.
+  Run& run = *s.run;
   run.entries.reserve(entries.size());
   for (TimedEntry& e : entries) {
     run.entries.push_back(
         RunEntry{std::max(e.when, now_), next_order_++, std::move(e.fn)});
   }
-  return insert_run(slot);
+  // One heap entry keyed by the first entry, however many the run holds.
+  heap_push(HeapEntry{run.entries.front().when, run.entries.front().order, slot});
+  pending_ += entries.size();
+  scheduled_ += entries.size();
+  return BatchId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
 }
 
 bool Scheduler::try_extend_run(BatchId id, TimedEntry entry) {
@@ -137,7 +101,7 @@ bool Scheduler::try_extend_run(BatchId id, TimedEntry entry) {
   // into the caller's FIFO fallback.
   if (s.gen != id_gen(id.seq)) return false;
   Run* run = s.run.get();
-  if (run == nullptr || !run->extendable) return false;  // single / same-time batch
+  if (run == nullptr) return false;  // a single event's slot
   if (entry.when < run->entries.back().when) return false;  // would break monotonicity
   // Drop the fired prefix once it outweighs the unfired backlog: each
   // compaction moves at most as many entries as fired since the last one,

@@ -19,21 +19,21 @@
 //     tombstones to skip at pop time, no live-set hash lookups on the hot
 //     path;
 //   * pending()/empty() are exact by construction;
-//   * schedule_run_at inserts a MONOTONE TIMED run -- k (time, callback)
-//     pairs with non-decreasing times -- as ONE heap entry and one sift:
-//     the transmit side's burst pattern (a NIC draining its queue, a
-//     processing element pacing a fragment train) where the k completion
-//     times are known upfront. Each entry stores its own (when, order,
-//     callback); the heap entry is keyed by the next unfired one and
-//     re-keyed after each pop, so interleaving with every other event is
-//     bit-identical to k schedule_at calls. try_extend_run appends to a
-//     live run and drops its fired prefix as it goes, so a run's memory
-//     follows its unfired backlog, not its history. Retired runs return to
-//     a per-Scheduler pool with their capacity, so a steady stream of
-//     short runs allocates nothing;
-//   * schedule_batch_at is the same-time special case (an equal-time run,
-//     k consecutive order numbers): a flood fan-out pays one sift for the
-//     whole run, and one BatchId cancel unlinks everything still pending;
+//   * schedule_run_at, the one way to schedule many events at once,
+//     inserts a MONOTONE TIMED run -- k (time, callback) pairs with
+//     non-decreasing times -- as ONE heap entry and one sift: the transmit
+//     side's burst pattern (a NIC draining its queue, a processing element
+//     pacing a fragment train) where the k completion times are known
+//     upfront. Each entry stores its own (when, order, callback); the heap
+//     entry is keyed by the next unfired one and re-keyed after each pop,
+//     so interleaving with every other event is bit-identical to k
+//     schedule_at calls. Equal times are the same-time case: k consecutive
+//     order numbers at one timestamp. One BatchId cancel unlinks
+//     everything still pending. try_extend_run appends to a live run and
+//     drops its fired prefix as it goes, so a run's memory follows its
+//     unfired backlog, not its history. Retired runs return to a
+//     per-Scheduler pool with their capacity, so a steady stream of short
+//     runs allocates nothing;
 //   * a schedule_at whose clamped time equals now() skips the heap: it
 //     joins a FIFO whose entries all share when == now() and take
 //     increasing order numbers, so the FIFO is sorted by construction and
@@ -66,8 +66,8 @@ struct EventId {
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
-/// Handle for cancelling a whole run scheduled with schedule_batch_at or
-/// schedule_run_at (and for extending the latter). Encoded like an EventId (slot + generation stamp) but
+/// Handle for cancelling (or extending) a whole run scheduled with
+/// schedule_run_at. Encoded like an EventId (slot + generation stamp) but
 /// deliberately a distinct type: a run is cancelled wholesale, never entry
 /// by entry, and the stamp goes stale the moment the run's last entry fires
 /// or the run is cancelled.
@@ -94,21 +94,6 @@ class Scheduler {
   /// Schedules `fn` after a delay relative to now().
   EventId schedule_after(Duration delay, Callback fn);
 
-  /// Schedules every callback of `entries` (moved from) at absolute time
-  /// `when` (clamped to now()) as one same-time run: a single heap entry, a
-  /// single sift, one slot -- where k schedule_at calls would pay k of
-  /// each. The run occupies k consecutive order numbers, so FIFO within the
-  /// timestamp is exactly what k individual schedule_at calls would have
-  /// produced, and entries fire one per pop: run(max_events), run_until and
-  /// step() treat a partially executed run as its remaining individual
-  /// events (nothing is dropped or reordered by a budget that splits a
-  /// run). An empty span returns the null BatchId (cancelling it is a
-  /// no-op); a null callback anywhere throws before any entry is admitted.
-  BatchId schedule_batch_at(TimePoint when, std::span<Callback> entries);
-
-  /// schedule_batch_at(now() + delay, entries).
-  BatchId schedule_batch_after(Duration delay, std::span<Callback> entries);
-
   /// One entry of a monotone timed run: an absolute firing time plus its
   /// callback. Produced by the transmit paths (NIC burst drain, TxBatch,
   /// ProcessingElement::submit_burst) whose completion times are computed
@@ -130,7 +115,7 @@ class Scheduler {
   /// returns the null BatchId; a null callback anywhere throws.
   BatchId schedule_run_at(std::span<TimedEntry> entries);
 
-  /// Appends `entry` to a still-pending TIMED run -- the saturated-
+  /// Appends `entry` to a still-pending run -- the saturated-
   /// transmitter case where a frame arrives while a burst is in flight and
   /// its completion time lands past the run's tail, so the run can absorb
   /// it with NO new heap insert. The appended entry gets a fresh order
@@ -140,12 +125,12 @@ class Scheduler {
   /// drops its already-fired entries as it grows, so a run kept alive by
   /// extension holds its backlog, not its history.
   ///
-  /// Returns false when the handle is stale (run finished or cancelled),
-  /// names a same-time batch or a single event, or `entry.when` precedes
-  /// the run's last time. The scheduler is then unchanged, but the entry
-  /// is consumed either way: it is taken by value, so a rejected
-  /// callback is destroyed on return and the caller must build a new one
-  /// for its fallback. A null callback throws.
+  /// Returns false when the handle is stale (run finished or cancelled)
+  /// or names a single event, or `entry.when` precedes the run's last
+  /// time. The scheduler is then unchanged, but the entry is consumed
+  /// either way: it is taken by value, so a rejected callback is destroyed
+  /// on return and the caller must build a new one for its fallback. A
+  /// null callback throws.
   bool try_extend_run(BatchId id, TimedEntry entry);
 
   /// Cancels a pending event in place. Cancelling an already-fired or
@@ -182,16 +167,16 @@ class Scheduler {
     if (!now_empty()) return now_;
     return heap_.empty() ? TimePoint::max() : heap_.front().when;
   }
-  /// Exact count of unfired events; every unfired entry of a batch run
-  /// counts individually (a run is k events, not one).
+  /// Exact count of unfired events; every unfired entry of a run counts
+  /// individually (a run is k events, not one).
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
   /// Heap insert operations performed: one per schedule_at past now(), one
-  /// per batch/run no matter how many entries it carries; zero-delay
+  /// per run no matter how many entries it carries; zero-delay
   /// schedules (the FIFO) and run extensions insert nothing. scheduled()
   /// vs inserts() is the batching ratio the transmit-path benches guard.
   [[nodiscard]] std::uint64_t inserts() const { return inserts_; }
-  /// Entries admitted in total (a batch/run of k counts k) -- what
+  /// Entries admitted in total (a run of k counts k) -- what
   /// inserts() would be if every entry were its own schedule_at call.
   [[nodiscard]] std::uint64_t scheduled() const { return scheduled_; }
 
@@ -222,15 +207,14 @@ class Scheduler {
     Callback fn;
   };
 
-  /// A run: the entries of one schedule_batch_at / schedule_run_at call
-  /// plus any try_extend_run appends, fired front to back. Entries before
+  /// A run: the entries of one schedule_run_at call plus any
+  /// try_extend_run appends, fired front to back. Entries before
   /// `next` have fired (their callbacks are already moved out); the heap
   /// entry is keyed by entries[next]. try_extend_run compacts the fired
   /// prefix away once it outweighs the unfired backlog.
   struct Run {
     std::vector<RunEntry> entries;
     std::size_t next = 0;
-    bool extendable = false;  ///< timed run; a same-time batch is not
     [[nodiscard]] std::size_t remaining() const { return entries.size() - next; }
   };
 
@@ -268,12 +252,6 @@ class Scheduler {
 
   /// Pops a slot index off the free list (or grows the table).
   [[nodiscard]] std::uint32_t acquire_slot();
-  /// Takes an empty run from the pool (or allocates one), installs it in
-  /// a fresh slot and returns the slot index.
-  [[nodiscard]] std::uint32_t acquire_run_slot(bool extendable);
-  /// Inserts a run whose entries are admitted: one heap entry keyed by its
-  /// first entry. Returns the run's handle.
-  BatchId insert_run(std::uint32_t slot);
 
   [[nodiscard]] bool now_empty() const { return now_head_ == now_fifo_.size(); }
   /// Advances the FIFO head past cancelled entries, so the head is live
@@ -307,7 +285,7 @@ class Scheduler {
   std::uint64_t executed_ = 0;
   std::uint64_t inserts_ = 0;    ///< heap insert ops (a run of k counts 1)
   std::uint64_t scheduled_ = 0;  ///< entries admitted (a run of k counts k)
-  std::size_t pending_ = 0;  ///< unfired events (batch entries counted each)
+  std::size_t pending_ = 0;  ///< unfired events (run entries counted each)
 };
 
 }  // namespace ab::netsim

@@ -461,6 +461,8 @@ TEST(NicMalformed, TryPrepareThrowsWithoutClaimingTheTransmitter) {
 
 TEST(TxBatch, FlushSchedulesOneRunAndSortsByCompletionTime) {
   Network net;
+  LanSegment& lan = net.add_segment("lan");
+  Nic& nic = net.add_nic("nic", lan);
   std::vector<int> order;
   TxBatch batch;
   // Out-of-order completion times with an equal-time pair: flush must sort
@@ -471,10 +473,10 @@ TEST(TxBatch, FlushSchedulesOneRunAndSortsByCompletionTime) {
     e.fn = [&order, label] { order.push_back(label); };
     return e;
   };
-  batch.add(entry(0, milliseconds(5)));
-  batch.add(entry(1, milliseconds(2)));
-  batch.add(entry(2, milliseconds(5)));
-  batch.add(entry(3, milliseconds(2)));
+  batch.add(nic, entry(0, milliseconds(5)));
+  batch.add(nic, entry(1, milliseconds(2)));
+  batch.add(nic, entry(2, milliseconds(5)));
+  batch.add(nic, entry(3, milliseconds(2)));
   const std::uint64_t before = net.scheduler().inserts();
   batch.flush(net.scheduler());
   EXPECT_EQ(net.scheduler().inserts() - before, 1u);

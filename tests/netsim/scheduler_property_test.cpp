@@ -1,18 +1,18 @@
 // Determinism property test for the scheduler rewrite: seeded random
-// programs of interleaved schedule_at / schedule_after / schedule_batch /
-// schedule_run (monotone timed runs) / try_extend_run / cancel (single ids
-// and whole BatchId runs) / run_until / step / run are executed against
-// both cores -- the indexed 4-ary heap (Scheduler) and the original
-// priority_queue + live-set core (BaselineScheduler), whose observable
-// contract is the oracle. The baseline has no batch or run API, which is
-// the point: a same-time run is DEFINED as k individual same-time events,
-// a timed run as k individual events at its k times, and an accepted run
-// extension as one schedule_at at that moment, so the oracle schedules k
-// events and cancels k ids where the indexed core takes one insert and one
-// BatchId cancel. Firing order, the clock after every op, pending() after
-// every op and every extension's accept/reject must be identical,
-// including events scheduled from inside callbacks, budgets that split a
-// run, and cancels of already-fired ids. A large share of the schedules
+// programs of interleaved schedule_at / schedule_after / schedule_run
+// (monotone timed runs, equal-time ones included) / try_extend_run /
+// cancel (single ids and whole BatchId runs) / run_until / step / run are
+// executed against both cores -- the indexed 4-ary heap (Scheduler) and
+// the original priority_queue + live-set core (BaselineScheduler), whose
+// observable contract is the oracle. The baseline has no run API, which
+// is the point: a timed run is DEFINED as k individual events at its k
+// times (an equal-time run as k individual same-time events), and an
+// accepted run extension as one schedule_at at that moment, so the oracle
+// schedules k events and cancels k ids where the indexed core takes one
+// insert and one BatchId cancel. Firing order, the clock after every op,
+// pending() after every op and every extension's accept/reject must be
+// identical, including events scheduled from inside callbacks, budgets
+// that split a run, and cancels of already-fired ids. A large share of the schedules
 // and children are zero-delay (the indexed core's FIFO beside the heap),
 // many cancels hit recent ids (so zero-delay events die while pending),
 // and extensions run up to 200 appends, some from inside the run's own
@@ -35,7 +35,6 @@ namespace {
 struct Op {
   enum Kind {
     kSchedule,
-    kScheduleBatch,
     kScheduleRun,  ///< monotone timed run (schedule_run_at)
     kExtendRun,    ///< try_extend_run appends to a run handle
     kCancel,
@@ -45,18 +44,17 @@ struct Op {
     kRunBudget
   };
   Kind kind = kSchedule;
-  std::int64_t delay_us = 0;   ///< kSchedule/kScheduleBatch: delay (may be
-                               ///< negative); kRunUntil: window
+  std::int64_t delay_us = 0;   ///< kSchedule: delay (may be negative);
+                               ///< kRunUntil: window
   bool spawn_child = false;    ///< kSchedule: callback schedules a child event
   std::int64_t child_delay_us = 0;
   /// kSchedule with a child: the callback then cancels the id issued this
   /// many ids back (0: its own child), often a pending zero-delay event.
   bool child_cancels = false;
   std::size_t child_cancel_back = 0;
-  std::size_t batch_size = 0;  ///< kScheduleBatch/kScheduleRun: entries (0
-                               ///< exercises the no-op)
-  std::vector<std::int64_t> run_delays_us;  ///< kScheduleRun: sorted delays
-                                            ///< (may start negative)
+  /// kScheduleRun: sorted delays, one per entry (may start negative; none
+  /// exercises the no-op).
+  std::vector<std::int64_t> run_delays_us;
   std::size_t cancel_sel = 0;  ///< kCancel/kCancelBatch/kExtendRun: index
                                ///< into issued handles (mod size)
   bool recent = false;         ///< pick among the newest few handles instead
@@ -88,13 +86,14 @@ std::vector<Op> generate_program(std::uint64_t seed, int length) {
       op.child_cancels = rng.chance(0.3);
       op.child_cancel_back = static_cast<std::size_t>(rng.uniform(0, 3));
     } else if (roll < 41) {
-      op.kind = Op::kScheduleBatch;
-      op.delay_us = static_cast<std::int64_t>(rng.uniform(0, 2100)) - 100;
-      op.batch_size = static_cast<std::size_t>(rng.uniform(0, 5));
+      // An equal-time run: the flood fan-out shape.
+      op.kind = Op::kScheduleRun;
+      const std::int64_t delay_us = static_cast<std::int64_t>(rng.uniform(0, 2100)) - 100;
+      op.run_delays_us.assign(static_cast<std::size_t>(rng.uniform(0, 5)), delay_us);
     } else if (roll < 48) {
       op.kind = Op::kScheduleRun;
-      op.batch_size = static_cast<std::size_t>(rng.uniform(0, 5));
-      for (std::size_t e = 0; e < op.batch_size; ++e) {
+      const auto size = static_cast<std::size_t>(rng.uniform(0, 5));
+      for (std::size_t e = 0; e < size; ++e) {
         op.run_delays_us.push_back(static_cast<std::int64_t>(rng.uniform(0, 2100)) -
                                    100);
       }
@@ -154,21 +153,6 @@ std::size_t pick(std::size_t size, std::size_t sel, bool recent) {
   return size - 1 - sel % std::min<std::size_t>(size, 4);
 }
 
-/// pick() for an extension: `recent` means one of the newest few TIMED
-/// runs, so most appends land on a live run; otherwise any handle, which
-/// exercises the stale-handle and same-time-batch rejections.
-template <typename IsTimed>
-std::size_t pick_run(std::size_t size, std::size_t sel, bool recent, IsTimed is_timed) {
-  if (recent) {
-    std::vector<std::size_t> newest;
-    for (std::size_t i = size; i > 0 && newest.size() < 4; --i) {
-      if (is_timed(i - 1)) newest.push_back(i - 1);
-    }
-    if (!newest.empty()) return newest[sel % newest.size()];
-  }
-  return pick(size, sel, recent);
-}
-
 /// One kExtendRun op in flight: which run it appends to, its offsets, and
 /// how many appends it has tried. Appended entries that fire make the
 /// next attempt, so its state outlives the op.
@@ -183,34 +167,23 @@ struct ExtendChain {
   }
 };
 
-/// Batch adapter for the indexed core: the real schedule_batch_at /
-/// schedule_run_at / try_extend_run / BatchId-cancel API. Each handle
-/// remembers its run's tail time, which extension offsets count from.
+/// Run adapter for the indexed core: the real schedule_run_at /
+/// try_extend_run / BatchId-cancel API. Each handle remembers its run's
+/// tail time, which extension offsets count from.
 struct IndexedBatchOps {
   struct Handle {
     BatchId id;
     TimePoint tail{};
-    bool timed = false;
   };
   std::vector<Handle> handles;
   std::deque<ExtendChain> chains;
-
-  void schedule(Scheduler& sched, Observation& obs, Duration delay, int first_label,
-                std::size_t count) {
-    std::vector<Scheduler::Callback> fns;
-    for (std::size_t i = 0; i < count; ++i) {
-      const int label = first_label + static_cast<int>(i);
-      fns.emplace_back([&obs, label] { obs.fired.push_back(label); });
-    }
-    handles.push_back(Handle{sched.schedule_batch_after(delay, fns), {}, false});
-  }
 
   void cancel(Scheduler& sched, std::size_t sel, bool recent) {
     if (!handles.empty()) sched.cancel(handles[pick(handles.size(), sel, recent)].id);
   }
 
-  /// Timed-run adapter: one schedule_run_at; the handle joins the same
-  /// pool BatchId cancels draw from.
+  /// One schedule_run_at; the handle joins the pool BatchId cancels and
+  /// extensions draw from.
   void schedule_run(Scheduler& sched, Observation& obs,
                     const std::vector<std::int64_t>& delays_us, int first_label) {
     std::vector<Scheduler::TimedEntry> entries;
@@ -223,14 +196,13 @@ struct IndexedBatchOps {
       e.fn = [&obs, label] { obs.fired.push_back(label); };
       entries.push_back(std::move(e));
     }
-    handles.push_back(Handle{sched.schedule_run_at(entries), tail, true});
+    handles.push_back(Handle{sched.schedule_run_at(entries), tail});
   }
 
   void extend(Scheduler& sched, Observation& obs, const Op& op, int first_label) {
     if (handles.empty()) return;
     ExtendChain& chain = chains.emplace_back();
-    chain.handle = pick_run(handles.size(), op.cancel_sel, op.recent,
-                            [this](std::size_t i) { return handles[i].timed; });
+    chain.handle = pick(handles.size(), op.cancel_sel, op.recent);
     chain.steps_us = op.extend_steps_us;
     chain.outside = op.extend_outside;
     chain.first_label = first_label;
@@ -255,10 +227,10 @@ struct IndexedBatchOps {
   }
 };
 
-/// Batch adapter for the baseline oracle, which has no batch API: a run IS
-/// k individual events by definition, so schedule k events and cancel all
+/// Run adapter for the baseline oracle, which has no run API: a run IS k
+/// individual events by definition, so schedule k events and cancel all
 /// their ids -- the semantic contract the indexed core must match. Each
-/// group also models what try_extend_run accepts: a timed run that is not
+/// group also models what try_extend_run accepts: a run that is not
 /// cancelled and has an entry still unfired, and a time no earlier than
 /// its tail.
 struct BaselineBatchOps {
@@ -266,23 +238,10 @@ struct BaselineBatchOps {
     std::vector<BaselineEventId> ids;
     std::size_t fired = 0;
     bool cancelled = false;
-    bool timed = false;
     TimePoint tail{};
   };
   std::deque<Group> groups;
   std::deque<ExtendChain> chains;
-
-  void schedule(BaselineScheduler& sched, Observation& obs, Duration delay,
-                int first_label, std::size_t count) {
-    Group& g = groups.emplace_back();
-    for (std::size_t i = 0; i < count; ++i) {
-      const int label = first_label + static_cast<int>(i);
-      g.ids.push_back(sched.schedule_after(delay, [&obs, &g, label] {
-        g.fired += 1;
-        obs.fired.push_back(label);
-      }));
-    }
-  }
 
   void cancel(BaselineScheduler& sched, std::size_t sel, bool recent) {
     if (groups.empty()) return;
@@ -297,7 +256,6 @@ struct BaselineBatchOps {
   void schedule_run(BaselineScheduler& sched, Observation& obs,
                     const std::vector<std::int64_t>& delays_us, int first_label) {
     Group& g = groups.emplace_back();
-    g.timed = true;
     for (std::size_t i = 0; i < delays_us.size(); ++i) {
       const int label = first_label + static_cast<int>(i);
       g.tail = std::max(sched.now() + microseconds(delays_us[i]), sched.now());
@@ -312,8 +270,7 @@ struct BaselineBatchOps {
               int first_label) {
     if (groups.empty()) return;
     ExtendChain& chain = chains.emplace_back();
-    chain.handle = pick_run(groups.size(), op.cancel_sel, op.recent,
-                            [this](std::size_t i) { return groups[i].timed; });
+    chain.handle = pick(groups.size(), op.cancel_sel, op.recent);
     chain.steps_us = op.extend_steps_us;
     chain.outside = op.extend_outside;
     chain.first_label = first_label;
@@ -327,7 +284,7 @@ struct BaselineBatchOps {
     Group& g = groups[chain.handle];
     const int label = chain.first_label + static_cast<int>(i);
     const TimePoint when = g.tail + microseconds(chain.steps_us[i]);
-    const bool live = g.timed && !g.cancelled && g.fired < g.ids.size();
+    const bool live = !g.cancelled && g.fired < g.ids.size();
     const bool ok = live && when >= g.tail;
     obs.extended.push_back(ok);
     if (!ok) return;
@@ -375,13 +332,6 @@ Observation execute(const std::vector<Op>& ops) {
               microseconds(op.delay_us),
               [&obs, this_label] { obs.fired.push_back(this_label); }));
         }
-        break;
-      }
-      case Op::kScheduleBatch: {
-        const int first_label = label;
-        label += static_cast<int>(op.batch_size);
-        batches.schedule(sched, obs, microseconds(op.delay_us), first_label,
-                         op.batch_size);
         break;
       }
       case Op::kScheduleRun: {
@@ -476,7 +426,7 @@ TEST(SchedulerEquivalenceFifo, EqualTimestampsKeepSubmissionOrderUnderCancellati
   EXPECT_EQ(indexed, survivors);
 }
 
-// Batched runs mixed with singles on ONE timestamp, some runs cancelled
+// Equal-time runs mixed with singles on ONE timestamp, some runs cancelled
 // wholesale: the surviving labels must fire in exact submission order on
 // both cores (the run occupying its k order numbers in the FIFO).
 TEST(SchedulerEquivalenceFifo, BatchRunsKeepSubmissionOrderAmongSingles) {
@@ -503,7 +453,7 @@ TEST(SchedulerEquivalenceFifo, BatchRunsKeepSubmissionOrderAmongSingles) {
     }
   }
 
-  // Indexed core: real batches.
+  // Indexed core: real runs.
   std::vector<int> indexed_fired;
   {
     Scheduler sched;
@@ -518,14 +468,14 @@ TEST(SchedulerEquivalenceFifo, BatchRunsKeepSubmissionOrderAmongSingles) {
             milliseconds(5),
             [&indexed_fired, this_label] { indexed_fired.push_back(this_label); });
       } else {
-        std::vector<Scheduler::Callback> fns;
+        std::vector<Scheduler::TimedEntry> entries;
         for (std::size_t i = 0; i < k; ++i) {
           const int this_label = label++;
-          fns.emplace_back(
-              [&indexed_fired, this_label] { indexed_fired.push_back(this_label); });
+          entries.push_back({sched.now() + milliseconds(5), [&indexed_fired, this_label] {
+                               indexed_fired.push_back(this_label);
+                             }});
         }
-        batch_ids[static_cast<std::size_t>(g)] =
-            sched.schedule_batch_after(milliseconds(5), fns);
+        batch_ids[static_cast<std::size_t>(g)] = sched.schedule_run_at(entries);
       }
     }
     for (int g = 0; g < kGroups; ++g) {

@@ -278,28 +278,42 @@ TEST(Scheduler, ExecutedCounter) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched same-time runs (schedule_batch_at / BatchId)
+// Equal-time runs: schedule_run_at with every entry at one timestamp (the
+// flood fan-out shape), cancelled through its BatchId
 
-namespace {
-
-/// Builds a run of callbacks that append their label to `order`.
-std::vector<Scheduler::Callback> labelled_batch(std::vector<int>& order, int first,
-                                                int count) {
-  std::vector<Scheduler::Callback> fns;
-  for (int i = 0; i < count; ++i) {
-    const int label = first + i;
-    fns.emplace_back([&order, label] { order.push_back(label); });
-  }
-  return fns;
+/// A run entry at `ms` milliseconds.
+Scheduler::TimedEntry at_ms(int ms, Scheduler::Callback fn) {
+  return {TimePoint{} + milliseconds(ms), std::move(fn)};
 }
 
-}  // namespace
+/// One run entry that appends `label` to `order` at `ms` milliseconds.
+Scheduler::TimedEntry labelled_entry(std::vector<int>& order, int label, int ms) {
+  return at_ms(ms, [&order, label] { order.push_back(label); });
+}
+
+/// Builds a timed run of labelled callbacks at the given millisecond
+/// offsets (non-decreasing).
+std::vector<Scheduler::TimedEntry> labelled_run(std::vector<int>& order, int first,
+                                                std::initializer_list<int> at_ms) {
+  std::vector<Scheduler::TimedEntry> entries;
+  int label = first;
+  for (int ms : at_ms) entries.push_back(labelled_entry(order, label++, ms));
+  return entries;
+}
+
+/// Builds an equal-time run: `count` labelled callbacks, all at `ms`.
+std::vector<Scheduler::TimedEntry> labelled_batch(std::vector<int>& order, int first,
+                                                  int count, int ms) {
+  std::vector<Scheduler::TimedEntry> entries;
+  for (int i = 0; i < count; ++i) entries.push_back(labelled_entry(order, first + i, ms));
+  return entries;
+}
 
 TEST(SchedulerBatch, FiresEntriesInSubmissionOrderAtTheTimestamp) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 5);
-  s.schedule_batch_at(TimePoint{} + milliseconds(3), fns);
+  auto entries = labelled_batch(order, 0, 5, 3);
+  s.schedule_run_at(entries);
   EXPECT_EQ(s.pending(), 5u);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -308,45 +322,24 @@ TEST(SchedulerBatch, FiresEntriesInSubmissionOrderAtTheTimestamp) {
 }
 
 TEST(SchedulerBatch, InterleavesFifoWithSinglesAtTheSameTimestamp) {
-  // single, batch, single at one timestamp: firing order must be exactly
+  // single, run, single at one timestamp: firing order must be exactly
   // the submission order, the run occupying its k order numbers.
   Scheduler s;
   std::vector<int> order;
   const TimePoint when = TimePoint{} + milliseconds(1);
   s.schedule_at(when, [&order] { order.push_back(0); });
-  auto fns = labelled_batch(order, 1, 3);
-  s.schedule_batch_at(when, fns);
+  auto entries = labelled_batch(order, 1, 3, 1);
+  s.schedule_run_at(entries);
   s.schedule_at(when, [&order] { order.push_back(4); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(SchedulerBatch, EmptyBatchIsANoOp) {
-  Scheduler s;
-  std::vector<Scheduler::Callback> none;
-  const BatchId id = s.schedule_batch_at(TimePoint{} + milliseconds(1), none);
-  EXPECT_EQ(id, BatchId{});
-  EXPECT_TRUE(s.empty());
-  s.cancel(id);  // null handle: harmless
-  EXPECT_EQ(s.run(), 0u);
-}
-
-TEST(SchedulerBatch, NullCallbackInBatchThrowsBeforeAdmittingAnything) {
-  Scheduler s;
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([] {});
-  fns.emplace_back(std::function<void()>{});  // null
-  EXPECT_THROW(s.schedule_batch_at(TimePoint{} + milliseconds(1), fns),
-               std::invalid_argument);
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.pending(), 0u);
-}
-
 TEST(SchedulerBatch, CancelRemovesTheWholeRun) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 4);
-  const BatchId id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  auto entries = labelled_batch(order, 0, 4, 1);
+  const BatchId id = s.schedule_run_at(entries);
   s.schedule_at(TimePoint{} + milliseconds(2), [&order] { order.push_back(99); });
   EXPECT_EQ(s.pending(), 5u);
   s.cancel(id);
@@ -358,8 +351,8 @@ TEST(SchedulerBatch, CancelRemovesTheWholeRun) {
 TEST(SchedulerBatch, CancelAfterTheRunFiredIsHarmless) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 2);
-  const BatchId id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  auto entries = labelled_batch(order, 0, 2, 1);
+  const BatchId id = s.schedule_run_at(entries);
   s.run();
   s.cancel(id);  // stale: the run completed
   EXPECT_TRUE(s.empty());
@@ -374,14 +367,14 @@ TEST(SchedulerBatch, CancelAfterTheRunFiredIsHarmless) {
 }
 
 TEST(SchedulerBatch, StaleEventIdCannotKillARunInTheRecycledSlot) {
-  // An EventId whose slot was recycled into a batch run must stay a no-op:
-  // the generation stamp (and the run guard) protect all k entries.
+  // An EventId whose slot was recycled into a run must stay a no-op: the
+  // generation stamp (and the run guard) protect all k entries.
   Scheduler s;
   std::vector<int> order;
   const EventId a = s.schedule_after(milliseconds(1), [&order] { order.push_back(-1); });
   s.cancel(a);
-  auto fns = labelled_batch(order, 0, 3);
-  s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);  // may reuse a's slot
+  auto entries = labelled_batch(order, 0, 3, 1);
+  s.schedule_run_at(entries);  // may reuse a's slot
   s.cancel(a);  // stale
   EXPECT_EQ(s.pending(), 3u);
   s.run();
@@ -389,12 +382,13 @@ TEST(SchedulerBatch, StaleEventIdCannotKillARunInTheRecycledSlot) {
 }
 
 TEST(SchedulerBatch, RunBudgetSplitsARunWithoutDroppingOrReordering) {
-  // run(max_events) counts batch entries individually; a budget expiring
-  // mid-run leaves the remainder pending, in order.
+  // run(max_events) counts run entries individually; a budget expiring
+  // mid-run leaves the remainder pending, in order, ahead of a single
+  // scheduled after the run at the same timestamp.
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 3);
-  s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  auto entries = labelled_batch(order, 0, 3, 1);
+  s.schedule_run_at(entries);
   s.schedule_at(TimePoint{} + milliseconds(1), [&order] { order.push_back(3); });
 
   EXPECT_EQ(s.run(2), 2u);
@@ -411,8 +405,8 @@ TEST(SchedulerBatch, RunBudgetSplitsARunWithoutDroppingOrReordering) {
 TEST(SchedulerBatch, StepExecutesOneEntryAtATime) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 3);
-  s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  auto entries = labelled_batch(order, 0, 3, 1);
+  s.schedule_run_at(entries);
   EXPECT_TRUE(s.step());
   EXPECT_EQ(order, (std::vector<int>{0}));
   EXPECT_EQ(s.pending(), 2u);
@@ -425,8 +419,8 @@ TEST(SchedulerBatch, StepExecutesOneEntryAtATime) {
 TEST(SchedulerBatch, RunUntilAtTheBoundaryDrainsTheWholeRun) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 3);
-  s.schedule_batch_at(TimePoint{} + milliseconds(10), fns);
+  auto entries = labelled_batch(order, 0, 3, 10);
+  s.schedule_run_at(entries);
   EXPECT_EQ(s.run_until(TimePoint{} + milliseconds(5)), 0u);
   EXPECT_TRUE(order.empty());
   EXPECT_EQ(s.pending(), 3u);
@@ -436,12 +430,12 @@ TEST(SchedulerBatch, RunUntilAtTheBoundaryDrainsTheWholeRun) {
 
 TEST(SchedulerBatch, RunUntilAfterAPartialBudgetKeepsTheRemainder) {
   // A budget splits the run, then a run_until to the run's own timestamp
-  // must finish exactly the remaining entries (satellite regression: the
-  // stepping limits must not drop or reorder a split run).
+  // must finish exactly the remaining entries: the stepping limits must
+  // not drop or reorder a split run.
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 4);
-  s.schedule_batch_at(TimePoint{} + milliseconds(2), fns);
+  auto entries = labelled_batch(order, 0, 4, 2);
+  s.schedule_run_at(entries);
   EXPECT_EQ(s.run(1), 1u);
   EXPECT_EQ(order, (std::vector<int>{0}));
   EXPECT_EQ(s.run_until(TimePoint{} + milliseconds(2)), 3u);
@@ -453,15 +447,15 @@ TEST(SchedulerBatch, CancelMidExecutionDropsOnlyTheRemainingEntries) {
   Scheduler s;
   std::vector<int> order;
   BatchId id{};
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([&order] { order.push_back(0); });
-  fns.emplace_back([&order, &s, &id] {
+  std::vector<Scheduler::TimedEntry> entries;
+  entries.push_back(at_ms(1, [&order] { order.push_back(0); }));
+  entries.push_back(at_ms(1, [&order, &s, &id] {
     order.push_back(1);
     s.cancel(id);  // from inside entry 1: entries 2 and 3 must not fire
-  });
-  fns.emplace_back([&order] { order.push_back(2); });
-  fns.emplace_back([&order] { order.push_back(3); });
-  id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  }));
+  entries.push_back(at_ms(1, [&order] { order.push_back(2); }));
+  entries.push_back(at_ms(1, [&order] { order.push_back(3); }));
+  id = s.schedule_run_at(entries);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_TRUE(s.empty());
@@ -472,12 +466,12 @@ TEST(SchedulerBatch, CancelInsideTheLastEntryIsAStaleNoOp) {
   Scheduler s;
   int fired = 0;
   BatchId id{};
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([&fired, &s, &id] {
+  std::vector<Scheduler::TimedEntry> entries;
+  entries.push_back(at_ms(1, [&fired, &s, &id] {
     ++fired;
     s.cancel(id);  // the run is already retired: harmless
-  });
-  id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  }));
+  id = s.schedule_run_at(entries);
   s.run();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(s.empty());
@@ -489,14 +483,14 @@ TEST(SchedulerBatch, EventsScheduledInsideAnEntryFireAfterTheRun) {
   // with k individual events.
   Scheduler s;
   std::vector<int> order;
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([&order, &s] {
+  std::vector<Scheduler::TimedEntry> entries;
+  entries.push_back(at_ms(1, [&order, &s] {
     order.push_back(0);
     s.schedule_after(Duration::zero(), [&order] { order.push_back(9); });
-  });
-  fns.emplace_back([&order] { order.push_back(1); });
-  fns.emplace_back([&order] { order.push_back(2); });
-  s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  }));
+  entries.push_back(at_ms(1, [&order] { order.push_back(1); }));
+  entries.push_back(at_ms(1, [&order] { order.push_back(2); }));
+  s.schedule_run_at(entries);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
 }
@@ -506,39 +500,11 @@ TEST(SchedulerBatch, PastBatchTimeClampsToNow) {
   s.schedule_after(seconds(1), [] {});
   s.run();
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 2);
-  s.schedule_batch_at(TimePoint{}, fns);  // in the past
+  auto entries = labelled_batch(order, 0, 2, 0);  // in the past
+  s.schedule_run_at(entries);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_EQ(s.now().time_since_epoch(), seconds(1));
-}
-
-TEST(SchedulerBatch, ScheduleBatchAfterIsRelative) {
-  Scheduler s;
-  s.schedule_after(milliseconds(5), [] {});
-  s.run();
-  std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 2);
-  s.schedule_batch_after(milliseconds(5), fns);
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_EQ(s.now().time_since_epoch(), milliseconds(10));
-}
-
-/// Builds a timed run of labelled callbacks at the given millisecond
-/// offsets (non-decreasing).
-std::vector<Scheduler::TimedEntry> labelled_run(std::vector<int>& order, int first,
-                                                std::initializer_list<int> at_ms) {
-  std::vector<Scheduler::TimedEntry> entries;
-  int label = first;
-  for (int ms : at_ms) {
-    Scheduler::TimedEntry e;
-    e.when = TimePoint{} + milliseconds(ms);
-    const int this_label = label++;
-    e.fn = [&order, this_label] { order.push_back(this_label); };
-    entries.push_back(std::move(e));
-  }
-  return entries;
 }
 
 TEST(SchedulerTimedRun, FiresEntriesAtTheirOwnTimes) {
@@ -703,10 +669,9 @@ TEST(SchedulerBatch, ManyRunsInterleavedWithCancelsKeepPendingExact) {
   std::vector<BatchId> ids;
   int label = 0;
   for (int b = 0; b < 50; ++b) {
-    auto fns = labelled_batch(order, label, 4);
+    auto entries = labelled_batch(order, label, 4, 1 + b % 3);
     label += 4;
-    ids.push_back(
-        s.schedule_batch_at(TimePoint{} + milliseconds(1 + b % 3), fns));
+    ids.push_back(s.schedule_run_at(entries));
   }
   EXPECT_EQ(s.pending(), 200u);
   for (std::size_t b = 0; b < ids.size(); b += 2) s.cancel(ids[b]);
@@ -719,13 +684,6 @@ TEST(SchedulerBatch, ManyRunsInterleavedWithCancelsKeepPendingExact) {
 
 // ---------------------------------------------------------------------------
 // try_extend_run: appending to an in-flight timed run
-
-Scheduler::TimedEntry labelled_entry(std::vector<int>& order, int label, int ms) {
-  Scheduler::TimedEntry e;
-  e.when = TimePoint{} + milliseconds(ms);
-  e.fn = [&order, label] { order.push_back(label); };
-  return e;
-}
 
 TEST(SchedulerTimedRunExtend, AppendsPastTheTailWithNoNewInsert) {
   Scheduler s;
@@ -824,17 +782,21 @@ TEST(SchedulerTimedRunExtend, CancelledRunRejected) {
   EXPECT_EQ(s.pending(), 0u);
 }
 
-TEST(SchedulerTimedRunExtend, SameTimeBatchRejected) {
-  // Only TIMED runs extend: a same-time batch has no per-entry times to
-  // append to.
+TEST(SchedulerTimedRunExtend, EqualTimeRunAcceptsAnAppendAtItsTailTime) {
+  // Every run extends, the equal-time one too: an append at the shared
+  // timestamp is not before the tail, and its fresh order number puts it
+  // after the run's entries and after a single issued before it.
   Scheduler s;
   std::vector<int> order;
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([&order] { order.push_back(0); });
-  const BatchId id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
-  EXPECT_FALSE(s.try_extend_run(id, labelled_entry(order, 9, 5)));
+  auto entries = labelled_batch(order, 0, 3, 1);
+  const BatchId id = s.schedule_run_at(entries);
+  s.schedule_at(TimePoint{} + milliseconds(1), [&order] { order.push_back(-1); });
+  const std::uint64_t inserts_before = s.inserts();
+  EXPECT_TRUE(s.try_extend_run(id, labelled_entry(order, 3, 1)));
+  EXPECT_EQ(s.inserts(), inserts_before);
+  EXPECT_EQ(s.pending(), 5u);
   s.run();
-  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, -1, 3}));
 }
 
 TEST(SchedulerTimedRunExtend, NonMonotoneExtensionRejected) {
@@ -938,27 +900,25 @@ TEST(SchedulerNowFifo, CancelledEntriesAnywhereInTheFifoNeverFire) {
 TEST(SchedulerNowFifo, ZeroDelayEventFiresBetweenHeapEventsByOrder) {
   // At T the heap holds A (issued before the clock reached T, so a lower
   // order than anything issued at T) and, issued at T after the zero-delay
-  // Z, a same-time batch and a timed-run entry (heap entries with higher
-  // orders). Z must fire after A and before both; Z2, issued last, after.
+  // Z, an equal-time run of two entries at T (a heap entry with higher
+  // orders). Z must fire after A and before the run; Z2, issued last,
+  // after.
   Scheduler s;
   std::vector<std::string> order;
   const TimePoint t = TimePoint{} + milliseconds(5);
   s.schedule_at(t, [&] {
     order.push_back("first");
     s.schedule_after(Duration::zero(), [&] { order.push_back("Z"); });
-    std::vector<Scheduler::Callback> batch;
-    batch.emplace_back([&] { order.push_back("batch"); });
-    s.schedule_batch_at(s.now(), batch);
-    std::vector<Scheduler::TimedEntry> run(1);
-    run[0].when = s.now();
-    run[0].fn = [&] { order.push_back("run"); };
+    std::vector<Scheduler::TimedEntry> run(2);
+    run[0] = {s.now(), [&] { order.push_back("run0"); }};
+    run[1] = {s.now(), [&] { order.push_back("run1"); }};
     s.schedule_run_at(run);
     s.schedule_after(Duration::zero(), [&] { order.push_back("Z2"); });
   });
   s.schedule_at(t, [&] { order.push_back("A"); });
   s.schedule_at(t + nanoseconds(1), [&] { order.push_back("later"); });
   s.run();
-  EXPECT_EQ(order, (std::vector<std::string>{"first", "A", "Z", "batch", "run", "Z2",
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "A", "Z", "run0", "run1", "Z2",
                                              "later"}));
 }
 
@@ -1124,13 +1084,12 @@ TEST(SchedulerRunPool, ARunReusedAfterACancelNeverFiresTheCancelledCallbacks) {
   s.cancel(cancelled);
   EXPECT_EQ(token.use_count(), 1);  // nothing of the cancelled run is held
 
-  // The next runs (timed and same-time) reuse the pooled storage and the
-  // recycled slot; the stale handle reaches neither.
+  // The next runs reuse the pooled storage and the recycled slot; the
+  // stale handle reaches neither.
   auto reuse = labelled_run(order, 10, {4, 5});
   const BatchId fresh = s.schedule_run_at(reuse);
-  std::vector<Scheduler::Callback> batch;
-  batch.emplace_back([&order] { order.push_back(20); });
-  s.schedule_batch_at(TimePoint{} + milliseconds(6), batch);
+  auto more = labelled_run(order, 20, {6});
+  s.schedule_run_at(more);
   s.cancel(cancelled);  // stale: a no-op
   Scheduler::TimedEntry stale_append;
   stale_append.when = TimePoint{} + milliseconds(30);
