@@ -27,6 +27,31 @@ inline std::uint64_t peak_rss_bytes() {
 #endif
 }
 
+/// What this process has cost so far: minor page faults and user and
+/// system CPU seconds (getrusage; zeros where unsupported). Read inside a
+/// run_in_child cell they count that child alone: a forked child's
+/// counters start at zero.
+struct ProcessCost {
+  std::uint64_t minor_faults = 0;
+  double user_s = 0.0;
+  double sys_s = 0.0;
+};
+
+inline ProcessCost process_cost() {
+  ProcessCost cost;
+#if defined(__linux__)
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return cost;
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  cost.minor_faults = static_cast<std::uint64_t>(usage.ru_minflt);
+  cost.user_s = seconds(usage.ru_utime);
+  cost.sys_s = seconds(usage.ru_stime);
+#endif
+  return cost;
+}
+
 /// Returns `cell()` computed in a forked child (Linux; in process
 /// elsewhere). The result comes back over a pipe as raw bytes, so it must
 /// be trivially copyable. A failed fork, pipe or child yields a

@@ -502,6 +502,9 @@ struct StationProfile {
   int pings_answered = 0;
   std::uint64_t events = 0;
   double wall_seconds = 0.0;
+  /// The child's cost over the whole cell (build, run and teardown): the
+  /// build is bound by page faults, not by instructions.
+  bench::ProcessCost cost;
   [[nodiscard]] double visits_per_frame() const {
     return frames_carried > 0 ? static_cast<double>(receivers_visited) /
                                     static_cast<double>(frames_carried)
@@ -527,6 +530,7 @@ StationProfile run_station_profile(const netsim::TopologySpec& spec,
   p.pings_answered = r.pings_answered;
   p.events = r.events;
   p.wall_seconds = r.wall_seconds;
+  p.cost = bench::process_cost();
   return p;
 }
 
@@ -816,11 +820,14 @@ int main(int argc, char** argv) {
       [&] { return run_station_profile(station_spec, background_per_lan); });
   const double visits_per_frame = station.visits_per_frame();
   std::printf(
-      "\nstation scale %s: %d stations built in %.0f ms (%.2f us/station), "
+      "\nstation scale %s: %d stations built in %.0f ms (%.2f us/station; "
+      "cell process: %llu minor faults, %.2f s user, %.2f s sys), "
       "%.0f bytes/station, peak RSS %.0f MiB, %.1f receiver visits/frame; "
       "%llu events in %.2f s wall, %d/%d pings answered\n",
       station_cell.c_str(), station.stations, station.build_ms,
       station.stations > 0 ? station.build_ms * 1e3 / station.stations : 0.0,
+      static_cast<unsigned long long>(station.cost.minor_faults), station.cost.user_s,
+      station.cost.sys_s,
       station.bytes_per_station,
       static_cast<double>(station.peak_rss_bytes) / (1024.0 * 1024.0),
       visits_per_frame, static_cast<unsigned long long>(station.events),
@@ -831,13 +838,14 @@ int main(int argc, char** argv) {
   // station on the reference box for this exact cell. Slab allocation,
   // the lazily-allocating FrameFifo, and O(1) attach measure 0.64-2.3 us
   // per station (build time swings ~3x run to run on shared boxes), and
-  // an idle station keeps only its Nic and a 32-byte HostStack: 368 B per
-  // station, where a full HostStack resident in every station measured
-  // 761 B. The memory bound sits ~15% above the measured cost, so a
-  // station that starts carrying its counters, processing element or ARP
-  // cache again fails the bench; the build bound sits between the two
-  // models, with headroom for machine noise.
-  constexpr double kMaxBytesPerStation = 424.0;
+  // an idle station keeps only a 72-byte Nic and a 32-byte HostStack:
+  // 176 B per station, where the Nic's transmit state, counters, name and
+  // handler resident in every station measured 368 B and a full HostStack
+  // too 761 B. The memory bound sits ~15% above the measured cost, so a
+  // station whose Nic or HostStack starts carrying its box again fails the
+  // bench; the build bound sits between the two models, with headroom for
+  // machine noise.
+  constexpr double kMaxBytesPerStation = 200.0;
   constexpr double kMaxBuildUsPerStation = 6.0;
   // Receivers a carried frame costs. The station index hands a frame to
   // the walk list (at most the hub's 8 bridge ports) plus the stations it
@@ -893,6 +901,7 @@ int main(int argc, char** argv) {
                "\"rss_growth_per_entry\": %.2f},\n"
                "  \"aggregate_profile\": {\"cell\": \"%s\", \"stations\": %d, "
                "\"build_ms\": %.2f, \"build_us_per_station\": %.3f, "
+               "\"minor_faults\": %llu, \"user_s\": %.3f, \"sys_s\": %.3f, "
                "\"peak_rss_bytes\": %llu, \"bytes_per_station\": %.1f, "
                "\"frames_carried\": %llu, \"receivers_visited\": %llu, "
                "\"receiver_visits_per_frame\": %.2f, "
@@ -934,6 +943,8 @@ int main(int argc, char** argv) {
                mac_growth.growth_per_entry(),
                station_cell.c_str(), station.stations, station.build_ms,
                build_us_per_station,
+               static_cast<unsigned long long>(station.cost.minor_faults),
+               station.cost.user_s, station.cost.sys_s,
                static_cast<unsigned long long>(station.peak_rss_bytes),
                station.bytes_per_station,
                static_cast<unsigned long long>(station.frames_carried),

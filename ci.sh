@@ -63,8 +63,13 @@ cmake --build build-release -j
 # correctness gate -- so a simulator change that breaks the benchmark's
 # build or gate fails here, not on the next benchmark run.
 bench/e2e/run.sh --smoke > /dev/null
+# Every paper-figure and ablation bench, one pass each: each drives a
+# transmit path (ttcp bursts through the bridge and the repeater, or
+# multitree BPDUs), so a crash or a throw there fails here.
 (cd build-release && ./ablation_spanning_tree && ./ablation_learning \
-  && ./fig9_ping_latency && ./table1_protocol_transition) > /dev/null
+  && ./ablation_multitree && ./ablation_cost_model && ./fig9_ping_latency \
+  && ./fig10_ttcp_throughput && ./table1_protocol_transition \
+  && ./sec75_agility && ./sec75_load_time) > /dev/null
 # Guards: the batch-insert and timed-run cells exist, the flood profile
 # stays at O(1) delivery events per broadcast per segment, the transmit
 # hops (NIC burst drain, bridge egress TxBatch, fragmented write through

@@ -6,7 +6,7 @@ namespace ab::active {
 
 // --------------------------------------------------------------- InputPort
 
-const std::string& InputPort::name() const { return table_->interface_name(id_); }
+std::string InputPort::name() const { return table_->interface_name(id_); }
 ether::MacAddress InputPort::mac() const { return table_->interface_mac(id_); }
 
 std::optional<Packet> InputPort::next_packet() {
@@ -41,7 +41,7 @@ void InputPort::deliver(Packet packet) {
 
 // -------------------------------------------------------------- OutputPort
 
-const std::string& OutputPort::name() const { return table_->interface_name(id_); }
+std::string OutputPort::name() const { return table_->interface_name(id_); }
 ether::MacAddress OutputPort::mac() const { return table_->interface_mac(id_); }
 
 bool OutputPort::ready_to_send() const {
@@ -65,9 +65,10 @@ netsim::Nic& OutputPort::nic() const { return *table_->entry(id_).nic; }
 // --------------------------------------------------------------- PortTable
 
 PortId PortTable::add_interface(netsim::Nic& nic) {
+  const std::string name = nic.name();
   for (const Entry& e : ports_) {
-    if (e.nic->name() == nic.name()) {
-      throw std::invalid_argument("duplicate interface name: " + nic.name());
+    if (e.nic->name() == name) {
+      throw std::invalid_argument("duplicate interface name: " + name);
     }
   }
   ports_.push_back(Entry{&nic, nullptr, nullptr});
@@ -151,7 +152,7 @@ OutputPort& PortTable::iport_to_oport(const InputPort& in) {
   return *e.out;
 }
 
-const std::string& PortTable::interface_name(PortId id) const {
+std::string PortTable::interface_name(PortId id) const {
   return entry(id).nic->name();
 }
 

@@ -53,7 +53,7 @@ class InputPort {
   using Handler = std::function<void(const Packet&)>;
 
   [[nodiscard]] PortId id() const { return id_; }
-  [[nodiscard]] const std::string& name() const;
+  [[nodiscard]] std::string name() const;
   [[nodiscard]] ether::MacAddress mac() const;
 
   /// pkts_waiting_p_in: frames queued and not yet pulled.
@@ -83,7 +83,7 @@ class InputPort {
 class OutputPort {
  public:
   [[nodiscard]] PortId id() const { return id_; }
-  [[nodiscard]] const std::string& name() const;
+  [[nodiscard]] std::string name() const;
   [[nodiscard]] ether::MacAddress mac() const;
 
   /// ready_to_send_p_out. Our simulated NIC queues internally, so this is
@@ -162,7 +162,7 @@ class PortTable {
   /// Called by the Demux fallback path; no-op if the port is unbound.
   void deliver_to_port(PortId id, const Packet& packet);
 
-  [[nodiscard]] const std::string& interface_name(PortId id) const;
+  [[nodiscard]] std::string interface_name(PortId id) const;
   [[nodiscard]] ether::MacAddress interface_mac(PortId id) const;
   /// True if `mac` is the address of any of this node's interfaces --
   /// frames so addressed are "destined for an Ethernet card installed on

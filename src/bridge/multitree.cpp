@@ -7,6 +7,11 @@ namespace {
 
 constexpr std::uint8_t kCodecVersion = 1;
 
+/// A config BPDU's payload: version, tree and type octets, the
+/// topology-change flag, root and bridge IDs (2 + 6 each), root path cost,
+/// port ID and the three timers (4 each). A TCN stops after the type.
+constexpr std::size_t kConfigBpduSize = 3 + 1 + 8 + 4 + 8 + 2 + 3 * 4;
+
 // Deterministic per-(bridge, tree) priority: different bridges prefer to
 // root different trees, which is the whole point of the multiplicity.
 std::uint16_t tree_priority(ether::MacAddress mac, int tree) {
@@ -36,7 +41,7 @@ BridgeId read_bridge_id(util::BufReader& r) {
 
 ether::Frame MultiTreeBpduCodec::encode(std::uint8_t tree, const Bpdu& bpdu,
                                         ether::MacAddress src) {
-  util::BufWriter w;
+  util::BufWriter w(kConfigBpduSize);
   w.u8(kCodecVersion);
   w.u8(tree);
   w.u8(bpdu.type == BpduType::kTcn ? 1 : 0);

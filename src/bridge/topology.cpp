@@ -117,11 +117,13 @@ stack::Ipv4Addr topology_admin_ip(std::size_t ordinal) {
 
 namespace {
 
-netsim::Nic& add_nic(const AssemblySite& site, const std::string& name, int lan) {
+netsim::Nic& add_nic(const AssemblySite& site, netsim::NicName name, int lan) {
   netsim::LanSegment& segment = *site.lans[static_cast<std::size_t>(lan)];
-  if (site.mac_ids == nullptr) return site.net.add_nic(site.arena, name, segment);
+  if (site.mac_ids == nullptr) {
+    return site.net.add_nic(site.arena, std::move(name), segment);
+  }
   const std::uint32_t id = (*site.mac_ids)++;
-  return site.net.add_nic(site.arena, name, segment,
+  return site.net.add_nic(site.arena, std::move(name), segment,
                           ether::MacAddress::local(id >> 16, id & 0xFFFF));
 }
 
@@ -156,7 +158,9 @@ stack::HostStack* assemble_host(const AssemblySite& site,
   // resolution, so the (vast) idle majority of a big cell pay nothing.
   // An earlier per-host reserve proportional to hosts made topology
   // memory quadratic (~200 MB of empty buckets on a 5000-station star).
-  netsim::Nic& nic = add_nic(site, h.name(), h.lan);
+  // The NIC's name is the plan's key: it spells host<lan>_<index> on
+  // demand and stores nothing, so an idle station's NIC holds no box.
+  netsim::Nic& nic = add_nic(site, h.key(), h.lan);
   auto* host = site.arena.create<stack::HostStack>(site.net.scheduler(), nic, cfg);
   host->nic().set_tx_queue_limit(options.host_tx_queue_limit);
   return host;

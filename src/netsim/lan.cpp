@@ -304,13 +304,13 @@ void LanSegment::attach_nic(Nic& nic) {
   // Nic::attach detaches from any previous segment first, so `nic` cannot
   // already be in the list -- attaching a million stations is a million
   // push_backs, not a million membership scans.
-  nic.lan_index_ = nics_.size();
+  nic.lan_index_ = static_cast<std::uint32_t>(nics_.size());
   nics_.push_back(&nic);
   file_nic(nic);
 }
 
 void LanSegment::file_nic(const Nic& nic) {
-  const auto at = static_cast<std::uint32_t>(nic.lan_index_);
+  const std::uint32_t at = nic.lan_index_;
   if (indexed(nic)) {
     by_mac_.add(static_cast<std::uint32_t>(nic.mac().value()), at);
     by_ipv4_.add(nic.station_ipv4_, at);
@@ -321,7 +321,7 @@ void LanSegment::file_nic(const Nic& nic) {
 }
 
 void LanSegment::unfile_nic(const Nic& nic) {
-  const auto at = static_cast<std::uint32_t>(nic.lan_index_);
+  const std::uint32_t at = nic.lan_index_;
   if (indexed(nic)) {
     by_mac_.remove(static_cast<std::uint32_t>(nic.mac().value()), at);
     by_ipv4_.remove(nic.station_ipv4_, at);
@@ -354,7 +354,7 @@ void LanSegment::compact_nics() {
     Nic* nic = nics_[i];
     if (nic == nullptr) continue;
     new_position[i] = static_cast<std::uint32_t>(w);
-    nic->lan_index_ = w;
+    nic->lan_index_ = static_cast<std::uint32_t>(w);
     nics_[w++] = nic;
   }
   nics_.resize(w);

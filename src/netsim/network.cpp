@@ -30,27 +30,28 @@ LanSegment& Network::add_segment(Arena& arena, const std::string& name,
   return *seg;
 }
 
-Nic& Network::add_nic(const std::string& name, LanSegment& segment) {
+Nic& Network::add_nic(NicName name, LanSegment& segment) {
   const std::uint32_t id = next_mac_id_++;
-  return add_nic(name, segment, ether::MacAddress::local(id >> 16, id & 0xFFFF));
+  return add_nic(std::move(name), segment,
+                 ether::MacAddress::local(id >> 16, id & 0xFFFF));
 }
 
-Nic& Network::add_nic(const std::string& name, LanSegment& segment,
-                      ether::MacAddress mac) {
-  nics_.push_back(std::make_unique<Nic>(scheduler_, name, mac));
+Nic& Network::add_nic(NicName name, LanSegment& segment, ether::MacAddress mac) {
+  nics_.push_back(std::make_unique<Nic>(scheduler_, std::move(name), mac));
   Nic& nic = *nics_.back();
   nic.attach(segment);
   return nic;
 }
 
-Nic& Network::add_nic(Arena& arena, const std::string& name, LanSegment& segment) {
+Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment) {
   const std::uint32_t id = next_mac_id_++;
-  return add_nic(arena, name, segment, ether::MacAddress::local(id >> 16, id & 0xFFFF));
+  return add_nic(arena, std::move(name), segment,
+                 ether::MacAddress::local(id >> 16, id & 0xFFFF));
 }
 
-Nic& Network::add_nic(Arena& arena, const std::string& name, LanSegment& segment,
+Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment,
                       ether::MacAddress mac) {
-  Nic* nic = arena.create<Nic>(scheduler_, name, mac);
+  Nic* nic = arena.create<Nic>(scheduler_, std::move(name), mac);
   nic->attach(segment);
   return *nic;
 }
@@ -259,8 +260,11 @@ int tree_up_segment(int node, int arity) {
 
 }  // namespace
 
-std::string Topology::HostAttach::name() const {
-  return "host" + std::to_string(lan) + "_" + std::to_string(index);
+std::string Topology::HostAttach::name() const { return key().str(); }
+
+NicName Topology::HostAttach::key() const {
+  return NicName::host(static_cast<std::uint32_t>(lan),
+                       static_cast<std::uint32_t>(index));
 }
 
 int TopologyBuilder::segment_count(const TopologySpec& spec) {

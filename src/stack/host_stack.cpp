@@ -31,8 +31,13 @@ HostStack::HostStack(netsim::Scheduler& scheduler, netsim::Nic& nic, HostConfig 
   if (config != HostConfig{.ip = config.ip} || log != nullptr) {
     cold_ = std::make_unique<ColdState>(scheduler, config, log);
   }
+  // A plain function and `this`: the NIC keeps no std::function, so an
+  // idle station's NIC holds no box.
   nic_->set_rx_handler(
-      [this](const ether::WireFrame& frame) { on_frame(frame.frame()); });
+      [](void* self, const ether::WireFrame& frame) {
+        static_cast<HostStack*>(self)->on_frame(frame.frame());
+      },
+      this);
   // on_frame ignores what the station contract lets the segment skip:
   // group frames other than ARP and IPv4, and ARP naming another address
   // (handle_arp). Keep the two in step.

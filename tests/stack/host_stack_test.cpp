@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/bridge/topology.h"
 #include "src/netsim/network.h"
 
 namespace ab::stack {
@@ -280,11 +281,12 @@ TEST(HostStack, GenuineRequestRightAfterAReplyIsStillAnswered) {
 // ------------------------------------------------------ idle stations
 
 /// One station and a probe NIC on a LAN; frames are handed to the station
-/// through Nic::deliver, the path a segment's delivery walk takes.
+/// through Nic::deliver, the path a segment's delivery walk takes. The
+/// station's NIC is named by a plan key, so it too starts without a box.
 struct IdleStation {
   netsim::Network net;
   netsim::LanSegment* lan = &net.add_segment("lan");
-  netsim::Nic* nic = &net.add_nic("station", *lan);
+  netsim::Nic* nic = &net.add_nic(netsim::NicName::host(0, 0), *lan);
   netsim::Nic* probe = &net.add_nic("probe", *lan);
   HostStack host;
   const Ipv4Addr probe_ip{10, 0, 0, 7};
@@ -335,6 +337,64 @@ TEST(HostStack, IdleStationStaysIdleOnFramesItDiscards) {
   IdleStation other;
   EXPECT_EQ(&s.host.stats(), &other.host.stats());
   EXPECT_EQ(s.net.scheduler().pending(), 0u);
+}
+
+TEST(HostStack, StationNicStaysIdleOnALanCarryingOtherTraffic) {
+  // A plan-built cell: the bridges' BPDUs cross every LAN, a probe NIC
+  // floods a broadcast burst and asks ARP for addresses no station owns.
+  // The segment hands none of it to a station, so no station's NIC or
+  // stack builds a box.
+  netsim::Network net;
+  netsim::TopologySpec spec;
+  spec.shape = netsim::TopologyShape::kStar;
+  spec.nodes = 2;
+  spec.hosts_per_lan = 3;
+  bridge::BridgedTopology topo = bridge::build_topology(net, spec);
+  ASSERT_EQ(topo.hosts.size(), 9u);  // hub + 2 leaves, 3 stations each
+  netsim::Nic& probe = net.add_nic("probe", *topo.shape.lans[1]);
+  std::vector<ether::WireFrame> burst(
+      16, ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
+                                  ether::EtherType::kExperimental,
+                                  util::ByteBuffer(64, 0x11)));
+  net.scheduler().run_for(netsim::seconds(5));  // hellos and the root election
+  EXPECT_EQ(probe.transmit_burst(burst), 16u);
+  for (std::uint8_t last = 200; last < 204; ++last) {
+    probe.transmit(ether::Frame::ethernet2(
+        ether::MacAddress::broadcast(), probe.mac(), ether::EtherType::kArp,
+        ArpPacket::request(probe.mac(), Ipv4Addr(10, 9, 9, 9), Ipv4Addr(10, 9, 9, last))
+            .encode()));
+  }
+  net.scheduler().run_for(netsim::seconds(5));
+
+  const netsim::NicStats& idle_zeros = topo.host(0).nic().stats();
+  for (std::size_t i = 0; i < topo.hosts.size(); ++i) {
+    netsim::Nic& nic = topo.host(i).nic();
+    const netsim::Topology::HostAttach& at = topo.shape.hosts[i];
+    EXPECT_EQ(nic.name(), "host" + std::to_string(at.lan) + "_" +
+                              std::to_string(at.index));
+    EXPECT_FALSE(nic.active()) << nic.name();
+    EXPECT_FALSE(topo.host(i).active()) << nic.name();
+    EXPECT_EQ(nic.stats(), netsim::NicStats{}) << nic.name();
+    EXPECT_EQ(&nic.stats(), &idle_zeros);  // one shared zero block
+  }
+  // The traffic was there: every frame crossed the probe's LAN, and the
+  // bridge port on it (promiscuous, on the walk list) was handed each one.
+  const netsim::LanStats& lan = topo.shape.lans[1]->stats();
+  EXPECT_GE(lan.frames_carried, 20u);
+  EXPECT_GT(lan.receivers_skipped, 0u);
+}
+
+TEST(HostStack, StationNicBoxCountsFromItsFirstFrame) {
+  // The stack's first ARP for its own address builds both boxes; the NIC
+  // then counts the frames handed to it from that one on.
+  IdleStation s;
+  ASSERT_FALSE(s.nic->active());
+  s.hand(s.who_has(s.host.ip()));
+  EXPECT_TRUE(s.nic->active());
+  EXPECT_TRUE(s.host.active());
+  s.net.scheduler().run();
+  EXPECT_EQ(s.nic->stats().rx_frames, 1u);
+  EXPECT_EQ(s.nic->stats().tx_frames, 1u);  // the ARP reply
 }
 
 TEST(HostStack, FirstSendBindOrHandledArpMakesAStationActive) {
