@@ -801,7 +801,8 @@ int main(int argc, char** argv) {
 
   // ---- station scale: 10^6 stations under the aggregate workload ----------
   // star-8x125000: hub + 8 leaf LANs x 125000 stations = 1,125,000 stations,
-  // every one a real arena-backed Nic + HostStack on its segment. The
+  // every one planned on its segment and built -- a real arena-backed Nic +
+  // HostStack -- when it first acts. The
   // aggregate workload keeps 2 talkers per LAN fully active (cross-LAN
   // pings + one ttcp stream + a flood burst) and drives a seeded sample of
   // the rest as pre-encoded ARP+ping background, so the cell exercises
@@ -820,7 +821,7 @@ int main(int argc, char** argv) {
       [&] { return run_station_profile(station_spec, background_per_lan); });
   const double visits_per_frame = station.visits_per_frame();
   std::printf(
-      "\nstation scale %s: %d stations built in %.0f ms (%.2f us/station; "
+      "\nstation scale %s: %d stations planned in %.0f ms (%.2f us/station; "
       "cell process: %llu minor faults, %.2f s user, %.2f s sys), "
       "%.0f bytes/station, peak RSS %.0f MiB, %.1f receiver visits/frame; "
       "%llu events in %.2f s wall, %d/%d pings answered\n",
@@ -832,21 +833,16 @@ int main(int argc, char** argv) {
       static_cast<double>(station.peak_rss_bytes) / (1024.0 * 1024.0),
       visits_per_frame, static_cast<unsigned long long>(station.events),
       station.wall_seconds, station.pings_answered, station.pings_sent);
-  // Bounds sized against the pre-arena model, where every station cost
-  // individual heap objects (Nic + HostStack + an eager per-NIC deque) and
-  // LAN attachment paid a per-NIC membership scan: 1433 B and 16.2 us per
-  // station on the reference box for this exact cell. Slab allocation,
-  // the lazily-allocating FrameFifo, and O(1) attach measure 0.64-2.3 us
-  // per station (build time swings ~3x run to run on shared boxes), and
-  // an idle station keeps only a 72-byte Nic and a 32-byte HostStack:
-  // 176 B per station, where the Nic's transmit state, counters, name and
-  // handler resident in every station measured 368 B and a full HostStack
-  // too 761 B. The memory bound sits ~15% above the measured cost, so a
-  // station whose Nic or HostStack starts carrying its box again fails the
-  // bench; the build bound sits between the two models, with headroom for
-  // machine noise.
-  constexpr double kMaxBytesPerStation = 200.0;
-  constexpr double kMaxBuildUsPerStation = 6.0;
+  // A station is planned at build time -- its LAN's slot, ticket and two
+  // index entries, the plan's host entry and a null host pointer -- and
+  // built only when it first acts: 46-47 B and 0.08-0.09 us per station on
+  // a 4-vCPU VM, quiet or beside three compile jobs. Building every
+  // station as a 72-byte Nic and a 32-byte HostStack measured 176 B and
+  // 0.20-0.34 us, with the Nic's box resident 368 B, and the per-object
+  // seed model 1433 B and 16.2 us. Both bounds sit ~15% above the planned
+  // cost, so a build that creates idle stations again fails the bench.
+  constexpr double kMaxBytesPerStation = 54.0;
+  constexpr double kMaxBuildUsPerStation = 0.105;
   // Receivers a carried frame costs. The station index hands a frame to
   // the walk list (at most the hub's 8 bridge ports) plus the stations it
   // concerns; a regression to the full walk costs ~125,000.

@@ -17,6 +17,7 @@
 #include "src/active/demux.h"
 #include "src/util/crc32.h"
 #include "src/util/md5.h"
+#include "src/util/string_util.h"
 
 using namespace ab;
 
@@ -195,7 +196,7 @@ FloodAccounting measure_flood(int ports, std::size_t payload_len, bool tapped) {
   std::size_t deliveries = 0;
   for (int i = 0; i < ports; ++i) {
     auto& lan = net.add_segment("lan" + std::to_string(i));
-    auto& nic = net.add_nic("b" + std::to_string(i), lan);
+    auto& nic = net.add_nic(util::format("b%d", i), lan);
     node.add_port(nic);
     if (i == 0) {
       host = &net.add_nic("host", lan);

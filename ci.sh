@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 verify + sanitizer build + Release bench smoke + docs link check,
-# exactly what .github/workflows/ci.yml runs.
+# what .github/workflows/ci.yml runs, except that here the tier-1 and
+# Release builds treat warnings as errors: both build warning-free with
+# GCC 12.2, while CI's runner compiler is not pinned.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== docs: relative markdown links resolve =="
 ./scripts/check_links.sh
 
-echo "== tier-1: configure + build + ctest =="
-cmake -B build -S .
+echo "== tier-1: configure + build (warnings are errors) + ctest =="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
@@ -27,14 +29,15 @@ echo "== TSan build + sharded-core tests =="
 # inject_remote segment tests, the TCP suites (socket timers run on
 # per-shard schedulers, so the conformance + host-stack tests must stay
 # clean when the sharded workers are racing), the per-region arena
-# teardown, and the LAN station index (replicas classify and deliver
-# through inject_remote on shard workers). The full suite under TSan is
-# slow and the rest of the code is single-threaded; the filter keeps this
-# section tight.
+# teardown, the LAN station index (replicas classify and deliver
+# through inject_remote on shard workers), and planned hosts (each built
+# by its owning region's worker when a frame first reaches it). The full
+# suite under TSan is slow and the rest of the code is single-threaded;
+# the filter keeps this section tight.
 cmake -B build-tsan -S . -DAB_TSAN=ON
 cmake --build build-tsan -j
 (cd build-tsan && ctest --output-on-failure -j \
-  -R 'RelayRing|ShardChannel|Shard\.|ParallelRunner|ParallelSweep|InjectRemote|Tcp|BridgeArena|LanIndex')
+  -R 'RelayRing|ShardChannel|Shard\.|ParallelRunner|ParallelSweep|InjectRemote|Tcp|BridgeArena|LanIndex|PlannedHosts')
 
 echo "== datapath accounting =="
 # micro_datapath is only built when google-benchmark is installed. When it
@@ -47,7 +50,7 @@ else
 fi
 
 echo "== Release bench smoke (one repetition; compiles + exercises the perf path) =="
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-release -j
 (cd build-release && ./micro_scheduler --smoke && cat BENCH_scheduler.json)
 # macro_topology --smoke drives all four workloads (flood+pings, the ttcp

@@ -308,11 +308,9 @@ util::Expected<std::string, std::string> ScenarioRunner::run_text(
 // ---------------------------------------------------------------------------
 // WorkloadContext
 
-std::size_t WorkloadContext::host_count() const { return sharded->hosts.size(); }
+std::size_t WorkloadContext::host_count() const { return sharded->host_count(); }
 
-stack::HostStack& WorkloadContext::host(std::size_t i) const {
-  return *sharded->hosts[i];
-}
+stack::HostStack& WorkloadContext::host(std::size_t i) const { return sharded->host(i); }
 
 WorkloadContext::HostSite WorkloadContext::host_attach(std::size_t i) const {
   const netsim::Topology::HostAttach& h = sharded->shape.hosts[i];
@@ -342,7 +340,7 @@ netsim::Nic& WorkloadContext::add_station_nic(const std::string& name,
   // NICs while their segments are still alive. A Network-owned NIC here
   // would outlive the arena and detach from a freed segment.
   return region.net.add_nic(region.arena, name, *region.replicas[l],
-                            ether::MacAddress::local(id >> 16, id & 0xFFFF));
+                            netsim::mac_of_id(id));
 }
 
 void WorkloadContext::advance(netsim::Duration d) const { runner->run_for(d); }
@@ -972,16 +970,16 @@ SweepResult TopologySweep::run_cell(const netsim::TopologySpec& spec,
 
   SweepResult r;
   r.build_ms = build_ms;
-  if (rss_after > rss_before && !topo.hosts.empty()) {
+  if (rss_after > rss_before && topo.host_count() > 0) {
     r.bytes_per_station = static_cast<double>(rss_after - rss_before) /
-                          static_cast<double>(topo.hosts.size());
+                          static_cast<double>(topo.host_count());
   }
   r.spec = spec;
   r.label = spec.label();
   r.workload = std::string(workload.name());
   r.bridges = static_cast<int>(topo.bridges.size());
   r.lans = static_cast<int>(topo.lan_count());
-  r.hosts = static_cast<int>(topo.hosts.size());
+  r.hosts = static_cast<int>(topo.host_count());
   for (bridge::BridgeNode* b : topo.bridges) {
     r.ports += static_cast<int>(b->plane().bridge_ports().size());
   }

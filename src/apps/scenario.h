@@ -266,7 +266,9 @@ struct WorkloadContext {
   [[nodiscard]] bool is_sharded() const { return true; }
 
   [[nodiscard]] std::size_t host_count() const;
-  /// Host at global attachment ordinal `i` (the plan's lan-major order).
+  /// Host at global attachment ordinal `i` (the plan's lan-major order),
+  /// built now if it has not acted yet. Building one changes nothing a
+  /// run observes, so ask only for the hosts the workload drives.
   [[nodiscard]] stack::HostStack& host(std::size_t i) const;
   /// Where host ordinal `i` attaches (global plan), with its NIC's name
   /// spelled out. The plan stores only the indices, so this builds the
@@ -280,7 +282,8 @@ struct WorkloadContext {
   /// The global LAN host ordinal `i` attaches to.
   [[nodiscard]] std::size_t host_lan(std::size_t i) const;
   [[nodiscard]] std::size_t lan_count() const;
-  /// NICs attached to global LAN `l`, summed over its replicas.
+  /// NICs attached to global LAN `l` plus its hosts not yet built,
+  /// summed over its replicas.
   [[nodiscard]] std::size_t lan_attached_count(std::size_t l) const;
   /// The clock of global LAN `l`'s owning region: where its hosts and any
   /// add_station_nic(_, l) NIC run.

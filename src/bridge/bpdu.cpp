@@ -34,6 +34,17 @@ constexpr std::uint8_t kFlagTcAck = 0x80;
 // is wire incompatibility with 802.1D).
 constexpr std::uint8_t kDecCode = 0xE1;
 
+/// An IEEE config BPDU's payload, which its writer reserves up front: the
+/// protocol identifier (2), version and type octets, flags, root and
+/// bridge IDs (2 + 6 each), root path cost, port ID and the four times
+/// (2 each). A TCN stops after the type.
+constexpr std::size_t kIeeeConfigSize = 4 + 1 + 8 + 4 + 8 + 2 + 4 * 2;
+
+/// A DEC config BPDU's payload, likewise: code, type and flags octets,
+/// bridge ID, port ID, root ID, root path cost and the four times (4
+/// each). A TCN stops after the flags.
+constexpr std::size_t kDecConfigSize = 3 + 8 + 2 + 8 + 4 + 4 * 4;
+
 }  // namespace
 
 std::string BridgeId::to_string() const {
@@ -43,7 +54,7 @@ std::string BridgeId::to_string() const {
 // ------------------------------------------------------------------- IEEE
 
 ether::Frame IeeeBpduCodec::encode(const Bpdu& bpdu, ether::MacAddress src) const {
-  util::BufWriter w;
+  util::BufWriter w(kIeeeConfigSize);
   w.u16(0x0000);  // protocol identifier
   w.u8(0x00);     // version
   w.u8(static_cast<std::uint8_t>(bpdu.type));
@@ -110,7 +121,7 @@ util::Expected<Bpdu, std::string> IeeeBpduCodec::decode(
 ether::Frame DecBpduCodec::encode(const Bpdu& bpdu, ether::MacAddress src) const {
   // Deliberately different layout: code byte first, bridge before root,
   // 32-bit millisecond times. Wire-incompatible with 802.1D by design.
-  util::BufWriter w;
+  util::BufWriter w(kDecConfigSize);
   w.u8(kDecCode);
   w.u8(bpdu.type == BpduType::kTcn ? 0x02 : 0x01);
   std::uint8_t flags = 0;

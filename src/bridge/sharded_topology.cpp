@@ -26,10 +26,7 @@ std::size_t ShardedTopology::lan_attached(std::size_t l) const {
   std::size_t attached = 0;
   for (const auto& region : regions) {
     const netsim::LanSegment* replica = region->replicas[l];
-    if (replica == nullptr) continue;
-    for (const netsim::Nic* nic : replica->attached()) {
-      if (nic != nullptr) attached += 1;
-    }
+    if (replica != nullptr) attached += replica->attached_count();
   }
   return attached;
 }
@@ -69,19 +66,15 @@ std::uint64_t ShardedTopology::scheduled_entries() const {
   return total;
 }
 
-ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
-                                       int region_count,
-                                       BridgeNodeConfig node_config,
-                                       TopologyBuildOptions options) {
-  ShardedTopology built;
-  built.shape = netsim::TopologyBuilder::build(spec);
-  const netsim::Topology& shape = built.shape;
-  built.plan = partition_regions(shape, region_count);
-  const RegionPlan& plan = built.plan;
-
+ShardedTopology::ShardedTopology(const netsim::TopologySpec& spec, int region_count,
+                                 BridgeNodeConfig node_config,
+                                 const TopologyBuildOptions& options)
+    : shape(netsim::TopologyBuilder::build(spec)),
+      plan(partition_regions(shape, region_count)),
+      hosts_(shape, options.host_tx_queue_limit) {
   for (int r = 0; r < plan.regions; ++r) {
-    built.regions.push_back(std::make_unique<ShardedTopology::Region>());
-    built.regions.back()->replicas.assign(shape.segments.size(), nullptr);
+    regions.push_back(std::make_unique<Region>());
+    regions.back()->replicas.assign(shape.segments.size(), nullptr);
   }
 
   // Replicas, in global lan order: one per region with an attached node
@@ -92,7 +85,7 @@ ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
   // keep loss off cut LANs).
   for (std::size_t l = 0; l < shape.segments.size(); ++l) {
     for (const int r : plan.lan_regions[l]) {
-      auto& region = *built.regions[static_cast<std::size_t>(r)];
+      Region& region = *regions[static_cast<std::size_t>(r)];
       // Replicas are the region arena's FIRST creations, so every NIC that
       // later attaches (bridge ports, stations) is finalized before them.
       region.replicas[l] = &region.net.add_segment(region.arena, shape.segments[l].name,
@@ -103,20 +96,18 @@ ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
   // Bridges in global node order, then hosts in global ordinal order, each
   // in the region that owns it. MACs come from the global counter, so the
   // ordinal every NIC draws is identical to the single-Network build's.
-  const auto site = [&built](ShardedTopology::Region& region) {
-    return AssemblySite{region.net, region.arena, region.replicas, &built.next_mac_id};
+  const auto site = [this](Region& region) {
+    return AssemblySite{region.net, region.arena, region.replicas, &next_mac_id};
   };
   for (std::size_t i = 0; i < shape.node_lans.size(); ++i) {
-    auto& region = *built.regions[static_cast<std::size_t>(plan.node_region[i])];
+    Region& region = *regions[static_cast<std::size_t>(plan.node_region[i])];
     region.bridges.push_back(
         assemble_bridge(site(region), shape, i, node_config, options));
-    built.bridges.push_back(region.bridges.back().get());
+    bridges.push_back(region.bridges.back().get());
   }
-  built.hosts.reserve(shape.hosts.size());
   for (std::size_t ordinal = 0; ordinal < shape.hosts.size(); ++ordinal) {
     const auto l = static_cast<std::size_t>(shape.hosts[ordinal].lan);
-    built.hosts.push_back(
-        assemble_host(site(built.owner_region(l)), shape, ordinal, options));
+    assemble_host(site(owner_region(l)), hosts_, ordinal);
   }
 
   // Mailboxes: for each cut LAN, one SPSC channel per ordered (producer,
@@ -132,12 +123,12 @@ ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
       for (const int c : plan.lan_regions[l]) {
         if (c == p) continue;
         auto channel = std::make_unique<netsim::ShardChannel>(
-            *built.regions[static_cast<std::size_t>(c)]->replicas[l]);
+            *regions[static_cast<std::size_t>(c)]->replicas[l]);
         outs.push_back(channel.get());
-        built.regions[static_cast<std::size_t>(c)]->sync.add_inbound(*channel);
-        built.channels.push_back(std::move(channel));
+        regions[static_cast<std::size_t>(c)]->sync.add_inbound(*channel);
+        channels.push_back(std::move(channel));
       }
-      built.regions[static_cast<std::size_t>(p)]->replicas[l]->set_relay(
+      regions[static_cast<std::size_t>(p)]->replicas[l]->set_relay(
           [outs, prop](netsim::TimePoint now, const netsim::Nic* /*sender*/,
                        util::ByteView wire) {
             const netsim::TimePoint deliver_at = now + prop;
@@ -145,7 +136,13 @@ ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
           });
     }
   }
-  return built;
+}
+
+ShardedTopology build_sharded_topology(const netsim::TopologySpec& spec,
+                                       int region_count,
+                                       BridgeNodeConfig node_config,
+                                       TopologyBuildOptions options) {
+  return ShardedTopology(spec, region_count, std::move(node_config), options);
 }
 
 }  // namespace ab::bridge

@@ -115,20 +115,6 @@ stack::Ipv4Addr topology_admin_ip(std::size_t ordinal) {
   return slice_ip(255, ordinal, 1, "admin");
 }
 
-namespace {
-
-netsim::Nic& add_nic(const AssemblySite& site, netsim::NicName name, int lan) {
-  netsim::LanSegment& segment = *site.lans[static_cast<std::size_t>(lan)];
-  if (site.mac_ids == nullptr) {
-    return site.net.add_nic(site.arena, std::move(name), segment);
-  }
-  const std::uint32_t id = (*site.mac_ids)++;
-  return site.net.add_nic(site.arena, std::move(name), segment,
-                          ether::MacAddress::local(id >> 16, id & 0xFFFF));
-}
-
-}  // namespace
-
 std::unique_ptr<BridgeNode> assemble_bridge(const AssemblySite& site,
                                             const netsim::Topology& shape, std::size_t i,
                                             BridgeNodeConfig config,
@@ -139,7 +125,9 @@ std::unique_ptr<BridgeNode> assemble_bridge(const AssemblySite& site,
   auto node = std::make_unique<BridgeNode>(site.net.scheduler(), std::move(config));
   int port = 0;
   for (const int lan : shape.node_lans[i]) {
-    node->add_port(add_nic(site, name + ".eth" + std::to_string(port++), lan));
+    node->add_port(site.net.add_nic(site.arena, name + ".eth" + std::to_string(port++),
+                                    *site.lans[static_cast<std::size_t>(lan)],
+                                    netsim::mac_of_id(site.draw_mac_id())));
   }
   if (options.dumb) node->load_dumb();
   if (options.learning) node->load_learning();
@@ -148,45 +136,90 @@ std::unique_ptr<BridgeNode> assemble_bridge(const AssemblySite& site,
   return node;
 }
 
-stack::HostStack* assemble_host(const AssemblySite& site,
-                                const netsim::Topology& shape, std::size_t ordinal,
-                                const TopologyBuildOptions& options) {
-  const netsim::Topology::HostAttach& h = shape.hosts[ordinal];
+PlannedHosts::PlannedHosts(const netsim::Topology& shape, std::size_t tx_queue_limit)
+    : shape_(shape),
+      tx_queue_limit_(tx_queue_limit),
+      sites_(shape.segments.size()),
+      hosts_(shape.hosts.size(), nullptr) {}
+
+void assemble_host(const AssemblySite& site, PlannedHosts& hosts, std::size_t ordinal) {
+  const netsim::Topology::HostAttach& h = hosts.shape_.hosts[ordinal];
+  const auto l = static_cast<std::size_t>(h.lan);
+  netsim::LanSegment& lan = *site.lans[l];
+  const std::uint32_t id = site.draw_mac_id();
+  if (ordinal == 0) hosts.first_mac_id_ = id;
+  if (id != hosts.first_mac_id_ + ordinal) {
+    throw std::logic_error(
+        "assemble_host: hosts are planned in ordinal order, back to back");
+  }
+  PlannedHosts::Site& built_at = hosts.sites_[l];
+  if (built_at.lan == nullptr) {
+    built_at = {&site.net, &site.arena, &lan};
+    lan.set_station_factory(&PlannedHosts::build, &hosts);
+  }
+  lan.plan_station(netsim::mac_of_id(id), topology_host_ip(ordinal).value(),
+                   static_cast<std::uint32_t>(ordinal));
+}
+
+netsim::Nic& PlannedHosts::build(void* self, std::uint32_t ordinal) {
+  PlannedHosts& hosts = *static_cast<PlannedHosts*>(self);
+  const netsim::Topology::HostAttach& h = hosts.shape_.hosts[ordinal];
+  const Site& site = hosts.sites_[static_cast<std::size_t>(h.lan)];
   stack::HostConfig cfg;
   cfg.ip = topology_host_ip(ordinal);
   // No eager ARP reserve: the flat cache grows on a station's FIRST
-  // resolution, so the (vast) idle majority of a big cell pay nothing.
-  // An earlier per-host reserve proportional to hosts made topology
-  // memory quadratic (~200 MB of empty buckets on a 5000-station star).
-  // The NIC's name is the plan's key: it spells host<lan>_<index> on
-  // demand and stores nothing, so an idle station's NIC holds no box.
-  netsim::Nic& nic = add_nic(site, h.key(), h.lan);
-  auto* host = site.arena.create<stack::HostStack>(site.net.scheduler(), nic, cfg);
-  host->nic().set_tx_queue_limit(options.host_tx_queue_limit);
-  return host;
+  // resolution. The NIC's name is the plan's key: it spells
+  // host<lan>_<index> on demand and stores nothing. The NIC comes first in
+  // the arena, so teardown runs the stack's destructor before it.
+  auto* nic = site.arena->create<netsim::Nic>(
+      site.net->scheduler(), h.key(), netsim::mac_of_id(hosts.first_mac_id_ + ordinal));
+  auto* host = site.arena->create<stack::HostStack>(site.net->scheduler(), *nic, cfg);
+  nic->set_tx_queue_limit(hosts.tx_queue_limit_);
+  // One slot per host: regions building on their own threads write
+  // disjoint slots.
+  hosts.hosts_[ordinal] = host;
+  return *nic;
+}
+
+stack::HostStack& PlannedHosts::host(std::size_t i) {
+  if (hosts_[i] == nullptr) {
+    const auto ordinal = static_cast<std::uint32_t>(i);
+    const Site& site = sites_[static_cast<std::size_t>(shape_.hosts[i].lan)];
+    site.lan->build_station(netsim::mac_of_id(first_mac_id_ + ordinal), ordinal);
+  }
+  return *hosts_[i];
+}
+
+std::size_t PlannedHosts::built() const {
+  return static_cast<std::size_t>(
+      std::count_if(hosts_.begin(), hosts_.end(), [](const stack::HostStack* h) {
+        return h != nullptr;
+      }));
+}
+
+BridgedTopology::BridgedTopology(netsim::Network& net, const netsim::TopologySpec& spec,
+                                 BridgeNodeConfig node_config,
+                                 const TopologyBuildOptions& options)
+    : shape{netsim::TopologyBuilder::build(spec), {}},
+      hosts_(shape, options.host_tx_queue_limit) {
+  for (const netsim::Topology::Segment& seg : shape.segments) {
+    shape.lans.push_back(&net.add_segment(seg.name, seg.config));
+  }
+  // Port NICs and stations are arena-owned; the BridgeNode shells
+  // (destroyed before the arena -- declaration order) stay on the heap.
+  const AssemblySite site{net, arena, shape.lans};
+  for (std::size_t i = 0; i < shape.node_lans.size(); ++i) {
+    bridges.push_back(assemble_bridge(site, shape, i, node_config, options));
+  }
+  for (std::size_t ordinal = 0; ordinal < shape.hosts.size(); ++ordinal) {
+    assemble_host(site, hosts_, ordinal);
+  }
 }
 
 BridgedTopology build_topology(netsim::Network& net, const netsim::TopologySpec& spec,
                                BridgeNodeConfig node_config,
                                TopologyBuildOptions options) {
-  BridgedTopology built;
-  netsim::Topology& plan = built.shape;
-  plan = netsim::TopologyBuilder::build(spec);
-  for (const netsim::Topology::Segment& seg : plan.segments) {
-    built.shape.lans.push_back(&net.add_segment(seg.name, seg.config));
-  }
-
-  // Port NICs and stations are arena-owned; the BridgeNode shells
-  // (destroyed before the arena -- declaration order) stay on the heap.
-  const AssemblySite site{net, built.arena, built.shape.lans};
-  for (std::size_t i = 0; i < plan.node_lans.size(); ++i) {
-    built.bridges.push_back(assemble_bridge(site, plan, i, node_config, options));
-  }
-  built.hosts.reserve(plan.hosts.size());
-  for (std::size_t ordinal = 0; ordinal < plan.hosts.size(); ++ordinal) {
-    built.hosts.push_back(assemble_host(site, plan, ordinal, options));
-  }
-  return built;
+  return BridgedTopology(net, spec, std::move(node_config), options);
 }
 
 RegionPlan partition_regions(const netsim::Topology& shape, int regions) {

@@ -1,6 +1,7 @@
 // build_topology: turn a netsim::TopologySpec wiring plan into a running
 // extended LAN -- one BridgeNode per node position (ports attached,
-// switchlets loaded) and one HostStack per planned host attachment point.
+// switchlets loaded) and one HostStack per planned host attachment point,
+// built when that host first acts (PlannedHosts).
 //
 // This is the assembly half of the TopologyBuilder split: netsim plans
 // shapes as indices without knowing what a bridge is; this header owns the
@@ -49,26 +50,107 @@ struct TopologyBuildOptions {
 /// IP of the `ordinal`-th workload-owned admin/probe station (10.255.0.0/16).
 [[nodiscard]] stack::Ipv4Addr topology_admin_ip(std::size_t ordinal);
 
+// ---------------------------------------------------------------------------
+// Assembly shared by build_topology and build_sharded_topology.
+
+/// One world's share of an assembly: its Network (clock + NIC factory),
+/// the arena that owns its NICs and stacks, and its live segment for each
+/// plan index (nullptr where the world has none). NIC MACs draw from
+/// `*mac_ids`, or from `net`'s own counter when it is null.
+struct AssemblySite {
+  netsim::Network& net;
+  netsim::Arena& arena;
+  std::span<netsim::LanSegment* const> lans;
+  std::uint32_t* mac_ids = nullptr;
+
+  /// The next MAC id (see netsim::mac_of_id) this site hands out.
+  [[nodiscard]] std::uint32_t draw_mac_id() const {
+    return mac_ids != nullptr ? (*mac_ids)++ : net.draw_mac_id();
+  }
+};
+
+/// Assembles node position `i` of `shape`: the plan's name, a loader IP
+/// when options.netloader, one arena port NIC per planned LAN in port
+/// order, then the switchlets `options` selects.
+[[nodiscard]] std::unique_ptr<BridgeNode> assemble_bridge(
+    const AssemblySite& site, const netsim::Topology& shape, std::size_t i,
+    BridgeNodeConfig config, const TopologyBuildOptions& options);
+
+class PlannedHosts;
+
+/// Plans host ordinal `ordinal` of `hosts`' plan on its LAN in `site`: the
+/// station's attach position, the next MAC and topology_host_ip(ordinal)
+/// are reserved, and its index entries filed; nothing is built (see
+/// PlannedHosts). Hosts are planned in ordinal order, back to back, so the
+/// k-th host's MAC id is the first host's plus k.
+void assemble_host(const AssemblySite& site, PlannedHosts& hosts, std::size_t ordinal);
+
+/// The hosts of a built topology. Each is planned on its LAN at build time
+/// (assemble_host) and built -- its NIC, then its HostStack, in the arena
+/// of the site it was planned in -- when its LAN first hands it a frame or
+/// when host() first asks for it. Building a host schedules nothing and
+/// draws no random value, and gives it the name, MAC, address and queue
+/// limit an eager build gave, so when a host is built never shows in a
+/// run. Pinned: its LANs' station factories point at it.
+class PlannedHosts {
+ public:
+  PlannedHosts(const netsim::Topology& shape, std::size_t tx_queue_limit);
+  PlannedHosts(const PlannedHosts&) = delete;
+  PlannedHosts& operator=(const PlannedHosts&) = delete;
+
+  /// Host at plan ordinal `i`, built now if it has not been.
+  [[nodiscard]] stack::HostStack& host(std::size_t i);
+  [[nodiscard]] std::size_t size() const { return hosts_.size(); }
+  /// Hosts built so far.
+  [[nodiscard]] std::size_t built() const;
+
+ private:
+  friend void assemble_host(const AssemblySite& site, PlannedHosts& hosts,
+                            std::size_t ordinal);
+
+  /// Where one plan LAN's hosts are built: the site they were planned in.
+  struct Site {
+    netsim::Network* net = nullptr;
+    netsim::Arena* arena = nullptr;
+    netsim::LanSegment* lan = nullptr;
+  };
+
+  /// The station factory every LAN with planned hosts calls: builds host
+  /// `ordinal` and returns its NIC, unattached, for the LAN to seat.
+  static netsim::Nic& build(void* self, std::uint32_t ordinal);
+
+  const netsim::Topology& shape_;
+  std::size_t tx_queue_limit_;
+  std::vector<Site> sites_;               ///< per plan LAN
+  std::vector<stack::HostStack*> hosts_;  ///< per ordinal; null until built
+  std::uint32_t first_mac_id_ = 0;        ///< host 0's MAC id
+};
+
 /// A built topology: the netsim wiring plan, the segments created from it,
 /// and the assembled nodes. Bridges and hosts are positionally aligned
 /// with shape.node_lans / shape.hosts.
 ///
-/// Station state (each host's NIC + HostStack) lives in `arena`, not in
-/// per-object heap nodes: a million-station cell is a few thousand slab
-/// allocations instead of two million, teardown is a slab walk, and each
-/// station's NIC and stack are contiguous. The same arena owns every
-/// bridge port NIC, so only the BridgeNode shells (there are orders of
-/// magnitude fewer of them) stay individually owned; the learning
-/// switchlets' MAC tables live on the heap and free the arrays they
-/// outgrow. `hosts` holds arena pointers, which are stable for the
-/// topology's lifetime (moving the struct moves slab ownership, never the
-/// slabs).
+/// Station state (each host's NIC + HostStack, built when the host first
+/// acts) lives in `arena`, not in per-object heap nodes: a big cell is a
+/// few slab allocations instead of two per station, teardown is a slab
+/// walk, and each station's NIC and stack are contiguous. The same arena
+/// owns every bridge port NIC, so only the BridgeNode shells (there are
+/// orders of magnitude fewer of them) stay individually owned; the
+/// learning switchlets' MAC tables live on the heap and free the arrays
+/// they outgrow. Pinned (not copyable or movable): its LANs build hosts
+/// through it.
 struct BridgedTopology {
   /// The plan plus its live segments: lans[l] is the Network-owned
   /// segment created from segments[l].
   struct Shape : netsim::Topology {
     std::vector<netsim::LanSegment*> lans;
   };
+
+  /// What build_topology builds; see there.
+  BridgedTopology(netsim::Network& net, const netsim::TopologySpec& spec,
+                  BridgeNodeConfig node_config, const TopologyBuildOptions& options);
+  BridgedTopology(const BridgedTopology&) = delete;
+  BridgedTopology& operator=(const BridgedTopology&) = delete;
 
   Shape shape;
   /// Owns every per-station object AND the bridge port NICs. Declared
@@ -77,12 +159,15 @@ struct BridgedTopology {
   /// finalizers in reverse creation order.
   netsim::Arena arena;
   std::vector<std::unique_ptr<BridgeNode>> bridges;
-  std::vector<stack::HostStack*> hosts;  ///< arena-backed, creation order
 
   /// Bridge at node position `i` (aligned with shape.node_lans).
   [[nodiscard]] BridgeNode& bridge(std::size_t i) { return *bridges[i]; }
-  /// Host at attachment ordinal `i` (aligned with shape.hosts).
-  [[nodiscard]] stack::HostStack& host(std::size_t i) { return *hosts[i]; }
+  /// Host at attachment ordinal `i` (aligned with shape.hosts), built now
+  /// if it has not been.
+  [[nodiscard]] stack::HostStack& host(std::size_t i) { return hosts_.host(i); }
+  [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
+  /// Hosts built so far.
+  [[nodiscard]] std::size_t hosts_built() const { return hosts_.built(); }
 
   /// Ports across all bridges whose data-plane gate is `gate`.
   [[nodiscard]] int count_gates(PortGate gate) const;
@@ -97,11 +182,14 @@ struct BridgedTopology {
 
   /// MAC-table entries across all learning switchlets.
   [[nodiscard]] std::size_t mac_entries() const;
+
+ private:
+  PlannedHosts hosts_;
 };
 
 /// Plans `spec`, creates its segments in `net` (Network-owned, so callers
-/// may attach their own NICs to shape.lans) and assembles bridges and
-/// hosts on them. MACs come from `net`'s counter. `node_config.name` is
+/// may attach their own NICs to shape.lans), assembles bridges on them and
+/// plans the hosts. MACs come from `net`'s counter. `node_config.name` is
 /// overridden per node with the plan's names; hosts get topology_host_ip
 /// of their plan ordinal (lan-major order), so thousand-station LANs
 /// assign unique addresses.
@@ -109,35 +197,6 @@ struct BridgedTopology {
                                              const netsim::TopologySpec& spec,
                                              BridgeNodeConfig node_config = {},
                                              TopologyBuildOptions options = {});
-
-// ---------------------------------------------------------------------------
-// Assembly shared by build_topology and build_sharded_topology.
-
-/// One world's share of an assembly: its Network (clock + NIC factory),
-/// the arena that owns its NICs and stacks, and its live segment for each
-/// plan index (nullptr where the world has none). NIC MACs draw from
-/// `*mac_ids`, or from `net`'s own counter when it is null.
-struct AssemblySite {
-  netsim::Network& net;
-  netsim::Arena& arena;
-  std::span<netsim::LanSegment* const> lans;
-  std::uint32_t* mac_ids = nullptr;
-};
-
-/// Assembles node position `i` of `shape`: the plan's name, a loader IP
-/// when options.netloader, one arena port NIC per planned LAN in port
-/// order, then the switchlets `options` selects.
-[[nodiscard]] std::unique_ptr<BridgeNode> assemble_bridge(
-    const AssemblySite& site, const netsim::Topology& shape, std::size_t i,
-    BridgeNodeConfig config, const TopologyBuildOptions& options);
-
-/// Assembles host ordinal `ordinal` of `shape`: topology_host_ip(ordinal),
-/// the options' cost model and queue limit, and its NIC created before its
-/// stack in the arena (teardown then runs the stack's destructor first).
-[[nodiscard]] stack::HostStack* assemble_host(const AssemblySite& site,
-                                              const netsim::Topology& shape,
-                                              std::size_t ordinal,
-                                              const TopologyBuildOptions& options);
 
 // ---------------------------------------------------------------------------
 // Aggregate views over any bridge set (a BridgedTopology's, or a sharded

@@ -106,13 +106,19 @@ bool LanSegment::classify(const ether::WireFrame& frame) {
   targets_.clear();
   if (stations_ == 0) return false;  // nothing to place
   // ok() is the shared lazy decode every receiver would have paid for.
-  if (!frame.ok()) return true;  // every NIC counts rx_bad
+  if (!frame.ok()) {
+    build_all();
+    return true;  // every NIC counts rx_bad
+  }
   const ether::Frame& parsed = frame.frame();
   if (!parsed.dst.is_group()) {
     // Unicast: the station(s) owning the MAC. The key is the MAC's low 32
     // bits, so confirm the whole address on the NIC that matched -- the
-    // destination, which is handed the frame anyway.
+    // destination, which is handed the frame anyway. A planned station
+    // under the key is built first (one whose MAC differs only above the
+    // low 32 bits is built, then left out).
     by_mac_.find(static_cast<std::uint32_t>(parsed.dst.value()), targets_);
+    build_targets();
     std::erase_if(targets_, [&](std::uint32_t at) {
       return nics_[at] == nullptr || nics_[at]->mac() != parsed.dst;
     });
@@ -121,14 +127,72 @@ bool LanSegment::classify(const ether::WireFrame& frame) {
   if (parsed.has_type(ether::EtherType::kArp)) {
     // A malformed header makes every station's parser count an error.
     if (ether::check_arp_header(parsed.payload) != ether::ArpHeaderCheck::kOk) {
+      build_all();
       return true;
     }
     by_ipv4_.find(ether::arp_target_ipv4(parsed.payload), targets_);
+    build_targets();
     return false;
   }
   // IPv4 to a group MAC: every station parses the header. Stations ignore
   // LLC (BPDUs) and every other group type.
-  return parsed.has_type(ether::EtherType::kIpv4);
+  if (!parsed.has_type(ether::EtherType::kIpv4)) return false;
+  build_all();
+  return true;
+}
+
+Nic& LanSegment::build_slot(std::uint32_t at) {
+  Nic& nic = factory_(factory_context_, tickets_[at]);
+  assert(nic.segment_ == nullptr && indexed(nic) &&
+         "a planned station's NIC is built unattached, as a station");
+  tickets_[at] = kNoTicket;
+  planned_ -= 1;
+  nic.segment_ = this;
+  nic.lan_index_ = at;
+  nics_[at] = &nic;
+  return nic;
+}
+
+void LanSegment::build_targets() {
+  if (planned_ == 0) return;
+  for (const std::uint32_t at : targets_) {
+    if (tickets_[at] != kNoTicket) build_slot(at);
+  }
+}
+
+void LanSegment::build_all() {
+  for (std::uint32_t at = 0; planned_ > 0 && at < tickets_.size(); ++at) {
+    if (tickets_[at] != kNoTicket) build_slot(at);
+  }
+}
+
+void LanSegment::plan_station(ether::MacAddress mac, std::uint32_t ipv4,
+                              std::uint32_t ticket) {
+  if (factory_ == nullptr) {
+    throw std::logic_error("LanSegment " + name_ +
+                           ": a station planned without a factory");
+  }
+  if (ipv4 == 0 || ticket == kNoTicket) {
+    throw std::invalid_argument("LanSegment " + name_ +
+                                ": a planned station needs an address and a ticket");
+  }
+  const auto at = static_cast<std::uint32_t>(nics_.size());
+  nics_.push_back(nullptr);
+  tickets_.push_back(ticket);
+  by_mac_.add(static_cast<std::uint32_t>(mac.value()), at);
+  by_ipv4_.add(ipv4, at);
+  stations_ += 1;
+  planned_ += 1;
+}
+
+Nic& LanSegment::build_station(ether::MacAddress mac, std::uint32_t ticket) {
+  std::vector<std::uint32_t> under_key;
+  by_mac_.find(static_cast<std::uint32_t>(mac.value()), under_key);
+  for (const std::uint32_t at : under_key) {
+    if (tickets_[at] == ticket) return build_slot(at);
+  }
+  throw std::logic_error("LanSegment " + name_ + ": no station planned under " +
+                         mac.to_string() + " and that ticket");
 }
 
 std::uint32_t LanSegment::snapshot_run(const ether::WireFrame& frame,
@@ -306,6 +370,7 @@ void LanSegment::attach_nic(Nic& nic) {
   // push_backs, not a million membership scans.
   nic.lan_index_ = static_cast<std::uint32_t>(nics_.size());
   nics_.push_back(&nic);
+  tickets_.push_back(kNoTicket);
   file_nic(nic);
 }
 
@@ -352,12 +417,14 @@ void LanSegment::compact_nics() {
   std::size_t w = 0;
   for (std::size_t i = 0; i < nics_.size(); ++i) {
     Nic* nic = nics_[i];
-    if (nic == nullptr) continue;
+    if (nic == nullptr && tickets_[i] == kNoTicket) continue;  // tombstone
     new_position[i] = static_cast<std::uint32_t>(w);
-    nic->lan_index_ = static_cast<std::uint32_t>(w);
+    if (nic != nullptr) nic->lan_index_ = static_cast<std::uint32_t>(w);
+    tickets_[w] = tickets_[i];  // a planned slot keeps its ticket
     nics_[w++] = nic;
   }
   nics_.resize(w);
+  tickets_.resize(w);
   dead_nics_ = 0;
   std::size_t walk = 0;
   for (const std::uint32_t at : walk_) {

@@ -87,10 +87,15 @@ class LanSegment {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const LanConfig& config() const { return config_; }
   [[nodiscard]] const LanStats& stats() const { return stats_; }
-  /// Every attached NIC, stations included, in attach order. May contain
-  /// nullptr tombstones for recently detached NICs (compacted away once
-  /// they dominate).
+  /// Every attached NIC, stations included, in attach order. Holds nullptr
+  /// for a planned station not yet built and for the tombstone of a
+  /// recently detached NIC (tombstones are compacted away once they
+  /// dominate).
   [[nodiscard]] const std::vector<Nic*>& attached() const { return nics_; }
+  /// Attached NICs plus planned stations not yet built.
+  [[nodiscard]] std::size_t attached_count() const { return nics_.size() - dead_nics_; }
+  /// Planned stations not yet built.
+  [[nodiscard]] std::size_t planned_count() const { return planned_; }
 
   /// Time to clock `bytes` onto the wire at this segment's bit rate.
   [[nodiscard]] Duration serialization_delay(std::size_t bytes) const;
@@ -156,6 +161,23 @@ class LanSegment {
   /// (asserted).
   void inject_remote(const ether::WireFrame& frame, TimePoint deliver_at);
 
+  /// Builds the station planned under `ticket` and returns its NIC, built
+  /// unattached, with the MAC and station IPv4 its slot was planned with;
+  /// the segment then seats it in the slot. Must not touch this segment.
+  using StationFactory = Nic& (*)(void* context, std::uint32_t ticket);
+  /// Installs the factory planned stations are built with.
+  void set_station_factory(StationFactory factory, void* context) {
+    factory_ = factory;
+    factory_context_ = context;
+  }
+  /// Reserves the next attach position for a station built later by the
+  /// factory, under `ticket`, and files its index entries under `mac` and
+  /// `ipv4` (nonzero). Tickets must be unique on the segment.
+  void plan_station(ether::MacAddress mac, std::uint32_t ipv4, std::uint32_t ticket);
+  /// Builds the station planned with `mac` under `ticket` and returns its
+  /// NIC. Throws std::logic_error when no such station is planned.
+  Nic& build_station(ether::MacAddress mac, std::uint32_t ticket);
+
   // Nic::attach/detach call these.
   void attach_nic(Nic& nic);
   void detach_nic(Nic& nic);
@@ -196,11 +218,19 @@ class LanSegment {
     std::size_t sorted_ = 0;  ///< entries_[0, sorted_) are sorted
   };
   static constexpr std::uint32_t kGone = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoTicket = 0xFFFFFFFFu;
 
   /// Classifies `frame` (see the file comment): true when it goes to
-  /// every station; otherwise leaves the positions of the stations it
-  /// concerns in targets_, ascending (empty: none).
+  /// every station, each planned one now built; otherwise leaves the
+  /// positions of the stations it concerns in targets_, ascending (empty:
+  /// none), each planned one now built.
   [[nodiscard]] bool classify(const ether::WireFrame& frame);
+  /// Builds the station planned at position `at` and seats its NIC there.
+  Nic& build_slot(std::uint32_t at);
+  /// Builds every planned station at the positions in targets_.
+  void build_targets();
+  /// Builds every planned station (the full walk's case).
+  void build_all();
   /// True when `nic` belongs in the index rather than the walk list.
   [[nodiscard]] static bool indexed(const Nic& nic);
 
@@ -255,9 +285,9 @@ class LanSegment {
   /// True while `nic` may still be delivered to (attached to this segment).
   /// Compares stored pointers only -- `nic` may point at a destroyed NIC.
   [[nodiscard]] bool still_attached(const Nic* nic) const;
-  /// Drops the nullptr tombstones, renumbering the survivors' back-indices,
-  /// the walk list and the index. Attach order (and so loss-draw order) is
-  /// preserved.
+  /// Drops the tombstones, renumbering the survivors' back-indices, the
+  /// planned slots, the walk list and the index. Attach order (and so
+  /// loss-draw order) is preserved.
   void compact_nics();
 
   Scheduler* scheduler_;
@@ -274,7 +304,9 @@ class LanSegment {
   std::vector<std::uint32_t> walk_;
   StationKeys by_mac_;   ///< keyed by the low 32 bits of the MAC
   StationKeys by_ipv4_;  ///< keyed by the declared IPv4 address
-  std::size_t stations_ = 0;  ///< attached NICs currently in the index
+  /// Attached NICs currently in the index, planned stations included.
+  std::size_t stations_ = 0;
+  std::size_t planned_ = 0;  ///< planned stations not yet built
   std::vector<std::uint32_t> targets_;  ///< classify()'s output, reused
   util::Rng rng_;
   FrameTap tap_;
@@ -284,6 +316,11 @@ class LanSegment {
   std::uint32_t free_run_ = kNoRun;
   std::uint64_t detach_epoch_ = 0;   ///< bumped by every detach_nic
   std::uint64_t compact_epoch_ = 0;  ///< bumped by every compact_nics
+  /// Parallel to nics_: a planned station's ticket in its (null) slot,
+  /// kNoTicket everywhere else.
+  std::vector<std::uint32_t> tickets_;
+  StationFactory factory_ = nullptr;
+  void* factory_context_ = nullptr;
 };
 
 }  // namespace ab::netsim

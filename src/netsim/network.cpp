@@ -31,9 +31,7 @@ LanSegment& Network::add_segment(Arena& arena, const std::string& name,
 }
 
 Nic& Network::add_nic(NicName name, LanSegment& segment) {
-  const std::uint32_t id = next_mac_id_++;
-  return add_nic(std::move(name), segment,
-                 ether::MacAddress::local(id >> 16, id & 0xFFFF));
+  return add_nic(std::move(name), segment, mac_of_id(draw_mac_id()));
 }
 
 Nic& Network::add_nic(NicName name, LanSegment& segment, ether::MacAddress mac) {
@@ -44,9 +42,7 @@ Nic& Network::add_nic(NicName name, LanSegment& segment, ether::MacAddress mac) 
 }
 
 Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment) {
-  const std::uint32_t id = next_mac_id_++;
-  return add_nic(arena, std::move(name), segment,
-                 ether::MacAddress::local(id >> 16, id & 0xFFFF));
+  return add_nic(arena, std::move(name), segment, mac_of_id(draw_mac_id()));
 }
 
 Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment,

@@ -29,6 +29,12 @@
 
 namespace ab::netsim {
 
+/// The MAC of the NIC addressed by `id`: Network's counter and the
+/// topology builders both number NICs from 1 and address them this way.
+[[nodiscard]] inline ether::MacAddress mac_of_id(std::uint32_t id) {
+  return ether::MacAddress::local(id >> 16, id & 0xFFFF);
+}
+
 /// Owns every simulator object; destroying the Network ends the simulated
 /// world. Segments and NICs are stable (pointers remain valid for the
 /// Network's lifetime).
@@ -55,6 +61,10 @@ class Network {
   /// AFTER a segment before the segment itself, which is the order the
   /// detach-on-~Nic contract needs.
   LanSegment& add_segment(Arena& arena, const std::string& name, LanConfig config = {});
+
+  /// Draws the id (see mac_of_id) the next automatically addressed NIC
+  /// would get, creating nothing: a planned station reserves its MAC so.
+  [[nodiscard]] std::uint32_t draw_mac_id() { return next_mac_id_++; }
 
   /// Creates a NIC with an automatically assigned locally-administered MAC
   /// and attaches it to `segment`.

@@ -50,7 +50,9 @@
 // path and the counters need on its first transmit or first delivered
 // frame (see Nic). A plan-built station's name is a key spelled on
 // demand, and HostStack's receive dispatch is a plain function, so an
-// idle station's NIC allocates nothing.
+// idle station's NIC allocates nothing. A plan-built station that has not
+// yet acted has no NIC at all: its segment holds a planned slot (see
+// LanSegment).
 #pragma once
 
 #include <algorithm>
@@ -273,7 +275,9 @@ class Nic {
   [[nodiscard]] bool active() const { return cold_ != nullptr; }
 
  private:
-  friend class LanSegment;  // maintains lan_index_; reads the station mode
+  // Maintains lan_index_, reads the station mode, and seats a planned
+  // station's NIC in its reserved slot.
+  friend class LanSegment;
 
   /// What a NIC holds once it has transmitted or been handed a frame.
   struct ColdState {

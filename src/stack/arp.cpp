@@ -6,7 +6,7 @@
 namespace ab::stack {
 
 util::ByteBuffer ArpPacket::encode() const {
-  util::BufWriter w;
+  util::BufWriter w(ether::kArpIpv4Size);
   w.u16(ether::kArpHtypeEthernet);
   w.u16(ether::kArpPtypeIpv4);
   w.u8(ether::kArpHlenEthernet);

@@ -2,6 +2,11 @@
 
 namespace ab::util {
 
+void BufReader::underflow(std::size_t n) const {
+  throw BufferUnderflow("need " + std::to_string(n) + " bytes, have " +
+                        std::to_string(remaining()));
+}
+
 ByteBuffer to_bytes(std::string_view s) {
   return ByteBuffer(s.begin(), s.end());
 }

@@ -126,11 +126,11 @@ class BufReader {
 
  private:
   void need(std::size_t n) const {
-    if (remaining() < n) {
-      throw BufferUnderflow("need " + std::to_string(n) + " bytes, have " +
-                            std::to_string(remaining()));
-    }
+    if (remaining() < n) underflow(n);
   }
+  /// Throws the BufferUnderflow for a read of `n` bytes. Out of line, so
+  /// the reads that inline need() carry only the check.
+  [[noreturn]] void underflow(std::size_t n) const;
 
   ByteView data_;
   std::size_t pos_ = 0;

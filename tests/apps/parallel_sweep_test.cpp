@@ -254,43 +254,47 @@ TEST(ParallelSweep, OneRegionBuildEqualsSingleNetworkBuildExactly) {
   ASSERT_EQ(sharded.regions.size(), 1u);
   bridge::ShardedTopology::Region& region = *sharded.regions.front();
 
+  // Build every host first, so the attach lists below hold stations, not
+  // just bridge ports.
+  ASSERT_EQ(sharded.host_count(), single.host_count());
+  for (std::size_t h = 0; h < single.host_count(); ++h) {
+    EXPECT_EQ(sharded.host(h).ip(), single.host(h).ip()) << "host " << h;
+  }
   ASSERT_EQ(sharded.lan_count(), single.shape.lans.size());
   for (std::size_t l = 0; l < sharded.lan_count(); ++l) {
     const std::vector<netsim::Nic*>& want = single.shape.lans[l]->attached();
     const std::vector<netsim::Nic*>& got = region.replicas[l]->attached();
     ASSERT_EQ(got.size(), want.size()) << "lan " << l;
     for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_NE(want[i], nullptr) << "lan " << l << " nic " << i;
+      ASSERT_NE(got[i], nullptr) << "lan " << l << " nic " << i;
       EXPECT_EQ(got[i]->name(), want[i]->name()) << "lan " << l << " nic " << i;
       EXPECT_EQ(got[i]->mac(), want[i]->mac()) << "lan " << l << " nic " << i;
     }
   }
-  ASSERT_EQ(sharded.hosts.size(), single.hosts.size());
-  for (std::size_t h = 0; h < single.hosts.size(); ++h) {
-    EXPECT_EQ(sharded.hosts[h]->ip(), single.hosts[h]->ip()) << "host " << h;
-  }
 
   // Convergence, then one ping from every host to its successor, driven
   // straight on each build's one scheduler.
-  const auto drive = [&defaults](netsim::Scheduler& clock,
-                                 const std::vector<stack::HostStack*>& hosts,
+  const auto drive = [&defaults](netsim::Scheduler& clock, auto& topo,
                                  std::vector<int>& answered) {
     clock.run_for(defaults.convergence_window);
-    answered.assign(hosts.size(), 0);
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const std::size_t hosts = topo.host_count();
+    answered.assign(hosts, 0);
+    for (std::size_t i = 0; i < hosts; ++i) {
       int* slot = &answered[i];
-      hosts[i]->set_echo_handler(
+      topo.host(i).set_echo_handler(
           [slot](const stack::HostStack::EchoReply&) { ++*slot; });
-      hosts[i]->send_echo_request(hosts[(i + 1) % hosts.size()]->ip(), 7,
-                                  static_cast<std::uint16_t>(i), {});
+      topo.host(i).send_echo_request(topo.host((i + 1) % hosts).ip(), 7,
+                                     static_cast<std::uint16_t>(i), {});
     }
     clock.run_for(defaults.traffic_window);
   };
   std::vector<int> single_answered;
   std::vector<int> sharded_answered;
-  drive(net.scheduler(), single.hosts, single_answered);
-  drive(region.net.scheduler(), sharded.hosts, sharded_answered);
+  drive(net.scheduler(), single, single_answered);
+  drive(region.net.scheduler(), sharded, sharded_answered);
   EXPECT_EQ(sharded_answered, single_answered);
-  EXPECT_EQ(single_answered, std::vector<int>(single.hosts.size(), 1));
+  EXPECT_EQ(single_answered, std::vector<int>(single.host_count(), 1));
 
   const netsim::Scheduler& a = net.scheduler();
   const netsim::Scheduler& b = region.net.scheduler();

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace ab::apps {
 namespace {
 
@@ -303,6 +305,59 @@ TEST(AggregateHostWorkload, MatchesTheMaterializedModelOnASmallCell) {
   }
   // And the background actually ran: every LAN's sampled stations pinged.
   EXPECT_GT(aggregate.pings_answered, 0);
+}
+
+/// Runs `inner` and records how many hosts the cell had built before and
+/// after it, and the LAN populations it saw first.
+class CountBuilds final : public Workload {
+ public:
+  explicit CountBuilds(Workload& inner) : inner_(inner) {}
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+  void run(WorkloadContext& ctx, SweepResult& result) override {
+    before = ctx.sharded->hosts_built();
+    for (std::size_t l = 0; l < ctx.lan_count(); ++l) {
+      attached.push_back(ctx.lan_attached_count(l));
+    }
+    inner_.run(ctx, result);
+    after = ctx.sharded->hosts_built();
+  }
+
+  std::size_t before = 0;
+  std::size_t after = 0;
+  std::vector<std::size_t> attached;
+
+ private:
+  Workload& inner_;
+};
+
+TEST(AggregateHostWorkload, BuildsOnlyTheStationsThatActOrAreAskedFor) {
+  // The benchmark's star-agg cell: 8 bridges, 9 LANs of 12,500 stations.
+  netsim::TopologySpec spec;
+  spec.shape = netsim::TopologyShape::kStar;
+  spec.nodes = 8;
+  spec.hosts_per_lan = 12500;
+  AggregateHostWorkload::Options opts;
+  opts.seed = 7;
+  AggregateHostWorkload aggregate(opts);
+  CountBuilds count(aggregate);
+  TopologySweep sweep;
+  const SweepResult r = sweep.run_cell(spec, count);
+  ASSERT_TRUE(r.stp_converged);
+  ASSERT_EQ(r.hosts, 112500);
+  // Converged, and not one station built: BPDUs concern no station.
+  EXPECT_EQ(count.before, 0u);
+  ASSERT_EQ(count.attached.size(), 9u);
+  EXPECT_EQ(count.attached[0], 8u + 12500u);  // the hub's bridge ports
+  for (std::size_t l = 1; l < count.attached.size(); ++l) {
+    EXPECT_EQ(count.attached[l], 1u + 12500u) << "lan " << l;
+  }
+  // After the traffic: the talkers and the sampled background stations,
+  // which the workload asks for, and no station their frames reach.
+  const auto per_lan =
+      static_cast<std::size_t>(opts.talkers_per_lan + opts.background_per_lan);
+  EXPECT_EQ(count.after, 9u * per_lan);
+  EXPECT_GT(r.pings_sent, 0);
+  EXPECT_EQ(r.pings_answered, r.pings_sent);
 }
 
 }  // namespace

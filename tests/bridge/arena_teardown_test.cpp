@@ -78,10 +78,11 @@ TEST(BridgeArena, ShardedRegionTeardownMidFloodIsSafe) {
 
   {
     ShardedTopology topo = build_sharded_topology(spec, 2, {}, opts);
-    for (stack::HostStack* h : topo.hosts) {
+    for (std::size_t h = 0; h < topo.host_count(); ++h) {
+      netsim::Nic& nic = topo.host(h).nic();
       std::vector<ether::WireFrame> burst;
-      for (int i = 0; i < 8; ++i) burst.emplace_back(bcast(h->nic().mac()));
-      h->nic().transmit_burst(burst);
+      for (int i = 0; i < 8; ++i) burst.emplace_back(bcast(nic.mac()));
+      nic.transmit_burst(burst);
     }
     netsim::ParallelRunner::Options ropts;
     ropts.threads = 2;
@@ -96,10 +97,11 @@ TEST(BridgeArena, ShardedRegionTeardownMidFloodIsSafe) {
   // every scheduled entry still queued at teardown.
   {
     ShardedTopology topo = build_sharded_topology(spec, 2, {}, opts);
-    for (stack::HostStack* h : topo.hosts) {
+    for (std::size_t h = 0; h < topo.host_count(); ++h) {
+      netsim::Nic& nic = topo.host(h).nic();
       std::vector<ether::WireFrame> burst;
-      for (int i = 0; i < 4; ++i) burst.emplace_back(bcast(h->nic().mac()));
-      h->nic().transmit_burst(burst);
+      for (int i = 0; i < 4; ++i) burst.emplace_back(bcast(nic.mac()));
+      nic.transmit_burst(burst);
     }
   }
 }

@@ -88,6 +88,18 @@ TEST(BpduCodecs, AreMutuallyUnintelligible) {
   EXPECT_FALSE(ieee.decode(dec.encode(b, ether::MacAddress::local(1, 0))).has_value());
 }
 
+// Each encoder reserves its config BPDU's size up front; the payloads are
+// exactly that long.
+TEST(BpduCodecs, PayloadSizesMatchTheWritersReserve) {
+  Bpdu tcn;
+  tcn.type = BpduType::kTcn;
+  const auto src = ether::MacAddress::local(3, 0);
+  EXPECT_EQ(IeeeBpduCodec().encode(sample_config(), src).payload.size(), 35u);
+  EXPECT_EQ(IeeeBpduCodec().encode(tcn, src).payload.size(), 4u);
+  EXPECT_EQ(DecBpduCodec().encode(sample_config(), src).payload.size(), 41u);
+  EXPECT_EQ(DecBpduCodec().encode(tcn, src).payload.size(), 3u);
+}
+
 TEST(BpduCodecs, DistinctGroupAddresses) {
   EXPECT_EQ(IeeeBpduCodec().group_address(), ether::MacAddress::all_bridges());
   EXPECT_EQ(DecBpduCodec().group_address(), ether::MacAddress::dec_bridge_group());

@@ -15,6 +15,21 @@
 
 namespace ab::bridge::testing {
 
+/// A plan of `nodes` bridges in `shape`, with no hosts.
+inline netsim::TopologySpec bridges_only(netsim::TopologyShape shape, int nodes) {
+  netsim::TopologySpec spec;
+  spec.shape = shape;
+  spec.nodes = nodes;
+  return spec;
+}
+
+/// Bridges with no switchlet loaded.
+inline TopologyBuildOptions no_switchlets() {
+  TopologyBuildOptions opts;
+  opts.dumb = opts.learning = opts.stp = false;
+  return opts;
+}
+
 /// Two LANs joined by one bridge, with one host on each LAN:
 ///   hostA -- lan0 -- [bridge0] -- lan1 -- hostB
 struct TwoLanFixture {
@@ -30,13 +45,9 @@ struct TwoLanFixture {
   std::unique_ptr<stack::HostStack> host_b;
   netsim::FrameTrace trace;
 
-  explicit TwoLanFixture(BridgeNodeConfig cfg = {}) {
-    netsim::TopologySpec spec;
-    spec.shape = netsim::TopologyShape::kLine;
-    spec.nodes = 1;
-    TopologyBuildOptions opts;
-    opts.dumb = opts.learning = opts.stp = false;
-    topo = build_topology(net, spec, std::move(cfg), opts);
+  explicit TwoLanFixture(BridgeNodeConfig cfg = {})
+      : topo(build_topology(net, bridges_only(netsim::TopologyShape::kLine, 1),
+                            std::move(cfg), no_switchlets())) {
     lan_a = topo.shape.lans[0];
     lan_b = topo.shape.lans[1];
     trace.watch(*lan_a);
@@ -79,13 +90,9 @@ struct RingFixture {
   std::vector<BridgeNode*> bridges;
   netsim::FrameTrace trace;
 
-  explicit RingFixture(int n = 3, BridgeNodeConfig cfg = {}) {
-    netsim::TopologySpec spec;
-    spec.shape = netsim::TopologyShape::kRing;
-    spec.nodes = n;
-    TopologyBuildOptions opts;
-    opts.dumb = opts.learning = opts.stp = false;
-    topo = build_topology(net, spec, std::move(cfg), opts);
+  explicit RingFixture(int n = 3, BridgeNodeConfig cfg = {})
+      : topo(build_topology(net, bridges_only(netsim::TopologyShape::kRing, n),
+                            std::move(cfg), no_switchlets())) {
     lans = topo.shape.lans;
     for (auto* lan : lans) trace.watch(*lan);
     for (auto& b : topo.bridges) bridges.push_back(b.get());

@@ -7,6 +7,7 @@
 
 #include "src/bridge/bridge_node.h"
 #include "src/netsim/network.h"
+#include "src/util/string_util.h"
 
 namespace ab::bridge {
 namespace {
@@ -32,7 +33,7 @@ struct FloodFixture {
     for (int i = 0; i < kPorts; ++i) {
       auto& lan = net.add_segment("lan" + std::to_string(i));
       lans.push_back(&lan);
-      auto& nic = net.add_nic("b" + std::to_string(i), lan);
+      auto& nic = net.add_nic(util::format("b%d", i), lan);
       bridge_nics.push_back(&nic);
       bridge.add_port(nic);
       if (i == 0) {

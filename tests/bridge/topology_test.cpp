@@ -3,7 +3,9 @@
 // LAN, and shared segments with many bridges (star hubs, tree trunks) must
 // not melt down (regression for the TCN amplification storm). Plus the
 // sharded side's plan contract: partition_regions on a bare plan, and NIC
-// identity at every region count.
+// identity at every region count. Plus planned hosts: each is built, with
+// the identity an eager build gave it, when it first acts or is asked for,
+// on the region that owns its LAN.
 #include "src/bridge/topology.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "src/bridge/sharded_topology.h"
+#include "src/netsim/parallel_runner.h"
 #include "src/netsim/trace.h"
 
 namespace ab::bridge {
@@ -40,7 +43,7 @@ TEST(BuildTopology, RingConvergesAndCarriesTraffic) {
   netsim::Network net;
   auto topo = build_topology(net, spec_of(netsim::TopologyShape::kRing, 4, 1));
   ASSERT_EQ(topo.bridges.size(), 4u);
-  ASSERT_EQ(topo.hosts.size(), 4u);
+  ASSERT_EQ(topo.host_count(), 4u);
   net.scheduler().run_for(netsim::seconds(45));
   EXPECT_TRUE(topo.stp_converged());
   // One loop, one cut.
@@ -54,9 +57,9 @@ TEST(BuildTopology, RingConvergesAndCarriesTraffic) {
 TEST(BuildTopology, HostAddressesAreUniqueAndOrdered) {
   netsim::Network net;
   auto topo = build_topology(net, spec_of(netsim::TopologyShape::kLine, 2, 2));
-  ASSERT_EQ(topo.hosts.size(), 6u);  // 3 segments x 2 hosts
-  for (std::size_t i = 0; i < topo.hosts.size(); ++i) {
-    for (std::size_t j = i + 1; j < topo.hosts.size(); ++j) {
+  ASSERT_EQ(topo.host_count(), 6u);  // 3 segments x 2 hosts
+  for (std::size_t i = 0; i < topo.host_count(); ++i) {
+    for (std::size_t j = i + 1; j < topo.host_count(); ++j) {
       EXPECT_FALSE(topo.host(i).ip() == topo.host(j).ip());
     }
   }
@@ -70,10 +73,10 @@ TEST(BuildTopology, ThousandStationLansGetUniqueAddresses) {
   opts.stp = false;  // no convergence needed; this is an addressing test
   auto topo = build_topology(net, spec_of(netsim::TopologyShape::kLine, 1, 600), {},
                              opts);
-  ASSERT_EQ(topo.hosts.size(), 2u * 600u);
+  ASSERT_EQ(topo.host_count(), 2u * 600u);
   std::set<std::uint32_t> seen;
-  for (const auto& host : topo.hosts) {
-    const stack::Ipv4Addr ip = host->ip();
+  for (std::size_t h = 0; h < topo.host_count(); ++h) {
+    const stack::Ipv4Addr ip = topo.host(h).ip();
     EXPECT_TRUE(seen.insert(ip.value()).second) << ip.to_string() << " assigned twice";
     // Nothing may read as a network/broadcast address.
     EXPECT_NE(ip.value() & 0xFF, 0u) << ip.to_string();
@@ -175,7 +178,7 @@ TEST(BuildTopology, RandomKRegularConvergesAndCarriesTraffic) {
   EXPECT_TRUE(topo.stp_converged());
   // 12 edges over 8 nodes: 5 redundant links, each cut at one end.
   EXPECT_EQ(topo.count_gates(PortGate::kBlocked), 5);
-  EXPECT_EQ(ping_across(net, topo.host(0), topo.host(topo.hosts.size() - 1)), 1);
+  EXPECT_EQ(ping_across(net, topo.host(0), topo.host(topo.host_count() - 1)), 1);
 }
 
 TEST(BuildTopology, ScaleFreeConvergesAndCarriesTraffic) {
@@ -189,7 +192,7 @@ TEST(BuildTopology, ScaleFreeConvergesAndCarriesTraffic) {
   ASSERT_EQ(topo.shape.lans.size(), 21u);
   net.scheduler().run_for(netsim::seconds(60));
   EXPECT_TRUE(topo.stp_converged());
-  EXPECT_EQ(ping_across(net, topo.host(0), topo.host(topo.hosts.size() - 1)), 1);
+  EXPECT_EQ(ping_across(net, topo.host(0), topo.host(topo.host_count() - 1)), 1);
 }
 
 // Regression for the TCA satellite: a lossy segment between a notifying
@@ -288,9 +291,10 @@ TEST(ShardedBuild, KRegularNicIdentityDoesNotDependOnRegionCount) {
         id.nics.emplace_back(p.out->nic().name(), p.out->nic().mac());
       }
     }
-    for (stack::HostStack* h : topo.hosts) {
-      id.nics.emplace_back(h->nic().name(), h->nic().mac());
-      id.ips.push_back(h->ip());
+    for (std::size_t h = 0; h < topo.host_count(); ++h) {
+      stack::HostStack& host = topo.host(h);
+      id.nics.emplace_back(host.nic().name(), host.nic().mac());
+      id.ips.push_back(host.ip());
     }
     id.next_mac_id = topo.next_mac_id;
     return id;
@@ -307,6 +311,111 @@ TEST(ShardedBuild, KRegularNicIdentityDoesNotDependOnRegionCount) {
     EXPECT_EQ(split.nics, one.nics) << regions << " regions";
     EXPECT_EQ(split.ips, one.ips) << regions << " regions";
     EXPECT_EQ(split.next_mac_id, one.next_mac_id) << regions << " regions";
+  }
+}
+
+// The identity a host is built with is the one the eager build gave it:
+// bridge ports draw MAC ids first, then hosts in ordinal order; the name
+// spells the plan's attachment; the address is the ordinal's; and the NIC
+// sits at the attach position after its LAN's bridge ports.
+TEST(PlannedHosts, HostIsIdempotentAndKeepsTheEagerIdentity) {
+  netsim::Network net;
+  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kStar, 3, 4));
+  constexpr std::uint32_t kPorts = 3 * 2;  // hub lan 0 has 3, each leaf 1
+  ASSERT_EQ(topo.host_count(), 16u);
+  EXPECT_EQ(topo.hosts_built(), 0u);
+  for (std::size_t i = 0; i < topo.host_count(); ++i) {
+    stack::HostStack& host = topo.host(i);
+    EXPECT_EQ(&topo.host(i), &host);
+    EXPECT_EQ(topo.hosts_built(), i + 1);
+    const netsim::Topology::HostAttach& at = topo.shape.hosts[i];
+    EXPECT_EQ(host.nic().name(),
+              "host" + std::to_string(at.lan) + "_" + std::to_string(at.index));
+    EXPECT_EQ(host.nic().mac(),
+              netsim::mac_of_id(kPorts + 1 + static_cast<std::uint32_t>(i)));
+    EXPECT_EQ(host.ip(), topology_host_ip(i));
+    const std::size_t ports_here = at.lan == 0 ? 3 : 1;
+    netsim::LanSegment& lan = *topo.shape.lans[static_cast<std::size_t>(at.lan)];
+    EXPECT_EQ(host.nic().segment(), &lan);
+    EXPECT_EQ(lan.attached()[ports_here + static_cast<std::size_t>(at.index)],
+              &host.nic());
+  }
+  // A caller's NIC continues the counter past every planned host.
+  EXPECT_EQ(net.add_nic("late", *topo.shape.lans[0]).mac(),
+            netsim::mac_of_id(kPorts + 17));
+}
+
+TEST(PlannedHosts, LanAttachedCountsPlannedHostsAtEveryRegionCount) {
+  const netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kStar, 3, 4);
+  for (const int regions : {1, 2, 3}) {
+    ShardedTopology topo = build_sharded_topology(spec, regions);
+    EXPECT_EQ(topo.lan_attached(0), 3u + 4u) << regions << " regions";  // the hub
+    for (std::size_t l = 1; l < topo.lan_count(); ++l) {
+      EXPECT_EQ(topo.lan_attached(l), 1u + 4u) << regions << " regions, lan " << l;
+    }
+    EXPECT_EQ(topo.hosts_built(), 0u);
+    EXPECT_EQ(topo.next_mac_id, 1u + 6u + 16u);
+    // Building a host moves it from planned to built; the count holds.
+    (void)topo.host(5);
+    EXPECT_EQ(topo.lan_attached(1), 1u + 4u);
+    EXPECT_EQ(topo.hosts_built(), 1u);
+  }
+}
+
+// Frames build hosts on the region that owns their LAN, on that region's
+// worker: each built host runs on its owner's clock, sits on its owner's
+// replica and lives in its owner's arena. The pings cross the cut hub LAN,
+// so each target's who-has reaches its region through a mailbox while the
+// other region's worker builds its own targets.
+TEST(PlannedHosts, MultiRegionCellBuildsEachHostOnItsOwningRegion) {
+  netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kStar, 4, 3);
+  TopologyBuildOptions opts;
+  opts.stp = false;  // a star has no loop; forward from the start
+  ShardedTopology topo = build_sharded_topology(spec, 2, {}, opts);
+  ASSERT_EQ(topo.regions.size(), 2u);
+  const std::size_t lans = topo.lan_count();
+
+  // Talker = host 0 of each LAN, target = host 1 of the next LAN.
+  std::vector<int> answered(lans, 0);
+  std::vector<std::size_t> targets;
+  for (std::size_t l = 0; l < lans; ++l) {
+    const std::size_t talker = 3 * l;
+    const std::size_t target = 3 * ((l + 1) % lans) + 1;
+    targets.push_back(target);
+    stack::HostStack& src = topo.host(talker);
+    int* slot = &answered[l];
+    src.set_echo_handler([slot](const stack::HostStack::EchoReply&) { ++*slot; });
+    src.send_echo_request(topology_host_ip(target), 7, 1, {});
+  }
+  ASSERT_EQ(topo.hosts_built(), lans);
+  std::vector<std::size_t> objects_before;
+  for (const auto& region : topo.regions) {
+    objects_before.push_back(region->arena.stats().objects);
+  }
+
+  netsim::ParallelRunner::Options ropts;
+  ropts.threads = 2;
+  ropts.lookahead = topo.plan.lookahead;
+  netsim::ParallelRunner runner(topo.shard_handles(), ropts);
+  runner.run_for(netsim::seconds(2));
+
+  EXPECT_EQ(answered, std::vector<int>(lans, 1));
+  EXPECT_EQ(topo.hosts_built(), 2 * lans);  // the targets, and nobody else
+  std::vector<std::size_t> built_on(topo.regions.size(), 0);
+  for (const std::size_t target : targets) {
+    const auto l = static_cast<std::size_t>(topo.shape.hosts[target].lan);
+    ShardedTopology::Region& owner = topo.owner_region(l);
+    stack::HostStack& host = topo.host(target);
+    EXPECT_EQ(&host.scheduler(), &owner.net.scheduler()) << "host " << target;
+    EXPECT_EQ(host.nic().segment(), owner.replicas[l]) << "host " << target;
+    built_on[static_cast<std::size_t>(topo.plan.lan_owner[l])] += 1;
+  }
+  EXPECT_EQ(topo.hosts_built(), 2 * lans);
+  for (std::size_t r = 0; r < topo.regions.size(); ++r) {
+    // A NIC and a HostStack per host the region built.
+    EXPECT_EQ(topo.regions[r]->arena.stats().objects - objects_before[r], 2 * built_on[r])
+        << "region " << r;
+    EXPECT_GT(built_on[r], 0u) << "region " << r;
   }
 }
 

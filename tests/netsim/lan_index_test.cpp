@@ -33,6 +33,7 @@
 #include "src/stack/icmp.h"
 #include "src/stack/ipv4.h"
 #include "src/util/rng.h"
+#include "src/util/string_util.h"
 
 namespace ab::netsim {
 namespace {
@@ -108,7 +109,7 @@ struct World {
     nics.assign(corpus.size(), nullptr);
     stacks.resize(corpus.size());
     for (const std::size_t i : attach_order) {
-      Nic& nic = net.add_nic("m" + std::to_string(i), *lan, corpus[i].mac);
+      Nic& nic = net.add_nic(util::format("m%zu", i), *lan, corpus[i].mac);
       nics[i] = &nic;
       const int id = static_cast<int>(i);
       if (corpus[i].role == Role::kStation) {

@@ -342,15 +342,15 @@ TEST(HostStack, IdleStationStaysIdleOnFramesItDiscards) {
 TEST(HostStack, StationNicStaysIdleOnALanCarryingOtherTraffic) {
   // A plan-built cell: the bridges' BPDUs cross every LAN, a probe NIC
   // floods a broadcast burst and asks ARP for addresses no station owns.
-  // The segment hands none of it to a station, so no station's NIC or
-  // stack builds a box.
+  // The segment hands none of it to a station, so no station is built,
+  // and a station asked for afterwards builds no box.
   netsim::Network net;
   netsim::TopologySpec spec;
   spec.shape = netsim::TopologyShape::kStar;
   spec.nodes = 2;
   spec.hosts_per_lan = 3;
   bridge::BridgedTopology topo = bridge::build_topology(net, spec);
-  ASSERT_EQ(topo.hosts.size(), 9u);  // hub + 2 leaves, 3 stations each
+  ASSERT_EQ(topo.host_count(), 9u);  // hub + 2 leaves, 3 stations each
   netsim::Nic& probe = net.add_nic("probe", *topo.shape.lans[1]);
   std::vector<ether::WireFrame> burst(
       16, ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
@@ -365,9 +365,10 @@ TEST(HostStack, StationNicStaysIdleOnALanCarryingOtherTraffic) {
             .encode()));
   }
   net.scheduler().run_for(netsim::seconds(5));
+  EXPECT_EQ(topo.hosts_built(), 0u);
 
   const netsim::NicStats& idle_zeros = topo.host(0).nic().stats();
-  for (std::size_t i = 0; i < topo.hosts.size(); ++i) {
+  for (std::size_t i = 0; i < topo.host_count(); ++i) {
     netsim::Nic& nic = topo.host(i).nic();
     const netsim::Topology::HostAttach& at = topo.shape.hosts[i];
     EXPECT_EQ(nic.name(), "host" + std::to_string(at.lan) + "_" +
