@@ -833,16 +833,18 @@ int main(int argc, char** argv) {
       static_cast<double>(station.peak_rss_bytes) / (1024.0 * 1024.0),
       visits_per_frame, static_cast<unsigned long long>(station.events),
       station.wall_seconds, station.pings_answered, station.pings_sent);
-  // A station is planned at build time -- its LAN's slot, ticket and two
-  // index entries, the plan's host entry and a null host pointer -- and
-  // built only when it first acts: 46-47 B and 0.08-0.09 us per station on
-  // a 4-vCPU VM, quiet or beside three compile jobs. Building every
-  // station as a 72-byte Nic and a 32-byte HostStack measured 176 B and
-  // 0.20-0.34 us, with the Nic's box resident 368 B, and the per-object
-  // seed model 1433 B and 16.2 us. Both bounds sit ~15% above the planned
-  // cost, so a build that creates idle stations again fails the bench.
-  constexpr double kMaxBytesPerStation = 54.0;
-  constexpr double kMaxBuildUsPerStation = 0.105;
+  // A LAN's stations are planned at build time as one block -- each
+  // station costs only its null attach slot -- and built only when they
+  // first act: 7.5 B and 0.005-0.007 us per station on a 4-vCPU VM (the
+  // sharded aggregate rows 8.7 B). Planning each station with a ticket,
+  // two index entries, a host record and a host pointer measured 46-47 B
+  // and 0.08-0.09 us; building every station as a 72-byte Nic and a
+  // 32-byte HostStack 176 B and 0.20-0.34 us, with the Nic's box resident
+  // 368 B, and the per-object seed model 1433 B and 16.2 us. Both bounds
+  // sit ~15% above the block plan's highest measured cost, so a plan that
+  // files entries per station again fails the bench.
+  constexpr double kMaxBytesPerStation = 10.0;
+  constexpr double kMaxBuildUsPerStation = 0.008;
   // Receivers a carried frame costs. The station index hands a frame to
   // the walk list (at most the hub's 8 bridge ports) plus the stations it
   // concerns; a regression to the full walk costs ~125,000.

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify + sanitizer build + Release bench smoke + docs link check,
-# what .github/workflows/ci.yml runs, except that here the tier-1 and
-# Release builds treat warnings as errors: both build warning-free with
-# GCC 12.2, while CI's runner compiler is not pinned.
+# what .github/workflows/ci.yml runs. The tier-1 and Release builds treat
+# warnings as errors: both build warning-free with GCC 12.2, the compiler
+# the workflow pins.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,14 +30,14 @@ echo "== TSan build + sharded-core tests =="
 # per-shard schedulers, so the conformance + host-stack tests must stay
 # clean when the sharded workers are racing), the per-region arena
 # teardown, the LAN station index (replicas classify and deliver
-# through inject_remote on shard workers), and planned hosts (each built
-# by its owning region's worker when a frame first reaches it). The full
-# suite under TSan is slow and the rest of the code is single-threaded;
-# the filter keeps this section tight.
+# through inject_remote on shard workers), and planned hosts and host
+# blocks (each host built by its owning region's worker when a frame first
+# reaches it). The full suite under TSan is slow and the rest of the code
+# is single-threaded; the filter keeps this section tight.
 cmake -B build-tsan -S . -DAB_TSAN=ON
 cmake --build build-tsan -j
 (cd build-tsan && ctest --output-on-failure -j \
-  -R 'RelayRing|ShardChannel|Shard\.|ParallelRunner|ParallelSweep|InjectRemote|Tcp|BridgeArena|LanIndex|PlannedHosts')
+  -R 'RelayRing|ShardChannel|Shard\.|ParallelRunner|ParallelSweep|InjectRemote|Tcp|BridgeArena|LanIndex|PlannedHosts|HostBlocks')
 
 echo "== datapath accounting =="
 # micro_datapath is only built when google-benchmark is installed. When it

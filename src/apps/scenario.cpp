@@ -313,12 +313,16 @@ std::size_t WorkloadContext::host_count() const { return sharded->host_count(); 
 stack::HostStack& WorkloadContext::host(std::size_t i) const { return sharded->host(i); }
 
 WorkloadContext::HostSite WorkloadContext::host_attach(std::size_t i) const {
-  const netsim::Topology::HostAttach& h = sharded->shape.hosts[i];
+  const netsim::Topology::HostAttach h = sharded->shape.host(i);
   return HostSite{h.lan, h.index, h.name()};
 }
 
 std::size_t WorkloadContext::host_lan(std::size_t i) const {
-  return static_cast<std::size_t>(sharded->shape.hosts[i].lan);
+  return static_cast<std::size_t>(sharded->shape.host(i).lan);
+}
+
+netsim::Topology::HostRange WorkloadContext::lan_hosts(std::size_t l) const {
+  return sharded->shape.lan_hosts(l);
 }
 
 std::size_t WorkloadContext::lan_count() const { return sharded->lan_count(); }
@@ -562,13 +566,6 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
     return;
   }
 
-  // Host ordinals per LAN (the plan is lan-major, but derive it rather
-  // than assume).
-  std::vector<std::vector<std::size_t>> by_lan(lan_count);
-  for (std::size_t h = 0; h < host_count; ++h) {
-    by_lan[ctx.host_lan(h)].push_back(h);
-  }
-
   // Generator NICs attach FIRST, in both modes: LAN membership (and so
   // every delivery walk) must be identical whether or not they transmit.
   // Global LAN order keeps the MAC counter's assignment independent of the
@@ -584,9 +581,10 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
           ? static_cast<std::size_t>(options_.talkers_per_lan)
           : 0;
   std::vector<std::size_t> talkers;  // lan-major
-  for (const std::vector<std::size_t>& lan_hosts : by_lan) {
-    for (std::size_t k = 0; k < std::min(talkers_per_lan, lan_hosts.size()); ++k) {
-      talkers.push_back(lan_hosts[k]);
+  for (std::size_t l = 0; l < lan_count; ++l) {
+    const netsim::Topology::HostRange lan_hosts = ctx.lan_hosts(l);
+    for (std::size_t k = 0; k < std::min(talkers_per_lan, lan_hosts.count); ++k) {
+      talkers.push_back(lan_hosts.first + k);
     }
   }
 
@@ -625,8 +623,8 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   std::string stream_label;
   std::size_t lan_a = lan_count;
   std::size_t lan_b = lan_count;
-  for (std::size_t l = 0; l < by_lan.size(); ++l) {
-    if (by_lan[l].empty()) continue;
+  for (std::size_t l = 0; l < lan_count; ++l) {
+    if (ctx.lan_hosts(l).count == 0) continue;
     if (lan_a == lan_count) {
       lan_a = l;
     } else if (lan_b == lan_count) {
@@ -635,9 +633,9 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
     }
   }
   if (lan_b == lan_count) lan_b = lan_a;  // single populated LAN
-  if (lan_a != lan_count && (lan_a != lan_b || by_lan[lan_a].size() >= 2)) {
-    const std::size_t src = by_lan[lan_a][0];
-    const std::size_t dst = lan_a == lan_b ? by_lan[lan_a][1] : by_lan[lan_b][0];
+  if (lan_a != lan_count && (lan_a != lan_b || ctx.lan_hosts(lan_a).count >= 2)) {
+    const std::size_t src = ctx.lan_hosts(lan_a).first;
+    const std::size_t dst = lan_a == lan_b ? src + 1 : ctx.lan_hosts(lan_b).first;
     stack::HostStack& sender_host = ctx.host(src);
     stack::HostStack& sink_host = ctx.host(dst);
     stream_label = ctx.host_attach(src).name + " -> " + ctx.host_attach(dst).name;
@@ -662,29 +660,47 @@ void AggregateHostWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   // them out is the mode switch.
   util::Rng rng(options_.seed);
   std::vector<std::size_t> sampled;
-  for (std::size_t l = 0; l < by_lan.size(); ++l) {
-    const std::vector<std::size_t>& lan_hosts = by_lan[l];
-    if (lan_hosts.size() <= talkers_per_lan || options_.background_per_lan <= 0 ||
+  std::vector<std::size_t> sample;
+  std::vector<std::pair<std::size_t, std::size_t>> displaced;
+  for (std::size_t l = 0; l < lan_count; ++l) {
+    const netsim::Topology::HostRange lan_hosts = ctx.lan_hosts(l);
+    if (lan_hosts.count <= talkers_per_lan || options_.background_per_lan <= 0 ||
         talkers_per_lan == 0) {
       continue;
     }
-    std::vector<std::size_t> idle(lan_hosts.begin() +
-                                      static_cast<std::ptrdiff_t>(talkers_per_lan),
-                                  lan_hosts.end());
+    // The idle stations are the ordinals idle_first + i, i < idle_count.
+    // Partial Fisher-Yates over that range: step j swaps entry j with a
+    // pick from [j, idle_count), and entry j is then the j-th sample. Only
+    // entries a swap moved are stored, in `displaced`; every other entry i
+    // still holds idle_first + i.
+    const std::size_t idle_first = lan_hosts.first + talkers_per_lan;
+    const std::size_t idle_count = lan_hosts.count - talkers_per_lan;
     const std::size_t want = std::min<std::size_t>(
-        static_cast<std::size_t>(options_.background_per_lan), idle.size());
-    // Partial Fisher-Yates: the first `want` entries become the sample.
+        static_cast<std::size_t>(options_.background_per_lan), idle_count);
+    sample.clear();
+    displaced.clear();
+    const auto entry = [&](std::size_t i) {
+      for (const auto& [at, ordinal] : displaced) {
+        if (at == i) return ordinal;
+      }
+      return idle_first + i;
+    };
     for (std::size_t j = 0; j < want; ++j) {
-      const std::size_t pick = j + rng.index(idle.size() - j);
-      std::swap(idle[j], idle[pick]);
+      const std::size_t pick = j + rng.index(idle_count - j);
+      const std::size_t picked = entry(pick);
+      const std::size_t moved = entry(j);
+      sample.push_back(picked);
+      // Entry j is never read again; the pick's slot takes its old value.
+      std::erase_if(displaced, [pick](const auto& d) { return d.first == pick; });
+      displaced.emplace_back(pick, moved);
     }
 
-    stack::HostStack& talker = ctx.host(lan_hosts[0]);
+    stack::HostStack& talker = ctx.host(lan_hosts.first);
     const stack::Ipv4Addr talker_ip = talker.ip();
     const ether::MacAddress talker_mac = talker.nic().mac();
     for (std::size_t j = 0; j < want; ++j) {
-      stack::HostStack& station = ctx.host(idle[j]);
-      sampled.push_back(idle[j]);
+      stack::HostStack& station = ctx.host(sample[j]);
+      sampled.push_back(sample[j]);
       const ether::MacAddress st_mac = station.nic().mac();
       const stack::Ipv4Addr st_ip = station.ip();
       netsim::Nic* tx_nic =

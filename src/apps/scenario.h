@@ -271,16 +271,21 @@ struct WorkloadContext {
   /// run observes, so ask only for the hosts the workload drives.
   [[nodiscard]] stack::HostStack& host(std::size_t i) const;
   /// Where host ordinal `i` attaches (global plan), with its NIC's name
-  /// spelled out. The plan stores only the indices, so this builds the
-  /// name: a loop over every host reads host_lan instead.
+  /// spelled out. The plan stores nothing per host, so this builds the
+  /// name: a loop over every host reads host_lan or lan_hosts instead.
+  /// Throws std::out_of_range for i >= host_count().
   struct HostSite {
     int lan = 0;
     int index = 0;
     std::string name;
   };
   [[nodiscard]] HostSite host_attach(std::size_t i) const;
-  /// The global LAN host ordinal `i` attaches to.
+  /// The global LAN host ordinal `i` attaches to. Throws
+  /// std::out_of_range for i >= host_count().
   [[nodiscard]] std::size_t host_lan(std::size_t i) const;
+  /// The host ordinals on global LAN `l`, a consecutive range (the plan is
+  /// lan-major).
+  [[nodiscard]] netsim::Topology::HostRange lan_hosts(std::size_t l) const;
   [[nodiscard]] std::size_t lan_count() const;
   /// NICs attached to global LAN `l` plus its hosts not yet built,
   /// summed over its replicas.

@@ -93,9 +93,10 @@ ShardedTopology::ShardedTopology(const netsim::TopologySpec& spec, int region_co
     }
   }
 
-  // Bridges in global node order, then hosts in global ordinal order, each
-  // in the region that owns it. MACs come from the global counter, so the
-  // ordinal every NIC draws is identical to the single-Network build's.
+  // Bridges in global node order, then each LAN's hosts as one block in
+  // global LAN order, each in the region that owns it. MACs come from the
+  // global counter, so the id every NIC draws is identical to the
+  // single-Network build's.
   const auto site = [this](Region& region) {
     return AssemblySite{region.net, region.arena, region.replicas, &next_mac_id};
   };
@@ -105,9 +106,8 @@ ShardedTopology::ShardedTopology(const netsim::TopologySpec& spec, int region_co
         assemble_bridge(site(region), shape, i, node_config, options));
     bridges.push_back(region.bridges.back().get());
   }
-  for (std::size_t ordinal = 0; ordinal < shape.hosts.size(); ++ordinal) {
-    const auto l = static_cast<std::size_t>(shape.hosts[ordinal].lan);
-    assemble_host(site(owner_region(l)), hosts_, ordinal);
+  for (std::size_t l = 0; l < shape.segments.size(); ++l) {
+    assemble_hosts(site(owner_region(l)), hosts_, l);
   }
 
   // Mailboxes: for each cut LAN, one SPSC channel per ordered (producer,

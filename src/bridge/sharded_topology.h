@@ -9,8 +9,8 @@
 // by event, and the determinism tests compare multi-region cells against
 // that 1-region oracle. So the sharded builder reads the same index plan
 // (netsim::TopologyBuilder::build), assembles every bridge and plans every
-// host through the same assemble_bridge / assemble_host, assigns MAC
-// addresses from a GLOBAL counter in build_topology's creation order
+// LAN's hosts through the same assemble_bridge / assemble_hosts, assigns
+// MAC addresses from a GLOBAL counter in build_topology's creation order
 // (bridges in node order, then hosts in ordinal order), and counts each
 // frame's lan stats at exactly one replica (the one its sender transmits
 // on). A host is built when it first acts (PlannedHosts), on its LAN's
@@ -66,8 +66,7 @@ struct ShardedTopology {
   ShardedTopology(const ShardedTopology&) = delete;
   ShardedTopology& operator=(const ShardedTopology&) = delete;
 
-  /// The index plan every region was built from (never copied: its host
-  /// list has one entry per station).
+  /// The index plan every region was built from.
   netsim::Topology shape;
   RegionPlan plan;
   std::vector<std::unique_ptr<Region>> regions;

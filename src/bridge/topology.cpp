@@ -81,38 +81,16 @@ std::size_t BridgedTopology::mac_entries() const {
   return bridge::mac_entries(bridge_view(bridges));
 }
 
-namespace {
-
-/// Maps an ordinal into a 10.<base+?>.?.? slice, skipping low octets 0 and
-/// 255 so nothing ever reads as a network/broadcast address.
-stack::Ipv4Addr slice_ip(std::uint32_t second_octet_base, std::size_t ordinal,
-                         std::size_t second_octet_span, const char* what) {
-  const std::uint32_t low = static_cast<std::uint32_t>(ordinal % 254) + 1;
-  const std::uint32_t rest = static_cast<std::uint32_t>(ordinal / 254);
-  const std::uint32_t third = rest % 256;
-  const std::uint32_t second = second_octet_base + rest / 256;
-  if (second >= second_octet_base + second_octet_span) {
-    throw std::invalid_argument(std::string("topology address plan: ") + what +
-                                " ordinal overflows its 10/8 slice");
-  }
-  return stack::Ipv4Addr(10, static_cast<std::uint8_t>(second),
-                         static_cast<std::uint8_t>(third),
-                         static_cast<std::uint8_t>(low));
-}
-
-}  // namespace
-
 stack::Ipv4Addr topology_host_ip(std::size_t ordinal) {
-  // 10.0.0.1 .. 10.253.255.254: ~16.5M stations.
-  return slice_ip(0, ordinal, 254, "host");
+  return stack::Ipv4Addr(netsim::topology_host_ipv4(ordinal));
 }
 
 stack::Ipv4Addr topology_loader_ip(std::size_t ordinal) {
-  return slice_ip(254, ordinal, 1, "loader");
+  return stack::Ipv4Addr(netsim::topology_loader_ipv4(ordinal));
 }
 
 stack::Ipv4Addr topology_admin_ip(std::size_t ordinal) {
-  return slice_ip(255, ordinal, 1, "admin");
+  return stack::Ipv4Addr(netsim::topology_admin_ipv4(ordinal));
 }
 
 std::unique_ptr<BridgeNode> assemble_bridge(const AssemblySite& site,
@@ -127,7 +105,7 @@ std::unique_ptr<BridgeNode> assemble_bridge(const AssemblySite& site,
   for (const int lan : shape.node_lans[i]) {
     node->add_port(site.net.add_nic(site.arena, name + ".eth" + std::to_string(port++),
                                     *site.lans[static_cast<std::size_t>(lan)],
-                                    netsim::mac_of_id(site.draw_mac_id())));
+                                    netsim::mac_of_id(site.draw_mac_ids())));
   }
   if (options.dumb) node->load_dumb();
   if (options.learning) node->load_learning();
@@ -137,64 +115,69 @@ std::unique_ptr<BridgeNode> assemble_bridge(const AssemblySite& site,
 }
 
 PlannedHosts::PlannedHosts(const netsim::Topology& shape, std::size_t tx_queue_limit)
-    : shape_(shape),
-      tx_queue_limit_(tx_queue_limit),
-      sites_(shape.segments.size()),
-      hosts_(shape.hosts.size(), nullptr) {}
+    : shape_(shape), tx_queue_limit_(tx_queue_limit), lans_(shape.segments.size()) {}
 
-void assemble_host(const AssemblySite& site, PlannedHosts& hosts, std::size_t ordinal) {
-  const netsim::Topology::HostAttach& h = hosts.shape_.hosts[ordinal];
-  const auto l = static_cast<std::size_t>(h.lan);
-  netsim::LanSegment& lan = *site.lans[l];
-  const std::uint32_t id = site.draw_mac_id();
-  if (ordinal == 0) hosts.first_mac_id_ = id;
-  if (id != hosts.first_mac_id_ + ordinal) {
-    throw std::logic_error(
-        "assemble_host: hosts are planned in ordinal order, back to back");
+void assemble_hosts(const AssemblySite& site, PlannedHosts& hosts, std::size_t lan) {
+  const netsim::Topology::HostRange range = hosts.shape_.lan_hosts(lan);
+  if (range.count == 0) return;
+  const auto count = static_cast<std::uint32_t>(range.count);
+  const std::uint32_t id = site.draw_mac_ids(count);
+  if (range.first == 0) hosts.first_mac_id_ = id;
+  if (id != hosts.first_mac_id_ + range.first) {
+    throw std::logic_error("assemble_hosts: LANs are planned in order, back to back");
   }
-  PlannedHosts::Site& built_at = hosts.sites_[l];
-  if (built_at.lan == nullptr) {
-    built_at = {&site.net, &site.arena, &lan};
-    lan.set_station_factory(&PlannedHosts::build, &hosts);
-  }
-  lan.plan_station(netsim::mac_of_id(id), topology_host_ip(ordinal).value(),
-                   static_cast<std::uint32_t>(ordinal));
+  PlannedHosts::Lan& record = hosts.lans_[lan];
+  netsim::LanSegment& segment = *site.lans[lan];
+  record.net = &site.net;
+  record.arena = &site.arena;
+  record.segment = &segment;
+  segment.set_station_factory(&PlannedHosts::build, &hosts);
+  segment.plan_block(id, static_cast<std::uint32_t>(range.first), count);
+}
+
+std::vector<PlannedHosts::Built>::iterator PlannedHosts::slot(Lan& lan,
+                                                              std::uint32_t index) {
+  return std::lower_bound(lan.built.begin(), lan.built.end(), index,
+                          [](const Built& b, std::uint32_t i) { return b.index < i; });
 }
 
 netsim::Nic& PlannedHosts::build(void* self, std::uint32_t ordinal) {
   PlannedHosts& hosts = *static_cast<PlannedHosts*>(self);
-  const netsim::Topology::HostAttach& h = hosts.shape_.hosts[ordinal];
-  const Site& site = hosts.sites_[static_cast<std::size_t>(h.lan)];
+  const netsim::Topology::HostAttach h = hosts.shape_.host(ordinal);
+  Lan& lan = hosts.lans_[static_cast<std::size_t>(h.lan)];
   stack::HostConfig cfg;
   cfg.ip = topology_host_ip(ordinal);
   // No eager ARP reserve: the flat cache grows on a station's FIRST
   // resolution. The NIC's name is the plan's key: it spells
   // host<lan>_<index> on demand and stores nothing. The NIC comes first in
   // the arena, so teardown runs the stack's destructor before it.
-  auto* nic = site.arena->create<netsim::Nic>(
-      site.net->scheduler(), h.key(), netsim::mac_of_id(hosts.first_mac_id_ + ordinal));
-  auto* host = site.arena->create<stack::HostStack>(site.net->scheduler(), *nic, cfg);
+  auto* nic = lan.arena->create<netsim::Nic>(
+      lan.net->scheduler(), h.key(), netsim::mac_of_id(hosts.first_mac_id_ + ordinal));
+  auto* host = lan.arena->create<stack::HostStack>(lan.net->scheduler(), *nic, cfg);
   nic->set_tx_queue_limit(hosts.tx_queue_limit_);
-  // One slot per host: regions building on their own threads write
-  // disjoint slots.
-  hosts.hosts_[ordinal] = host;
+  // Only the LAN's owning region builds its hosts, so regions building on
+  // their own threads write disjoint records.
+  const auto index = static_cast<std::uint32_t>(h.index);
+  lan.built.insert(slot(lan, index), Built{index, host});
   return *nic;
 }
 
 stack::HostStack& PlannedHosts::host(std::size_t i) {
-  if (hosts_[i] == nullptr) {
-    const auto ordinal = static_cast<std::uint32_t>(i);
-    const Site& site = sites_[static_cast<std::size_t>(shape_.hosts[i].lan)];
-    site.lan->build_station(netsim::mac_of_id(first_mac_id_ + ordinal), ordinal);
+  const netsim::Topology::HostAttach h = shape_.host(i);
+  Lan& lan = lans_[static_cast<std::size_t>(h.lan)];
+  const auto index = static_cast<std::uint32_t>(h.index);
+  auto at = slot(lan, index);
+  if (at == lan.built.end() || at->index != index) {
+    (void)lan.segment->build_station(static_cast<std::uint32_t>(i));
+    at = slot(lan, index);
   }
-  return *hosts_[i];
+  return *at->host;
 }
 
 std::size_t PlannedHosts::built() const {
-  return static_cast<std::size_t>(
-      std::count_if(hosts_.begin(), hosts_.end(), [](const stack::HostStack* h) {
-        return h != nullptr;
-      }));
+  std::size_t total = 0;
+  for (const Lan& lan : lans_) total += lan.built.size();
+  return total;
 }
 
 BridgedTopology::BridgedTopology(netsim::Network& net, const netsim::TopologySpec& spec,
@@ -211,9 +194,7 @@ BridgedTopology::BridgedTopology(netsim::Network& net, const netsim::TopologySpe
   for (std::size_t i = 0; i < shape.node_lans.size(); ++i) {
     bridges.push_back(assemble_bridge(site, shape, i, node_config, options));
   }
-  for (std::size_t ordinal = 0; ordinal < shape.hosts.size(); ++ordinal) {
-    assemble_host(site, hosts_, ordinal);
-  }
+  for (std::size_t l = 0; l < shape.lans.size(); ++l) assemble_hosts(site, hosts_, l);
 }
 
 BridgedTopology build_topology(netsim::Network& net, const netsim::TopologySpec& spec,

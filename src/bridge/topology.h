@@ -6,10 +6,10 @@
 // This is the assembly half of the TopologyBuilder split: netsim plans
 // shapes as indices without knowing what a bridge is; this header owns the
 // bridge/stack layers' side of the contract. assemble_bridge and
-// assemble_host are the one recipe for a node and a station, shared by
-// build_topology (one Network) and build_sharded_topology (per-region
-// worlds). The hand-wired two-LAN and ring helpers the tests, examples,
-// and benches used to copy around are one-liners over this.
+// assemble_hosts are the one recipe for a node and a LAN's stations,
+// shared by build_topology (one Network) and build_sharded_topology
+// (per-region worlds). The hand-wired two-LAN and ring helpers the tests,
+// examples, and benches used to copy around are one-liners over this.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +35,7 @@ struct TopologyBuildOptions {
 };
 
 // ---------------------------------------------------------------------------
-// Address plan. One flat bridged broadcast domain, no subnetting: hosts,
-// bridge loaders, and workload admin stations each get a disjoint slice of
-// 10/8, assigned by ordinal. Low octets 0 and 255 are skipped everywhere so
-// no assigned address ever looks like a network or broadcast address.
+// Address plan (netsim's, see network.h) as stack addresses.
 
 /// IP of the `ordinal`-th host attachment point (10.0.0.1 upward; ~16M
 /// stations before colliding with the loader slice). Throws beyond that.
@@ -63,9 +60,13 @@ struct AssemblySite {
   std::span<netsim::LanSegment* const> lans;
   std::uint32_t* mac_ids = nullptr;
 
-  /// The next MAC id (see netsim::mac_of_id) this site hands out.
-  [[nodiscard]] std::uint32_t draw_mac_id() const {
-    return mac_ids != nullptr ? (*mac_ids)++ : net.draw_mac_id();
+  /// Draws the next `count` MAC ids (see netsim::mac_of_id) this site
+  /// hands out and returns the first.
+  [[nodiscard]] std::uint32_t draw_mac_ids(std::uint32_t count = 1) const {
+    if (mac_ids == nullptr) return net.draw_mac_ids(count);
+    const std::uint32_t first = *mac_ids;
+    *mac_ids += count;
+    return first;
   }
 };
 
@@ -78,57 +79,68 @@ struct AssemblySite {
 
 class PlannedHosts;
 
-/// Plans host ordinal `ordinal` of `hosts`' plan on its LAN in `site`: the
-/// station's attach position, the next MAC and topology_host_ip(ordinal)
-/// are reserved, and its index entries filed; nothing is built (see
-/// PlannedHosts). Hosts are planned in ordinal order, back to back, so the
-/// k-th host's MAC id is the first host's plus k.
-void assemble_host(const AssemblySite& site, PlannedHosts& hosts, std::size_t ordinal);
+/// Plans LAN `lan`'s hosts of `hosts`' plan in `site` as one block (see
+/// netsim::LanSegment::plan_block): their attach positions, their MAC ids,
+/// drawn at once, and their addresses, topology_host_ip of each ordinal,
+/// are reserved; nothing is built (see PlannedHosts). LANs are planned in
+/// order, back to back, so host k's MAC id is host 0's plus k.
+void assemble_hosts(const AssemblySite& site, PlannedHosts& hosts, std::size_t lan);
 
-/// The hosts of a built topology. Each is planned on its LAN at build time
-/// (assemble_host) and built -- its NIC, then its HostStack, in the arena
-/// of the site it was planned in -- when its LAN first hands it a frame or
-/// when host() first asks for it. Building a host schedules nothing and
-/// draws no random value, and gives it the name, MAC, address and queue
-/// limit an eager build gave, so when a host is built never shows in a
-/// run. Pinned: its LANs' station factories point at it.
+/// The hosts of a built topology. Each LAN's hosts are planned as one block
+/// at build time (assemble_hosts), and each host is built -- its NIC, then
+/// its HostStack, in the arena of the site its LAN was planned in -- when
+/// its LAN first hands it a frame or when host() first asks for it.
+/// Building a host schedules nothing and draws no random value, and gives
+/// it the name, MAC, address and queue limit an eager build gave, so when
+/// a host is built never shows in a run. Only built hosts are recorded, per
+/// LAN, and a LAN's record is written only by the region that owns the
+/// LAN. Pinned: its LANs' station factories point at it.
 class PlannedHosts {
  public:
   PlannedHosts(const netsim::Topology& shape, std::size_t tx_queue_limit);
   PlannedHosts(const PlannedHosts&) = delete;
   PlannedHosts& operator=(const PlannedHosts&) = delete;
 
-  /// Host at plan ordinal `i`, built now if it has not been.
+  /// Host at plan ordinal `i`, built now if it has not been. Throws
+  /// std::out_of_range for i >= size().
   [[nodiscard]] stack::HostStack& host(std::size_t i);
-  [[nodiscard]] std::size_t size() const { return hosts_.size(); }
+  [[nodiscard]] std::size_t size() const { return shape_.host_count(); }
   /// Hosts built so far.
   [[nodiscard]] std::size_t built() const;
 
  private:
-  friend void assemble_host(const AssemblySite& site, PlannedHosts& hosts,
-                            std::size_t ordinal);
+  friend void assemble_hosts(const AssemblySite& site, PlannedHosts& hosts,
+                             std::size_t lan);
 
-  /// Where one plan LAN's hosts are built: the site they were planned in.
-  struct Site {
+  /// One built host: its index on its LAN and its stack.
+  struct Built {
+    std::uint32_t index = 0;
+    stack::HostStack* host = nullptr;
+  };
+  /// One plan LAN: the site its hosts are built in, and the hosts built so
+  /// far, ascending by index.
+  struct Lan {
     netsim::Network* net = nullptr;
     netsim::Arena* arena = nullptr;
-    netsim::LanSegment* lan = nullptr;
+    netsim::LanSegment* segment = nullptr;
+    std::vector<Built> built;
   };
 
   /// The station factory every LAN with planned hosts calls: builds host
   /// `ordinal` and returns its NIC, unattached, for the LAN to seat.
   static netsim::Nic& build(void* self, std::uint32_t ordinal);
+  /// Where host `index` of `lan` is or would be recorded.
+  [[nodiscard]] static std::vector<Built>::iterator slot(Lan& lan, std::uint32_t index);
 
   const netsim::Topology& shape_;
   std::size_t tx_queue_limit_;
-  std::vector<Site> sites_;               ///< per plan LAN
-  std::vector<stack::HostStack*> hosts_;  ///< per ordinal; null until built
-  std::uint32_t first_mac_id_ = 0;        ///< host 0's MAC id
+  std::vector<Lan> lans_;           ///< per plan LAN
+  std::uint32_t first_mac_id_ = 0;  ///< host 0's MAC id
 };
 
 /// A built topology: the netsim wiring plan, the segments created from it,
 /// and the assembled nodes. Bridges and hosts are positionally aligned
-/// with shape.node_lans / shape.hosts.
+/// with shape.node_lans / shape.host(i).
 ///
 /// Station state (each host's NIC + HostStack, built when the host first
 /// acts) lives in `arena`, not in per-object heap nodes: a big cell is a
@@ -162,8 +174,8 @@ struct BridgedTopology {
 
   /// Bridge at node position `i` (aligned with shape.node_lans).
   [[nodiscard]] BridgeNode& bridge(std::size_t i) { return *bridges[i]; }
-  /// Host at attachment ordinal `i` (aligned with shape.hosts), built now
-  /// if it has not been.
+  /// Host at attachment ordinal `i` (aligned with shape.host(i)), built
+  /// now if it has not been.
   [[nodiscard]] stack::HostStack& host(std::size_t i) { return hosts_.host(i); }
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   /// Hosts built so far.

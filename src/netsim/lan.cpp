@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "src/ether/arp_header.h"
+#include "src/netsim/network.h"
 #include "src/netsim/nic.h"
 
 namespace ab::netsim {
@@ -114,11 +115,14 @@ bool LanSegment::classify(const ether::WireFrame& frame) {
   if (!parsed.dst.is_group()) {
     // Unicast: the station(s) owning the MAC. The key is the MAC's low 32
     // bits, so confirm the whole address on the NIC that matched -- the
-    // destination, which is handed the frame anyway. A planned station
-    // under the key is built first (one whose MAC differs only above the
-    // low 32 bits is built, then left out).
-    by_mac_.find(static_cast<std::uint32_t>(parsed.dst.value()), targets_);
-    build_targets();
+    // destination, which is handed the frame anyway. A planned station's
+    // MAC is mac_of_id of its key, checked whole before it is built.
+    const auto key = static_cast<std::uint32_t>(parsed.dst.value());
+    by_mac_.find(key, targets_);
+    if (planned_ > 0 && parsed.dst == mac_of_id(key)) {
+      const BlockIt block = find_block(&Block::mac_id, key);
+      if (block != blocks_.end()) target_planned(block, key - block->mac_id);
+    }
     std::erase_if(targets_, [&](std::uint32_t at) {
       return nics_[at] == nullptr || nics_[at]->mac() != parsed.dst;
     });
@@ -130,8 +134,14 @@ bool LanSegment::classify(const ether::WireFrame& frame) {
       build_all();
       return true;
     }
-    by_ipv4_.find(ether::arp_target_ipv4(parsed.payload), targets_);
-    build_targets();
+    const std::uint32_t target = ether::arp_target_ipv4(parsed.payload);
+    by_ipv4_.find(target, targets_);
+    if (planned_ > 0) {
+      if (const std::optional<std::uint32_t> ordinal = topology_host_ordinal(target)) {
+        const BlockIt block = find_block(&Block::ordinal, *ordinal);
+        if (block != blocks_.end()) target_planned(block, *ordinal - block->ordinal);
+      }
+    }
     return false;
   }
   // IPv4 to a group MAC: every station parses the header. Stations ignore
@@ -141,58 +151,90 @@ bool LanSegment::classify(const ether::WireFrame& frame) {
   return true;
 }
 
-Nic& LanSegment::build_slot(std::uint32_t at) {
-  Nic& nic = factory_(factory_context_, tickets_[at]);
-  assert(nic.segment_ == nullptr && indexed(nic) &&
-         "a planned station's NIC is built unattached, as a station");
-  tickets_[at] = kNoTicket;
+LanSegment::BlockIt LanSegment::find_block(std::uint32_t Block::*field,
+                                           std::uint32_t key) {
+  // The last block starting at or below `key`; it holds `key` when `key`
+  // falls inside its count.
+  auto it = std::upper_bound(blocks_.begin(), blocks_.end(), key,
+                             [field](std::uint32_t k, const Block& b) { return k < b.*field; });
+  if (it == blocks_.begin()) return blocks_.end();
+  --it;
+  return key - (*it).*field < it->count ? it : blocks_.end();
+}
+
+std::uint32_t LanSegment::build_planned(BlockIt block, std::uint32_t k) {
+  const Block b = *block;
+  const std::uint32_t at = b.position + k;
+  Nic& nic = factory_(factory_context_, b.ordinal + k);
+  assert(nic.segment_ == nullptr && !nic.promiscuous_ &&
+         nic.mac() == mac_of_id(b.mac_id + k) &&
+         nic.station_ipv4_ == topology_host_ipv4(b.ordinal + k) &&
+         "a planned station's NIC is built unattached, as its block says");
+  // The station leaves its block for good: the block shrinks or splits.
+  if (b.count == 1) {
+    blocks_.erase(block);
+  } else if (k == 0) {
+    *block = Block{b.position + 1, b.count - 1, b.ordinal + 1, b.mac_id + 1};
+  } else if (k == b.count - 1) {
+    block->count -= 1;
+  } else {
+    block->count = k;
+    blocks_.insert(block + 1, Block{at + 1, b.count - k - 1, b.ordinal + k + 1,
+                                    b.mac_id + k + 1});
+  }
   planned_ -= 1;
+  stations_ -= 1;  // file_nic counts it again, as an attached station
   nic.segment_ = this;
   nic.lan_index_ = at;
   nics_[at] = &nic;
-  return nic;
+  file_nic(nic);
+  return at;
 }
 
-void LanSegment::build_targets() {
-  if (planned_ == 0) return;
-  for (const std::uint32_t at : targets_) {
-    if (tickets_[at] != kNoTicket) build_slot(at);
-  }
+void LanSegment::target_planned(BlockIt block, std::uint32_t k) {
+  const std::uint32_t at = build_planned(block, k);
+  targets_.insert(std::upper_bound(targets_.begin(), targets_.end(), at), at);
 }
 
 void LanSegment::build_all() {
-  for (std::uint32_t at = 0; planned_ > 0 && at < tickets_.size(); ++at) {
-    if (tickets_[at] != kNoTicket) build_slot(at);
-  }
+  // Front to back: each build shrinks the first block from its front.
+  while (!blocks_.empty()) build_planned(blocks_.begin(), 0);
 }
 
-void LanSegment::plan_station(ether::MacAddress mac, std::uint32_t ipv4,
-                              std::uint32_t ticket) {
+void LanSegment::plan_block(std::uint32_t first_mac_id, std::uint32_t first_ordinal,
+                            std::uint32_t count) {
   if (factory_ == nullptr) {
     throw std::logic_error("LanSegment " + name_ +
-                           ": a station planned without a factory");
+                           ": stations planned without a factory");
   }
-  if (ipv4 == 0 || ticket == kNoTicket) {
-    throw std::invalid_argument("LanSegment " + name_ +
-                                ": a planned station needs an address and a ticket");
+  if (count == 0) return;
+  const auto bad = [&](const char* what) {
+    throw std::invalid_argument("LanSegment " + name_ + ": planned stations " + what);
+  };
+  // The last station's address must exist: this throws past the slice.
+  (void)topology_host_ipv4(std::size_t{first_ordinal} + count - 1);
+  if (first_mac_id == 0 || std::uint64_t{first_mac_id} + count > (std::uint64_t{1} << 32)) {
+    bad("need MAC ids in [1, 2^32)");
   }
-  const auto at = static_cast<std::uint32_t>(nics_.size());
-  nics_.push_back(nullptr);
-  tickets_.push_back(ticket);
-  by_mac_.add(static_cast<std::uint32_t>(mac.value()), at);
-  by_ipv4_.add(ipv4, at);
-  stations_ += 1;
-  planned_ += 1;
+  if (!blocks_.empty() && (first_ordinal < blocks_.back().ordinal + blocks_.back().count ||
+                           first_mac_id < blocks_.back().mac_id + blocks_.back().count)) {
+    bad("must ascend in ordinal and MAC id");
+  }
+  if (nics_.size() + count > kGone) bad("overflow the attach positions");
+  blocks_.push_back(Block{static_cast<std::uint32_t>(nics_.size()), count, first_ordinal,
+                          first_mac_id});
+  nics_.resize(nics_.size() + count, nullptr);
+  stations_ += count;
+  planned_ += count;
 }
 
-Nic& LanSegment::build_station(ether::MacAddress mac, std::uint32_t ticket) {
-  std::vector<std::uint32_t> under_key;
-  by_mac_.find(static_cast<std::uint32_t>(mac.value()), under_key);
-  for (const std::uint32_t at : under_key) {
-    if (tickets_[at] == ticket) return build_slot(at);
+Nic& LanSegment::build_station(std::uint32_t ordinal) {
+  const BlockIt block = find_block(&Block::ordinal, ordinal);
+  if (block == blocks_.end()) {
+    throw std::logic_error("LanSegment " + name_ + ": no unbuilt station " +
+                           std::to_string(ordinal) + " is planned here");
   }
-  throw std::logic_error("LanSegment " + name_ + ": no station planned under " +
-                         mac.to_string() + " and that ticket");
+  return *nics_[build_planned(block, ordinal - block->ordinal)];
 }
 
 std::uint32_t LanSegment::snapshot_run(const ether::WireFrame& frame,
@@ -370,7 +412,6 @@ void LanSegment::attach_nic(Nic& nic) {
   // push_backs, not a million membership scans.
   nic.lan_index_ = static_cast<std::uint32_t>(nics_.size());
   nics_.push_back(&nic);
-  tickets_.push_back(kNoTicket);
   file_nic(nic);
 }
 
@@ -415,17 +456,21 @@ void LanSegment::detach_nic(Nic& nic) {
 void LanSegment::compact_nics() {
   std::vector<std::uint32_t> new_position(nics_.size(), kGone);
   std::size_t w = 0;
+  auto block = blocks_.begin();
   for (std::size_t i = 0; i < nics_.size(); ++i) {
     Nic* nic = nics_[i];
-    if (nic == nullptr && tickets_[i] == kNoTicket) continue;  // tombstone
+    if (nic == nullptr) {
+      // A null slot is a planned station inside a block, or a tombstone.
+      while (block != blocks_.end() && block->position + block->count <= i) ++block;
+      if (block == blocks_.end() || block->position > i) continue;  // tombstone
+    }
     new_position[i] = static_cast<std::uint32_t>(w);
     if (nic != nullptr) nic->lan_index_ = static_cast<std::uint32_t>(w);
-    tickets_[w] = tickets_[i];  // a planned slot keeps its ticket
     nics_[w++] = nic;
   }
   nics_.resize(w);
-  tickets_.resize(w);
   dead_nics_ = 0;
+  for (Block& b : blocks_) b.position = new_position[b.position];
   std::size_t walk = 0;
   for (const std::uint32_t at : walk_) {
     if (new_position[at] != kGone) walk_[walk++] = new_position[at];

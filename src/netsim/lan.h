@@ -4,11 +4,14 @@
 //
 // Who is handed a frame. As on the paper's testbed, only the bridge ports
 // listen promiscuously; an end station discards what is not addressed to
-// it. The segment therefore keeps its NICs in two sets:
+// it. The segment therefore keeps its stations apart from its other NICs:
 //
 //   * indexed stations: NICs whose owner declared the station contract
 //     (Nic::set_station_ipv4, which HostStack calls) and that are not
 //     promiscuous, looked up by MAC and by IPv4 address;
+//   * planned stations: blocks of reserved slots whose stations are built
+//     when a frame first concerns them (plan_block), found by arithmetic
+//     on the MAC or the address, then indexed like any other;
 //   * the walk list: every other NIC -- bridge ports, bare NICs, traffic
 //     generators, promiscuous stations -- in attach order.
 //
@@ -90,7 +93,7 @@ class LanSegment {
   /// Every attached NIC, stations included, in attach order. Holds nullptr
   /// for a planned station not yet built and for the tombstone of a
   /// recently detached NIC (tombstones are compacted away once they
-  /// dominate).
+  /// dominate; planned slots never are).
   [[nodiscard]] const std::vector<Nic*>& attached() const { return nics_; }
   /// Attached NICs plus planned stations not yet built.
   [[nodiscard]] std::size_t attached_count() const { return nics_.size() - dead_nics_; }
@@ -161,22 +164,27 @@ class LanSegment {
   /// (asserted).
   void inject_remote(const ether::WireFrame& frame, TimePoint deliver_at);
 
-  /// Builds the station planned under `ticket` and returns its NIC, built
-  /// unattached, with the MAC and station IPv4 its slot was planned with;
-  /// the segment then seats it in the slot. Must not touch this segment.
-  using StationFactory = Nic& (*)(void* context, std::uint32_t ticket);
+  /// Builds planned station `ordinal` (see plan_block) and returns its NIC,
+  /// built unattached, with the MAC and station IPv4 its block gives it;
+  /// the segment then seats it in its slot. Must not touch this segment.
+  using StationFactory = Nic& (*)(void* context, std::uint32_t ordinal);
   /// Installs the factory planned stations are built with.
   void set_station_factory(StationFactory factory, void* context) {
     factory_ = factory;
     factory_context_ = context;
   }
-  /// Reserves the next attach position for a station built later by the
-  /// factory, under `ticket`, and files its index entries under `mac` and
-  /// `ipv4` (nonzero). Tickets must be unique on the segment.
-  void plan_station(ether::MacAddress mac, std::uint32_t ipv4, std::uint32_t ticket);
-  /// Builds the station planned with `mac` under `ticket` and returns its
-  /// NIC. Throws std::logic_error when no such station is planned.
-  Nic& build_station(ether::MacAddress mac, std::uint32_t ticket);
+  /// Reserves the next `count` attach positions for stations the factory
+  /// builds later, as one block: the k-th is host ordinal
+  /// `first_ordinal + k` of the address plan (station IPv4
+  /// topology_host_ipv4 of it, see network.h) with MAC
+  /// mac_of_id(first_mac_id + k). The block files no entry per station:
+  /// a frame finds a planned station by arithmetic on its MAC or its
+  /// address. Blocks on one segment ascend in both ordinal and MAC id.
+  void plan_block(std::uint32_t first_mac_id, std::uint32_t first_ordinal,
+                  std::uint32_t count);
+  /// Builds planned station `ordinal` and returns its NIC. Throws
+  /// std::logic_error when no unbuilt station of that ordinal is planned.
+  Nic& build_station(std::uint32_t ordinal);
 
   // Nic::attach/detach call these.
   void attach_nic(Nic& nic);
@@ -218,18 +226,34 @@ class LanSegment {
     std::size_t sorted_ = 0;  ///< entries_[0, sorted_) are sorted
   };
   static constexpr std::uint32_t kGone = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kNoTicket = 0xFFFFFFFFu;
+
+  /// Planned stations not yet built, in consecutive attach positions:
+  /// station k of the block sits at `position + k`, is host `ordinal + k`
+  /// and has MAC id `mac_id + k`. A built station leaves its block, which
+  /// shrinks or splits around it, so every slot a block covers is null.
+  /// Blocks ascend in position, ordinal and MAC id alike.
+  struct Block {
+    std::uint32_t position = 0;
+    std::uint32_t count = 0;
+    std::uint32_t ordinal = 0;
+    std::uint32_t mac_id = 0;
+  };
+  using BlockIt = std::vector<Block>::iterator;
 
   /// Classifies `frame` (see the file comment): true when it goes to
   /// every station, each planned one now built; otherwise leaves the
   /// positions of the stations it concerns in targets_, ascending (empty:
   /// none), each planned one now built.
   [[nodiscard]] bool classify(const ether::WireFrame& frame);
-  /// Builds the station planned at position `at` and seats its NIC there.
-  Nic& build_slot(std::uint32_t at);
-  /// Builds every planned station at the positions in targets_.
-  void build_targets();
-  /// Builds every planned station (the full walk's case).
+  /// The block whose `field` range holds `key`, or blocks_.end().
+  [[nodiscard]] BlockIt find_block(std::uint32_t Block::*field, std::uint32_t key);
+  /// Builds station `k` of `block`, seats its NIC in its slot and files
+  /// it as an attached station. Returns the slot's position.
+  std::uint32_t build_planned(BlockIt block, std::uint32_t k);
+  /// Builds the station `k` of `block` a frame concerns and adds it to
+  /// targets_ in attach order.
+  void target_planned(BlockIt block, std::uint32_t k);
+  /// Builds every planned station, in attach order (the full walk's case).
   void build_all();
   /// True when `nic` belongs in the index rather than the walk list.
   [[nodiscard]] static bool indexed(const Nic& nic);
@@ -286,8 +310,8 @@ class LanSegment {
   /// Compares stored pointers only -- `nic` may point at a destroyed NIC.
   [[nodiscard]] bool still_attached(const Nic* nic) const;
   /// Drops the tombstones, renumbering the survivors' back-indices, the
-  /// planned slots, the walk list and the index. Attach order (and so
-  /// loss-draw order) is preserved.
+  /// blocks, the walk list and the index. Attach order (and so loss-draw
+  /// order) is preserved; a block keeps its slots together.
   void compact_nics();
 
   Scheduler* scheduler_;
@@ -307,6 +331,7 @@ class LanSegment {
   /// Attached NICs currently in the index, planned stations included.
   std::size_t stations_ = 0;
   std::size_t planned_ = 0;  ///< planned stations not yet built
+  std::vector<Block> blocks_;
   std::vector<std::uint32_t> targets_;  ///< classify()'s output, reused
   util::Rng rng_;
   FrameTap tap_;
@@ -316,9 +341,6 @@ class LanSegment {
   std::uint32_t free_run_ = kNoRun;
   std::uint64_t detach_epoch_ = 0;   ///< bumped by every detach_nic
   std::uint64_t compact_epoch_ = 0;  ///< bumped by every compact_nics
-  /// Parallel to nics_: a planned station's ticket in its (null) slot,
-  /// kNoTicket everywhere else.
-  std::vector<std::uint32_t> tickets_;
   StationFactory factory_ = nullptr;
   void* factory_context_ = nullptr;
 };

@@ -31,7 +31,7 @@ LanSegment& Network::add_segment(Arena& arena, const std::string& name,
 }
 
 Nic& Network::add_nic(NicName name, LanSegment& segment) {
-  return add_nic(std::move(name), segment, mac_of_id(draw_mac_id()));
+  return add_nic(std::move(name), segment, mac_of_id(draw_mac_ids()));
 }
 
 Nic& Network::add_nic(NicName name, LanSegment& segment, ether::MacAddress mac) {
@@ -42,7 +42,7 @@ Nic& Network::add_nic(NicName name, LanSegment& segment, ether::MacAddress mac) 
 }
 
 Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment) {
-  return add_nic(arena, std::move(name), segment, mac_of_id(draw_mac_id()));
+  return add_nic(arena, std::move(name), segment, mac_of_id(draw_mac_ids()));
 }
 
 Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment,
@@ -55,6 +55,56 @@ Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment,
 LanSegment* Network::find_segment(const std::string& name) const {
   const auto it = segments_by_name_.find(name);
   return it != segments_by_name_.end() ? it->second : nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// Address plan
+
+namespace {
+
+constexpr std::uint32_t kLowOctets = 254;  ///< .1 through .254
+constexpr std::uint32_t kHostSecondOctets = 254;
+constexpr std::uint32_t kLoaderSecondOctet = 254;
+constexpr std::uint32_t kAdminSecondOctet = 255;
+
+/// Maps an ordinal into the 10.<base + span>.x.y slice, skipping low octets
+/// 0 and 255.
+std::uint32_t slice_ipv4(std::uint32_t second_octet_base, std::size_t ordinal,
+                         std::uint32_t second_octet_span, const char* what) {
+  const std::size_t rest = ordinal / kLowOctets;
+  if (rest / 256 >= second_octet_span) {
+    throw std::invalid_argument(std::string("topology address plan: ") + what +
+                                " ordinal overflows its 10/8 slice");
+  }
+  const auto low = static_cast<std::uint32_t>(ordinal % kLowOctets) + 1;
+  const auto third = static_cast<std::uint32_t>(rest % 256);
+  const auto second = second_octet_base + static_cast<std::uint32_t>(rest / 256);
+  return (10u << 24) | (second << 16) | (third << 8) | low;
+}
+
+}  // namespace
+
+std::uint32_t topology_host_ipv4(std::size_t ordinal) {
+  return slice_ipv4(0, ordinal, kHostSecondOctets, "host");
+}
+
+std::optional<std::uint32_t> topology_host_ordinal(std::uint32_t ipv4) {
+  const std::uint32_t first = ipv4 >> 24;
+  const std::uint32_t second = (ipv4 >> 16) & 0xFF;
+  const std::uint32_t third = (ipv4 >> 8) & 0xFF;
+  const std::uint32_t low = ipv4 & 0xFF;
+  if (first != 10 || second >= kHostSecondOctets || low == 0 || low > kLowOctets) {
+    return std::nullopt;
+  }
+  return (second * 256 + third) * kLowOctets + (low - 1);
+}
+
+std::uint32_t topology_loader_ipv4(std::size_t ordinal) {
+  return slice_ipv4(kLoaderSecondOctet, ordinal, 1, "loader");
+}
+
+std::uint32_t topology_admin_ipv4(std::size_t ordinal) {
+  return slice_ipv4(kAdminSecondOctet, ordinal, 1, "admin");
 }
 
 // ---------------------------------------------------------------------------
@@ -258,6 +308,15 @@ int tree_up_segment(int node, int arity) {
 
 std::string Topology::HostAttach::name() const { return key().str(); }
 
+Topology::HostAttach Topology::host(std::size_t k) const {
+  if (k >= host_count()) {
+    throw std::out_of_range(util::format("Topology %s: host ordinal %zu of %zu",
+                                         spec.label().c_str(), k, host_count()));
+  }
+  const auto n = static_cast<std::size_t>(spec.hosts_per_lan);
+  return HostAttach{static_cast<int>(k / n), static_cast<int>(k % n)};
+}
+
 NicName Topology::HostAttach::key() const {
   return NicName::host(static_cast<std::uint32_t>(lan),
                        static_cast<std::uint32_t>(index));
@@ -361,13 +420,6 @@ Topology TopologyBuilder::build(const TopologySpec& spec) {
     }
   }
 
-  topo.hosts.reserve(static_cast<std::size_t>(segments) *
-                     static_cast<std::size_t>(spec.hosts_per_lan));
-  for (int l = 0; l < segments; ++l) {
-    for (int h = 0; h < spec.hosts_per_lan; ++h) {
-      topo.hosts.push_back(Topology::HostAttach{l, h});
-    }
-  }
   return topo;
 }
 

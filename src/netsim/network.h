@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -31,9 +32,28 @@ namespace ab::netsim {
 
 /// The MAC of the NIC addressed by `id`: Network's counter and the
 /// topology builders both number NICs from 1 and address them this way.
+/// Its low 32 bits are `id` itself.
 [[nodiscard]] inline ether::MacAddress mac_of_id(std::uint32_t id) {
   return ether::MacAddress::local(id >> 16, id & 0xFFFF);
 }
+
+// ---------------------------------------------------------------------------
+// Address plan. One flat bridged broadcast domain, no subnetting: hosts,
+// bridge loaders, and workload admin stations each get a disjoint slice of
+// 10/8, assigned by ordinal. Low octets 0 and 255 are skipped everywhere so
+// no assigned address ever looks like a network or broadcast address.
+// Addresses are IPv4 values in host byte order.
+
+/// Address of host ordinal `ordinal` (10.0.0.1 upward; 254 * 256 * 254
+/// stations, up to 10.253.255.254). Throws std::invalid_argument beyond.
+[[nodiscard]] std::uint32_t topology_host_ipv4(std::size_t ordinal);
+/// The inverse of topology_host_ipv4: the host ordinal whose address is
+/// `ipv4`, or nullopt for every address outside the host slice.
+[[nodiscard]] std::optional<std::uint32_t> topology_host_ordinal(std::uint32_t ipv4);
+/// Address of bridge `ordinal`'s network loader (the 10.254.0.0/16 slice).
+[[nodiscard]] std::uint32_t topology_loader_ipv4(std::size_t ordinal);
+/// Address of the `ordinal`-th workload admin/probe station (10.255.0.0/16).
+[[nodiscard]] std::uint32_t topology_admin_ipv4(std::size_t ordinal);
 
 /// Owns every simulator object; destroying the Network ends the simulated
 /// world. Segments and NICs are stable (pointers remain valid for the
@@ -62,9 +82,14 @@ class Network {
   /// detach-on-~Nic contract needs.
   LanSegment& add_segment(Arena& arena, const std::string& name, LanConfig config = {});
 
-  /// Draws the id (see mac_of_id) the next automatically addressed NIC
-  /// would get, creating nothing: a planned station reserves its MAC so.
-  [[nodiscard]] std::uint32_t draw_mac_id() { return next_mac_id_++; }
+  /// Draws `count` consecutive ids (see mac_of_id), creating nothing, and
+  /// returns the first: the ids the next `count` automatically addressed
+  /// NICs would get. A LAN's planned stations reserve their MACs so.
+  [[nodiscard]] std::uint32_t draw_mac_ids(std::uint32_t count = 1) {
+    const std::uint32_t first = next_mac_id_;
+    next_mac_id_ += count;
+    return first;
+  }
 
   /// Creates a NIC with an automatically assigned locally-administered MAC
   /// and attaches it to `segment`.
@@ -156,16 +181,20 @@ struct TopologySpec {
 };
 
 /// The wiring plan for one generated topology, as indices. It creates no
-/// segment: `segments` says what to create, `node_lans` and `hosts` say
-/// what attaches to which segment index.
+/// segment: `segments` says what to create, `node_lans` and the host plan
+/// say what attaches to which segment index.
+///
+/// The host plan stores nothing per host: every segment gets
+/// spec.hosts_per_lan hosts, numbered lan-major (segment 0's hosts, then
+/// segment 1's, ...), so host ordinal k attaches to segment
+/// k / hosts_per_lan as its (k % hosts_per_lan)-th host.
 struct Topology {
   /// One planned segment: what Network::add_segment takes.
   struct Segment {
     std::string name;
     LanConfig config;
   };
-  /// One planned host attachment point. Its name is derived, not stored:
-  /// a million-station plan holds two ints per host, not a string.
+  /// One planned host attachment point. Its name is derived, not stored.
   struct HostAttach {
     int lan = 0;    ///< index into `segments`
     int index = 0;  ///< host ordinal on that segment
@@ -174,13 +203,30 @@ struct Topology {
     /// "host<lan>_<index>": the station NIC's name.
     [[nodiscard]] std::string name() const;
   };
+  /// The host ordinals [first, first + count) of one segment.
+  struct HostRange {
+    std::size_t first = 0;
+    std::size_t count = 0;
+  };
 
   TopologySpec spec;
   std::vector<Segment> segments;
   /// node_lans[i] lists the segment indices node i bridges, in port order.
   std::vector<std::vector<int>> node_lans;
   std::vector<std::string> node_names;
-  std::vector<HostAttach> hosts;
+
+  /// Host attachment points over every segment.
+  [[nodiscard]] std::size_t host_count() const {
+    return segments.size() * static_cast<std::size_t>(spec.hosts_per_lan);
+  }
+  /// Where host ordinal `k` attaches. Throws std::out_of_range for
+  /// k >= host_count().
+  [[nodiscard]] HostAttach host(std::size_t k) const;
+  /// The host ordinals on segment `lan`.
+  [[nodiscard]] HostRange lan_hosts(std::size_t lan) const {
+    const auto n = static_cast<std::size_t>(spec.hosts_per_lan);
+    return {lan * n, n};
+  }
 };
 
 /// Generates wiring plans for TopologySpecs. Pure netsim: the caller (or

@@ -237,7 +237,7 @@ TEST(ParallelSweep, ShardedRingAgreesOnSteadyStateAndWithItself) {
 TEST(ParallelSweep, OneRegionBuildEqualsSingleNetworkBuildExactly) {
   // The reference for the sharded builder. Both builders read the same
   // index plan (TopologyBuilder::build) and assemble every bridge and host
-  // through the same assemble_bridge / assemble_host; they differ only in
+  // through the same assemble_bridge / assemble_hosts; they differ only in
   // where segments live (Network-owned vs arena replicas) and where MACs
   // come from (the Network's counter vs the cell's global one). So at one
   // region build_sharded_topology must assemble exactly what

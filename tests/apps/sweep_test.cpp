@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "src/util/rng.h"
 
 namespace ab::apps {
 namespace {
@@ -358,6 +364,99 @@ TEST(AggregateHostWorkload, BuildsOnlyTheStationsThatActOrAreAskedFor) {
   EXPECT_EQ(count.after, 9u * per_lan);
   EXPECT_GT(r.pings_sent, 0);
   EXPECT_EQ(r.pings_answered, r.pings_sent);
+}
+
+
+/// Checks the context's host views on the cell it is handed.
+class CheckHostViews final : public Workload {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "check-host-views"; }
+  void run(WorkloadContext& ctx, SweepResult& /*result*/) override {
+    const std::size_t n = ctx.host_count();
+    ASSERT_GT(n, 0u);
+    std::size_t next = 0;
+    for (std::size_t l = 0; l < ctx.lan_count(); ++l) {
+      const netsim::Topology::HostRange range = ctx.lan_hosts(l);
+      EXPECT_EQ(range.first, next) << "lan " << l;
+      for (std::size_t i = range.first; i < range.first + range.count; ++i) {
+        EXPECT_EQ(ctx.host_lan(i), l) << "host " << i;
+        EXPECT_EQ(ctx.host_attach(i).name,
+                  "host" + std::to_string(l) + "_" + std::to_string(i - range.first));
+      }
+      next += range.count;
+    }
+    EXPECT_EQ(next, n);
+    EXPECT_THROW((void)ctx.host_attach(n), std::out_of_range);
+    EXPECT_THROW((void)ctx.host_lan(n), std::out_of_range);
+    EXPECT_THROW((void)ctx.host(n), std::out_of_range);
+    EXPECT_EQ(ctx.sharded->hosts_built(), 0u);
+    checked = true;
+  }
+  bool checked = false;
+};
+
+TEST(WorkloadContext, HostViewsFollowThePlanAndThrowPastTheLastHost) {
+  netsim::TopologySpec spec;
+  spec.shape = netsim::TopologyShape::kRing;
+  spec.nodes = 3;
+  spec.hosts_per_lan = 4;
+  CheckHostViews check;
+  TopologySweep sweep;
+  (void)sweep.run_cell(spec, check);
+  EXPECT_TRUE(check.checked);
+}
+
+/// Names of the built station NICs on every LAN of the cell, after the
+/// inner workload ran.
+class BuiltStations final : public Workload {
+ public:
+  explicit BuiltStations(Workload& inner) : inner_(inner) {}
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+  void run(WorkloadContext& ctx, SweepResult& result) override {
+    inner_.run(ctx, result);
+    for (std::size_t l = 0; l < ctx.lan_count(); ++l) {
+      for (const netsim::Nic* nic : ctx.sharded->owner_region(l).replicas[l]->attached()) {
+        if (nic != nullptr && nic->name().starts_with("host")) names.insert(nic->name());
+      }
+    }
+  }
+  std::set<std::string> names;
+
+ private:
+  Workload& inner_;
+};
+
+// The background sample is a partial Fisher-Yates over each LAN's idle
+// ordinals. Drawn here over a copied vector of them, with the same seed and
+// the same calls, it must pick the stations the workload built.
+TEST(AggregateHostWorkload, SamplesTheStationsACopiedFisherYatesPicks) {
+  netsim::TopologySpec spec;
+  spec.shape = netsim::TopologyShape::kStar;
+  spec.nodes = 3;
+  spec.hosts_per_lan = 40;
+  AggregateHostWorkload::Options opts;
+  opts.seed = 23;
+  AggregateHostWorkload aggregate(opts);
+  BuiltStations built(aggregate);
+  TopologySweep sweep;
+  (void)sweep.run_cell(spec, built);
+
+  std::set<std::string> expected;
+  util::Rng rng(opts.seed);
+  const auto talkers = static_cast<std::size_t>(opts.talkers_per_lan);
+  for (std::size_t l = 0; l < 4; ++l) {
+    for (std::size_t k = 0; k < talkers; ++k) {
+      expected.insert("host" + std::to_string(l) + "_" + std::to_string(k));
+    }
+    std::vector<std::size_t> idle;
+    for (std::size_t k = talkers; k < 40; ++k) idle.push_back(k);
+    for (std::size_t j = 0; j < static_cast<std::size_t>(opts.background_per_lan); ++j) {
+      const std::size_t pick = j + rng.index(idle.size() - j);
+      std::swap(idle[j], idle[pick]);
+      expected.insert("host" + std::to_string(l) + "_" + std::to_string(idle[j]));
+    }
+  }
+  EXPECT_EQ(built.names, expected);
 }
 
 }  // namespace

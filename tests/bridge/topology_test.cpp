@@ -19,6 +19,8 @@
 #include "src/bridge/sharded_topology.h"
 #include "src/netsim/parallel_runner.h"
 #include "src/netsim/trace.h"
+#include "src/stack/icmp.h"
+#include "src/stack/ipv4.h"
 
 namespace ab::bridge {
 namespace {
@@ -328,7 +330,7 @@ TEST(PlannedHosts, HostIsIdempotentAndKeepsTheEagerIdentity) {
     stack::HostStack& host = topo.host(i);
     EXPECT_EQ(&topo.host(i), &host);
     EXPECT_EQ(topo.hosts_built(), i + 1);
-    const netsim::Topology::HostAttach& at = topo.shape.hosts[i];
+    const netsim::Topology::HostAttach at = topo.shape.host(i);
     EXPECT_EQ(host.nic().name(),
               "host" + std::to_string(at.lan) + "_" + std::to_string(at.index));
     EXPECT_EQ(host.nic().mac(),
@@ -403,7 +405,7 @@ TEST(PlannedHosts, MultiRegionCellBuildsEachHostOnItsOwningRegion) {
   EXPECT_EQ(topo.hosts_built(), 2 * lans);  // the targets, and nobody else
   std::vector<std::size_t> built_on(topo.regions.size(), 0);
   for (const std::size_t target : targets) {
-    const auto l = static_cast<std::size_t>(topo.shape.hosts[target].lan);
+    const auto l = static_cast<std::size_t>(topo.shape.host(target).lan);
     ShardedTopology::Region& owner = topo.owner_region(l);
     stack::HostStack& host = topo.host(target);
     EXPECT_EQ(&host.scheduler(), &owner.net.scheduler()) << "host " << target;
@@ -417,6 +419,104 @@ TEST(PlannedHosts, MultiRegionCellBuildsEachHostOnItsOwningRegion) {
         << "region " << r;
     EXPECT_GT(built_on[r], 0u) << "region " << r;
   }
+}
+
+
+TEST(PlannedHosts, HostPastTheLastOrdinalThrowsOutOfRange) {
+  netsim::Network net;
+  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kStar, 3, 4));
+  EXPECT_THROW((void)topo.host(topo.host_count()), std::out_of_range);
+  ShardedTopology sharded = build_sharded_topology(spec_of(netsim::TopologyShape::kRing, 4, 2), 2);
+  EXPECT_THROW((void)sharded.host(sharded.host_count()), std::out_of_range);
+  EXPECT_THROW((void)sharded.host(sharded.host_count() + 1000), std::out_of_range);
+  EXPECT_EQ(topo.hosts_built(), 0u);
+  EXPECT_EQ(sharded.hosts_built(), 0u);
+}
+
+// Hosts asked for in scrambled order split their LAN's block around
+// themselves; each still lands in its planned slot (the LAN's bridge
+// ports, then its hosts by index) with its planned MAC and address.
+TEST(HostBlocks, HostsAskedOutOfOrderSitInTheirPlannedSlots) {
+  const netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kStar, 4, 5);
+  for (const int regions : {1, 2}) {
+    ShardedTopology topo = build_sharded_topology(spec, regions);
+    const std::size_t n = topo.host_count();
+    ASSERT_EQ(n, 25u);
+    const std::uint32_t first_id = topo.next_mac_id - static_cast<std::uint32_t>(n);
+    for (std::size_t step = 0; step < n; ++step) {
+      const std::size_t i = (step * 7 + 3) % n;  // 7 is coprime to 25
+      stack::HostStack& host = topo.host(i);
+      const netsim::Topology::HostAttach at = topo.shape.host(i);
+      const auto l = static_cast<std::size_t>(at.lan);
+      const netsim::LanSegment& replica = *topo.owner_region(l).replicas[l];
+      const std::size_t ports = replica.attached().size() - 5;
+      EXPECT_EQ(replica.attached()[ports + static_cast<std::size_t>(at.index)], &host.nic())
+          << regions << " regions, host " << i;
+      EXPECT_EQ(host.nic().mac(), netsim::mac_of_id(first_id + static_cast<std::uint32_t>(i)));
+      EXPECT_EQ(host.ip(), topology_host_ip(i));
+      EXPECT_EQ(topo.hosts_built(), step + 1);
+    }
+    for (std::size_t l = 0; l < topo.lan_count(); ++l) {
+      EXPECT_EQ(topo.owner_region(l).replicas[l]->planned_count(), 0u);
+    }
+  }
+}
+
+/// A star cell at `regions` regions after one IPv4 frame to the broadcast
+/// MAC, sent by a probe on lan 1: every LAN's replica takes the full walk,
+/// so each region's worker builds every host its LANs plan.
+struct FullWalk {
+  std::vector<std::uint64_t> frames_carried;  ///< per LAN
+  std::vector<std::uint64_t> host_rx;         ///< per host ordinal
+};
+
+FullWalk full_walk(int regions) {
+  TopologyBuildOptions opts;
+  opts.stp = false;  // a star has no loop; forward from the start
+  ShardedTopology topo =
+      build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 4, 3), regions, {}, opts);
+  ShardedTopology::Region& home = topo.owner_region(1);
+  netsim::Nic& probe = home.net.add_nic(home.arena, "probe", *home.replicas[1],
+                                        netsim::mac_of_id(topo.next_mac_id++));
+  stack::IcmpEcho echo;
+  echo.type = stack::IcmpType::kEchoRequest;
+  stack::Ipv4Header h;
+  h.protocol = static_cast<std::uint8_t>(stack::IpProto::kIcmp);
+  h.src = topology_admin_ip(0);
+  h.dst = topology_admin_ip(1);  // nobody's: every station parses it, none answers
+  util::ByteBuffer packet = echo.encode();
+  h.write_in_place(packet);
+  EXPECT_TRUE(probe.transmit(ether::Frame::ethernet2(ether::MacAddress::broadcast(),
+                                                      probe.mac(), ether::EtherType::kIpv4,
+                                                      std::move(packet))));
+  netsim::ParallelRunner::Options ropts;
+  ropts.threads = regions;
+  ropts.lookahead = topo.plan.lookahead;
+  netsim::ParallelRunner runner(topo.shard_handles(), ropts);
+  runner.run_for(netsim::milliseconds(100));
+
+  FullWalk walk;
+  EXPECT_EQ(topo.hosts_built(), topo.host_count()) << regions << " regions";
+  for (std::size_t l = 0; l < topo.lan_count(); ++l) {
+    walk.frames_carried.push_back(topo.lan_stats(l).frames_carried);
+  }
+  for (std::size_t i = 0; i < topo.host_count(); ++i) {
+    stack::HostStack& host = topo.host(i);
+    const auto l = static_cast<std::size_t>(topo.shape.host(i).lan);
+    ShardedTopology::Region& owner = topo.owner_region(l);
+    EXPECT_EQ(&host.scheduler(), &owner.net.scheduler()) << "host " << i;
+    EXPECT_EQ(host.nic().segment(), owner.replicas[l]) << "host " << i;
+    walk.host_rx.push_back(host.nic().stats().rx_frames);
+  }
+  return walk;
+}
+
+TEST(HostBlocks, MultiRegionFullWalkBuildsEveryHostOnItsOwningRegion) {
+  const FullWalk one = full_walk(1);
+  EXPECT_EQ(one.host_rx, std::vector<std::uint64_t>(15, 1));
+  const FullWalk two = full_walk(2);
+  EXPECT_EQ(two.frames_carried, one.frames_carried);
+  EXPECT_EQ(two.host_rx, one.host_rx);
 }
 
 }  // namespace

@@ -3,11 +3,11 @@
 // Each test builds one segment twice: a bare sender and a promiscuous port
 // on the walk list, then eight stations. The eager world attaches the
 // stations' NICs and HostStacks at once; the planned world reserves their
-// slots with plan_station and builds each through its factory when the
-// segment first hands it a frame or the test asks for it. The same frames
-// must then give the same events, segment counters, NIC counters and
-// host-stack counters in both worlds, and a planned station must be built
-// in exactly its reserved slot.
+// slots as one block (plan_block) and builds each through its factory when
+// the segment first hands it a frame or the test asks for it. The same
+// frames must then give the same events, segment counters, NIC counters
+// and host-stack counters in both worlds, and a planned station must be
+// built in exactly its reserved slot.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -31,8 +31,12 @@ using stack::HostStack;
 using stack::Ipv4Addr;
 
 constexpr std::uint32_t kStations = 8;
+constexpr std::uint32_t kFirstMacId = 100;
+/// Host ordinal of station 0: the address plan gives it 10.3.0.1.
+constexpr std::uint32_t kFirstOrdinal = 3 * 256 * 254;
 
-ether::MacAddress station_mac(std::uint32_t i) { return mac_of_id(100 + i); }
+std::uint32_t station_ordinal(std::uint32_t i) { return kFirstOrdinal + i; }
+ether::MacAddress station_mac(std::uint32_t i) { return mac_of_id(kFirstMacId + i); }
 Ipv4Addr station_ip(std::uint32_t i) {
   return Ipv4Addr(10, 3, 0, static_cast<std::uint8_t>(i + 1));
 }
@@ -47,7 +51,7 @@ struct StationLan {
   std::vector<Nic*> bare;
   bool planned;
   int builds = 0;
-  /// By ticket; the planned world's NICs are created unattached, here.
+  /// By station; the planned world's NICs are created unattached, here.
   std::vector<std::unique_ptr<Nic>> owned_nics;
   std::vector<std::unique_ptr<HostStack>> stacks;
 
@@ -58,14 +62,14 @@ struct StationLan {
       bare.push_back(&net.add_nic("bare" + std::to_string(b), lan,
                                   mac_of_id(10 + static_cast<std::uint32_t>(b))));
     }
-    if (planned) lan.set_station_factory(&StationLan::build, this);
+    if (planned) {
+      lan.set_station_factory(&StationLan::build, this);
+      lan.plan_block(kFirstMacId, kFirstOrdinal, kStations);
+      return;
+    }
     for (std::uint32_t i = 0; i < kStations; ++i) {
-      if (planned) {
-        lan.plan_station(station_mac(i), station_ip(i).value(), i);
-      } else {
-        Nic& nic = net.add_nic("st" + std::to_string(i), lan, station_mac(i));
-        stacks[i] = std::make_unique<HostStack>(net.scheduler(), nic, config(i));
-      }
+      Nic& nic = net.add_nic("st" + std::to_string(i), lan, station_mac(i));
+      stacks[i] = std::make_unique<HostStack>(net.scheduler(), nic, config(i));
     }
   }
 
@@ -75,14 +79,14 @@ struct StationLan {
     return cfg;
   }
 
-  static Nic& build(void* self, std::uint32_t ticket) {
+  static Nic& build(void* self, std::uint32_t ordinal) {
     StationLan& w = *static_cast<StationLan*>(self);
+    const std::uint32_t i = ordinal - kFirstOrdinal;
     w.builds += 1;
-    w.owned_nics[ticket] = std::make_unique<Nic>(
-        w.net.scheduler(), "st" + std::to_string(ticket), station_mac(ticket));
-    w.stacks[ticket] =
-        std::make_unique<HostStack>(w.net.scheduler(), *w.owned_nics[ticket], config(ticket));
-    return *w.owned_nics[ticket];
+    w.owned_nics[i] = std::make_unique<Nic>(w.net.scheduler(), "st" + std::to_string(i),
+                                            station_mac(i));
+    w.stacks[i] = std::make_unique<HostStack>(w.net.scheduler(), *w.owned_nics[i], config(i));
+    return *w.owned_nics[i];
   }
 
   [[nodiscard]] bool built(std::uint32_t i) const { return stacks[i] != nullptr; }
@@ -286,20 +290,114 @@ TEST(PlannedStation, SlotsAndIndexEntriesSurviveCompaction) {
 
   // Asking for a station builds it in its slot; asking twice is an error
   // the caller avoids by remembering what it built.
-  Nic& seven = planned.lan.build_station(station_mac(7), 7);
+  Nic& seven = planned.lan.build_station(station_ordinal(7));
   EXPECT_EQ(planned.lan.attached()[1 + 6], &seven);
-  EXPECT_THROW((void)planned.lan.build_station(station_mac(7), 7), std::logic_error);
+  EXPECT_THROW((void)planned.lan.build_station(station_ordinal(7)), std::logic_error);
 }
 
-TEST(PlannedStation, PlanningNeedsAFactoryAnAddressAndATicket) {
+TEST(PlannedStation, PlanningNeedsAFactoryAndAnAddressRangeInThePlan) {
   Network net;
   LanSegment& lan = net.add_segment("lan");
-  EXPECT_THROW(lan.plan_station(station_mac(0), station_ip(0).value(), 0), std::logic_error);
+  EXPECT_THROW(lan.plan_block(kFirstMacId, kFirstOrdinal, kStations), std::logic_error);
   lan.set_station_factory(&StationLan::build, nullptr);
-  EXPECT_THROW(lan.plan_station(station_mac(0), 0, 0), std::invalid_argument);
-  EXPECT_THROW(lan.plan_station(station_mac(0), station_ip(0).value(), 0xFFFFFFFFu),
-               std::invalid_argument);
+  // The block's last station would fall past the host slice of 10/8.
+  constexpr std::uint32_t kLastHostOrdinal = 254u * 256u * 254u - 1;
+  EXPECT_THROW(lan.plan_block(kFirstMacId, kLastHostOrdinal, 2), std::invalid_argument);
+  // MAC ids are numbered from 1 and must not wrap.
+  EXPECT_THROW(lan.plan_block(0, kFirstOrdinal, 1), std::invalid_argument);
+  EXPECT_THROW(lan.plan_block(0xFFFFFFFFu, kFirstOrdinal, 2), std::invalid_argument);
   EXPECT_EQ(lan.attached_count(), 0u);
+}
+
+TEST(PlannedStation, BlocksAscendInOrdinalAndMacId) {
+  Network net;
+  LanSegment& lan = net.add_segment("lan");
+  lan.set_station_factory(&StationLan::build, nullptr);
+  lan.plan_block(kFirstMacId, kFirstOrdinal, 4);
+  EXPECT_THROW(lan.plan_block(kFirstMacId + 4, kFirstOrdinal + 3, 1), std::invalid_argument);
+  EXPECT_THROW(lan.plan_block(kFirstMacId + 3, kFirstOrdinal + 4, 1), std::invalid_argument);
+  lan.plan_block(kFirstMacId + 10, kFirstOrdinal + 20, 2);
+  lan.plan_block(kFirstMacId + 12, kFirstOrdinal + 22, 0);  // an empty block plans nothing
+  EXPECT_EQ(lan.attached_count(), 6u);
+  EXPECT_EQ(lan.planned_count(), 6u);
+}
+
+// Compaction renumbers a block's first position when NICs attached before
+// it leave: its stations are then found, and built, in their moved slots.
+TEST(PlannedStation, BlockMovesUpWhenTheNicsBeforeItDetach) {
+  StationLan eager(false, 7);
+  StationLan planned(true, 7);
+  for (StationLan* w : {&eager, &planned}) {
+    for (Nic* nic : w->bare) nic->detach();
+    w->port.detach();
+  }
+  // Eight tombstones of seventeen slots: not yet dominant.
+  ASSERT_EQ(planned.lan.attached().size(), 2u + 7u + kStations);
+  expect_same_run(eager, planned, {who_has(station_ip(2))});
+  ASSERT_EQ(planned.builds, 1);
+  EXPECT_EQ(planned.lan.attached()[9 + 2], &planned.stacks[2]->nic());
+  // Station 2 leaves too: tombstones dominate, and the segment compacts
+  // to the sender and the seven stations left.
+  eager.stacks[2]->nic().detach();
+  planned.stacks[2]->nic().detach();
+  ASSERT_EQ(planned.lan.attached().size(), 1u + kStations - 1);
+  EXPECT_EQ(planned.lan.planned_count(), kStations - 1);
+  expect_same_run(eager, planned,
+                  {echo_to(station_mac(0), station_ip(0)), who_has(station_ip(5)),
+                   echo_to(station_mac(7), station_ip(7))});
+  EXPECT_EQ(planned.builds, 4);
+  EXPECT_EQ(planned.lan.attached()[1], &planned.stacks[0]->nic());
+  EXPECT_EQ(planned.lan.attached()[1 + 4], &planned.stacks[5]->nic());
+  EXPECT_EQ(planned.lan.attached()[1 + 6], &planned.stacks[7]->nic());
+  Nic& three = planned.lan.build_station(station_ordinal(3));
+  EXPECT_EQ(planned.lan.attached()[1 + 2], &three);
+  EXPECT_EQ(planned.lan.planned_count(), kStations - 5);
+}
+
+// A built station is an attached one: once it detaches, turns promiscuous
+// or takes another address, frames for its MAC or its planned address
+// never build it again.
+TEST(PlannedStation, BuiltStationThatLeavesOrChangesModeIsNeverRebuilt) {
+  StationLan eager(false);
+  StationLan planned(true);
+  expect_same_run(eager, planned,
+                  {who_has(station_ip(1)), who_has(station_ip(4)), who_has(station_ip(6))});
+  ASSERT_EQ(planned.builds, 3);
+  for (StationLan* w : {&eager, &planned}) {
+    w->stacks[1]->nic().detach();
+    w->stacks[4]->nic().set_promiscuous(true);
+    w->stacks[6]->nic().set_station_ipv4(Ipv4Addr(10, 9, 0, 6).value());
+  }
+  expect_same_run(eager, planned,
+                  {echo_to(station_mac(1), station_ip(1)), who_has(station_ip(1)),
+                   echo_to(station_mac(4), station_ip(4)), who_has(station_ip(4)),
+                   echo_to(station_mac(6), station_ip(6)), who_has(station_ip(6)),
+                   who_has(Ipv4Addr(10, 9, 0, 6))});
+  EXPECT_EQ(planned.builds, 3);
+  EXPECT_EQ(planned.lan.planned_count(), kStations - 3);
+  EXPECT_THROW((void)planned.lan.build_station(station_ordinal(1)), std::logic_error);
+  EXPECT_THROW((void)planned.lan.build_station(station_ordinal(4)), std::logic_error);
+  EXPECT_THROW((void)planned.lan.build_station(station_ordinal(6)), std::logic_error);
+  // The promiscuous station, on the walk list now, still hears the frames.
+  EXPECT_GT(planned.stacks[4]->nic().stats().rx_frames, 1u);
+}
+
+// A block station's MAC is mac_of_id of its key; a destination that shares
+// the key (the MAC's low 32 bits) but not the rest reaches no station and
+// builds nothing, as the eager station is left out by its full MAC.
+TEST(PlannedStation, MacMatchingOnlyTheLow32BitsReachesNoBlockStation) {
+  StationLan eager(false);
+  StationLan planned(true);
+  // mac_of_id(104) is 02:00:00:00:00:68; this differs in its first octet.
+  const ether::MacAddress other({0x06, 0x00, 0x00, 0x00, 0x00, kFirstMacId + 4});
+  ASSERT_EQ(static_cast<std::uint32_t>(other.value()),
+            static_cast<std::uint32_t>(station_mac(4).value()));
+  ASSERT_NE(other, station_mac(4));
+  ASSERT_FALSE(other.is_group());
+  expect_same_run(eager, planned, {echo_to(other, station_ip(4))});
+  EXPECT_EQ(planned.builds, 0);
+  EXPECT_EQ(eager.stacks[4]->nic().stats().rx_frames, 0u);
+  EXPECT_EQ(planned.lan.stats().receivers_skipped, kStations);
 }
 
 }  // namespace

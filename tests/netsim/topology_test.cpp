@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -108,12 +110,67 @@ TEST(TopologyBuilder, LanOverridesApply) {
 TEST(TopologyBuilder, HostPlanCoversEveryLan) {
   const Topology t =
       TopologyBuilder::build(spec_of(TopologyShape::kRing, 3, /*hosts=*/2));
-  ASSERT_EQ(t.hosts.size(), 6u);
-  EXPECT_EQ(t.hosts[0].lan, 0);
-  EXPECT_EQ(t.hosts[0].index, 0);
-  EXPECT_EQ(t.hosts[0].name(), "host0_0");
-  EXPECT_EQ(t.hosts[5].lan, 2);
-  EXPECT_EQ(t.hosts[5].index, 1);
+  ASSERT_EQ(t.host_count(), 6u);
+  EXPECT_EQ(t.host(0).lan, 0);
+  EXPECT_EQ(t.host(0).index, 0);
+  EXPECT_EQ(t.host(0).name(), "host0_0");
+  EXPECT_EQ(t.host(5).lan, 2);
+  EXPECT_EQ(t.host(5).index, 1);
+}
+
+// Topology::host(k) is arithmetic on the ordinal; it must enumerate each
+// segment's hosts in turn (lan-major), for every shape.
+TEST(TopologyBuilder, HostOrdinalsAreLanMajorForEveryShape) {
+  std::vector<TopologySpec> specs = {
+      spec_of(TopologyShape::kLine, 4, 3), spec_of(TopologyShape::kRing, 5, 2),
+      spec_of(TopologyShape::kStar, 6, 4), spec_of(TopologyShape::kTree, 7, 1),
+      spec_of(TopologyShape::kMesh, 4, 3), spec_of(TopologyShape::kRandomKRegular, 8, 2),
+      spec_of(TopologyShape::kScaleFree, 9, 5), spec_of(TopologyShape::kRing, 3, 0)};
+  for (const TopologySpec& spec : specs) {
+    const Topology t = TopologyBuilder::build(spec);
+    std::size_t k = 0;
+    for (int l = 0; l < static_cast<int>(t.segments.size()); ++l) {
+      const Topology::HostRange range = t.lan_hosts(static_cast<std::size_t>(l));
+      EXPECT_EQ(range.first, k) << spec.label() << " lan " << l;
+      EXPECT_EQ(range.count, static_cast<std::size_t>(spec.hosts_per_lan));
+      for (int h = 0; h < spec.hosts_per_lan; ++h, ++k) {
+        const Topology::HostAttach at = t.host(k);
+        EXPECT_EQ(at.lan, l) << spec.label() << " host " << k;
+        EXPECT_EQ(at.index, h) << spec.label() << " host " << k;
+      }
+    }
+    EXPECT_EQ(t.host_count(), k) << spec.label();
+    EXPECT_THROW((void)t.host(k), std::out_of_range) << spec.label();
+  }
+}
+
+// topology_host_ordinal inverts topology_host_ipv4 across the host slice,
+// and maps every address outside it to no host.
+TEST(AddressPlan, HostOrdinalInvertsHostAddress) {
+  constexpr std::size_t kLast = 254u * 256u * 254u - 1;  // 10.253.255.254
+  for (const std::size_t ordinal :
+       {std::size_t{0}, std::size_t{253}, std::size_t{254}, std::size_t{65023},
+        std::size_t{65024}, kLast}) {
+    const std::uint32_t ip = topology_host_ipv4(ordinal);
+    EXPECT_EQ(topology_host_ordinal(ip), ordinal) << ordinal;
+  }
+  EXPECT_EQ(topology_host_ipv4(0), 0x0A000001u);       // 10.0.0.1
+  EXPECT_EQ(topology_host_ipv4(253), 0x0A0000FEu);     // 10.0.0.254
+  EXPECT_EQ(topology_host_ipv4(254), 0x0A000101u);     // 10.0.1.1
+  EXPECT_EQ(topology_host_ipv4(65023), 0x0A00FFFEu);   // 10.0.255.254
+  EXPECT_EQ(topology_host_ipv4(65024), 0x0A010001u);   // 10.1.0.1
+  EXPECT_EQ(topology_host_ipv4(kLast), 0x0AFDFFFEu);   // 10.253.255.254
+  EXPECT_THROW((void)topology_host_ipv4(kLast + 1), std::invalid_argument);
+
+  EXPECT_EQ(topology_host_ordinal(0x0A000100u), std::nullopt);  // 10.0.1.0
+  EXPECT_EQ(topology_host_ordinal(0x0A0001FFu), std::nullopt);  // 10.0.1.255
+  EXPECT_EQ(topology_host_ordinal(topology_loader_ipv4(0)), std::nullopt);
+  EXPECT_EQ(topology_host_ordinal(topology_loader_ipv4(1000)), std::nullopt);
+  EXPECT_EQ(topology_host_ordinal(topology_admin_ipv4(0)), std::nullopt);
+  EXPECT_EQ(topology_host_ordinal(topology_admin_ipv4(1000)), std::nullopt);
+  EXPECT_EQ(topology_host_ordinal(0x0B000001u), std::nullopt);  // 11.0.0.1
+  EXPECT_EQ(topology_host_ordinal(0xC0A80001u), std::nullopt);  // 192.168.0.1
+  EXPECT_EQ(topology_host_ordinal(0), std::nullopt);
 }
 
 TEST(TopologyBuilder, LabelNamesShapeAndSize) {

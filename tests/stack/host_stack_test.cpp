@@ -370,7 +370,7 @@ TEST(HostStack, StationNicStaysIdleOnALanCarryingOtherTraffic) {
   const netsim::NicStats& idle_zeros = topo.host(0).nic().stats();
   for (std::size_t i = 0; i < topo.host_count(); ++i) {
     netsim::Nic& nic = topo.host(i).nic();
-    const netsim::Topology::HostAttach& at = topo.shape.hosts[i];
+    const netsim::Topology::HostAttach at = topo.shape.host(i);
     EXPECT_EQ(nic.name(), "host" + std::to_string(at.lan) + "_" +
                               std::to_string(at.index));
     EXPECT_FALSE(nic.active()) << nic.name();
