@@ -4,8 +4,7 @@
 // simulated second, with and without STP.
 #include <cstdio>
 
-#include "src/bridge/topology.h"
-#include "src/netsim/network.h"
+#include "src/bridge/sharded_topology.h"
 #include "src/netsim/trace.h"
 
 using namespace ab;
@@ -13,22 +12,22 @@ using namespace ab;
 namespace {
 
 std::size_t storm_frames(bool with_stp) {
-  netsim::Network net;
   netsim::TopologySpec spec;
   spec.shape = netsim::TopologyShape::kRing;
   spec.nodes = 3;
   bridge::TopologyBuildOptions opts;
   opts.stp = with_stp;
-  auto ring = bridge::build_topology(net, spec, {}, opts);
+  auto ring = bridge::build_sharded_topology(spec, 1, {}, opts);
+  netsim::Scheduler& sched = ring.regions.front()->net.scheduler();
   netsim::FrameTrace trace;
   for (auto* lan : ring.shape.lans) trace.watch(*lan);
-  if (with_stp) net.scheduler().run_for(netsim::seconds(45));  // converge
+  if (with_stp) sched.run_for(netsim::seconds(45));  // converge
 
   trace.clear();
-  auto& probe = net.add_nic("probe", *ring.shape.lans[0]);
+  auto& probe = ring.add_station_nic("probe", 0);
   probe.transmit(ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
                                          ether::EtherType::kExperimental, {1}));
-  net.scheduler().run_for(netsim::seconds(1));
+  sched.run_for(netsim::seconds(1));
   return trace.size();
 }
 

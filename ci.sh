@@ -14,6 +14,14 @@ cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
+echo "== examples: each runs to completion and exits 0 =="
+# The seven AB_EXAMPLES (CMakeLists.txt) drive the public API end to end
+# and together take well under a second.
+(cd build && for example in network_loading plugin_switchlet policy_enforcement \
+    protocol_upgrade quickstart ring_spanning_tree scenario_sim; do
+  ./"$example" > /dev/null || { echo "example $example failed"; exit 1; }
+done)
+
 echo "== ASan/UBSan build + ctest =="
 # Includes the fuzz suites (codec_fuzz_test plus the TCP segment/option
 # parser sweeps in tcp_segment_fuzz): random and mutated wire bytes under

@@ -5,14 +5,14 @@
 //
 // The ring is declared, not hand-wired: TopologyBuilder plans the shape
 // (try --nodes 32 for the macro-bench topology) and
-// bridge::build_topology creates its segments and assembles the nodes.
+// bridge::build_sharded_topology creates its segments and assembles the
+// nodes, all in one region on one scheduler.
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 #include "src/apps/ping.h"
-#include "src/bridge/topology.h"
-#include "src/netsim/network.h"
+#include "src/bridge/sharded_topology.h"
 #include "src/netsim/trace.h"
 #include "src/stack/host_stack.h"
 
@@ -43,17 +43,17 @@ int main(int argc, char** argv) {
 
   {
     std::printf("== scenario 1: %d-bridge ring WITHOUT spanning tree ==\n", nodes);
-    netsim::Network net;
     bridge::TopologyBuildOptions opts;
     opts.stp = false;
-    auto ring = bridge::build_topology(net, ring_spec(nodes), {}, opts);
+    auto ring = bridge::build_sharded_topology(ring_spec(nodes), 1, {}, opts);
+    netsim::Scheduler& sched = ring.regions.front()->net.scheduler();
     netsim::FrameTrace trace;
     for (auto* lan : ring.shape.lans) trace.watch(*lan);
 
-    auto& probe = net.add_nic("probe", *ring.shape.lans[0]);
+    auto& probe = ring.add_station_nic("probe", 0);
     probe.transmit(ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
                                            ether::EtherType::kExperimental, {1}));
-    net.scheduler().run_for(netsim::milliseconds(50));
+    sched.run_for(netsim::milliseconds(50));
     std::printf("   one broadcast injected; %zu frames on the wire after 50 ms "
                 "of simulated time -- a storm. \"a loop can cause unbounded\n"
                 "   growth in the number of packets on the network leading to "
@@ -64,17 +64,17 @@ int main(int argc, char** argv) {
   {
     std::printf("== scenario 2: %d-bridge ring WITH the spanning-tree switchlet ==\n",
                 nodes);
-    netsim::Network net;
-    auto ring = bridge::build_topology(net, ring_spec(nodes));
+    auto ring = bridge::build_sharded_topology(ring_spec(nodes), 1);
+    netsim::Scheduler& sched = ring.regions.front()->net.scheduler();
     netsim::FrameTrace trace;
     for (auto* lan : ring.shape.lans) trace.watch(*lan);
 
     std::printf("   configuration phase (2 x forward delay = 30 s simulated)...\n");
-    net.scheduler().run_for(netsim::seconds(45));
+    sched.run_for(netsim::seconds(45));
 
     int blocked = 0, forwarding = 0;
     std::size_t i = 0;
-    for (auto* engine : ring.stp_engines()) {
+    for (auto* engine : bridge::stp_engines(ring.bridges)) {
       const auto snap = engine->snapshot();
       std::printf("   %s: root=%s%s", ring.shape.node_names[i++].c_str(),
                   snap.root.to_string().c_str(),
@@ -94,16 +94,14 @@ int main(int argc, char** argv) {
     // Now prove traffic still flows end to end.
     stack::HostConfig ha;
     ha.ip = stack::Ipv4Addr(10, 0, 0, 1);
-    stack::HostStack host_a(net.scheduler(),
-                            net.add_nic("hostA", *ring.shape.lans[0]), ha);
+    stack::HostStack host_a(sched, ring.add_station_nic("hostA", 0), ha);
     stack::HostConfig hb;
     hb.ip = stack::Ipv4Addr(10, 0, 0, 2);
-    stack::HostStack host_b(net.scheduler(),
-                            net.add_nic("hostB", *ring.shape.lans[1]), hb);
+    stack::HostStack host_b(sched, ring.add_station_nic("hostB", 1), hb);
     trace.clear();
-    apps::PingApp ping(net.scheduler(), host_a, host_b.ip());
+    apps::PingApp ping(sched, host_a, host_b.ip());
     ping.run(3, 64, netsim::milliseconds(200));
-    net.scheduler().run_for(netsim::seconds(2));
+    sched.run_for(netsim::seconds(2));
     std::printf("   ping across the ring: %d/%d replies, %zu frames total (no "
                 "storm).\n",
                 ping.stats().received, ping.stats().sent, trace.size());

@@ -337,14 +337,7 @@ netsim::Scheduler& WorkloadContext::lan_scheduler(std::size_t l) const {
 
 netsim::Nic& WorkloadContext::add_station_nic(const std::string& name,
                                               std::size_t l) const {
-  bridge::ShardedTopology::Region& region = sharded->owner_region(l);
-  const std::uint32_t id = sharded->next_mac_id++;
-  // Arena-owned, like every other NIC attached to the region's replica
-  // segments: the arena's reverse finalizer walk then detaches workload
-  // NICs while their segments are still alive. A Network-owned NIC here
-  // would outlive the arena and detach from a freed segment.
-  return region.net.add_nic(region.arena, name, *region.replicas[l],
-                            netsim::mac_of_id(id));
+  return sharded->add_station_nic(name, l);
 }
 
 void WorkloadContext::advance(netsim::Duration d) const { runner->run_for(d); }

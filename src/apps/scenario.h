@@ -258,11 +258,12 @@ struct WorkloadContext {
   bridge::ShardedTopology* sharded = nullptr;
   netsim::ParallelRunner* runner = nullptr;
 
-  /// Always null, and is_sharded() always true: only
-  /// bench/e2e/ab_bench.cpp still names them, in branches no cell takes.
-  /// Remove them together with those branches.
+  /// Always null, and is_sharded() always true: every cell is the
+  /// `sharded` topology above. Only bench/e2e/ab_bench.cpp still names
+  /// them, in branches no cell takes; remove them together with those
+  /// branches.
   netsim::Network* single_net = nullptr;
-  bridge::BridgedTopology* single_topo = nullptr;
+  bridge::ShardedTopology* single_topo = nullptr;
   [[nodiscard]] bool is_sharded() const { return true; }
 
   [[nodiscard]] std::size_t host_count() const;
@@ -294,8 +295,9 @@ struct WorkloadContext {
   /// add_station_nic(_, l) NIC run.
   [[nodiscard]] netsim::Scheduler& lan_scheduler(std::size_t l) const;
   /// Creates a workload-owned station NIC on the owning region's replica
-  /// of global LAN `l`. MAC assignment continues the cell's global
-  /// counter, so a cell's addresses do not depend on its region count.
+  /// of global LAN `l` (ShardedTopology::add_station_nic): its MAC
+  /// continues the cell's global counter, so a cell's addresses do not
+  /// depend on its region count.
   [[nodiscard]] netsim::Nic& add_station_nic(const std::string& name,
                                              std::size_t l) const;
   /// Advances virtual time on every region in conservative lockstep

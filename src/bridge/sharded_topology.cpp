@@ -1,14 +1,32 @@
 #include "src/bridge/sharded_topology.h"
 
+#include <stdexcept>
 #include <utility>
+
+#include "src/util/string_util.h"
 
 namespace ab::bridge {
 
+namespace {
+
+/// Throws std::out_of_range unless `l` indexes one of `shape`'s LANs.
+void check_lan(const netsim::Topology& shape, std::size_t l) {
+  if (l >= shape.segments.size()) {
+    throw std::out_of_range(util::format("ShardedTopology %s: lan %zu of %zu",
+                                         shape.spec.label().c_str(), l,
+                                         shape.segments.size()));
+  }
+}
+
+}  // namespace
+
 ShardedTopology::Region& ShardedTopology::owner_region(std::size_t l) {
+  check_lan(shape, l);
   return *regions[static_cast<std::size_t>(plan.lan_owner[l])];
 }
 
 netsim::LanStats ShardedTopology::lan_stats(std::size_t l) const {
+  check_lan(shape, l);
   netsim::LanStats total;
   for (const auto& region : regions) {
     const netsim::LanSegment* replica = region->replicas[l];
@@ -23,12 +41,19 @@ netsim::LanStats ShardedTopology::lan_stats(std::size_t l) const {
 }
 
 std::size_t ShardedTopology::lan_attached(std::size_t l) const {
+  check_lan(shape, l);
   std::size_t attached = 0;
   for (const auto& region : regions) {
     const netsim::LanSegment* replica = region->replicas[l];
     if (replica != nullptr) attached += replica->attached_count();
   }
   return attached;
+}
+
+netsim::Nic& ShardedTopology::add_station_nic(const std::string& name, std::size_t l) {
+  Region& region = owner_region(l);
+  return region.net.add_nic(region.arena, name, *region.replicas[l],
+                            netsim::mac_of_id(next_mac_id++));
 }
 
 std::vector<netsim::Shard*> ShardedTopology::shard_handles() {
@@ -69,7 +94,7 @@ std::uint64_t ShardedTopology::scheduled_entries() const {
 ShardedTopology::ShardedTopology(const netsim::TopologySpec& spec, int region_count,
                                  BridgeNodeConfig node_config,
                                  const TopologyBuildOptions& options)
-    : shape(netsim::TopologyBuilder::build(spec)),
+    : shape{netsim::TopologyBuilder::build(spec), {}},
       plan(partition_regions(shape, region_count)),
       hosts_(shape, options.host_tx_queue_limit) {
   for (int r = 0; r < plan.regions; ++r) {
@@ -78,10 +103,10 @@ ShardedTopology::ShardedTopology(const netsim::TopologySpec& spec, int region_co
   }
 
   // Replicas, in global lan order: one per region with an attached node
-  // (the owner is always among them). Same name and LanConfig as the
-  // oracle's segment -- a replica's loss rng matches the oracle's only
+  // (the owner is always among them), each with the plan's name and
+  // LanConfig. A replica's loss rng matches the 1-region segment's only
   // while the segment is uncut (replicas split the receiver set, so cut
-  // segments under loss diverge from the oracle; the determinism tests
+  // segments under loss diverge from one region; the determinism tests
   // keep loss off cut LANs).
   for (std::size_t l = 0; l < shape.segments.size(); ++l) {
     for (const int r : plan.lan_regions[l]) {
@@ -91,14 +116,15 @@ ShardedTopology::ShardedTopology(const netsim::TopologySpec& spec, int region_co
       region.replicas[l] = &region.net.add_segment(region.arena, shape.segments[l].name,
                                                    shape.segments[l].config);
     }
+    shape.lans.push_back(owner_region(l).replicas[l]);
   }
 
   // Bridges in global node order, then each LAN's hosts as one block in
   // global LAN order, each in the region that owns it. MACs come from the
-  // global counter, so the id every NIC draws is identical to the
-  // single-Network build's.
+  // global counter, so the id every NIC draws does not depend on the
+  // region count.
   const auto site = [this](Region& region) {
-    return AssemblySite{region.net, region.arena, region.replicas, &next_mac_id};
+    return AssemblySite{region.net, region.arena, region.replicas, next_mac_id};
   };
   for (std::size_t i = 0; i < shape.node_lans.size(); ++i) {
     Region& region = *regions[static_cast<std::size_t>(plan.node_region[i])];

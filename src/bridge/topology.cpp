@@ -6,20 +6,6 @@
 
 namespace ab::bridge {
 
-namespace {
-
-/// Raw-pointer view of a BridgedTopology's owned bridges, for the
-/// span-based aggregate helpers shared with the sharded builder.
-std::vector<BridgeNode*> bridge_view(
-    const std::vector<std::unique_ptr<BridgeNode>>& owned) {
-  std::vector<BridgeNode*> view;
-  view.reserve(owned.size());
-  for (const auto& b : owned) view.push_back(b.get());
-  return view;
-}
-
-}  // namespace
-
 int count_gates(std::span<BridgeNode* const> bridges, PortGate gate) {
   int count = 0;
   for (BridgeNode* b : bridges) {
@@ -63,22 +49,6 @@ std::size_t mac_entries(std::span<BridgeNode* const> bridges) {
     if (learning != nullptr) total += learning->table().size();
   }
   return total;
-}
-
-int BridgedTopology::count_gates(PortGate gate) const {
-  return bridge::count_gates(bridge_view(bridges), gate);
-}
-
-std::vector<StpEngine*> BridgedTopology::stp_engines() const {
-  return bridge::stp_engines(bridge_view(bridges));
-}
-
-bool BridgedTopology::stp_converged() const {
-  return bridge::stp_converged(bridge_view(bridges));
-}
-
-std::size_t BridgedTopology::mac_entries() const {
-  return bridge::mac_entries(bridge_view(bridges));
 }
 
 stack::Ipv4Addr topology_host_ip(std::size_t ordinal) {
@@ -178,29 +148,6 @@ std::size_t PlannedHosts::built() const {
   std::size_t total = 0;
   for (const Lan& lan : lans_) total += lan.built.size();
   return total;
-}
-
-BridgedTopology::BridgedTopology(netsim::Network& net, const netsim::TopologySpec& spec,
-                                 BridgeNodeConfig node_config,
-                                 const TopologyBuildOptions& options)
-    : shape{netsim::TopologyBuilder::build(spec), {}},
-      hosts_(shape, options.host_tx_queue_limit) {
-  for (const netsim::Topology::Segment& seg : shape.segments) {
-    shape.lans.push_back(&net.add_segment(seg.name, seg.config));
-  }
-  // Port NICs and stations are arena-owned; the BridgeNode shells
-  // (destroyed before the arena -- declaration order) stay on the heap.
-  const AssemblySite site{net, arena, shape.lans};
-  for (std::size_t i = 0; i < shape.node_lans.size(); ++i) {
-    bridges.push_back(assemble_bridge(site, shape, i, node_config, options));
-  }
-  for (std::size_t l = 0; l < shape.lans.size(); ++l) assemble_hosts(site, hosts_, l);
-}
-
-BridgedTopology build_topology(netsim::Network& net, const netsim::TopologySpec& spec,
-                               BridgeNodeConfig node_config,
-                               TopologyBuildOptions options) {
-  return BridgedTopology(net, spec, std::move(node_config), options);
 }
 
 RegionPlan partition_regions(const netsim::Topology& shape, int regions) {

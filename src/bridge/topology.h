@@ -1,15 +1,14 @@
-// build_topology: turn a netsim::TopologySpec wiring plan into a running
-// extended LAN -- one BridgeNode per node position (ports attached,
-// switchlets loaded) and one HostStack per planned host attachment point,
-// built when that host first acts (PlannedHosts).
+// Topology assembly: the bridge/stack layers' side of the TopologyBuilder
+// split. netsim plans shapes as indices without knowing what a bridge is;
+// this header turns a plan position into a running BridgeNode (ports
+// attached, switchlets loaded) and a plan LAN into its planned HostStacks,
+// each built when that host first acts (PlannedHosts).
 //
-// This is the assembly half of the TopologyBuilder split: netsim plans
-// shapes as indices without knowing what a bridge is; this header owns the
-// bridge/stack layers' side of the contract. assemble_bridge and
-// assemble_hosts are the one recipe for a node and a LAN's stations,
-// shared by build_topology (one Network) and build_sharded_topology
-// (per-region worlds). The hand-wired two-LAN and ring helpers the tests,
-// examples, and benches used to copy around are one-liners over this.
+// assemble_bridge and assemble_hosts are the one recipe for a node and a
+// LAN's stations; build_sharded_topology (sharded_topology.h) is the one
+// builder that calls them, at one region or split across several. The
+// hand-wired two-LAN and ring helpers the tests, examples, and benches
+// used to copy around are one-liners over it.
 #pragma once
 
 #include <cstdint>
@@ -48,24 +47,23 @@ struct TopologyBuildOptions {
 [[nodiscard]] stack::Ipv4Addr topology_admin_ip(std::size_t ordinal);
 
 // ---------------------------------------------------------------------------
-// Assembly shared by build_topology and build_sharded_topology.
+// Assembly: what build_sharded_topology does at each node and LAN.
 
-/// One world's share of an assembly: its Network (clock + NIC factory),
-/// the arena that owns its NICs and stacks, and its live segment for each
-/// plan index (nullptr where the world has none). NIC MACs draw from
-/// `*mac_ids`, or from `net`'s own counter when it is null.
+/// One region's share of an assembly: its Network (clock + NIC factory),
+/// the arena that owns its NICs and stacks, its live segment for each plan
+/// index (nullptr where the region has none), and the cell's global MAC
+/// counter, which every NIC of every region draws from.
 struct AssemblySite {
   netsim::Network& net;
   netsim::Arena& arena;
   std::span<netsim::LanSegment* const> lans;
-  std::uint32_t* mac_ids = nullptr;
+  std::uint32_t& mac_ids;
 
   /// Draws the next `count` MAC ids (see netsim::mac_of_id) this site
   /// hands out and returns the first.
   [[nodiscard]] std::uint32_t draw_mac_ids(std::uint32_t count = 1) const {
-    if (mac_ids == nullptr) return net.draw_mac_ids(count);
-    const std::uint32_t first = *mac_ids;
-    *mac_ids += count;
+    const std::uint32_t first = mac_ids;
+    mac_ids += count;
     return first;
   }
 };
@@ -138,85 +136,18 @@ class PlannedHosts {
   std::uint32_t first_mac_id_ = 0;  ///< host 0's MAC id
 };
 
-/// A built topology: the netsim wiring plan, the segments created from it,
-/// and the assembled nodes. Bridges and hosts are positionally aligned
-/// with shape.node_lans / shape.host(i).
-///
-/// Station state (each host's NIC + HostStack, built when the host first
-/// acts) lives in `arena`, not in per-object heap nodes: a big cell is a
-/// few slab allocations instead of two per station, teardown is a slab
-/// walk, and each station's NIC and stack are contiguous. The same arena
-/// owns every bridge port NIC, so only the BridgeNode shells (there are
-/// orders of magnitude fewer of them) stay individually owned; the
-/// learning switchlets' MAC tables live on the heap and free the arrays
-/// they outgrow. Pinned (not copyable or movable): its LANs build hosts
-/// through it.
-struct BridgedTopology {
-  /// The plan plus its live segments: lans[l] is the Network-owned
-  /// segment created from segments[l].
-  struct Shape : netsim::Topology {
-    std::vector<netsim::LanSegment*> lans;
-  };
-
-  /// What build_topology builds; see there.
-  BridgedTopology(netsim::Network& net, const netsim::TopologySpec& spec,
-                  BridgeNodeConfig node_config, const TopologyBuildOptions& options);
-  BridgedTopology(const BridgedTopology&) = delete;
-  BridgedTopology& operator=(const BridgedTopology&) = delete;
-
-  Shape shape;
-  /// Owns every per-station object AND the bridge port NICs. Declared
-  /// before `bridges` so teardown destroys the BridgeNodes (whose planes
-  /// and port tables reference the port NICs) BEFORE the arena walks its
-  /// finalizers in reverse creation order.
-  netsim::Arena arena;
-  std::vector<std::unique_ptr<BridgeNode>> bridges;
-
-  /// Bridge at node position `i` (aligned with shape.node_lans).
-  [[nodiscard]] BridgeNode& bridge(std::size_t i) { return *bridges[i]; }
-  /// Host at attachment ordinal `i` (aligned with shape.host(i)), built
-  /// now if it has not been.
-  [[nodiscard]] stack::HostStack& host(std::size_t i) { return hosts_.host(i); }
-  [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
-  /// Hosts built so far.
-  [[nodiscard]] std::size_t hosts_built() const { return hosts_.built(); }
-
-  /// Ports across all bridges whose data-plane gate is `gate`.
-  [[nodiscard]] int count_gates(PortGate gate) const;
-
-  /// The IEEE STP engines, in bridge order (empty when stp was off).
-  [[nodiscard]] std::vector<StpEngine*> stp_engines() const;
-
-  /// True once the spanning tree has settled: exactly one bridge believes
-  /// it is root, every bridge agrees who that is, and no port is still in
-  /// a transitional (Listening/Learning) state.
-  [[nodiscard]] bool stp_converged() const;
-
-  /// MAC-table entries across all learning switchlets.
-  [[nodiscard]] std::size_t mac_entries() const;
-
- private:
-  PlannedHosts hosts_;
-};
-
-/// Plans `spec`, creates its segments in `net` (Network-owned, so callers
-/// may attach their own NICs to shape.lans), assembles bridges on them and
-/// plans the hosts. MACs come from `net`'s counter. `node_config.name` is
-/// overridden per node with the plan's names; hosts get topology_host_ip
-/// of their plan ordinal (lan-major order), so thousand-station LANs
-/// assign unique addresses.
-[[nodiscard]] BridgedTopology build_topology(netsim::Network& net,
-                                             const netsim::TopologySpec& spec,
-                                             BridgeNodeConfig node_config = {},
-                                             TopologyBuildOptions options = {});
-
 // ---------------------------------------------------------------------------
-// Aggregate views over any bridge set (a BridgedTopology's, or a sharded
-// cell's global bridge list).
+// Aggregate views over a bridge set (a built cell's global bridge list).
 
+/// Ports across all bridges whose data-plane gate is `gate`.
 [[nodiscard]] int count_gates(std::span<BridgeNode* const> bridges, PortGate gate);
+/// The IEEE STP engines, in bridge order (empty when stp was off).
 [[nodiscard]] std::vector<StpEngine*> stp_engines(std::span<BridgeNode* const> bridges);
+/// True once the spanning tree has settled: exactly one bridge believes it
+/// is root, every bridge agrees who that is, and no port is still in a
+/// transitional (Listening/Learning) state.
 [[nodiscard]] bool stp_converged(std::span<BridgeNode* const> bridges);
+/// MAC-table entries across all learning switchlets.
 [[nodiscard]] std::size_t mac_entries(std::span<BridgeNode* const> bridges);
 
 // ---------------------------------------------------------------------------

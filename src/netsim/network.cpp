@@ -31,7 +31,7 @@ LanSegment& Network::add_segment(Arena& arena, const std::string& name,
 }
 
 Nic& Network::add_nic(NicName name, LanSegment& segment) {
-  return add_nic(std::move(name), segment, mac_of_id(draw_mac_ids()));
+  return add_nic(std::move(name), segment, mac_of_id(next_mac_id_++));
 }
 
 Nic& Network::add_nic(NicName name, LanSegment& segment, ether::MacAddress mac) {
@@ -42,7 +42,7 @@ Nic& Network::add_nic(NicName name, LanSegment& segment, ether::MacAddress mac) 
 }
 
 Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment) {
-  return add_nic(arena, std::move(name), segment, mac_of_id(draw_mac_ids()));
+  return add_nic(arena, std::move(name), segment, mac_of_id(next_mac_id_++));
 }
 
 Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment,

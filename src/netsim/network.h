@@ -9,9 +9,9 @@
 // or host stacks (they live layers above), so the builder creates nothing:
 // it hands back an index-only wiring plan -- each segment's name and
 // LanConfig, which segment indices each node connects, and where hosts
-// attach. src/bridge/topology.h creates the segments that plan names and
-// assembles BridgeNodes and HostStacks on them, in one Network or split
-// across regions.
+// attach. src/bridge/sharded_topology.h creates the segments that plan
+// names and assembles BridgeNodes and HostStacks on them, one Network per
+// region.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,7 @@
 namespace ab::netsim {
 
 /// The MAC of the NIC addressed by `id`: Network's counter and the
-/// topology builders both number NICs from 1 and address them this way.
+/// topology builder both number NICs from 1 and address them this way.
 /// Its low 32 bits are `id` itself.
 [[nodiscard]] inline ether::MacAddress mac_of_id(std::uint32_t id) {
   return ether::MacAddress::local(id >> 16, id & 0xFFFF);
@@ -82,15 +82,6 @@ class Network {
   /// detach-on-~Nic contract needs.
   LanSegment& add_segment(Arena& arena, const std::string& name, LanConfig config = {});
 
-  /// Draws `count` consecutive ids (see mac_of_id), creating nothing, and
-  /// returns the first: the ids the next `count` automatically addressed
-  /// NICs would get. A LAN's planned stations reserve their MACs so.
-  [[nodiscard]] std::uint32_t draw_mac_ids(std::uint32_t count = 1) {
-    const std::uint32_t first = next_mac_id_;
-    next_mac_id_ += count;
-    return first;
-  }
-
   /// Creates a NIC with an automatically assigned locally-administered MAC
   /// and attaches it to `segment`.
   Nic& add_nic(NicName name, LanSegment& segment);
@@ -105,10 +96,10 @@ class Network {
   /// arena must not outlive this Network's scheduler.
   Nic& add_nic(Arena& arena, NicName name, LanSegment& segment);
 
-  /// Arena-backed variant with an explicit MAC. The sharded topology
-  /// builder assigns MACs from GLOBAL creation ordinals (not this
-  /// Network's counter), so a cell split across per-shard Networks is
-  /// address-identical to the same cell built in one Network.
+  /// Arena-backed variant with an explicit MAC. The topology builder
+  /// assigns MACs from its cell's GLOBAL counter (not this Network's), so
+  /// a cell's addresses do not depend on how many per-region Networks it
+  /// is split across.
   Nic& add_nic(Arena& arena, NicName name, LanSegment& segment, ether::MacAddress mac);
 
   /// Every segment created so far, in creation order.
@@ -132,6 +123,7 @@ class Network {
   /// linear. Arena segments' storage belongs to the caller's arena.
   std::unordered_map<std::string, LanSegment*> segments_by_name_;
   std::vector<std::unique_ptr<Nic>> nics_;
+  /// The id (see mac_of_id) the next automatically addressed NIC gets.
   std::uint32_t next_mac_id_ = 1;
 };
 
@@ -230,8 +222,8 @@ struct Topology {
 };
 
 /// Generates wiring plans for TopologySpecs. Pure netsim: the caller (or
-/// bridge::build_topology / build_sharded_topology) decides what segments
-/// to create and what actually sits at each node position.
+/// bridge::build_sharded_topology) decides what segments to create and
+/// what actually sits at each node position.
 class TopologyBuilder {
  public:
   /// Returns the spec's plan. Throws std::invalid_argument on malformed

@@ -141,22 +141,22 @@ TEST(Ttcp, ThroughTheActiveBridgeIsSlowerThanRepeater) {
     }
     std::unique_ptr<BufferedRepeater> repeater;
     if (!use_bridge) {
-      auto& r1 = f.net.add_nic("rep0", *f.lan_a);
-      auto& r2 = f.net.add_nic("rep1", *f.lan_b);
-      repeater = std::make_unique<BufferedRepeater>(f.net.scheduler(), r1, r2);
+      auto& r1 = f.topo.add_station_nic("rep0", 0);
+      auto& r2 = f.topo.add_station_nic("rep1", 1);
+      repeater = std::make_unique<BufferedRepeater>(f.sched, r1, r2);
     }
     f.host_a->nic().set_tx_queue_limit(100000);
-    TtcpSink sink(f.net.scheduler(), *f.host_b, 5001);
-    PingApp prime(f.net.scheduler(), *f.host_a, f.host_b->ip());
+    TtcpSink sink(f.sched, *f.host_b, 5001);
+    PingApp prime(f.sched, *f.host_a, f.host_b->ip());
     prime.send_one(32);
-    f.net.scheduler().run_for(netsim::seconds(2));
+    f.sched.run_for(netsim::seconds(2));
     TtcpConfig cfg;
     cfg.destination = f.host_b->ip();
     cfg.write_size = 1024;
     cfg.total_bytes = 128 * 1024;
     TtcpSender sender(*f.host_a, cfg);
     sender.start();
-    f.net.scheduler().run_for(netsim::seconds(30));
+    f.sched.run_for(netsim::seconds(30));
     return sink.throughput_mbps();
   };
   const double repeater_mbps = run_one(false);

@@ -3,7 +3,8 @@
 // cell: one region on one scheduler) -- same frames, bytes, pings, MAC
 // tables, stream bytes -- and a cell's results are a pure function of the
 // cell, independent of thread count and repeatable run to run. The 1-region
-// build itself is pinned against the single-Network build_topology.
+// build itself is pinned to recorded values in tests/bridge/topology_test.cpp
+// (ShardedBuild.OneRegionStarCellKeepsItsRecordedIdentityAndRun).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -230,93 +231,6 @@ TEST(ParallelSweep, ShardedRingAgreesOnSteadyStateAndWithItself) {
       EXPECT_EQ(sharded.events, reference.events);
       EXPECT_EQ(sharded.heap_inserts, reference.heap_inserts);
       EXPECT_EQ(sharded.scheduled_entries, reference.scheduled_entries);
-    }
-  }
-}
-
-TEST(ParallelSweep, OneRegionBuildEqualsSingleNetworkBuildExactly) {
-  // The reference for the sharded builder. Both builders read the same
-  // index plan (TopologyBuilder::build) and assemble every bridge and host
-  // through the same assemble_bridge / assemble_hosts; they differ only in
-  // where segments live (Network-owned vs arena replicas) and where MACs
-  // come from (the Network's counter vs the cell's global one). So at one
-  // region build_sharded_topology must assemble exactly what
-  // build_topology assembles on one Network -- every LAN's NICs in the
-  // same attach order with the same names and MACs, the same host
-  // addresses -- and, driven through the same program, execute the same
-  // events down to the scheduler internals.
-  const netsim::TopologySpec spec = star_cell();
-  const SweepOptions defaults;
-
-  netsim::Network net;
-  bridge::BridgedTopology single = bridge::build_topology(net, spec);
-  bridge::ShardedTopology sharded = bridge::build_sharded_topology(spec, 1);
-  ASSERT_EQ(sharded.regions.size(), 1u);
-  bridge::ShardedTopology::Region& region = *sharded.regions.front();
-
-  // Build every host first, so the attach lists below hold stations, not
-  // just bridge ports.
-  ASSERT_EQ(sharded.host_count(), single.host_count());
-  for (std::size_t h = 0; h < single.host_count(); ++h) {
-    EXPECT_EQ(sharded.host(h).ip(), single.host(h).ip()) << "host " << h;
-  }
-  ASSERT_EQ(sharded.lan_count(), single.shape.lans.size());
-  for (std::size_t l = 0; l < sharded.lan_count(); ++l) {
-    const std::vector<netsim::Nic*>& want = single.shape.lans[l]->attached();
-    const std::vector<netsim::Nic*>& got = region.replicas[l]->attached();
-    ASSERT_EQ(got.size(), want.size()) << "lan " << l;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_NE(want[i], nullptr) << "lan " << l << " nic " << i;
-      ASSERT_NE(got[i], nullptr) << "lan " << l << " nic " << i;
-      EXPECT_EQ(got[i]->name(), want[i]->name()) << "lan " << l << " nic " << i;
-      EXPECT_EQ(got[i]->mac(), want[i]->mac()) << "lan " << l << " nic " << i;
-    }
-  }
-
-  // Convergence, then one ping from every host to its successor, driven
-  // straight on each build's one scheduler.
-  const auto drive = [&defaults](netsim::Scheduler& clock, auto& topo,
-                                 std::vector<int>& answered) {
-    clock.run_for(defaults.convergence_window);
-    const std::size_t hosts = topo.host_count();
-    answered.assign(hosts, 0);
-    for (std::size_t i = 0; i < hosts; ++i) {
-      int* slot = &answered[i];
-      topo.host(i).set_echo_handler(
-          [slot](const stack::HostStack::EchoReply&) { ++*slot; });
-      topo.host(i).send_echo_request(topo.host((i + 1) % hosts).ip(), 7,
-                                     static_cast<std::uint16_t>(i), {});
-    }
-    clock.run_for(defaults.traffic_window);
-  };
-  std::vector<int> single_answered;
-  std::vector<int> sharded_answered;
-  drive(net.scheduler(), single, single_answered);
-  drive(region.net.scheduler(), sharded, sharded_answered);
-  EXPECT_EQ(sharded_answered, single_answered);
-  EXPECT_EQ(single_answered, std::vector<int>(single.host_count(), 1));
-
-  const netsim::Scheduler& a = net.scheduler();
-  const netsim::Scheduler& b = region.net.scheduler();
-  EXPECT_EQ(b.executed(), a.executed());
-  EXPECT_EQ(b.inserts(), a.inserts());
-  EXPECT_EQ(b.scheduled(), a.scheduled());
-  for (std::size_t l = 0; l < sharded.lan_count(); ++l) {
-    const netsim::LanStats want = single.shape.lans[l]->stats();
-    const netsim::LanStats got = sharded.lan_stats(l);
-    EXPECT_EQ(got.frames_carried, want.frames_carried) << "lan " << l;
-    EXPECT_EQ(got.bytes_carried, want.bytes_carried) << "lan " << l;
-    EXPECT_EQ(got.frames_lost, want.frames_lost) << "lan " << l;
-    EXPECT_EQ(got.receivers_visited, want.receivers_visited) << "lan " << l;
-    EXPECT_EQ(got.receivers_skipped, want.receivers_skipped) << "lan " << l;
-  }
-  ASSERT_EQ(sharded.bridges.size(), single.bridges.size());
-  for (std::size_t n = 0; n < single.bridges.size(); ++n) {
-    const auto& want = single.bridges[n]->plane().bridge_ports();
-    const auto& got = sharded.bridges[n]->plane().bridge_ports();
-    ASSERT_EQ(got.size(), want.size()) << "bridge " << n;
-    for (std::size_t p = 0; p < want.size(); ++p) {
-      EXPECT_EQ(got[p].gate, want[p].gate) << "bridge " << n << " port " << p;
     }
   }
 }

@@ -26,10 +26,8 @@ ether::Frame bcast(ether::MacAddress src) {
 
 TEST(BridgeArena, ArenaOwnedBridgeInfrastructureCarriesTraffic) {
   // A hand-assembled two-LAN bridge whose segments and port NICs ALL live
-  // in one arena -- the exact ownership layout the sharded builder
-  // produces per region (build_topology keeps its segments Network-owned
-  // and puts only the NICs in its arena). Declaration order is the
-  // teardown contract:
+  // in one arena -- the exact ownership layout the topology builder
+  // produces per region. Declaration order is the teardown contract:
   // net outlives the arena (its scheduler never runs again after the arena
   // dies), and the BridgeNode shell, declared last, is destroyed first so
   // its port-table unbind still finds live NICs.

@@ -1,15 +1,17 @@
 // Shared topology fixtures for the bridge test suite, built on the
-// parametric TopologyBuilder (netsim plans the shape, bridge::build_
-// topology creates its segments and assembles the nodes). Switchlets are NOT preloaded: each test
-// loads exactly the modules it exercises.
+// parametric TopologyBuilder (netsim plans the shape, bridge::build_sharded_
+// topology builds it as one region). Switchlets are NOT preloaded: each test
+// loads exactly the modules it exercises. A fixture hands out its region's
+// scheduler, not its Network: every NIC a test adds goes through
+// topo.add_station_nic, which the region's arena owns and which continues
+// the cell's MAC counter.
 #pragma once
 
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "src/bridge/topology.h"
-#include "src/netsim/network.h"
+#include "src/bridge/sharded_topology.h"
 #include "src/netsim/trace.h"
 #include "src/stack/host_stack.h"
 
@@ -33,11 +35,10 @@ inline TopologyBuildOptions no_switchlets() {
 /// Two LANs joined by one bridge, with one host on each LAN:
 ///   hostA -- lan0 -- [bridge0] -- lan1 -- hostB
 struct TwoLanFixture {
-  netsim::Network net;
-  /// The whole build result stays alive: its arena owns the bridge's port
-  /// NICs, so plucking the BridgeNode out of a temporary would leave it
-  /// wired to freed NICs.
-  BridgedTopology topo;
+  /// The whole build result stays alive: its region's arena owns the
+  /// bridge's port NICs and the hosts' NICs.
+  ShardedTopology topo;
+  netsim::Scheduler& sched;
   netsim::LanSegment* lan_a;
   netsim::LanSegment* lan_b;
   BridgeNode* bridge;
@@ -46,23 +47,24 @@ struct TwoLanFixture {
   netsim::FrameTrace trace;
 
   explicit TwoLanFixture(BridgeNodeConfig cfg = {})
-      : topo(build_topology(net, bridges_only(netsim::TopologyShape::kLine, 1),
-                            std::move(cfg), no_switchlets())) {
-    lan_a = topo.shape.lans[0];
-    lan_b = topo.shape.lans[1];
+      : topo(build_sharded_topology(bridges_only(netsim::TopologyShape::kLine, 1), 1,
+                                    std::move(cfg), no_switchlets())),
+        sched(topo.regions.front()->net.scheduler()),
+        lan_a(topo.shape.lans[0]),
+        lan_b(topo.shape.lans[1]),
+        bridge(topo.bridges[0]) {
     trace.watch(*lan_a);
     trace.watch(*lan_b);
-    bridge = topo.bridges[0].get();
 
     // Hosts are wired by hand: the tests rely on these exact IPs.
     stack::HostConfig ha;
     ha.ip = stack::Ipv4Addr(10, 0, 0, 1);
-    host_a = std::make_unique<stack::HostStack>(net.scheduler(),
-                                                net.add_nic("hostA", *lan_a), ha);
+    host_a =
+        std::make_unique<stack::HostStack>(sched, topo.add_station_nic("hostA", 0), ha);
     stack::HostConfig hb;
     hb.ip = stack::Ipv4Addr(10, 0, 0, 2);
-    host_b = std::make_unique<stack::HostStack>(net.scheduler(),
-                                                net.add_nic("hostB", *lan_b), hb);
+    host_b =
+        std::make_unique<stack::HostStack>(sched, topo.add_station_nic("hostB", 1), hb);
   }
 
   /// Ping A -> B and run for a bounded window (the spanning-tree hello
@@ -74,7 +76,7 @@ struct TwoLanFixture {
     for (int i = 0; i < count; ++i) {
       host_a->send_echo_request(host_b->ip(), 7, static_cast<std::uint16_t>(i), {});
     }
-    net.scheduler().run_for(netsim::seconds(3));
+    sched.run_for(netsim::seconds(3));
     return replies;
   }
 };
@@ -82,20 +84,21 @@ struct TwoLanFixture {
 /// A ring of `n` bridges: lan[i] connects bridge[i] and bridge[(i+1)%n].
 /// Loops forever without spanning tree; converges loop-free with it.
 struct RingFixture {
-  netsim::Network net;
   /// Owns the bridges AND the arena holding their port NICs (see
-  /// TwoLanFixture); `bridges` below is just a raw view of it.
-  BridgedTopology topo;
-  std::vector<netsim::LanSegment*> lans;
-  std::vector<BridgeNode*> bridges;
+  /// TwoLanFixture); `lans` and `bridges` below are its views.
+  ShardedTopology topo;
+  netsim::Scheduler& sched;
+  const std::vector<netsim::LanSegment*>& lans;
+  const std::vector<BridgeNode*>& bridges;
   netsim::FrameTrace trace;
 
   explicit RingFixture(int n = 3, BridgeNodeConfig cfg = {})
-      : topo(build_topology(net, bridges_only(netsim::TopologyShape::kRing, n),
-                            std::move(cfg), no_switchlets())) {
-    lans = topo.shape.lans;
+      : topo(build_sharded_topology(bridges_only(netsim::TopologyShape::kRing, n), 1,
+                                    std::move(cfg), no_switchlets())),
+        sched(topo.regions.front()->net.scheduler()),
+        lans(topo.shape.lans),
+        bridges(topo.bridges) {
     for (auto* lan : lans) trace.watch(*lan);
-    for (auto& b : topo.bridges) bridges.push_back(b.get());
   }
 
   /// Count of ports in each gate state across all bridges.

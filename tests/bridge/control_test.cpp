@@ -22,13 +22,13 @@ struct TransitionRing {
       controls.push_back(b->load_transition_suite(cfg));
     }
     // Let the old (DEC) protocol converge.
-    ring.net.scheduler().run_for(netsim::seconds(45));
+    ring.sched.run_for(netsim::seconds(45));
   }
 
   /// Injects the trigger: one IEEE BPDU on lan0 (the paper injects it from
   /// a measurement host).
   void inject_ieee_trigger() {
-    auto& probe = ring.net.add_nic("trigger", *ring.lans[0]);
+    auto& probe = ring.topo.add_station_nic("trigger", 0);
     IeeeBpduCodec ieee;
     Bpdu b;
     b.root = BridgeId{0x8000, probe.mac()};
@@ -77,7 +77,7 @@ TEST(ProtocolTransition, HappyPathUpgradesAllBridges) {
   }
 
   t.inject_ieee_trigger();
-  t.ring.net.scheduler().run_for(netsim::seconds(1));
+  t.ring.sched.run_for(netsim::seconds(1));
 
   // The trigger cascades: every bridge transitions (the started IEEE
   // protocol "sends out configuration packets on all of its ports thus
@@ -92,7 +92,7 @@ TEST(ProtocolTransition, HappyPathUpgradesAllBridges) {
   }
 
   // After the 60 s validation point: pass everywhere.
-  t.ring.net.scheduler().run_for(netsim::seconds(70));
+  t.ring.sched.run_for(netsim::seconds(70));
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(t.controls[static_cast<std::size_t>(i)]->phase(),
               TransitionPhase::kValidated)
@@ -106,7 +106,7 @@ TEST(ProtocolTransition, HappyPathUpgradesAllBridges) {
 TEST(ProtocolTransition, EventsReproduceTable1Shape) {
   TransitionRing t;
   t.inject_ieee_trigger();
-  t.ring.net.scheduler().run_for(netsim::seconds(70));
+  t.ring.sched.run_for(netsim::seconds(70));
   const auto& events = t.controls[0]->events();
   ASSERT_GE(events.size(), 5u);
   EXPECT_EQ(events[0].action, "load/start control");
@@ -126,15 +126,15 @@ TEST(ProtocolTransition, EventsReproduceTable1Shape) {
 TEST(ProtocolTransition, OldPacketsDuringWindowAreSuppressed) {
   TransitionRing t;
   t.inject_ieee_trigger();
-  t.ring.net.scheduler().run_for(netsim::seconds(1));
+  t.ring.sched.run_for(netsim::seconds(1));
   // A laggard (un-upgraded) device still babbling DEC during the window.
-  auto& laggard = t.ring.net.add_nic("laggard", *t.ring.lans[1]);
+  auto& laggard = t.ring.topo.add_station_nic("laggard", 1);
   DecBpduCodec dec;
   Bpdu b;
   b.root = BridgeId{0x8000, laggard.mac()};
   b.bridge = b.root;
   laggard.transmit(dec.encode(b, laggard.mac()));
-  t.ring.net.scheduler().run_for(netsim::seconds(5));
+  t.ring.sched.run_for(netsim::seconds(5));
   // Suppressed: nobody fell back.
   std::uint64_t suppressed = 0;
   for (auto* c : t.controls) {
@@ -151,7 +151,7 @@ TEST(ProtocolTransition, ValidationFailureFallsBack) {
   cfg.validator = [](const StpSnapshot&, const StpSnapshot&) { return false; };
   TransitionRing t(cfg);
   t.inject_ieee_trigger();
-  t.ring.net.scheduler().run_for(netsim::seconds(90));
+  t.ring.sched.run_for(netsim::seconds(90));
 
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(t.controls[static_cast<std::size_t>(i)]->phase(),
@@ -162,7 +162,7 @@ TEST(ProtocolTransition, ValidationFailureFallsBack) {
     EXPECT_EQ(t.state(i, "stp.ieee"), active::SwitchletState::kStopped) << i;
   }
   // The DEC protocol reconverges to a sane tree.
-  t.ring.net.scheduler().run_for(netsim::seconds(45));
+  t.ring.sched.run_for(netsim::seconds(45));
   EXPECT_EQ(t.ring.count_gates(PortGate::kBlocked), 1);
 }
 
@@ -173,15 +173,15 @@ TEST(ProtocolTransition, LateOldPacketAfterWindowFallsBack) {
   cfg.validate_after = netsim::seconds(300);  // validation far away
   TransitionRing t(cfg);
   t.inject_ieee_trigger();
-  t.ring.net.scheduler().run_for(netsim::seconds(10));  // window closed
+  t.ring.sched.run_for(netsim::seconds(10));  // window closed
 
-  auto& laggard = t.ring.net.add_nic("laggard", *t.ring.lans[0]);
+  auto& laggard = t.ring.topo.add_station_nic("laggard", 0);
   DecBpduCodec dec;
   Bpdu b;
   b.root = BridgeId{0x8000, laggard.mac()};
   b.bridge = b.root;
   laggard.transmit(dec.encode(b, laggard.mac()));
-  t.ring.net.scheduler().run_for(netsim::seconds(5));
+  t.ring.sched.run_for(netsim::seconds(5));
 
   // At least the bridges on lan0 saw the late DEC packet and fell back.
   int fallbacks = 0;
@@ -196,13 +196,13 @@ TEST(ProtocolTransition, FallbackSuppressesNewProtocolPackets) {
   cfg.validator = [](const StpSnapshot&, const StpSnapshot&) { return false; };
   TransitionRing t(cfg);
   t.inject_ieee_trigger();
-  t.ring.net.scheduler().run_for(netsim::seconds(90));
+  t.ring.sched.run_for(netsim::seconds(90));
   ASSERT_EQ(t.controls[0]->phase(), TransitionPhase::kFallback);
 
   // A stray IEEE packet now: suppressed, no re-transition ("no further
   // transition will occur without human intervention").
   t.inject_ieee_trigger();
-  t.ring.net.scheduler().run_for(netsim::seconds(5));
+  t.ring.sched.run_for(netsim::seconds(5));
   std::uint64_t suppressed = 0;
   for (auto* c : t.controls) {
     EXPECT_EQ(c->phase(), TransitionPhase::kFallback);

@@ -251,7 +251,7 @@ TEST(LearningBridge, PeriodicSweepDropsStaleEntries) {
 
   // No traffic for longer than the aging horizon: the sweep (not any
   // lookup -- nothing is looking) must empty the table.
-  f.net.scheduler().run_for(netsim::seconds(12));
+  f.sched.run_for(netsim::seconds(12));
   EXPECT_EQ(learning->table().size(), 0u);
   EXPECT_EQ(learning->stats().expired, learned);
   EXPECT_GE(learning->stats().sweeps, 4u);
@@ -266,13 +266,13 @@ TEST(LearningBridge, StopCancelsTheSweepTimer) {
   ASSERT_EQ(f.ping_a_to_b(1), 1);  // arms the sweep
   ASSERT_TRUE(f.bridge->node().loader().stop("bridge.learning"));
   const std::uint64_t sweeps = learning->stats().sweeps;
-  f.net.scheduler().run_for(netsim::seconds(30));
+  f.sched.run_for(netsim::seconds(30));
   EXPECT_EQ(learning->stats().sweeps, sweeps);  // timer is gone
 
   // Restarting with a warm table re-arms it.
   ASSERT_TRUE(f.bridge->node().loader().start("bridge.learning"));
   (void)f.ping_a_to_b(1);
-  f.net.scheduler().run_for(netsim::seconds(5));
+  f.sched.run_for(netsim::seconds(5));
   EXPECT_GT(learning->stats().sweeps, sweeps);
 }
 
@@ -285,9 +285,9 @@ TEST(LearningBridge, IdleBridgeLeavesTheSchedulerEmpty) {
   f.bridge->load_dumb();
   auto* learning = f.bridge->load_learning();
   ASSERT_EQ(f.ping_a_to_b(1), 1);
-  f.net.scheduler().run();  // would hang if the sweep re-armed forever
+  f.sched.run();  // would hang if the sweep re-armed forever
   EXPECT_EQ(learning->table().size(), 0u);
-  EXPECT_TRUE(f.net.scheduler().empty());
+  EXPECT_TRUE(f.sched.empty());
 }
 
 TEST(LearningBridge, PingWorksThroughTheBridge) {
@@ -306,7 +306,7 @@ TEST(LearningBridge, IsolatesLocalTraffic) {
 
   stack::HostConfig hc;
   hc.ip = stack::Ipv4Addr(10, 0, 0, 3);
-  stack::HostStack host_c(f.net.scheduler(), f.net.add_nic("hostC", *f.lan_a), hc);
+  stack::HostStack host_c(f.sched, f.topo.add_station_nic("hostC", 0), hc);
 
   // hostA <-> hostC are both on lan0.
   // Bounded runs: an unbounded run() would idle through the whole aging
@@ -315,12 +315,12 @@ TEST(LearningBridge, IsolatesLocalTraffic) {
   int replies = 0;
   f.host_a->set_echo_handler([&](const stack::HostStack::EchoReply&) { ++replies; });
   f.host_a->send_echo_request(host_c.ip(), 1, 1, {});
-  f.net.scheduler().run_for(netsim::seconds(2));
+  f.sched.run_for(netsim::seconds(2));
   ASSERT_EQ(replies, 1);
 
   const std::size_t far_before = f.trace.count_on("lan1");
   f.host_a->send_echo_request(host_c.ip(), 1, 2, {});
-  f.net.scheduler().run_for(netsim::seconds(2));
+  f.sched.run_for(netsim::seconds(2));
   EXPECT_EQ(replies, 2);
   // The second exchange is fully learned: nothing new crosses over.
   EXPECT_EQ(f.trace.count_on("lan1"), far_before);
@@ -332,10 +332,10 @@ TEST(LearningBridge, UnknownDestinationFloods) {
   f.bridge->load_dumb();
   auto* learning = f.bridge->load_learning();
   // A frame to a never-seen unicast address floods to the other LAN.
-  auto& nic = f.net.add_nic("probe", *f.lan_a);
+  auto& nic = f.topo.add_station_nic("probe", 0);
   nic.transmit(ether::Frame::ethernet2(kHost2, nic.mac(),
                                        ether::EtherType::kExperimental, {1}));
-  f.net.scheduler().run();
+  f.sched.run();
   EXPECT_GT(f.trace.count_on("lan1"), 0u);
   EXPECT_GT(learning->stats().floods, 0u);
 }

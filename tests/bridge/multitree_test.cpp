@@ -80,7 +80,7 @@ struct MultiRing {
       cfg.trees = trees;
       switchlets.push_back(b->load_multitree(cfg));
     }
-    ring.net.scheduler().run_for(netsim::seconds(45));
+    ring.sched.run_for(netsim::seconds(45));
   }
 };
 
@@ -112,10 +112,10 @@ TEST(MultiTreeSwitchlet, TreesHaveDiverseRoots) {
 TEST(MultiTreeSwitchlet, NoStormOnTheRing) {
   MultiRing m;
   m.ring.trace.clear();
-  auto& probe = m.ring.net.add_nic("probe", *m.ring.lans[0]);
+  auto& probe = m.ring.topo.add_station_nic("probe", 0);
   probe.transmit(ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
                                          ether::EtherType::kExperimental, {1}));
-  m.ring.net.scheduler().run_for(netsim::seconds(1));
+  m.ring.sched.run_for(netsim::seconds(1));
   EXPECT_LT(m.ring.trace.count_if([](const netsim::TraceEntry& e) {
               return e.decoded_ok && e.dst.is_broadcast();
             }),
@@ -126,15 +126,13 @@ TEST(MultiTreeSwitchlet, EndToEndTrafficWorks) {
   MultiRing m;
   stack::HostConfig ha;
   ha.ip = stack::Ipv4Addr(10, 0, 0, 1);
-  stack::HostStack host_a(m.ring.net.scheduler(),
-                          m.ring.net.add_nic("hostA", *m.ring.lans[0]), ha);
+  stack::HostStack host_a(m.ring.sched, m.ring.topo.add_station_nic("hostA", 0), ha);
   stack::HostConfig hb;
   hb.ip = stack::Ipv4Addr(10, 0, 0, 2);
-  stack::HostStack host_b(m.ring.net.scheduler(),
-                          m.ring.net.add_nic("hostB", *m.ring.lans[1]), hb);
-  apps::PingApp ping(m.ring.net.scheduler(), host_a, host_b.ip());
+  stack::HostStack host_b(m.ring.sched, m.ring.topo.add_station_nic("hostB", 1), hb);
+  apps::PingApp ping(m.ring.sched, host_a, host_b.ip());
   ping.run(5, 64, netsim::milliseconds(100));
-  m.ring.net.scheduler().run_for(netsim::seconds(3));
+  m.ring.sched.run_for(netsim::seconds(3));
   EXPECT_EQ(ping.stats().received, 5);
 }
 
@@ -146,16 +144,16 @@ TEST(MultiTreeSwitchlet, TrafficSpreadsAcrossTrees) {
     stack::HostConfig hc;
     hc.ip = stack::Ipv4Addr(10, 0, 1, static_cast<std::uint8_t>(i + 1));
     hosts.push_back(std::make_unique<stack::HostStack>(
-        m.ring.net.scheduler(),
-        m.ring.net.add_nic("host" + std::to_string(i),
-                           *m.ring.lans[static_cast<std::size_t>(i % 3)]),
+        m.ring.sched,
+        m.ring.topo.add_station_nic("host" + std::to_string(i),
+                                    static_cast<std::size_t>(i % 3)),
         hc));
   }
   // All-to-one pings from distinct sources.
   for (int i = 1; i < 8; ++i) {
     hosts[static_cast<std::size_t>(i)]->send_echo_request(hosts[0]->ip(), 1, 1, {});
   }
-  m.ring.net.scheduler().run_for(netsim::seconds(3));
+  m.ring.sched.run_for(netsim::seconds(3));
   const auto& per_tree = m.switchlets[0]->frames_per_tree();
   const int used = static_cast<int>(
       std::count_if(per_tree.begin(), per_tree.end(),
@@ -167,7 +165,7 @@ TEST(MultiTreeSwitchlet, StopRestoresPreviousSwitchFunction) {
   TwoLanFixture f;
   f.bridge->load_dumb();
   f.bridge->load_multitree();
-  f.net.scheduler().run_for(netsim::seconds(35));
+  f.sched.run_for(netsim::seconds(35));
   ASSERT_EQ(f.ping_a_to_b(1), 1);
   ASSERT_TRUE(f.bridge->node().loader().stop("bridge.multitree"));
   // Dumb flooding restored.

@@ -59,14 +59,14 @@ TEST(PolicySwitchlet, PolicesAnAggressiveSender) {
   ASSERT_EQ(f.ping_a_to_b(1), 1);
 
   f.host_a->nic().set_tx_queue_limit(1 << 20);
-  apps::TtcpSink sink(f.net.scheduler(), *f.host_b, 5001);
+  apps::TtcpSink sink(f.sched, *f.host_b, 5001);
   apps::TtcpConfig cfg;
   cfg.destination = f.host_b->ip();
   cfg.write_size = 1024;
   cfg.total_bytes = 1 << 20;
   apps::TtcpSender sender(*f.host_a, cfg);
   sender.start();
-  f.net.scheduler().run_for(netsim::seconds(10));
+  f.sched.run_for(netsim::seconds(10));
 
   const PolicyCounters* counters = f.policy->counters(f.host_a->nic().mac());
   ASSERT_NE(counters, nullptr);
@@ -104,12 +104,12 @@ TEST(PolicySwitchlet, TokensRefillOverTime) {
     f.host_a->send_echo_request(f.host_b->ip(), 9, static_cast<std::uint16_t>(i),
                                 util::ByteBuffer(1000, 0));
   }
-  f.net.scheduler().run_for(netsim::milliseconds(100));
+  f.sched.run_for(netsim::milliseconds(100));
   EXPECT_LT(burst_replies, 10);  // some were policed
   // ...then wait for refill; a later ping conforms again.
-  f.net.scheduler().run_for(netsim::seconds(5));
+  f.sched.run_for(netsim::seconds(5));
   f.host_a->send_echo_request(f.host_b->ip(), 9, 99, util::ByteBuffer(1000, 0));
-  f.net.scheduler().run_for(netsim::seconds(1));
+  f.sched.run_for(netsim::seconds(1));
   EXPECT_GT(burst_replies, 0);
 }
 

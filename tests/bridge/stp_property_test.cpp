@@ -27,7 +27,7 @@ TEST_P(RingProperty, ConvergesLoopFreeAndConnected) {
     b->load_learning();
     b->load_ieee();
   }
-  ring.net.scheduler().run_for(netsim::seconds(45));
+  ring.sched.run_for(netsim::seconds(45));
 
   // One root, unanimously agreed.
   std::vector<StpEngine*> engines;
@@ -47,10 +47,10 @@ TEST_P(RingProperty, ConvergesLoopFreeAndConnected) {
   // Loop-free AND connected: one broadcast reaches every LAN a bounded
   // number of times.
   ring.trace.clear();
-  auto& probe = ring.net.add_nic("probe", *ring.lans[0]);
+  auto& probe = ring.topo.add_station_nic("probe", 0);
   probe.transmit(ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
                                          ether::EtherType::kExperimental, {1}));
-  ring.net.scheduler().run_for(netsim::seconds(1));
+  ring.sched.run_for(netsim::seconds(1));
   for (int i = 0; i < n; ++i) {
     const std::string lan = "lan" + std::to_string(i);
     EXPECT_GE(ring.trace.count_on(lan), 1u) << lan << " unreachable";
@@ -65,13 +65,13 @@ class ChainProperty : public ::testing::TestWithParam<int> {};
 TEST_P(ChainProperty, NoPortBlockedOnALoopFreeTopology) {
   const int n = GetParam();
   // A chain: lan0 - B0 - lan1 - B1 - ... - lan[n], via the line shape.
-  netsim::Network net;
   netsim::TopologySpec spec;
   spec.shape = netsim::TopologyShape::kLine;
   spec.nodes = n;
-  auto chain = build_topology(net, spec);
+  auto chain = build_sharded_topology(spec, 1);
+  netsim::Scheduler& sched = chain.regions.front()->net.scheduler();
   const auto& lans = chain.shape.lans;
-  net.scheduler().run_for(netsim::seconds(45));
+  sched.run_for(netsim::seconds(45));
 
   EXPECT_EQ(chain.count_gates(PortGate::kBlocked), 0);  // nothing to cut on a tree
   EXPECT_TRUE(chain.stp_converged());
@@ -79,10 +79,10 @@ TEST_P(ChainProperty, NoPortBlockedOnALoopFreeTopology) {
   // End-to-end connectivity along the whole chain.
   netsim::FrameTrace trace;
   trace.watch(*lans.back());
-  auto& probe = net.add_nic("probe", *lans[0]);
+  auto& probe = chain.add_station_nic("probe", 0);
   probe.transmit(ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
                                          ether::EtherType::kExperimental, {1}));
-  net.scheduler().run_for(netsim::seconds(1));
+  sched.run_for(netsim::seconds(1));
   EXPECT_EQ(trace.count_on("lan" + std::to_string(n)), 1u);
 }
 
@@ -105,7 +105,7 @@ TEST_P(PrioritySweep, ConfiguredPriorityDeterminesTheRoot) {
     ASSERT_TRUE(b->node().loader().load_instance(make_ieee_stp(plane, stp)));
     ++i;
   }
-  ring.net.scheduler().run_for(netsim::seconds(45));
+  ring.sched.run_for(netsim::seconds(45));
   for (int k = 0; k < 3; ++k) {
     auto* e = dynamic_cast<StpSwitchlet*>(
                   ring.bridges[static_cast<std::size_t>(k)]->node().loader().find(

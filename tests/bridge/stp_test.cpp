@@ -26,16 +26,16 @@ TEST(StpEngine, SingleBridgeBecomesRootAndForwardsAfterTwoForwardDelays) {
   ASSERT_NE(stp, nullptr);
 
   // During the configuration phase ports are not forwarding.
-  f.net.scheduler().run_for(netsim::seconds(1));
+  f.sched.run_for(netsim::seconds(1));
   EXPECT_TRUE(stp->engine()->is_root());
   EXPECT_EQ(stp->engine()->port_state(0), StpPortState::kListening);
   EXPECT_EQ(f.bridge->plane().gate(0), PortGate::kBlocked);
 
-  f.net.scheduler().run_for(netsim::seconds(15));
+  f.sched.run_for(netsim::seconds(15));
   EXPECT_EQ(stp->engine()->port_state(0), StpPortState::kLearning);
   EXPECT_EQ(f.bridge->plane().gate(0), PortGate::kLearning);
 
-  f.net.scheduler().run_for(netsim::seconds(15));
+  f.sched.run_for(netsim::seconds(15));
   EXPECT_EQ(stp->engine()->port_state(0), StpPortState::kForwarding);
   EXPECT_EQ(stp->engine()->port_state(1), StpPortState::kForwarding);
   EXPECT_EQ(f.bridge->plane().gate(0), PortGate::kForwarding);
@@ -47,19 +47,19 @@ TEST(StpEngine, TrafficBlockedDuringConfigurationPhase) {
   int replies = 0;
   f.host_a->set_echo_handler([&](const stack::HostStack::EchoReply&) { ++replies; });
   f.host_a->send_echo_request(f.host_b->ip(), 1, 1, {});
-  f.net.scheduler().run_for(netsim::seconds(5));
+  f.sched.run_for(netsim::seconds(5));
   EXPECT_EQ(replies, 0);  // ports still listening
   // After convergence, traffic flows.
-  f.net.scheduler().run_for(netsim::seconds(30));
+  f.sched.run_for(netsim::seconds(30));
   f.host_a->send_echo_request(f.host_b->ip(), 1, 2, {});
-  f.net.scheduler().run_for(netsim::seconds(3));
+  f.sched.run_for(netsim::seconds(3));
   EXPECT_EQ(replies, 1);
 }
 
 TEST(StpEngine, LowestBridgeIdWinsElection) {
   RingFixture ring(3);
   for (auto& b : ring.bridges) load_full(*b);
-  ring.net.scheduler().run_for(netsim::seconds(45));
+  ring.sched.run_for(netsim::seconds(45));
 
   std::vector<StpEngine*> engines;
   for (auto& b : ring.bridges) {
@@ -82,7 +82,7 @@ TEST(StpEngine, LowestBridgeIdWinsElection) {
 TEST(StpEngine, RingConvergesWithExactlyOneBlockedPort) {
   RingFixture ring(3);
   for (auto& b : ring.bridges) load_full(*b);
-  ring.net.scheduler().run_for(netsim::seconds(45));
+  ring.sched.run_for(netsim::seconds(45));
   // 6 bridge ports on a 3-ring: a spanning tree keeps 5 forwarding and
   // blocks exactly 1.
   EXPECT_EQ(ring.count_gates(PortGate::kBlocked), 1);
@@ -92,23 +92,21 @@ TEST(StpEngine, RingConvergesWithExactlyOneBlockedPort) {
 TEST(StpEngine, RingCarriesTrafficWithoutLoops) {
   RingFixture ring(3);
   for (auto& b : ring.bridges) load_full(*b);
-  ring.net.scheduler().run_for(netsim::seconds(45));
+  ring.sched.run_for(netsim::seconds(45));
 
   // A host on lan0 pings a host on lan1; the frame count must stay finite
   // and the ping must succeed.
   stack::HostConfig ha;
   ha.ip = stack::Ipv4Addr(10, 0, 0, 1);
-  stack::HostStack host_a(ring.net.scheduler(), ring.net.add_nic("hostA", *ring.lans[0]),
-                          ha);
+  stack::HostStack host_a(ring.sched, ring.topo.add_station_nic("hostA", 0), ha);
   stack::HostConfig hb;
   hb.ip = stack::Ipv4Addr(10, 0, 0, 2);
-  stack::HostStack host_b(ring.net.scheduler(), ring.net.add_nic("hostB", *ring.lans[1]),
-                          hb);
+  stack::HostStack host_b(ring.sched, ring.topo.add_station_nic("hostB", 1), hb);
   int replies = 0;
   host_a.set_echo_handler([&](const stack::HostStack::EchoReply&) { ++replies; });
   ring.trace.clear();
   host_a.send_echo_request(host_b.ip(), 1, 1, {});
-  ring.net.scheduler().run_for(netsim::seconds(2));
+  ring.sched.run_for(netsim::seconds(2));
   EXPECT_EQ(replies, 1);
   // Finite frame count: no storm. (Storm would be thousands of frames.)
   EXPECT_LT(ring.trace.size(), 60u);
@@ -122,10 +120,10 @@ TEST(StpEngine, WithoutSpanningTreeTheRingStorms) {
     b->load_dumb();
     b->load_learning();  // learning alone cannot prevent loops
   }
-  auto& probe = ring.net.add_nic("probe", *ring.lans[0]);
+  auto& probe = ring.topo.add_station_nic("probe", 0);
   probe.transmit(ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
                                          ether::EtherType::kExperimental, {1}));
-  ring.net.scheduler().run_for(netsim::milliseconds(100));
+  ring.sched.run_for(netsim::milliseconds(100));
   // One broadcast became a storm.
   EXPECT_GT(ring.trace.size(), 500u);
 }
@@ -133,7 +131,7 @@ TEST(StpEngine, WithoutSpanningTreeTheRingStorms) {
 TEST(StpEngine, ReconvergesAfterRootFailure) {
   RingFixture ring(3);
   for (auto& b : ring.bridges) load_full(*b);
-  ring.net.scheduler().run_for(netsim::seconds(45));
+  ring.sched.run_for(netsim::seconds(45));
 
   std::vector<StpEngine*> engines;
   for (auto& b : ring.bridges) {
@@ -150,7 +148,7 @@ TEST(StpEngine, ReconvergesAfterRootFailure) {
   ring.bridges[static_cast<std::size_t>(root_index)]->node().loader().stop("stp.ieee");
 
   // Within max_age + 2*forward_delay the survivors elect a new root.
-  ring.net.scheduler().run_for(netsim::seconds(60));
+  ring.sched.run_for(netsim::seconds(60));
   const int a = (root_index + 1) % 3, b = (root_index + 2) % 3;
   EXPECT_EQ(engines[static_cast<std::size_t>(a)]->root_id(),
             engines[static_cast<std::size_t>(b)]->root_id());
@@ -190,7 +188,7 @@ TEST(StpEngine, DecVariantBuildsTheSameTree) {
     b->load_learning();
     b->load_dec();
   }
-  ring.net.scheduler().run_for(netsim::seconds(45));
+  ring.sched.run_for(netsim::seconds(45));
   EXPECT_EQ(ring.count_gates(PortGate::kBlocked), 1);
   EXPECT_EQ(ring.count_gates(PortGate::kForwarding), 5);
 }
@@ -200,13 +198,13 @@ TEST(StpEngine, IeeeIgnoresDecFramesAndViceVersa) {
   // switchlet must not be confused (they do not even share an address).
   TwoLanFixture f;
   load_full(*f.bridge);
-  auto& rogue = f.net.add_nic("rogue", *f.lan_a);
+  auto& rogue = f.topo.add_station_nic("rogue", 0);
   DecBpduCodec dec;
   Bpdu fake;
   fake.root = BridgeId{0, ether::MacAddress::local(0, 1)};  // "best" root ever
   fake.bridge = fake.root;
   for (int i = 0; i < 5; ++i) rogue.transmit(dec.encode(fake, rogue.mac()));
-  f.net.scheduler().run_for(netsim::seconds(45));
+  f.sched.run_for(netsim::seconds(45));
   auto* stp = dynamic_cast<StpSwitchlet*>(f.bridge->node().loader().find("stp.ieee"));
   EXPECT_TRUE(stp->engine()->is_root());  // unimpressed by DEC chatter
 }
@@ -214,12 +212,12 @@ TEST(StpEngine, IeeeIgnoresDecFramesAndViceVersa) {
 TEST(StpEngine, UndecodableGroupTrafficIsCounted) {
   TwoLanFixture f;
   load_full(*f.bridge);
-  auto& rogue = f.net.add_nic("rogue", *f.lan_a);
+  auto& rogue = f.topo.add_station_nic("rogue", 0);
   // Garbage LLC frame to the All Bridges address.
   rogue.transmit(ether::Frame::llc_frame(ether::MacAddress::all_bridges(), rogue.mac(),
                                          ether::LlcHeader::spanning_tree(),
                                          {0xDE, 0xAD}));
-  f.net.scheduler().run_for(netsim::seconds(1));
+  f.sched.run_for(netsim::seconds(1));
   auto* stp = dynamic_cast<StpSwitchlet*>(f.bridge->node().loader().find("stp.ieee"));
   EXPECT_EQ(stp->undecodable_frames(), 1u);
 }
@@ -237,10 +235,10 @@ TEST(StpEngine, RequiresDumbBridgeFirst) {
 TEST(StpEngine, StopFreezesGates) {
   RingFixture ring(3);
   for (auto& b : ring.bridges) load_full(*b);
-  ring.net.scheduler().run_for(netsim::seconds(45));
+  ring.sched.run_for(netsim::seconds(45));
   const int blocked_before = ring.count_gates(PortGate::kBlocked);
   for (auto& b : ring.bridges) b->node().loader().stop("stp.ieee");
-  ring.net.scheduler().run_for(netsim::seconds(60));
+  ring.sched.run_for(netsim::seconds(60));
   // Gates unchanged: the data plane keeps the last safe tree.
   EXPECT_EQ(ring.count_gates(PortGate::kBlocked), blocked_before);
 }
@@ -248,7 +246,7 @@ TEST(StpEngine, StopFreezesGates) {
 TEST(StpEngine, TopologyChangeTriggersFastAging) {
   RingFixture ring(3);
   for (auto& b : ring.bridges) load_full(*b);
-  ring.net.scheduler().run_for(netsim::seconds(45));
+  ring.sched.run_for(netsim::seconds(45));
   // Stop the root: survivors see expiry, roles change, ports re-walk the
   // ladder, and topology-change signalling flips fast aging somewhere.
   for (auto& b : ring.bridges) {
@@ -258,7 +256,7 @@ TEST(StpEngine, TopologyChangeTriggersFastAging) {
       break;
     }
   }
-  ring.net.scheduler().run_for(netsim::seconds(90));
+  ring.sched.run_for(netsim::seconds(90));
   std::uint64_t tc_events = 0;
   for (auto& b : ring.bridges) {
     auto* e = dynamic_cast<StpSwitchlet*>(b->node().loader().find("stp.ieee"))->engine();

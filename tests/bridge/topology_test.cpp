@@ -1,15 +1,18 @@
-// bridge::build_topology: assembled parametric topologies must carry real
-// traffic -- STP converges on loopy shapes, hosts ping across the extended
-// LAN, and shared segments with many bridges (star hubs, tree trunks) must
-// not melt down (regression for the TCN amplification storm). Plus the
-// sharded side's plan contract: partition_regions on a bare plan, and NIC
-// identity at every region count. Plus planned hosts: each is built, with
-// the identity an eager build gave it, when it first acts or is asked for,
-// on the region that owns its LAN.
+// bridge::build_sharded_topology: assembled parametric topologies (one
+// region unless a test splits them) must carry real traffic -- STP
+// converges on loopy shapes, hosts ping across the extended LAN, and shared
+// segments with many bridges (star hubs, tree trunks) must not melt down
+// (regression for the TCN amplification storm). Plus the region plan's
+// contract: partition_regions on a bare plan, NIC identity at every region
+// count, a 1-region cell's identity and run pinned to recorded values, and
+// callers' station NICs. Plus planned hosts: each is built, with the
+// identity an eager build gave it, when it first acts or is asked for, on
+// the region that owns its LAN.
 #include "src/bridge/topology.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -33,32 +36,36 @@ netsim::TopologySpec spec_of(netsim::TopologyShape shape, int nodes, int hosts =
   return spec;
 }
 
-int ping_across(netsim::Network& net, stack::HostStack& src, stack::HostStack& dst) {
+/// The one region's clock of a 1-region build.
+netsim::Scheduler& clock_of(ShardedTopology& topo) {
+  return topo.regions.front()->net.scheduler();
+}
+
+int ping_across(netsim::Scheduler& sched, stack::HostStack& src, stack::HostStack& dst) {
   int replies = 0;
   src.set_echo_handler([&](const stack::HostStack::EchoReply&) { ++replies; });
   src.send_echo_request(dst.ip(), 7, 1, {});
-  net.scheduler().run_for(netsim::seconds(3));
+  sched.run_for(netsim::seconds(3));
   return replies;
 }
 
 TEST(BuildTopology, RingConvergesAndCarriesTraffic) {
-  netsim::Network net;
-  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kRing, 4, 1));
+  auto topo = build_sharded_topology(spec_of(netsim::TopologyShape::kRing, 4, 1), 1);
+  netsim::Scheduler& sched = clock_of(topo);
   ASSERT_EQ(topo.bridges.size(), 4u);
   ASSERT_EQ(topo.host_count(), 4u);
-  net.scheduler().run_for(netsim::seconds(45));
+  sched.run_for(netsim::seconds(45));
   EXPECT_TRUE(topo.stp_converged());
   // One loop, one cut.
   EXPECT_EQ(topo.count_gates(PortGate::kBlocked), 1);
   EXPECT_EQ(topo.count_gates(PortGate::kForwarding), 7);
   // Hosts on opposite sides reach each other.
-  EXPECT_EQ(ping_across(net, topo.host(0), topo.host(2)), 1);
+  EXPECT_EQ(ping_across(sched, topo.host(0), topo.host(2)), 1);
   EXPECT_GT(topo.mac_entries(), 0u);
 }
 
 TEST(BuildTopology, HostAddressesAreUniqueAndOrdered) {
-  netsim::Network net;
-  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kLine, 2, 2));
+  auto topo = build_sharded_topology(spec_of(netsim::TopologyShape::kLine, 2, 2), 1);
   ASSERT_EQ(topo.host_count(), 6u);  // 3 segments x 2 hosts
   for (std::size_t i = 0; i < topo.host_count(); ++i) {
     for (std::size_t j = i + 1; j < topo.host_count(); ++j) {
@@ -70,11 +77,10 @@ TEST(BuildTopology, HostAddressesAreUniqueAndOrdered) {
 TEST(BuildTopology, ThousandStationLansGetUniqueAddresses) {
   // The old 10.<lan>.<lan>.<host> scheme capped at 253 hosts per LAN; the
   // flat ordinal plan must hold thousand-station LANs without collisions.
-  netsim::Network net;
   TopologyBuildOptions opts;
   opts.stp = false;  // no convergence needed; this is an addressing test
-  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kLine, 1, 600), {},
-                             opts);
+  auto topo =
+      build_sharded_topology(spec_of(netsim::TopologyShape::kLine, 1, 600), 1, {}, opts);
   ASSERT_EQ(topo.host_count(), 2u * 600u);
   std::set<std::uint32_t> seen;
   for (std::size_t h = 0; h < topo.host_count(); ++h) {
@@ -101,11 +107,10 @@ TEST(BuildTopology, AddressPlanSlicesAreDisjoint) {
 }
 
 TEST(BuildTopology, NetloaderOptionArmsEveryBridge) {
-  netsim::Network net;
   TopologyBuildOptions opts;
   opts.netloader = true;
-  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kRing, 3, 1), {},
-                             opts);
+  auto topo =
+      build_sharded_topology(spec_of(netsim::TopologyShape::kRing, 3, 1), 1, {}, opts);
   for (std::size_t b = 0; b < topo.bridges.size(); ++b) {
     ASSERT_TRUE(topo.bridges[b]->config().loader_ip.has_value());
     EXPECT_EQ(*topo.bridges[b]->config().loader_ip, topology_loader_ip(b));
@@ -114,14 +119,14 @@ TEST(BuildTopology, NetloaderOptionArmsEveryBridge) {
 }
 
 TEST(BuildTopology, OptionsSelectModules) {
-  netsim::Network net;
   TopologyBuildOptions opts;
   opts.stp = false;
-  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kLine, 1, 0), {}, opts);
+  auto topo =
+      build_sharded_topology(spec_of(netsim::TopologyShape::kLine, 1, 0), 1, {}, opts);
   EXPECT_NE(topo.bridges[0]->node().loader().find("bridge.dumb"), nullptr);
   EXPECT_NE(topo.bridges[0]->node().loader().find("bridge.learning"), nullptr);
   EXPECT_EQ(topo.bridges[0]->node().loader().find("stp.ieee"), nullptr);
-  EXPECT_TRUE(topo.stp_engines().empty());
+  EXPECT_TRUE(stp_engines(topo.bridges).empty());
   EXPECT_FALSE(topo.stp_converged());
 }
 
@@ -131,26 +136,25 @@ TEST(BuildTopology, OptionsSelectModules) {
 // whole convergence window plus traffic is a few thousand frames, not
 // millions.
 TEST(BuildTopology, StarHubDoesNotAmplifyTcns) {
-  netsim::Network net;
-  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kStar, 8, 1));
+  auto topo = build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 8, 1), 1);
+  netsim::Scheduler& sched = clock_of(topo);
   netsim::FrameTrace trace;
   trace.watch(*topo.shape.lans[0]);  // the hub
-  net.scheduler().run_for(netsim::seconds(60));
+  sched.run_for(netsim::seconds(60));
   EXPECT_TRUE(topo.stp_converged());
   // Loop-free: nothing to block.
   EXPECT_EQ(topo.count_gates(PortGate::kBlocked), 0);
   // 60 s of hellos + the forwarding-transition TCN burst across 8 bridges:
   // linear traffic. The storm this guards against was ~10^6 frames.
   EXPECT_LT(trace.size(), 2000u);
-  EXPECT_EQ(ping_across(net, topo.host(0), topo.host(8)), 1);
+  EXPECT_EQ(ping_across(sched, topo.host(0), topo.host(8)), 1);
 }
 
 TEST(BuildTopology, TreeTrunkSegmentsStayQuiet) {
-  netsim::Network net;
   netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kTree, 7, 0);
   spec.tree_arity = 2;
-  auto topo = build_topology(net, spec);
-  net.scheduler().run_for(netsim::seconds(60));
+  auto topo = build_sharded_topology(spec, 1);
+  clock_of(topo).run_for(netsim::seconds(60));
   EXPECT_TRUE(topo.stp_converged());
   EXPECT_EQ(topo.count_gates(PortGate::kBlocked), 0);
   std::uint64_t frames = 0;
@@ -159,9 +163,8 @@ TEST(BuildTopology, TreeTrunkSegmentsStayQuiet) {
 }
 
 TEST(BuildTopology, MeshConvergesWithManyLoopsCut) {
-  netsim::Network net;
-  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kMesh, 4, 0));
-  net.scheduler().run_for(netsim::seconds(60));
+  auto topo = build_sharded_topology(spec_of(netsim::TopologyShape::kMesh, 4, 0), 1);
+  clock_of(topo).run_for(netsim::seconds(60));
   EXPECT_TRUE(topo.stp_converged());
   // 6 p2p segments, 12 bridge ports, spanning tree keeps 4 nodes on 3
   // active links: every redundant pair is cut somewhere.
@@ -169,32 +172,32 @@ TEST(BuildTopology, MeshConvergesWithManyLoopsCut) {
 }
 
 TEST(BuildTopology, RandomKRegularConvergesAndCarriesTraffic) {
-  netsim::Network net;
   netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kRandomKRegular, 8, 1);
   spec.degree = 3;
   spec.seed = 42;
-  auto topo = build_topology(net, spec);
+  auto topo = build_sharded_topology(spec, 1);
+  netsim::Scheduler& sched = clock_of(topo);
   ASSERT_EQ(topo.bridges.size(), 8u);
   ASSERT_EQ(topo.shape.lans.size(), 12u);  // 8*3/2 point-to-point segments
-  net.scheduler().run_for(netsim::seconds(60));
+  sched.run_for(netsim::seconds(60));
   EXPECT_TRUE(topo.stp_converged());
   // 12 edges over 8 nodes: 5 redundant links, each cut at one end.
   EXPECT_EQ(topo.count_gates(PortGate::kBlocked), 5);
-  EXPECT_EQ(ping_across(net, topo.host(0), topo.host(topo.host_count() - 1)), 1);
+  EXPECT_EQ(ping_across(sched, topo.host(0), topo.host(topo.host_count() - 1)), 1);
 }
 
 TEST(BuildTopology, ScaleFreeConvergesAndCarriesTraffic) {
-  netsim::Network net;
   netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kScaleFree, 12, 1);
   spec.attach = 2;
   spec.seed = 3;
-  auto topo = build_topology(net, spec);
+  auto topo = build_sharded_topology(spec, 1);
+  netsim::Scheduler& sched = clock_of(topo);
   ASSERT_EQ(topo.bridges.size(), 12u);
   // Seed clique C(3,2)=3 edges + 9 newcomers x 2.
   ASSERT_EQ(topo.shape.lans.size(), 21u);
-  net.scheduler().run_for(netsim::seconds(60));
+  sched.run_for(netsim::seconds(60));
   EXPECT_TRUE(topo.stp_converged());
-  EXPECT_EQ(ping_across(net, topo.host(0), topo.host(topo.host_count() - 1)), 1);
+  EXPECT_EQ(ping_across(sched, topo.host(0), topo.host(topo.host_count() - 1)), 1);
 }
 
 // Regression for the TCA satellite: a lossy segment between a notifying
@@ -203,21 +206,20 @@ TEST(BuildTopology, ScaleFreeConvergesAndCarriesTraffic) {
 // retransmits every hello time until the designated bridge acks, so the
 // root reliably learns of the change even at 60% loss.
 TEST(BuildTopology, TopologyChangeSurvivesLossySegment) {
-  netsim::Network net;
   netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kLine, 3, 0);
   netsim::LanConfig lossy;
   lossy.loss = 0.6;
   lossy.seed = 99;
   spec.lan_overrides[1] = lossy;  // between bridge0 and bridge1
-  auto topo = build_topology(net, spec);
-  net.scheduler().run_for(netsim::seconds(60));
+  auto topo = build_sharded_topology(spec, 1);
+  clock_of(topo).run_for(netsim::seconds(60));
   ASSERT_TRUE(topo.stp_converged());
 
   // bridge0 (lowest MAC) is root on a line. The far bridge's ports going
   // Forwarding at t=30 raised topology events that had to cross the lossy
   // segment as TCNs; with 60% loss the first copy usually dies, so only
   // retransmission gets them through.
-  const std::vector<StpEngine*> engines = topo.stp_engines();
+  const std::vector<StpEngine*> engines = stp_engines(topo.bridges);
   ASSERT_EQ(engines.size(), 3u);
   StpEngine* root = nullptr;
   std::uint64_t retransmits = 0;
@@ -273,8 +275,8 @@ TEST(PartitionRegions, ZeroPropagationIsRejectedOnlyOnACutLan) {
 
 // The sharded build's addresses are a function of the plan, not of the
 // partition: a cell's NIC names, MACs and host IPs at 2 and 4 regions are
-// those of its 1-region build (itself pinned against build_topology by
-// ParallelSweep.OneRegionBuildEqualsSingleNetworkBuildExactly).
+// those of its 1-region build (itself pinned to recorded values by
+// ShardedBuild.OneRegionStarCellKeepsItsRecordedIdentityAndRun).
 TEST(ShardedBuild, KRegularNicIdentityDoesNotDependOnRegionCount) {
   netsim::TopologySpec spec = spec_of(netsim::TopologyShape::kRandomKRegular, 8, 2);
   spec.degree = 4;
@@ -316,13 +318,135 @@ TEST(ShardedBuild, KRegularNicIdentityDoesNotDependOnRegionCount) {
   }
 }
 
+// A small tie-free cell at one region, pinned to values recorded when a
+// second, single-Network builder still existed and matched this build NIC
+// by NIC and event by event: every LAN's NICs in attach order, with their
+// names and MAC ids, and every host's address; then, after convergence and
+// one ping from every host to its successor, the scheduler's counts, each
+// LAN's stats and every port's gate.
+TEST(ShardedBuild, OneRegionStarCellKeepsItsRecordedIdentityAndRun) {
+  auto topo = build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 3, 2), 1);
+  netsim::Scheduler& sched = clock_of(topo);
+
+  // Build every host first, so the attach lists hold stations, not just
+  // bridge ports.
+  ASSERT_EQ(topo.host_count(), 8u);
+  for (std::size_t h = 0; h < topo.host_count(); ++h) {
+    const auto last = static_cast<std::uint8_t>(h + 1);
+    EXPECT_EQ(topo.host(h).ip(), stack::Ipv4Addr(10, 0, 0, last)) << "host " << h;
+  }
+  using Nics = std::vector<std::pair<std::string, std::uint32_t>>;  ///< name, MAC id
+  const std::vector<Nics> attached = {
+      {{"bridge0.eth1", 2}, {"bridge1.eth1", 4}, {"bridge2.eth1", 6}, {"host0_0", 7},
+       {"host0_1", 8}},
+      {{"bridge0.eth0", 1}, {"host1_0", 9}, {"host1_1", 10}},
+      {{"bridge1.eth0", 3}, {"host2_0", 11}, {"host2_1", 12}},
+      {{"bridge2.eth0", 5}, {"host3_0", 13}, {"host3_1", 14}},
+  };
+  ASSERT_EQ(topo.lan_count(), attached.size());
+  for (std::size_t l = 0; l < attached.size(); ++l) {
+    const std::vector<netsim::Nic*>& got = topo.shape.lans[l]->attached();
+    ASSERT_EQ(got.size(), attached[l].size()) << "lan " << l;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_NE(got[i], nullptr) << "lan " << l << " nic " << i;
+      EXPECT_EQ(got[i]->name(), attached[l][i].first) << "lan " << l << " nic " << i;
+      EXPECT_EQ(got[i]->mac(), netsim::mac_of_id(attached[l][i].second))
+          << "lan " << l << " nic " << i;
+    }
+  }
+
+  // The sweep's default drive: 45 s of convergence, then one ping from
+  // every host to its successor and 5 s of traffic.
+  sched.run_for(netsim::seconds(45));
+  const std::size_t hosts = topo.host_count();
+  std::vector<int> answered(hosts, 0);
+  for (std::size_t i = 0; i < hosts; ++i) {
+    int* slot = &answered[i];
+    topo.host(i).set_echo_handler(
+        [slot](const stack::HostStack::EchoReply&) { ++*slot; });
+    topo.host(i).send_echo_request(topo.host((i + 1) % hosts).ip(), 7,
+                                   static_cast<std::uint16_t>(i), {});
+  }
+  sched.run_for(netsim::seconds(5));
+  EXPECT_EQ(answered, std::vector<int>(hosts, 1));
+
+  EXPECT_EQ(sched.executed(), 579u);
+  EXPECT_EQ(sched.inserts(), 418u);
+  EXPECT_EQ(sched.scheduled(), 627u);
+  // frames carried, bytes carried, frames lost, receivers visited and
+  // skipped, per LAN.
+  using Stats = std::array<std::uint64_t, 5>;
+  const std::vector<Stats> stats = {{60, 3840, 0, 136, 104},
+                                    {42, 2688, 0, 16, 68},
+                                    {49, 3136, 0, 16, 82},
+                                    {49, 3136, 0, 16, 82}};
+  for (std::size_t l = 0; l < stats.size(); ++l) {
+    const netsim::LanStats got = topo.lan_stats(l);
+    EXPECT_EQ((Stats{got.frames_carried, got.bytes_carried, got.frames_lost,
+                     got.receivers_visited, got.receivers_skipped}),
+              stats[l])
+        << "lan " << l;
+  }
+  // A star has no loop: every port of every bridge forwards.
+  ASSERT_EQ(topo.bridges.size(), 3u);
+  for (std::size_t n = 0; n < topo.bridges.size(); ++n) {
+    const auto& ports = topo.bridges[n]->plane().bridge_ports();
+    ASSERT_EQ(ports.size(), 2u) << "bridge " << n;
+    for (std::size_t p = 0; p < ports.size(); ++p) {
+      EXPECT_EQ(ports[p].gate, PortGate::kForwarding) << "bridge " << n << " port " << p;
+    }
+  }
+}
+
+// A caller's NIC continues the cell's MAC counter past every planned host
+// and sits on its LAN's owning replica, at any region count. At two
+// regions the hub LAN 0 is cut, and leaf LAN 3 (bridge 2's) is owned by
+// region 1.
+TEST(ShardedBuild, StationNicContinuesTheCounterOnTheOwningReplica) {
+  constexpr std::uint32_t kPorts = 3 * 2;  // hub lan 0 has 3, each leaf 1
+  for (const int regions : {1, 2}) {
+    auto topo =
+        build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 3, 4), regions);
+    ASSERT_EQ(topo.regions.size(), static_cast<std::size_t>(regions));
+    std::uint32_t id = kPorts + 16 + 1;
+    for (const std::size_t l : {std::size_t{0}, std::size_t{3}}) {
+      netsim::Nic& nic = topo.add_station_nic("late" + std::to_string(l), l);
+      EXPECT_EQ(nic.mac(), netsim::mac_of_id(id++)) << regions << " regions, lan " << l;
+      netsim::LanSegment* owner = topo.owner_region(l).replicas[l];
+      EXPECT_EQ(nic.segment(), owner) << regions << " regions, lan " << l;
+      EXPECT_EQ(topo.shape.lans[l], owner) << regions << " regions, lan " << l;
+      EXPECT_EQ(owner->attached().back(), &nic) << regions << " regions, lan " << l;
+    }
+    EXPECT_EQ(&topo.owner_region(3), topo.regions.back().get()) << regions << " regions";
+    EXPECT_EQ(topo.next_mac_id, id);
+  }
+}
+
+// A LAN index past the last one throws, as host(i) does past the last
+// host, instead of reading past the plan; a refused station NIC draws no
+// MAC.
+TEST(ShardedBuild, PerLanCallsRejectALanPastTheLast) {
+  for (const int regions : {1, 2}) {
+    auto topo =
+        build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 3, 4), regions);
+    const std::uint32_t next = topo.next_mac_id;
+    for (const std::size_t l : {topo.lan_count(), topo.lan_count() + 1000}) {
+      EXPECT_THROW((void)topo.owner_region(l), std::out_of_range) << regions;
+      EXPECT_THROW((void)topo.lan_stats(l), std::out_of_range) << regions;
+      EXPECT_THROW((void)topo.lan_attached(l), std::out_of_range) << regions;
+      EXPECT_THROW((void)topo.add_station_nic("past", l), std::out_of_range) << regions;
+    }
+    EXPECT_EQ(topo.next_mac_id, next) << regions << " regions";
+    EXPECT_NO_THROW((void)topo.lan_stats(topo.lan_count() - 1)) << regions << " regions";
+  }
+}
+
 // The identity a host is built with is the one the eager build gave it:
 // bridge ports draw MAC ids first, then hosts in ordinal order; the name
 // spells the plan's attachment; the address is the ordinal's; and the NIC
 // sits at the attach position after its LAN's bridge ports.
 TEST(PlannedHosts, HostIsIdempotentAndKeepsTheEagerIdentity) {
-  netsim::Network net;
-  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kStar, 3, 4));
+  auto topo = build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 3, 4), 1);
   constexpr std::uint32_t kPorts = 3 * 2;  // hub lan 0 has 3, each leaf 1
   ASSERT_EQ(topo.host_count(), 16u);
   EXPECT_EQ(topo.hosts_built(), 0u);
@@ -343,8 +467,7 @@ TEST(PlannedHosts, HostIsIdempotentAndKeepsTheEagerIdentity) {
               &host.nic());
   }
   // A caller's NIC continues the counter past every planned host.
-  EXPECT_EQ(net.add_nic("late", *topo.shape.lans[0]).mac(),
-            netsim::mac_of_id(kPorts + 17));
+  EXPECT_EQ(topo.add_station_nic("late", 0).mac(), netsim::mac_of_id(kPorts + 17));
 }
 
 TEST(PlannedHosts, LanAttachedCountsPlannedHostsAtEveryRegionCount) {
@@ -423,8 +546,7 @@ TEST(PlannedHosts, MultiRegionCellBuildsEachHostOnItsOwningRegion) {
 
 
 TEST(PlannedHosts, HostPastTheLastOrdinalThrowsOutOfRange) {
-  netsim::Network net;
-  auto topo = build_topology(net, spec_of(netsim::TopologyShape::kStar, 3, 4));
+  auto topo = build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 3, 4), 1);
   EXPECT_THROW((void)topo.host(topo.host_count()), std::out_of_range);
   ShardedTopology sharded = build_sharded_topology(spec_of(netsim::TopologyShape::kRing, 4, 2), 2);
   EXPECT_THROW((void)sharded.host(sharded.host_count()), std::out_of_range);
@@ -475,9 +597,7 @@ FullWalk full_walk(int regions) {
   opts.stp = false;  // a star has no loop; forward from the start
   ShardedTopology topo =
       build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 4, 3), regions, {}, opts);
-  ShardedTopology::Region& home = topo.owner_region(1);
-  netsim::Nic& probe = home.net.add_nic(home.arena, "probe", *home.replicas[1],
-                                        netsim::mac_of_id(topo.next_mac_id++));
+  netsim::Nic& probe = topo.add_station_nic("probe", 1);
   stack::IcmpEcho echo;
   echo.type = stack::IcmpType::kEchoRequest;
   stack::Ipv4Header h;

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/ping.h"
-#include "src/bridge/topology.h"
+#include "src/bridge/sharded_topology.h"
 #include "src/netsim/trace.h"
 
 namespace ab {
@@ -15,7 +15,6 @@ class LossSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(LossSweep, RingStaysLoopFreeAndConnectedUnderLoss) {
   const double loss = GetParam();
-  netsim::Network net;
   // A lossy three-bridge ring, declared: every segment carries the same
   // loss rate with a distinct deterministic seed via lan_overrides.
   netsim::TopologySpec spec;
@@ -27,14 +26,14 @@ TEST_P(LossSweep, RingStaysLoopFreeAndConnectedUnderLoss) {
     cfg.seed = 1000 + static_cast<std::uint64_t>(i);
     spec.lan_overrides[i] = cfg;
   }
-  auto ring = bridge::build_topology(net, spec);
-  const auto& lans = ring.shape.lans;
+  auto ring = bridge::build_sharded_topology(spec, 1);
+  netsim::Scheduler& sched = ring.regions.front()->net.scheduler();
   netsim::FrameTrace trace;
-  for (auto* lan : lans) trace.watch(*lan);
-  net.scheduler().run_for(netsim::seconds(60));
+  for (auto* lan : ring.shape.lans) trace.watch(*lan);
+  sched.run_for(netsim::seconds(60));
 
   // Still exactly one root, unanimously agreed, despite lost BPDUs.
-  const std::vector<bridge::StpEngine*> engines = ring.stp_engines();
+  const std::vector<bridge::StpEngine*> engines = bridge::stp_engines(ring.bridges);
   int roots = 0;
   for (auto* e : engines) roots += e->is_root() ? 1 : 0;
   EXPECT_EQ(roots, 1);
@@ -43,12 +42,12 @@ TEST_P(LossSweep, RingStaysLoopFreeAndConnectedUnderLoss) {
 
   // Loop-free: a burst of broadcasts stays bounded.
   trace.clear();
-  auto& probe = net.add_nic("probe", *lans[0]);
+  auto& probe = ring.add_station_nic("probe", 0);
   for (int i = 0; i < 10; ++i) {
     probe.transmit(ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
                                            ether::EtherType::kExperimental, {1}));
   }
-  net.scheduler().run_for(netsim::seconds(2));
+  sched.run_for(netsim::seconds(2));
   EXPECT_LT(trace.count_if([](const netsim::TraceEntry& e) {
               return e.decoded_ok && e.dst.is_broadcast();
             }),
@@ -57,13 +56,13 @@ TEST_P(LossSweep, RingStaysLoopFreeAndConnectedUnderLoss) {
   // Connected: ping succeeds across the ring (retrying through loss).
   stack::HostConfig ha;
   ha.ip = stack::Ipv4Addr(10, 0, 0, 1);
-  stack::HostStack host_a(net.scheduler(), net.add_nic("hostA", *lans[0]), ha);
+  stack::HostStack host_a(sched, ring.add_station_nic("hostA", 0), ha);
   stack::HostConfig hb;
   hb.ip = stack::Ipv4Addr(10, 0, 0, 2);
-  stack::HostStack host_b(net.scheduler(), net.add_nic("hostB", *lans[1]), hb);
-  apps::PingApp ping(net.scheduler(), host_a, host_b.ip());
+  stack::HostStack host_b(sched, ring.add_station_nic("hostB", 1), hb);
+  apps::PingApp ping(sched, host_a, host_b.ip());
   ping.run(30, 64, netsim::milliseconds(200));
-  net.scheduler().run_for(netsim::seconds(10));
+  sched.run_for(netsim::seconds(10));
   EXPECT_GT(ping.stats().received, 10);  // most pings survive 2x-5x loss rolls
 }
 

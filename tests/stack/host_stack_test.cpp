@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/bridge/topology.h"
+#include "src/bridge/sharded_topology.h"
 #include "src/netsim/network.h"
 
 namespace ab::stack {
@@ -344,19 +344,19 @@ TEST(HostStack, StationNicStaysIdleOnALanCarryingOtherTraffic) {
   // floods a broadcast burst and asks ARP for addresses no station owns.
   // The segment hands none of it to a station, so no station is built,
   // and a station asked for afterwards builds no box.
-  netsim::Network net;
   netsim::TopologySpec spec;
   spec.shape = netsim::TopologyShape::kStar;
   spec.nodes = 2;
   spec.hosts_per_lan = 3;
-  bridge::BridgedTopology topo = bridge::build_topology(net, spec);
+  bridge::ShardedTopology topo = bridge::build_sharded_topology(spec, 1);
+  netsim::Scheduler& sched = topo.regions.front()->net.scheduler();
   ASSERT_EQ(topo.host_count(), 9u);  // hub + 2 leaves, 3 stations each
-  netsim::Nic& probe = net.add_nic("probe", *topo.shape.lans[1]);
+  netsim::Nic& probe = topo.add_station_nic("probe", 1);
   std::vector<ether::WireFrame> burst(
       16, ether::Frame::ethernet2(ether::MacAddress::broadcast(), probe.mac(),
                                   ether::EtherType::kExperimental,
                                   util::ByteBuffer(64, 0x11)));
-  net.scheduler().run_for(netsim::seconds(5));  // hellos and the root election
+  sched.run_for(netsim::seconds(5));  // hellos and the root election
   EXPECT_EQ(probe.transmit_burst(burst), 16u);
   for (std::uint8_t last = 200; last < 204; ++last) {
     probe.transmit(ether::Frame::ethernet2(
@@ -364,7 +364,7 @@ TEST(HostStack, StationNicStaysIdleOnALanCarryingOtherTraffic) {
         ArpPacket::request(probe.mac(), Ipv4Addr(10, 9, 9, 9), Ipv4Addr(10, 9, 9, last))
             .encode()));
   }
-  net.scheduler().run_for(netsim::seconds(5));
+  sched.run_for(netsim::seconds(5));
   EXPECT_EQ(topo.hosts_built(), 0u);
 
   const netsim::NicStats& idle_zeros = topo.host(0).nic().stats();
