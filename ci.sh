@@ -32,20 +32,11 @@ cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure -j)
 
 echo "== TSan build + sharded-core tests =="
-# ThreadSanitizer over everything that touches the parallel core: the
-# mailbox/runner unit tests, the sharded-vs-oracle property tests, the
-# inject_remote segment tests, the TCP suites (socket timers run on
-# per-shard schedulers, so the conformance + host-stack tests must stay
-# clean when the sharded workers are racing), the per-region arena
-# teardown, the LAN station index (replicas classify and deliver
-# through inject_remote on shard workers), and planned hosts and host
-# blocks (each host built by its owning region's worker when a frame first
-# reaches it). The full suite under TSan is slow and the rest of the code
-# is single-threaded; the filter keeps this section tight.
+# scripts/tsan_tests.sh holds the one filter (what it covers and why is in
+# its header) and fails when an alternative of it matches no test.
 cmake -B build-tsan -S . -DAB_TSAN=ON
 cmake --build build-tsan -j
-(cd build-tsan && ctest --output-on-failure -j \
-  -R 'RelayRing|ShardChannel|Shard\.|ParallelRunner|ParallelSweep|InjectRemote|Tcp|BridgeArena|LanIndex|PlannedHosts|HostBlocks')
+./scripts/tsan_tests.sh build-tsan
 
 echo "== datapath accounting =="
 # micro_datapath is only built when google-benchmark is installed. When it

@@ -34,6 +34,7 @@ netsim::LanStats ShardedTopology::lan_stats(std::size_t l) const {
     total.frames_carried += replica->stats().frames_carried;
     total.bytes_carried += replica->stats().bytes_carried;
     total.frames_lost += replica->stats().frames_lost;
+    total.frames_dropped_by_filter += replica->stats().frames_dropped_by_filter;
     total.receivers_visited += replica->stats().receivers_visited;
     total.receivers_skipped += replica->stats().receivers_skipped;
   }
@@ -136,7 +137,7 @@ ShardedTopology::ShardedTopology(const netsim::TopologySpec& spec, int region_co
     assemble_hosts(site(owner_region(l)), hosts_, l);
   }
 
-  // Mailboxes: for each cut LAN, one SPSC channel per ordered (producer,
+  // Mailboxes: for each cut LAN, one channel per ordered (producer,
   // consumer) region pair. Producer side: the replica's relay hook fans
   // each local transmission into every outgoing channel with the
   // producer-computed delivery time. Consumer side: channels register in

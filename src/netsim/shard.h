@@ -8,26 +8,22 @@
 // its local replica with LanSegment::inject_remote at the producer-computed
 // delivery time.
 //
-// Mailboxes are bounded SPSC rings -- exactly one producing shard and one
-// consuming shard per ring, lock-free with acquire/release indices, the
-// same engine/backlog-queue shape as per-CPU packet processing engines.
-// The parallel runner's conservative windows mean a consumer only drains at
-// round boundaries, while every producer is parked at the same barrier; a
-// ring that fills mid-window therefore CANNOT wait for the consumer
-// (deadlock: the consumer is waiting for the producer to reach the
-// barrier), so overflow spills into a producer-owned vector that the
-// barrier's happens-before hands to the consumer safely.
+// A mailbox is a plain vector that the round barrier hands over: exactly
+// one producing shard appends to it during its window, and exactly one
+// consuming shard empties it at the next round boundary, in the phase
+// between two barrier waits of the parallel runner, while every producer
+// is parked. The two sides never touch the vector at the same time, so the
+// barrier's happens-before is the only synchronization it needs.
 //
 // Determinism: a shard drains its channels in registration order (the
 // builder registers them in (cut segment, producer region) order), each
-// ring in push order (the producer's own deterministic event order), and
-// rings are strictly point-to-point -- so the injection sequence is a pure
-// function of the simulation, independent of thread count or scheduling.
+// channel in push order (the producer's own deterministic event order),
+// and channels are strictly point-to-point -- so the injection sequence is
+// a pure function of the simulation, independent of thread count or
+// scheduling.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "src/netsim/scheduler.h"
@@ -47,66 +43,28 @@ struct RelayFrame {
   util::ByteBuffer wire;
 };
 
-/// Bounded single-producer single-consumer ring of RelayFrames.
-class RelayRing {
- public:
-  /// `capacity` is rounded up to a power of two (minimum 2).
-  explicit RelayRing(std::size_t capacity = 1024);
-
-  RelayRing(const RelayRing&) = delete;
-  RelayRing& operator=(const RelayRing&) = delete;
-
-  /// Producer side. Moves from `frame` only on success; false when the
-  /// ring is full (caller still owns the frame and can spill it).
-  [[nodiscard]] bool try_push(RelayFrame& frame);
-
-  /// Consumer side. False when the ring is empty.
-  [[nodiscard]] bool try_pop(RelayFrame& out);
-
-  /// Consumer-side view; exact once the producer has quiesced.
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-
- private:
-  std::vector<RelayFrame> slots_;
-  std::size_t mask_;
-  /// Consumer cursor (pop side) and producer cursor (push side) on their
-  /// own cache lines; each side reads the other's index with acquire and
-  /// publishes its own with release.
-  alignas(64) std::atomic<std::size_t> head_{0};
-  alignas(64) std::atomic<std::size_t> tail_{0};
-};
-
 /// One directed cross-shard conduit: frames relayed by the producing
 /// region's owning replica of one cut segment, drained into `target` (the
 /// consuming region's replica of that same segment).
 class ShardChannel {
  public:
-  ShardChannel(LanSegment& target, std::size_t ring_capacity = 1024)
-      : target_(&target), ring_(ring_capacity) {}
+  explicit ShardChannel(LanSegment& target) : target_(&target) {}
+
+  ShardChannel(const ShardChannel&) = delete;
+  ShardChannel& operator=(const ShardChannel&) = delete;
 
   /// Producer side (called from the owning replica's relay hook, on the
-  /// producing shard's thread). Never blocks: a full ring spills into the
-  /// producer-owned overflow vector, which the consumer may only read
-  /// after a synchronization point (the runner's round barrier).
+  /// producing shard's thread, inside its window): appends one frame.
   void push(TimePoint deliver_at, util::ByteView wire);
 
-  /// Consumer side, at a sync point only: injects every queued frame into
-  /// the target replica (ring first -- those frames are older than any
-  /// spilled one -- then the spill, in push order). Returns frames drained.
+  /// Consumer side, at a round boundary only: injects every queued frame
+  /// into the target replica in push order and empties the mailbox,
+  /// keeping its capacity. Returns frames drained.
   std::size_t drain();
-
-  [[nodiscard]] LanSegment& target() { return *target_; }
-  [[nodiscard]] std::uint64_t spilled() const { return spilled_; }
 
  private:
   LanSegment* target_;
-  RelayRing ring_;
-  /// Producer-owned overflow for full-ring pushes. Only touched by the
-  /// consumer inside drain(), which the runner orders after a barrier.
-  std::vector<RelayFrame> spill_;
-  std::uint64_t spilled_ = 0;  ///< total spilled frames (telemetry)
+  std::vector<RelayFrame> frames_;
 };
 
 /// One shard's view of the synchronization machinery: its Scheduler plus

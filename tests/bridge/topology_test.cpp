@@ -441,6 +441,37 @@ TEST(ShardedBuild, PerLanCallsRejectALanPastTheLast) {
   }
 }
 
+// A drop filter on a LAN's owning replica, the hook a scripted fault
+// installs, shows in lan_stats at every region count. At two regions hub
+// LAN 0 is cut (the probe's frames still relay to the other replica, which
+// has no filter) and leaf LAN 3 is not.
+TEST(ShardedBuild, LanStatsCountScriptedDropsOnTheOwningReplica) {
+  constexpr std::uint64_t kDrops = 3;
+  for (const int regions : {1, 2}) {
+    auto topo =
+        build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 3, 4), regions);
+    for (const std::size_t l : {std::size_t{0}, std::size_t{3}}) {
+      netsim::Nic& probe = topo.add_station_nic("probe" + std::to_string(l), l);
+      topo.shape.lans[l]->set_drop_filter(
+          [&probe](netsim::TimePoint, const netsim::Nic* sender, util::ByteView) {
+            return sender == &probe;
+          });
+      for (std::uint64_t k = 0; k < kDrops; ++k) {
+        EXPECT_TRUE(probe.transmit(ether::Frame::ethernet2(
+            ether::MacAddress::broadcast(), probe.mac(), ether::EtherType::kExperimental,
+            util::ByteBuffer(64, 0x5a))));
+      }
+    }
+    netsim::ParallelRunner runner(topo.shard_handles(),
+                                  {.threads = 1, .lookahead = topo.plan.lookahead});
+    runner.run_for(netsim::milliseconds(1));
+    for (const std::size_t l : {std::size_t{0}, std::size_t{3}}) {
+      EXPECT_EQ(topo.lan_stats(l).frames_dropped_by_filter, kDrops)
+          << regions << " regions, lan " << l;
+    }
+  }
+}
+
 // The identity a host is built with is the one the eager build gave it:
 // bridge ports draw MAC ids first, then hosts in ordinal order; the name
 // spells the plan's attachment; the address is the ordinal's; and the NIC

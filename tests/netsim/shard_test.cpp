@@ -1,7 +1,7 @@
-// Units for the sharded parallel core: the SPSC RelayRing, the
-// ShardChannel conduit (ring + spill), Shard drain ordering, and the
-// ParallelRunner's conservative windows -- including the thread-count
-// independence property on synthetic shards.
+// Units for the sharded parallel core: the ShardChannel mailbox, Shard
+// drain ordering, and the ParallelRunner's conservative windows --
+// including the thread-count independence property on synthetic shards
+// and bursts relayed across a cut at 1 and 2 threads.
 #include "src/netsim/shard.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,8 @@
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
-#include <thread>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ether/frame.h"
@@ -26,85 +27,6 @@ ether::Frame test_frame(std::size_t payload_len = 64) {
                                  ether::MacAddress::local(7, 1),
                                  ether::EtherType::kExperimental,
                                  util::ByteBuffer(payload_len, 0x33));
-}
-
-RelayFrame relay_frame(TimePoint deliver_at, std::size_t payload_len = 64) {
-  RelayFrame frame;
-  frame.deliver_at = deliver_at;
-  const ether::WireFrame wire(test_frame(payload_len));
-  frame.wire.assign(wire.wire().begin(), wire.wire().end());
-  return frame;
-}
-
-// ---------------------------------------------------------------- RelayRing
-
-TEST(RelayRing, CapacityRoundsUpToPowerOfTwoMinimumTwo) {
-  EXPECT_EQ(RelayRing(1).capacity(), 2u);
-  EXPECT_EQ(RelayRing(2).capacity(), 2u);
-  EXPECT_EQ(RelayRing(4).capacity(), 4u);
-  EXPECT_EQ(RelayRing(5).capacity(), 8u);
-  EXPECT_EQ(RelayRing(1024).capacity(), 1024u);
-}
-
-TEST(RelayRing, PopsInPushOrder) {
-  RelayRing ring(4);
-  for (int i = 0; i < 3; ++i) {
-    RelayFrame frame = relay_frame(TimePoint(microseconds(i)));
-    ASSERT_TRUE(ring.try_push(frame));
-  }
-  EXPECT_EQ(ring.size(), 3u);
-
-  RelayFrame out;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out.deliver_at, TimePoint(microseconds(i)));
-    EXPECT_FALSE(out.wire.empty());
-  }
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.try_pop(out));
-}
-
-TEST(RelayRing, FullRingRejectsPushAndLeavesFrameIntact) {
-  RelayRing ring(2);
-  RelayFrame a = relay_frame(TimePoint(microseconds(1)));
-  RelayFrame b = relay_frame(TimePoint(microseconds(2)));
-  ASSERT_TRUE(ring.try_push(a));
-  ASSERT_TRUE(ring.try_push(b));
-
-  RelayFrame c = relay_frame(TimePoint(microseconds(3)));
-  const std::size_t wire_bytes = c.wire.size();
-  EXPECT_FALSE(ring.try_push(c));
-  // The caller still owns the frame (it spills, it is not lost).
-  EXPECT_EQ(c.deliver_at, TimePoint(microseconds(3)));
-  EXPECT_EQ(c.wire.size(), wire_bytes);
-
-  RelayFrame out;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_TRUE(ring.try_push(c));  // slot freed, push succeeds now
-  EXPECT_EQ(ring.size(), 2u);
-}
-
-TEST(RelayRing, CrossThreadSpscPreservesOrder) {
-  RelayRing ring(64);
-  constexpr int kFrames = 4096;
-
-  std::thread producer([&ring] {
-    for (int i = 0; i < kFrames; ++i) {
-      RelayFrame frame;
-      frame.deliver_at = TimePoint(Duration(i));
-      frame.wire.assign(8, static_cast<unsigned char>(i & 0xFF));
-      while (!ring.try_push(frame)) std::this_thread::yield();
-    }
-  });
-
-  RelayFrame out;
-  for (int i = 0; i < kFrames; ++i) {
-    while (!ring.try_pop(out)) std::this_thread::yield();
-    ASSERT_EQ(out.deliver_at, TimePoint(Duration(i)));
-    ASSERT_EQ(out.wire[0], static_cast<unsigned char>(i & 0xFF));
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
 }
 
 // ------------------------------------------------------------- ShardChannel
@@ -130,10 +52,9 @@ TEST(ShardChannel, DrainInjectsIntoTargetAtProducerComputedTimes) {
   // Remote frames are counted at the producer's replica, never here.
   EXPECT_EQ(lan.stats().frames_carried, 0u);
   EXPECT_EQ(lan.stats().bytes_carried, 0u);
-  EXPECT_EQ(channel.spilled(), 0u);
 }
 
-TEST(ShardChannel, OverflowSpillsAndDrainPreservesPushOrder) {
+TEST(ShardChannel, SameTimeFramesArriveInPushOrderAndDrainEmptiesIt) {
   Network net;
   LanSegment& lan = net.add_segment("replica");
   Nic& rx = net.add_nic("rx", lan);
@@ -141,25 +62,23 @@ TEST(ShardChannel, OverflowSpillsAndDrainPreservesPushOrder) {
   rx.set_rx_handler(
       [&](const ether::WireFrame& f) { sizes.push_back(f.wire_size()); });
 
-  // Ring capacity 2: pushes 3..5 overflow into the producer-owned spill.
-  ShardChannel channel(lan, 2);
+  ShardChannel channel(lan);
+  constexpr std::size_t kFrames = 64;
   const TimePoint at(microseconds(5));
-  for (std::size_t i = 0; i < 5; ++i) {
+  for (std::size_t i = 0; i < kFrames; ++i) {
     const ether::WireFrame wire(test_frame(100 + i));  // distinct wire sizes
     channel.push(at, wire.wire());
   }
-  EXPECT_EQ(channel.spilled(), 3u);
 
-  EXPECT_EQ(channel.drain(), 5u);
+  EXPECT_EQ(channel.drain(), kFrames);
+  EXPECT_EQ(channel.drain(), 0u);  // the first drain took every frame
   net.scheduler().run();
 
-  // Same timestamp throughout, so delivery order IS injection order: ring
-  // first (older frames), then spill, both in push order.
-  ASSERT_EQ(sizes.size(), 5u);
+  // Same timestamp throughout, so delivery order IS injection order.
+  ASSERT_EQ(sizes.size(), kFrames);
   for (std::size_t i = 1; i < sizes.size(); ++i) {
     EXPECT_EQ(sizes[i], sizes[i - 1] + 1) << "frame " << i << " out of order";
   }
-  EXPECT_EQ(channel.spilled(), 3u);  // telemetry is cumulative, not reset
 }
 
 // -------------------------------------------------------------------- Shard
@@ -318,40 +237,57 @@ TEST(ParallelRunner, ThreadCountDoesNotChangeExecutionOrRoundStructure) {
 // End-to-end miniature of the real wiring: two single-NIC regions joined by
 // one cut segment. Region A's replica relays each local transmission into
 // the channel; region B injects it at the producer-computed delivery time.
+// A 16-frame burst of distinct sizes puts several frames into the channel
+// per round (each ~6-8us of serialization against a 50us lookahead).
 TEST(ParallelRunner, RelaysFramesAcrossShardsThroughChannels) {
-  for (const int threads : {1, 2}) {
-    Network net_a, net_b;
-    LanSegment& lan_a = net_a.add_segment("cut");
-    LanSegment& lan_b = net_b.add_segment("cut");
-    Nic& tx = net_a.add_nic("tx", lan_a);
-    Nic& rx = net_b.add_nic("rx", lan_b);
+  for (const std::size_t burst : {std::size_t{1}, std::size_t{16}}) {
+    for (const int threads : {1, 2}) {
+      Network net_a, net_b;
+      LanSegment& lan_a = net_a.add_segment("cut");
+      LanSegment& lan_b = net_b.add_segment("cut");
+      Nic& tx = net_a.add_nic("tx", lan_a);
+      Nic& rx = net_b.add_nic("rx", lan_b);
 
-    std::vector<TimePoint> delivered;
-    rx.set_rx_handler(
-        [&](const ether::WireFrame&) { delivered.push_back(net_b.now()); });
+      std::vector<std::pair<TimePoint, std::size_t>> delivered;  ///< time, wire size
+      rx.set_rx_handler([&](const ether::WireFrame& f) {
+        delivered.emplace_back(net_b.now(), f.wire_size());
+      });
 
-    Shard shard_a(net_a.scheduler()), shard_b(net_b.scheduler());
-    ShardChannel channel(lan_b);
-    shard_b.add_inbound(channel);
-    const Duration prop = microseconds(50);
-    lan_a.set_relay([&channel, prop](TimePoint now, const Nic*,
-                                     util::ByteView wire) {
-      channel.push(now + prop, wire);
-    });
+      Shard shard_a(net_a.scheduler()), shard_b(net_b.scheduler());
+      ShardChannel channel(lan_b);
+      shard_b.add_inbound(channel);
+      const Duration prop = microseconds(50);
+      lan_a.set_relay([&channel, prop](TimePoint now, const Nic*,
+                                       util::ByteView wire) {
+        channel.push(now + prop, wire);
+      });
 
-    const ether::Frame frame = test_frame();
-    const Duration ser = lan_a.serialization_delay(frame.wire_size());
-    net_a.scheduler().schedule_at(TimePoint{}, [&] { tx.transmit(frame); });
+      // Frame i is back to back behind frame i-1: it arrives at the end of
+      // its own serialization plus the propagation delay.
+      std::vector<ether::WireFrame> frames;
+      std::vector<std::pair<TimePoint, std::size_t>> expected;
+      TimePoint serialized{};
+      for (std::size_t i = 0; i < burst; ++i) {
+        frames.emplace_back(test_frame(64 + i));
+        const std::size_t size = frames.back().wire_size();
+        serialized += lan_a.serialization_delay(size);
+        expected.emplace_back(serialized + prop, size);
+      }
+      net_a.scheduler().schedule_at(TimePoint{}, [&] {
+        EXPECT_EQ(tx.transmit_burst(frames), burst);
+      });
 
-    ParallelRunner runner({&shard_a, &shard_b},
-                          {.threads = threads, .lookahead = prop});
-    runner.run_until(TimePoint(milliseconds(1)));
+      ParallelRunner runner({&shard_a, &shard_b},
+                            {.threads = threads, .lookahead = prop});
+      runner.run_until(TimePoint(milliseconds(1)));
 
-    ASSERT_EQ(delivered.size(), 1u) << "threads=" << threads;
-    EXPECT_EQ(delivered[0], TimePoint{} + ser + prop) << "threads=" << threads;
-    // Carried stats belong to the producing replica alone.
-    EXPECT_EQ(lan_a.stats().frames_carried, 1u);
-    EXPECT_EQ(lan_b.stats().frames_carried, 0u);
+      const std::string at = "burst=" + std::to_string(burst) +
+                             " threads=" + std::to_string(threads);
+      EXPECT_EQ(delivered, expected) << at;
+      // Carried stats belong to the producing replica alone.
+      EXPECT_EQ(lan_a.stats().frames_carried, burst) << at;
+      EXPECT_EQ(lan_b.stats().frames_carried, 0u) << at;
+    }
   }
 }
 
