@@ -20,14 +20,16 @@
 // every workload path on each PR; the numbers only mean something on quiet
 // machines.
 //
+// Every cell's bounds sit beside it as guards (bench/guards.h): each
+// prints one line, and the bench exits 1 if any failed.
+//
 // The flood-dominated profile (always run, smoke included) pins the
-// batched-delivery contract in BENCH_topology.json: a broadcast burst into
-// a thousand-station hub segment must cost O(1) scheduler events per
-// broadcast (one transmit event + one per-segment delivery walk), where
-// the per-receiver-event scheme cost receivers + 1. The CI bench-smoke
-// guard (scripts/check_bench_smoke.sh) fails the build if this regresses.
+// batched-delivery contract: a broadcast burst into a thousand-station hub
+// segment must cost O(1) scheduler events per broadcast (one transmit
+// event + one per-segment delivery walk), where the per-receiver-event
+// scheme cost receivers + 1.
 // Three transmit-path profiles pin the PR 5 burst-batching contract (all
-// always run; the CI guard asserts their bounds):
+// always run):
 //   * flood_profile gains inserts_per_broadcast: a burst of broadcasts
 //     drains the probe NIC's queue as one timed run, so the transmit side
 //     adds ~1/burst insert per broadcast where the self-rearming chain
@@ -44,13 +46,11 @@
 // A mac_growth cell (always run, smoke included, first so its forked child
 // starts from a near-empty heap) pins MAC-table memory: 256 tables learn
 // 2,048 addresses in lockstep, kreg-flood's learning pattern, and the
-// peak-RSS growth per learned entry goes to BENCH_topology.json, where
-// check_bench_smoke.sh bounds it.
+// peak-RSS growth per learned entry is bounded.
 // The station-scale cell (always run, smoke included) builds star-8x125000
 // -- 1,125,000 arena-backed stations -- under the aggregate workload and
 // pins per-station build time, memory and receiver visits per carried
-// frame in BENCH_topology.json's aggregate_profile; check_bench_smoke.sh
-// enforces the bounds.
+// frame (BENCH_topology.json's aggregate_profile).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "bench/fork_cell.h"
+#include "bench/guards.h"
 #include "src/apps/scenario.h"
 #include "src/apps/ttcp.h"
 #include "src/bridge/bridge_node.h"
@@ -250,9 +251,10 @@ struct MacLookupProfile {
   double flat_ns_per_lookup = 0.0;
   double map_ns_per_lookup = 0.0;
   double speedup = 0.0;
-  /// Flat table and reference map agreed on every hit (the side-by-side
-  /// replay is a correctness check as much as a timing one).
-  bool hits_agree = true;
+  /// Hits of the flat table and of the reference map over the same replay,
+  /// which must agree (a correctness check as much as a timing one).
+  std::uint64_t flat_hits = 0;
+  std::uint64_t map_hits = 0;
 };
 
 MacLookupProfile run_mac_lookup_profile(std::size_t entries, std::size_t lookups) {
@@ -315,12 +317,8 @@ MacLookupProfile run_mac_lookup_profile(std::size_t entries, std::size_t lookups
                               std::chrono::steady_clock::now() - map_start)
                               .count();
   MacLookupProfile p;
-  p.hits_agree = flat_hits == map_hits;
-  if (!p.hits_agree) {
-    std::fprintf(stderr, "mac_lookup: hit counts diverge (flat %llu, map %llu)\n",
-                 static_cast<unsigned long long>(flat_hits),
-                 static_cast<unsigned long long>(map_hits));
-  }
+  p.flat_hits = flat_hits;
+  p.map_hits = map_hits;
   p.entries = entries;
   p.lookups = lookups;
   p.flat_ns_per_lookup = flat_ns;
@@ -380,7 +378,7 @@ MacGrowthProfile run_mac_growth_profile(std::size_t tables, std::size_t addresse
 /// queueing delay; retransmits if queues do overflow) instead of silent
 /// loss. The cell asserts every byte is eventually delivered (TCP's
 /// reliability contract) and that goodput stays within a constant factor
-/// of fair share; check_bench_smoke.sh re-checks the bounds from the JSON.
+/// of fair share.
 /// It also counts the frames it encoded: no segment of the cell has a tap,
 /// relay, drop filter or capture, so nothing reads wire bytes and the lazy
 /// datapath must build none. Encoding every transmitted frame read 0.50
@@ -559,9 +557,13 @@ int main(int argc, char** argv) {
   // before any other cell has grown this process's heap, so the child
   // starts from a near-empty heap and table growth shows up in its peak
   // RSS. A failed fork or child reports 0 entries. Smoke keeps the full
-  // size; the cell takes milliseconds.
+  // size; the cell takes milliseconds. At a load factor under 1/2, 16-byte
+  // slots that free each outgrown array measure ~33 B per learned entry and
+  // 24-byte slots ~49 B; the bound sits between them.
   constexpr std::size_t kGrowthTables = 256;
   constexpr std::size_t kGrowthAddresses = 2048;
+  constexpr double kMaxGrowthPerEntry = 40.0;
+  bench::Guards guards;
   const MacGrowthProfile mac_growth = bench::run_in_child<MacGrowthProfile>(
       [] { return run_mac_growth_profile(kGrowthTables, kGrowthAddresses); });
   std::printf(
@@ -571,12 +573,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(mac_growth.entries),
       static_cast<double>(mac_growth.rss_growth_bytes) / (1024.0 * 1024.0),
       mac_growth.growth_per_entry());
-  const bool mac_growth_ok = mac_growth.entries == kGrowthTables * kGrowthAddresses;
-  if (!mac_growth_ok) {
-    std::fprintf(stderr, "mac_growth: learned %llu of %zu entries -- investigate\n",
-                 static_cast<unsigned long long>(mac_growth.entries),
-                 kGrowthTables * kGrowthAddresses);
-  }
+  guards.holds("mac_growth.entries", static_cast<double>(mac_growth.entries),
+               kGrowthTables * kGrowthAddresses, "0 when its child failed");
+  guards.at_most("mac_growth.rss_growth_per_entry", mac_growth.growth_per_entry(),
+                 kMaxGrowthPerEntry,
+                 "0 where RSS is hidden; 16-byte slots: ~33, 24-byte slots: ~49");
 
   // ---- flood+pings over the shape grid ------------------------------------
   std::vector<netsim::TopologySpec> flood_grid;
@@ -609,15 +610,13 @@ int main(int argc, char** argv) {
   std::printf("%s", apps::TopologySweep::format_table(cells).c_str());
 
   const apps::SweepResult& headline = cells.back();
-  if (!headline.stp_converged) {
-    std::fprintf(stderr, "ring-32x4 did NOT converge -- investigate\n");
-  }
   std::printf(
       "\nheadline ring-32x4: converged=%s, %llu events in %.3f s wall "
       "(%.0f events/sec, %.1f s simulated)\n",
       headline.stp_converged ? "yes" : "no",
       static_cast<unsigned long long>(headline.events), headline.wall_seconds,
       headline.events_per_sec, headline.virtual_seconds);
+  guards.holds("headline.stp_converged", headline.stp_converged, 1);
 
   // ---- flood-dominated star profile (events per broadcast) ----------------
   const FloodProfile flood = run_flood_profile(1000, 128);
@@ -640,17 +639,14 @@ int main(int argc, char** argv) {
   // regression of either side while leaving headroom for small bursts.
   constexpr double kMaxEventsPerBroadcast = 4.0;
   constexpr double kMaxInsertsPerBroadcast = 0.25;
-  const bool flood_ok =
-      flood.events_per_broadcast <= kMaxEventsPerBroadcast &&
-      flood.inserts_per_broadcast <= kMaxInsertsPerBroadcast &&
-      flood.frames_delivered ==
-          flood.receivers * static_cast<std::uint64_t>(flood.broadcasts);
-  if (!flood_ok) {
-    std::fprintf(stderr,
-                 "flood profile regressed to per-receiver delivery events, "
-                 "per-frame transmit inserts, or dropped frames -- "
-                 "investigate\n");
-  }
+  guards.at_most("flood_profile.events_per_broadcast", flood.events_per_broadcast,
+                 kMaxEventsPerBroadcast, "per-receiver delivery: receivers + 1");
+  guards.at_most("flood_profile.inserts_per_broadcast", flood.inserts_per_broadcast,
+                 kMaxInsertsPerBroadcast, "per-frame transmit chain: 2.0");
+  guards.holds("flood_profile.frames_delivered",
+               static_cast<double>(flood.frames_delivered),
+               static_cast<double>(flood.receivers) * flood.broadcasts,
+               "receivers x broadcasts");
 
   // ---- bridge egress hop (inserts per flood) ------------------------------
   const EgressProfile egress = run_egress_profile(8, smoke ? 64 : 512);
@@ -662,12 +658,11 @@ int main(int argc, char** argv) {
   // One TxBatch run per flood hop. Strictly below the per-port model: a
   // regression to per-port Nic::transmit costs exactly ports - 1 inserts.
   constexpr double kMaxInsertsPerFlood = 2.0;
-  const bool egress_ok = egress.inserts_per_flood <= kMaxInsertsPerFlood;
-  if (!egress_ok) {
-    std::fprintf(stderr,
-                 "egress profile regressed to per-port scheduler inserts -- "
-                 "investigate\n");
-  }
+  guards.at_most("egress_profile.inserts_per_flood", egress.inserts_per_flood,
+                 kMaxInsertsPerFlood, "per-port transmit: ports - 1");
+  guards.holds("egress_profile.bound_below_model",
+               kMaxInsertsPerFlood < egress.per_port_model(), 1,
+               "the bound must fail the per-port model");
 
   // ---- ttcp write hop (inserts per 8 KB write) ----------------------------
   const TtcpWriteProfile write_profile =
@@ -681,12 +676,11 @@ int main(int argc, char** argv) {
   // One processing-element run per write. Strictly below the per-fragment
   // model (6 for 8 KB writes at MTU 1500).
   constexpr double kMaxInsertsPerWrite = 2.0;
-  const bool write_ok = write_profile.inserts_per_write <= kMaxInsertsPerWrite;
-  if (!write_ok) {
-    std::fprintf(stderr,
-                 "ttcp write profile regressed to per-fragment scheduler "
-                 "inserts -- investigate\n");
-  }
+  guards.at_most("ttcp_write_profile.inserts_per_write", write_profile.inserts_per_write,
+                 kMaxInsertsPerWrite, "per-fragment pacing: fragments");
+  guards.holds("ttcp_write_profile.bound_below_model",
+               kMaxInsertsPerWrite < write_profile.per_fragment_model(), 1,
+               "the bound must fail the per-fragment model");
 
   // ---- MAC table lookup (flat hash + last-destination cache) --------------
   const MacLookupProfile mac = run_mac_lookup_profile(
@@ -696,11 +690,8 @@ int main(int argc, char** argv) {
       "unordered_map %.1f ns/lookup (%.2fx)\n",
       mac.entries, mac.lookups, mac.flat_ns_per_lookup, mac.map_ns_per_lookup,
       mac.speedup);
-  if (!mac.hits_agree) {
-    std::fprintf(stderr,
-                 "mac_lookup: flat table disagrees with the reference map -- "
-                 "investigate\n");
-  }
+  guards.holds("mac_lookup.flat_hits", static_cast<double>(mac.flat_hits),
+               static_cast<double>(mac.map_hits), "the unordered_map's hits");
 
   // ---- ttcp streams across LANs -------------------------------------------
   apps::TtcpStreamWorkload::Options ttcp_opts;
@@ -728,8 +719,7 @@ int main(int argc, char** argv) {
 
   // ---- TCP incast onto a hub sink -----------------------------------------
   // Payload copies per byte received: one (the encode) plus retransmitted
-  // bytes; a second copy anywhere on the path reads >= 2. Mirrored in
-  // scripts/check_bench_smoke.sh.
+  // bytes; a second copy anywhere on the path reads >= 2.
   constexpr double kMaxCopiesPerPayloadByte = 1.5;
   const TcpIncastProfile incast =
       run_tcp_incast_profile(8, smoke ? 256 * 1024 : 1024 * 1024);
@@ -749,38 +739,25 @@ int main(int argc, char** argv) {
       incast.copies_per_payload_byte());
   // Reliability is exact (every offered byte delivered); the goodput bounds
   // are loose constant factors that only an incast COLLAPSE (RTO
-  // synchronization serializing the streams) can break. Mirrored in
-  // scripts/check_bench_smoke.sh.
-  const bool incast_ok =
-      incast.connections == static_cast<std::size_t>(incast.senders) &&
-      incast.bytes_received == incast.bytes_expected &&
-      incast.goodput_mbps >= incast.link_mbps / 4.0 &&
-      incast.min_stream_mbps >= incast.fair_share_mbps / 8.0;
-  if (!incast_ok) {
-    std::fprintf(stderr,
-                 "tcp incast cell regressed (lost bytes, missing "
-                 "connections, or goodput collapse) -- investigate\n");
-  }
+  // synchronization serializing the streams) can break.
+  guards.holds("tcp_incast.connections", static_cast<double>(incast.connections),
+               incast.senders);
+  guards.holds("tcp_incast.bytes_received", static_cast<double>(incast.bytes_received),
+               static_cast<double>(incast.bytes_expected), "every offered byte");
+  guards.at_least("tcp_incast.goodput_mbps", incast.goodput_mbps, incast.link_mbps / 4.0,
+                  "link / 4");
+  guards.at_least("tcp_incast.min_stream_mbps", incast.min_stream_mbps,
+                  incast.fair_share_mbps / 8.0, "fair share / 8");
   // Nothing reads the cell's wire bytes, so the lazy datapath builds none.
-  // Mirrored in scripts/check_bench_smoke.sh.
-  const bool incast_lazy = incast.encodes == 0;
-  if (!incast_lazy) {
-    std::fprintf(stderr,
-                 "tcp incast cell encoded %.4f times per frame carried with "
-                 "nothing reading the bytes -- transmit is forcing an encode\n",
-                 incast.encodes_per_frame());
-  }
+  guards.at_least("tcp_incast.frames_carried", static_cast<double>(incast.frames_carried),
+                  1);
+  guards.holds("tcp_incast.encodes", static_cast<double>(incast.encodes), 0,
+               "an eager encode: 0.50 per frame carried");
   // Each payload byte is copied once, into its segment; receive decodes
-  // views. Mirrored in scripts/check_bench_smoke.sh.
-  const bool incast_copy_once =
-      incast.bytes_received > 0 &&
-      incast.copies_per_payload_byte() <= kMaxCopiesPerPayloadByte;
-  if (!incast_copy_once) {
-    std::fprintf(stderr,
-                 "tcp incast cell copied %.3f payload bytes per byte received "
-                 "(limit %.1f) -- a codec is copying again\n",
-                 incast.copies_per_payload_byte(), kMaxCopiesPerPayloadByte);
-  }
+  // views.
+  guards.at_least("tcp_incast.bytes_copied", static_cast<double>(incast.bytes_copied), 1);
+  guards.at_most("tcp_incast.copies_per_payload_byte", incast.copies_per_payload_byte(),
+                 kMaxCopiesPerPayloadByte, "one copy: 1.0, a copying decoder: 2.0");
 
   // ---- staged switchlet rollout -------------------------------------------
   apps::SweepOptions rollout_opts;
@@ -791,12 +768,8 @@ int main(int argc, char** argv) {
       rollout_sweep.run_grid(acceptance_cells(), rollout);
   std::printf("\n%s", apps::TopologySweep::format_table(rollout_cells).c_str());
 
-  bool rollouts_ok = true;
   for (const apps::SweepResult& c : rollout_cells) {
-    if (!c.rollout_ok()) {
-      rollouts_ok = false;
-      std::fprintf(stderr, "%s: rollout had failing steps\n", c.label.c_str());
-    }
+    guards.holds(c.label + ".rollout_ok", c.rollout_ok(), 1, "every step loaded");
   }
 
   // ---- station scale: 10^6 stations under the aggregate workload ----------
@@ -841,9 +814,9 @@ int main(int argc, char** argv) {
   // and 0.08-0.09 us; building every station as a 72-byte Nic and a
   // 32-byte HostStack 176 B and 0.20-0.34 us, with the Nic's box resident
   // 368 B, and the per-object seed model 1433 B and 16.2 us. Both bounds
-  // sit ~15% above the block plan's highest measured cost, so a plan that
-  // files entries per station again fails the bench.
-  constexpr double kMaxBytesPerStation = 10.0;
+  // (the memory one in bench/guards.h) sit ~15% above the block plan's
+  // highest measured cost, so a plan that files entries per station again
+  // fails the bench.
   constexpr double kMaxBuildUsPerStation = 0.008;
   // Receivers a carried frame costs. The station index hands a frame to
   // the walk list (at most the hub's 8 bridge ports) plus the stations it
@@ -851,28 +824,32 @@ int main(int argc, char** argv) {
   constexpr double kMaxVisitsPerFrame = 16.0;
   const double build_us_per_station =
       station.stations > 0 ? station.build_ms * 1e3 / station.stations : 1e9;
-  const bool station_ok =
-      station.stations >= 1000000 &&
-      (station.bytes_per_station == 0.0 ||  // RSS not visible on this platform
-       station.bytes_per_station <= kMaxBytesPerStation) &&
-      build_us_per_station <= kMaxBuildUsPerStation &&
-      station.frames_carried > 0 && visits_per_frame <= kMaxVisitsPerFrame &&
-      station.pings_answered == station.pings_sent && station.pings_sent > 0;
-  if (!station_ok) {
-    std::fprintf(stderr,
-                 "station-scale cell regressed (size, per-station memory, "
-                 "build time, receiver visits per frame, or lost pings) -- "
-                 "investigate\n");
-  }
+  guards.at_least("aggregate_profile.stations", station.stations, bench::kMinStations,
+                  "0 when its child failed");
+  guards.at_most("aggregate_profile.bytes_per_station", station.bytes_per_station,
+                 bench::kMaxBytesPerStation,
+                 "0 where RSS is hidden; planned as blocks: ~7.5, one by one: ~46, "
+                 "every station built: ~176, with the NIC's box: ~368, per-object "
+                 "model: 1433");
+  guards.at_most("aggregate_profile.build_us_per_station", build_us_per_station,
+                 kMaxBuildUsPerStation,
+                 "planned as blocks: 0.005-0.007, one by one: 0.08-0.09, every "
+                 "station built: 0.20-0.34, per-object model: 16.2");
+  guards.at_least("aggregate_profile.frames_carried",
+                  static_cast<double>(station.frames_carried), 1);
+  guards.at_least("aggregate_profile.receivers_visited",
+                  static_cast<double>(station.receivers_visited), 1);
+  guards.at_most("aggregate_profile.receiver_visits_per_frame", visits_per_frame,
+                 kMaxVisitsPerFrame, "full walk: ~125000");
+  guards.at_least("aggregate_profile.pings_sent", station.pings_sent, 1);
+  guards.holds("aggregate_profile.pings_answered", station.pings_answered,
+               station.pings_sent);
 
   std::FILE* f = std::fopen("BENCH_topology.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_topology.json\n");
     return 1;
   }
-  // flood_profile, egress_profile, ttcp_write_profile, mac_lookup and
-  // mac_growth each stay on one line: scripts/check_bench_smoke.sh greps
-  // them.
   std::fprintf(f,
                "{\n"
                "  \"experiment\": \"topology_sweep\",\n"
@@ -966,9 +943,5 @@ int main(int argc, char** argv) {
                apps::TopologySweep::format_json(rollout_cells).c_str());
   std::fclose(f);
   std::printf("wrote BENCH_topology.json\n");
-  return headline.stp_converged && rollouts_ok && flood_ok && egress_ok &&
-                 write_ok && mac.hits_agree && mac_growth_ok && station_ok &&
-                 incast_ok && incast_lazy && incast_copy_once
-             ? 0
-             : 1;
+  return guards.status();
 }

@@ -1,11 +1,11 @@
 // Parallel scaling bench for the sharded simulation core.
 //
 // Two cells. First the flood/ping star: five runs -- the 1-region oracle
-// (the default cell: one region on one inline scheduler; its row keeps the
-// name "legacy"), then 8 regions at 1, 2, 4 and 8 worker threads. Before
-// any timing claim is written out the bench asserts the 8-region runs are
-// bit-identical across thread counts -- frames, bytes, events, heap
-// inserts -- because a speedup that changes the answer is not a speedup.
+// (the default cell: one region on one inline scheduler), then 8 regions
+// at 1, 2, 4 and 8 worker threads. The bench guards that the 8-region
+// runs are bit-identical across thread counts -- frames, bytes, events,
+// heap inserts -- because a speedup that changes the answer is not a
+// speedup.
 //
 // Then aggregate_parallel: the million-station acceptance cell
 // (star-8x125000, 1,125,000 arena-backed stations under the aggregate
@@ -19,16 +19,15 @@
 // Each aggregate row runs in its own forked child (bench::run_in_child),
 // so its bytes_per_station is that row's own RSS growth, not a delta over
 // heap an earlier row freed; a row whose child failed comes back as zeros
-// and fails the bench. Always full scale, --smoke included: the
-// bit-identity assertion against the 1-region oracle and the 4-thread
-// speedup bound in scripts/check_bench_smoke.sh are the tentpole's
-// acceptance gate.
+// and fails its guard. Always full scale, --smoke included: the
+// bit-identity guards against the 1-region oracle and the 4-thread
+// speedup floors are the sharded core's acceptance gate.
 //
-// Output: BENCH_parallel.json in the working directory. Each run stays on
-// one line: scripts/check_bench_smoke.sh greps them. Speedups are relative
-// to the sharded 1-thread run (same code path, only the worker count
-// varies); hardware_concurrency is recorded so the smoke check can skip
-// the scaling bounds on starved containers.
+// Every guard prints one line (bench/guards.h), and the bench exits 1 if
+// any failed. Output: BENCH_parallel.json in the working directory.
+// Speedups are relative to the sharded 1-thread run (same code path, only
+// the worker count varies); hardware_concurrency is recorded, and below
+// 4 hardware threads the speedup floors print as skipped.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -36,6 +35,7 @@
 #include <vector>
 
 #include "bench/fork_cell.h"
+#include "bench/guards.h"
 #include "src/apps/scenario.h"
 
 namespace {
@@ -88,22 +88,22 @@ AggColumns agg_columns(const ab::apps::SweepResult& r) {
 
 template <typename Result>
 struct RunRow {
-  std::string run;   // "[agg-]legacy" (the 1-region oracle) or "[agg-]sharded-t<N>"
+  std::string run;   // "[agg-]one-region" (the oracle) or "[agg-]sharded-t<N>"
   int threads = 1;
   int shard_regions = 0;
   Result result;
 };
 
-/// Every counter, scheduler internals included (SweepResult or AggColumns).
+/// How many counters differ, scheduler internals included (SweepResult
+/// or AggColumns).
 template <typename Result>
-bool counters_match(const Result& a, const Result& b) {
-  return a.frames_carried == b.frames_carried &&
-         a.bytes_carried == b.bytes_carried &&
-         a.frames_lost == b.frames_lost && a.mac_entries == b.mac_entries &&
-         a.pings_sent == b.pings_sent &&
-         a.pings_answered == b.pings_answered && a.events == b.events &&
-         a.heap_inserts == b.heap_inserts &&
-         a.scheduled_entries == b.scheduled_entries;
+int counters_differing(const Result& a, const Result& b) {
+  return (a.hosts != b.hosts) + (a.frames_carried != b.frames_carried) +
+         (a.bytes_carried != b.bytes_carried) + (a.frames_lost != b.frames_lost) +
+         (a.mac_entries != b.mac_entries) + (a.pings_sent != b.pings_sent) +
+         (a.pings_answered != b.pings_answered) + (a.events != b.events) +
+         (a.heap_inserts != b.heap_inserts) +
+         (a.scheduled_entries != b.scheduled_entries);
 }
 
 }  // namespace
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
 
   {
     RunRow<ab::apps::SweepResult> row;
-    row.run = "legacy";
+    row.run = "one-region";
     ab::apps::TopologySweep sweep;  // one region, one inline scheduler
     row.result = sweep.run_cell(spec);
     rows.push_back(std::move(row));
@@ -142,27 +142,6 @@ int main(int argc, char** argv) {
     ab::apps::TopologySweep sweep(opts);
     row.result = sweep.run_cell(spec);
     rows.push_back(std::move(row));
-  }
-
-  // Determinism gate: every sharded run must agree with the sharded
-  // 1-thread run on every counter, scheduler internals included.
-  const ab::apps::SweepResult& sharded_1t = rows[1].result;
-  bool deterministic = true;
-  for (std::size_t i = 2; i < rows.size(); ++i) {
-    if (!counters_match(rows[i].result, sharded_1t)) {
-      deterministic = false;
-      std::fprintf(stderr, "FAIL: %s diverges from sharded-t1\n",
-                   rows[i].run.c_str());
-    }
-  }
-  // And the 8-region runs must carry the oracle's traffic (star cells are
-  // tie-free, so even frame counts match the 1-region run exactly).
-  const ab::apps::SweepResult& legacy = rows[0].result;
-  if (sharded_1t.frames_carried != legacy.frames_carried ||
-      sharded_1t.bytes_carried != legacy.bytes_carried ||
-      sharded_1t.pings_answered != legacy.pings_answered) {
-    deterministic = false;
-    std::fprintf(stderr, "FAIL: sharded traffic diverges from legacy\n");
   }
 
   // ---- aggregate_parallel: the 1.125M-station cell, sharded ---------------
@@ -186,7 +165,7 @@ int main(int argc, char** argv) {
   std::vector<RunRow<AggColumns>> agg_rows;
   {
     RunRow<AggColumns> row;
-    row.run = "agg-legacy";
+    row.run = "agg-one-region";
     row.result = run_agg_row(ab::apps::SweepOptions{});
     agg_rows.push_back(std::move(row));
   }
@@ -202,57 +181,25 @@ int main(int argc, char** argv) {
     agg_rows.push_back(std::move(row));
   }
 
-  // A failed child reads as zeros, and zeros agree with zeros: every row
-  // must have built the cell and run it before any comparison counts.
-  bool agg_ran = true;
-  for (const RunRow<AggColumns>& row : agg_rows) {
-    if (row.result.hosts == 0 || row.result.events == 0) {
-      agg_ran = false;
-      std::fprintf(stderr, "FAIL: %s came back empty (its child failed)\n",
-                   row.run.c_str());
-    }
-  }
-
-  // Determinism gate, aggregate cell: sharded runs bit-identical across
-  // thread counts (scheduler internals included)...
-  const AggColumns& agg_1t = agg_rows[1].result;
-  bool agg_deterministic = true;
-  for (std::size_t i = 2; i < agg_rows.size(); ++i) {
-    if (!counters_match(agg_rows[i].result, agg_1t)) {
-      agg_deterministic = false;
-      std::fprintf(stderr, "FAIL: %s diverges from agg-sharded-t1\n",
-                   agg_rows[i].run.c_str());
-    }
-  }
-  // ...and the partitioned workload must reproduce the 1-region oracle's
-  // traffic EXACTLY (star cells are tie-free): frames, bytes, pings, MAC
-  // tables, and the ttcp stream's bytes. This is the in-bench bit-identity
-  // assertion the sharded aggregate workload ships under.
-  const AggColumns& agg_legacy = agg_rows[0].result;
-  const bool agg_matches_legacy =
-      agg_1t.frames_carried == agg_legacy.frames_carried &&
-      agg_1t.bytes_carried == agg_legacy.bytes_carried &&
-      agg_1t.frames_lost == agg_legacy.frames_lost &&
-      agg_1t.mac_entries == agg_legacy.mac_entries &&
-      agg_1t.pings_sent == agg_legacy.pings_sent &&
-      agg_1t.pings_answered == agg_legacy.pings_answered &&
-      agg_1t.streams == agg_legacy.streams &&
-      agg_1t.stream_bytes_sent == agg_legacy.stream_bytes_sent &&
-      agg_1t.stream_bytes_received == agg_legacy.stream_bytes_received;
-  if (!agg_matches_legacy) {
-    std::fprintf(stderr,
-                 "FAIL: sharded aggregate traffic diverges from legacy\n");
-  }
-
   // Sim time excludes the serial topology build; below zero never happens
   // but guard the division anyway.
   const auto sim_seconds = [](const AggColumns& r) {
     const double sim = r.wall_seconds - r.build_ms / 1000.0;
     return sim > 0.0 ? sim : r.wall_seconds;
   };
+  const ab::apps::SweepResult& sharded_1t = rows[1].result;
+  const AggColumns& agg_1t = agg_rows[1].result;
   const double agg_base_sim = sim_seconds(agg_1t);
-
   const double base_eps = sharded_1t.events_per_sec;
+  const auto speedup = [base_eps](const RunRow<ab::apps::SweepResult>& row) {
+    return (row.shard_regions > 0 && base_eps > 0.0)
+               ? row.result.events_per_sec / base_eps
+               : 1.0;
+  };
+  const auto agg_speedup = [&](const RunRow<AggColumns>& row) {
+    const double sim = sim_seconds(row.result);
+    return (row.shard_regions > 0 && sim > 0.0) ? agg_base_sim / sim : 1.0;
+  };
   const unsigned hw = std::thread::hardware_concurrency();
 
   std::printf("parallel scaling: %s  (hardware_concurrency=%u)\n",
@@ -260,36 +207,102 @@ int main(int argc, char** argv) {
   std::printf("%-12s %7s %7s %12s %10s %12s %8s\n", "run", "threads",
               "regions", "events", "wall_s", "events/s", "speedup");
   for (const RunRow<ab::apps::SweepResult>& row : rows) {
-    const double speedup =
-        (row.shard_regions > 0 && base_eps > 0.0)
-            ? row.result.events_per_sec / base_eps
-            : 1.0;
     std::printf("%-12s %7d %7d %12llu %10.3f %12.0f %8.2f\n",
                 row.run.c_str(), row.threads, row.shard_regions,
                 static_cast<unsigned long long>(row.result.events),
-                row.result.wall_seconds, row.result.events_per_sec, speedup);
+                row.result.wall_seconds, row.result.events_per_sec, speedup(row));
   }
-  std::printf("deterministic across thread counts: %s\n",
-              deterministic ? "yes" : "NO");
 
+  const AggColumns& agg_one_region = agg_rows[0].result;
   std::printf("\naggregate parallel: %s  (%llu stations)\n", agg_cell.c_str(),
-              static_cast<unsigned long long>(agg_legacy.hosts));
+              static_cast<unsigned long long>(agg_one_region.hosts));
   std::printf("%-16s %7s %7s %10s %10s %10s %12s %8s\n", "run", "threads",
               "regions", "build_s", "wall_s", "sim_s", "B/station",
               "speedup");
   for (const RunRow<AggColumns>& row : agg_rows) {
-    const double sim = sim_seconds(row.result);
-    const double speedup =
-        (row.shard_regions > 0 && sim > 0.0) ? agg_base_sim / sim : 1.0;
     std::printf("%-16s %7d %7d %10.2f %10.2f %10.2f %12.1f %8.2f\n",
                 row.run.c_str(), row.threads, row.shard_regions,
-                row.result.build_ms / 1000.0, row.result.wall_seconds, sim,
-                row.result.bytes_per_station, speedup);
+                row.result.build_ms / 1000.0, row.result.wall_seconds,
+                sim_seconds(row.result), row.result.bytes_per_station,
+                agg_speedup(row));
   }
-  std::printf("aggregate deterministic across thread counts: %s\n",
-              agg_deterministic ? "yes" : "NO");
-  std::printf("aggregate sharded matches legacy bit-identically: %s\n",
-              agg_matches_legacy ? "yes" : "NO");
+
+  // ---- guards --------------------------------------------------------------
+  // The 4-thread speedup floor, judged only where 4 hardware threads can
+  // run the workers.
+  constexpr double kMinSpeedup = 2.0;
+  constexpr unsigned kSpeedupThreads = 4;
+  ab::bench::Guards guards;
+  const auto speedup_floor = [&](const std::string& name, double value) {
+    if (hw >= kSpeedupThreads) {
+      guards.at_least(name, value, kMinSpeedup,
+                      "on " + std::to_string(hw) + " hardware threads");
+    } else {
+      guards.skipped(name, value, ">=", kMinSpeedup,
+                     std::to_string(hw) + " hardware thread(s) < " +
+                         std::to_string(kSpeedupThreads));
+    }
+  };
+
+  // Every sharded run agrees with the sharded 1-thread run on every
+  // counter, scheduler internals included, and the 8-region runs carry the
+  // oracle's traffic (star cells are tie-free, so even frame counts match
+  // the 1-region run exactly).
+  const ab::apps::SweepResult& one_region = rows[0].result;
+  guards.at_least("one-region.events", static_cast<double>(one_region.events), 1);
+  bool deterministic = true;
+  for (std::size_t i = 2; i < rows.size(); ++i) {
+    const int differing = counters_differing(rows[i].result, sharded_1t);
+    guards.holds(rows[i].run + ".counters_differing", differing, 0, "from sharded-t1");
+    deterministic = deterministic && differing == 0;
+  }
+  const int traffic_differing =
+      (sharded_1t.frames_carried != one_region.frames_carried) +
+      (sharded_1t.bytes_carried != one_region.bytes_carried) +
+      (sharded_1t.pings_answered != one_region.pings_answered);
+  guards.holds("sharded-t1.traffic_differing", traffic_differing, 0,
+               "from one-region: frames, bytes, pings answered");
+  deterministic = deterministic && traffic_differing == 0;
+  speedup_floor("sharded-t4.speedup_vs_1t", speedup(rows[3]));  // rows[3]: 4 threads
+
+  // The aggregate cell ran at size in every row: a failed child reads as
+  // zeros, and zeros agree with zeros. Its sharded runs are bit-identical
+  // across thread counts, and the partitioned workload reproduces the
+  // 1-region oracle's traffic EXACTLY: frames, bytes, pings, MAC tables,
+  // and the ttcp stream's bytes.
+  guards.at_least("agg-one-region.stations", agg_one_region.hosts,
+                  ab::bench::kMinStations);
+  for (const RunRow<AggColumns>& row : agg_rows) {
+    guards.at_least(row.run + ".events", static_cast<double>(row.result.events), 1,
+                    "0 when its child failed");
+  }
+  bool agg_deterministic = true;
+  for (std::size_t i = 2; i < agg_rows.size(); ++i) {
+    const int differing = counters_differing(agg_rows[i].result, agg_1t);
+    guards.holds(agg_rows[i].run + ".counters_differing", differing, 0,
+                 "from agg-sharded-t1");
+    agg_deterministic = agg_deterministic && differing == 0;
+  }
+  const int agg_traffic_differing =
+      (agg_1t.hosts != agg_one_region.hosts) +
+      (agg_1t.frames_carried != agg_one_region.frames_carried) +
+      (agg_1t.bytes_carried != agg_one_region.bytes_carried) +
+      (agg_1t.frames_lost != agg_one_region.frames_lost) +
+      (agg_1t.mac_entries != agg_one_region.mac_entries) +
+      (agg_1t.pings_sent != agg_one_region.pings_sent) +
+      (agg_1t.pings_answered != agg_one_region.pings_answered) +
+      (agg_1t.streams != agg_one_region.streams) +
+      (agg_1t.stream_bytes_sent != agg_one_region.stream_bytes_sent) +
+      (agg_1t.stream_bytes_received != agg_one_region.stream_bytes_received);
+  guards.holds("agg-sharded-t1.traffic_differing", agg_traffic_differing, 0,
+               "from agg-one-region: stations, frames, bytes, losses, MAC entries, "
+               "pings, stream bytes");
+  const bool agg_matches_one_region = agg_traffic_differing == 0;
+  guards.at_most("agg-sharded-t1.bytes_per_station", agg_1t.bytes_per_station,
+                 ab::bench::kMaxBytesPerStation,
+                 "0 where RSS is hidden; planned as blocks: ~8.7, one by one: ~47, "
+                 "every station built: ~184, with the NIC's box: ~376");
+  speedup_floor("agg-sharded-t4.speedup_vs_1t", agg_speedup(agg_rows[3]));
 
   std::FILE* f = std::fopen("BENCH_parallel.json", "w");
   if (f == nullptr) {
@@ -308,10 +321,6 @@ int main(int argc, char** argv) {
                deterministic ? "true" : "false");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RunRow<ab::apps::SweepResult>& row = rows[i];
-    const double speedup =
-        (row.shard_regions > 0 && base_eps > 0.0)
-            ? row.result.events_per_sec / base_eps
-            : 1.0;
     std::fprintf(f,
                  "    {\"run\": \"%s\", \"threads\": %d, "
                  "\"shard_regions\": %d, \"events\": %llu, "
@@ -322,7 +331,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(row.result.events),
                  static_cast<unsigned long long>(row.result.frames_carried),
                  static_cast<unsigned long long>(row.result.bytes_carried),
-                 row.result.wall_seconds, row.result.events_per_sec, speedup,
+                 row.result.wall_seconds, row.result.events_per_sec, speedup(row),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f,
@@ -330,16 +339,13 @@ int main(int argc, char** argv) {
                "  \"aggregate_cell\": \"%s\",\n"
                "  \"aggregate_stations\": %d,\n"
                "  \"aggregate_deterministic\": %s,\n"
-               "  \"aggregate_matches_legacy\": %s,\n"
+               "  \"aggregate_matches_one_region\": %s,\n"
                "  \"aggregate_runs\": [\n",
-               agg_cell.c_str(), agg_legacy.hosts,
+               agg_cell.c_str(), agg_one_region.hosts,
                agg_deterministic ? "true" : "false",
-               agg_matches_legacy ? "true" : "false");
+               agg_matches_one_region ? "true" : "false");
   for (std::size_t i = 0; i < agg_rows.size(); ++i) {
     const RunRow<AggColumns>& row = agg_rows[i];
-    const double sim = sim_seconds(row.result);
-    const double speedup =
-        (row.shard_regions > 0 && sim > 0.0) ? agg_base_sim / sim : 1.0;
     std::fprintf(f,
                  "    {\"run\": \"%s\", \"threads\": %d, "
                  "\"shard_regions\": %d, \"events\": %llu, "
@@ -356,12 +362,12 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(row.result.mac_entries),
                  static_cast<unsigned long long>(row.result.stream_bytes_received),
                  row.result.build_ms, row.result.bytes_per_station,
-                 row.result.wall_seconds, sim, speedup,
+                 row.result.wall_seconds, sim_seconds(row.result), agg_speedup(row),
                  i + 1 < agg_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_parallel.json\n");
 
-  return deterministic && agg_ran && agg_deterministic && agg_matches_legacy ? 0 : 1;
+  return guards.status();
 }

@@ -51,15 +51,6 @@ fi
 echo "== Release bench smoke (one repetition; compiles + exercises the perf path) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-release -j
-(cd build-release && ./micro_scheduler --smoke && cat BENCH_scheduler.json)
-# macro_topology --smoke drives all four workloads (flood+pings, the ttcp
-# streams, the staged rollout, and the aggregate-hosts station-scale cell)
-# over the acceptance cells, plus the flood-dominated star profile the
-# bench guard below asserts on.
-(cd build-release && ./macro_topology --smoke && cat BENCH_topology.json)
-# parallel_scaling --smoke runs the sharded star cell at 1/2/4/8 worker
-# threads and exits non-zero if any thread count changes any counter.
-(cd build-release && ./parallel_scaling --smoke && cat BENCH_parallel.json)
 # The end-to-end benchmark's self-check on shrunken cells: builds bench/e2e against
 # this tree, runs every workload on shrunken cells, and fails on its
 # correctness gate -- so a simulator change that breaks the benchmark's
@@ -72,13 +63,20 @@ bench/e2e/run.sh --smoke > /dev/null
   && ./ablation_multitree && ./ablation_cost_model && ./fig9_ping_latency \
   && ./fig10_ttcp_throughput && ./table1_protocol_transition \
   && ./sec75_agility && ./sec75_load_time) > /dev/null
-# Guards: the batch-insert and timed-run cells exist, the flood profile
-# stays at O(1) delivery events per broadcast per segment, the transmit
-# hops (NIC burst drain, bridge egress TxBatch, fragmented write through
-# the processing element) stay at O(1) scheduler inserts per hop, and the
-# million-station cell stays inside its per-station memory and build-time
-# budgets with every ping answered. Plus the sharded-core guards: the
-# scaling runs are deterministic across thread counts, and the 4-thread
-# speedup holds 2.0x when the runner actually has >= 4 hardware threads.
-# Last, so a failing guard cannot keep the steps above from running.
-./scripts/check_bench_smoke.sh build-release
+
+echo "== bench guards =="
+# Each bench checks its own measurements against the bounds written beside
+# them, prints one "guard" line per check, and exits 1 if any failed
+# (bench/guards.h). macro_topology --smoke drives all four workloads over
+# the acceptance cells plus the profiles its guards bound; parallel_scaling
+# --smoke runs the sharded star cells at 1/2/4/8 worker threads. Last, and
+# each runs even when another failed, so a failing guard hides neither the
+# steps above nor another bench's guards.
+failed=()
+for bench in micro_scheduler macro_topology parallel_scaling; do
+  (cd build-release && ./"$bench" --smoke) || failed+=("$bench")
+done
+if [[ ${#failed[@]} -gt 0 ]]; then
+  echo "bench guards failed in: ${failed[*]} (see their FAIL lines above)"
+  exit 1
+fi

@@ -314,11 +314,11 @@ bool LanSegment::carry(const ether::WireFrame& frame, const Nic* sender) {
   stats_.frames_carried += 1;
   stats_.bytes_carried += frame.wire_size();
   if (tap_) tap_(scheduler_->now(), sender, frame.wire());
-  if (relay_) relay_(scheduler_->now(), sender, frame.wire());
   if (drop_filter_ && drop_filter_(scheduler_->now(), sender, frame.wire())) {
     stats_.frames_dropped_by_filter += 1;
-    return false;  // before any loss draw: the seeded sequence is untouched
+    return false;  // before the relay and any loss draw: no replica sees it
   }
+  if (relay_) relay_(scheduler_->now(), sender, frame.wire());
   return true;
 }
 

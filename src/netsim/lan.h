@@ -134,9 +134,11 @@ class LanSegment {
   void set_frame_tap(FrameTap tap) { tap_ = std::move(tap); }
 
   /// Scripted per-frame drop hook for the loss-schedule conformance
-  /// suites: consulted once per transmitted frame (after the tap and the
-  /// relay, before the receiver snapshot); returning true drops the frame
-  /// for EVERY receiver, counted in frames_dropped_by_filter. The filter
+  /// suites: consulted once per transmitted frame (after the tap, before
+  /// the relay and the receiver snapshot); returning true drops the frame
+  /// for EVERY receiver, counted in frames_dropped_by_filter. On a cut
+  /// segment the sending replica's filter runs before its relay, so a
+  /// dropped frame reaches no other replica either. The filter
   /// runs before any loss draw, so scripting drops never perturbs the
   /// seeded per-receiver loss sequence -- deterministic tests use it with
   /// LanConfig::loss == 0 to drop exactly the frames a scenario names.
@@ -286,8 +288,9 @@ class LanSegment {
   [[nodiscard]] std::uint32_t acquire_run();
   void release_run(std::uint32_t index);
   /// The carry step broadcast and prepare_broadcast share: counts the
-  /// frame, shows it to the tap and the relay, then asks the drop filter.
-  /// False when the filter dropped it (counted), before any loss draw.
+  /// frame, shows it to the tap, asks the drop filter, then shows it to
+  /// the relay. False when the filter dropped it (counted), before the
+  /// relay and any loss draw.
   [[nodiscard]] bool carry(const ether::WireFrame& frame, const Nic* sender);
   /// Shared snapshot for broadcast / prepare_broadcast / inject_remote:
   /// classifies the frame, then draws loss over its receivers in attach

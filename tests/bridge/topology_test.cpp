@@ -442,12 +442,14 @@ TEST(ShardedBuild, PerLanCallsRejectALanPastTheLast) {
 }
 
 // A drop filter on a LAN's owning replica, the hook a scripted fault
-// installs, shows in lan_stats at every region count. At two regions hub
-// LAN 0 is cut (the probe's frames still relay to the other replica, which
-// has no filter) and leaf LAN 3 is not.
+// installs, shows in lan_stats at every region count. At two and three
+// regions hub LAN 0 is cut and leaf LAN 3 is not. The filter runs before
+// the relay, so a dropped frame reaches no other replica: the hub's
+// receiver visits equal the 1-region count.
 TEST(ShardedBuild, LanStatsCountScriptedDropsOnTheOwningReplica) {
   constexpr std::uint64_t kDrops = 3;
-  for (const int regions : {1, 2}) {
+  std::uint64_t one_region_visits = 0;
+  for (const int regions : {1, 2, 3}) {
     auto topo =
         build_sharded_topology(spec_of(netsim::TopologyShape::kStar, 3, 4), regions);
     for (const std::size_t l : {std::size_t{0}, std::size_t{3}}) {
@@ -469,6 +471,9 @@ TEST(ShardedBuild, LanStatsCountScriptedDropsOnTheOwningReplica) {
       EXPECT_EQ(topo.lan_stats(l).frames_dropped_by_filter, kDrops)
           << regions << " regions, lan " << l;
     }
+    if (regions == 1) one_region_visits = topo.lan_stats(0).receivers_visited;
+    EXPECT_EQ(topo.lan_stats(0).receivers_visited, one_region_visits)
+        << regions << " regions";
   }
 }
 
