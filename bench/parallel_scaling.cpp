@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
       std::to_string(agg_spec.hosts_per_lan);
 
   // One child at a time: concurrent rows would share the cores their
-  // speedups measure (and each holds ~1 GB).
+  // speedups measure.
   const auto run_agg_row = [&agg_spec](const ab::apps::SweepOptions& opts) {
     return ab::bench::run_in_child<AggColumns>([&] {
       ab::apps::AggregateHostWorkload workload;

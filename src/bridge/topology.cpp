@@ -118,11 +118,10 @@ netsim::Nic& PlannedHosts::build(void* self, std::uint32_t ordinal) {
   stack::HostConfig cfg;
   cfg.ip = topology_host_ip(ordinal);
   // No eager ARP reserve: the flat cache grows on a station's FIRST
-  // resolution. The NIC's name is the plan's key: it spells
-  // host<lan>_<index> on demand and stores nothing. The NIC comes first in
-  // the arena, so teardown runs the stack's destructor before it.
+  // resolution. The NIC comes first in the arena, so teardown runs the
+  // stack's destructor before it.
   auto* nic = lan.arena->create<netsim::Nic>(
-      lan.net->scheduler(), h.key(), netsim::mac_of_id(hosts.first_mac_id_ + ordinal));
+      lan.net->scheduler(), h.name(), netsim::mac_of_id(hosts.first_mac_id_ + ordinal));
   auto* host = lan.arena->create<stack::HostStack>(lan.net->scheduler(), *nic, cfg);
   nic->set_tx_queue_limit(hosts.tx_queue_limit_);
   // Only the LAN's owning region builds its hosts, so regions building on

@@ -30,22 +30,22 @@ LanSegment& Network::add_segment(Arena& arena, const std::string& name,
   return *seg;
 }
 
-Nic& Network::add_nic(NicName name, LanSegment& segment) {
+Nic& Network::add_nic(std::string name, LanSegment& segment) {
   return add_nic(std::move(name), segment, mac_of_id(next_mac_id_++));
 }
 
-Nic& Network::add_nic(NicName name, LanSegment& segment, ether::MacAddress mac) {
+Nic& Network::add_nic(std::string name, LanSegment& segment, ether::MacAddress mac) {
   nics_.push_back(std::make_unique<Nic>(scheduler_, std::move(name), mac));
   Nic& nic = *nics_.back();
   nic.attach(segment);
   return nic;
 }
 
-Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment) {
+Nic& Network::add_nic(Arena& arena, std::string name, LanSegment& segment) {
   return add_nic(arena, std::move(name), segment, mac_of_id(next_mac_id_++));
 }
 
-Nic& Network::add_nic(Arena& arena, NicName name, LanSegment& segment,
+Nic& Network::add_nic(Arena& arena, std::string name, LanSegment& segment,
                       ether::MacAddress mac) {
   Nic* nic = arena.create<Nic>(scheduler_, std::move(name), mac);
   nic->attach(segment);
@@ -306,7 +306,9 @@ int tree_up_segment(int node, int arity) {
 
 }  // namespace
 
-std::string Topology::HostAttach::name() const { return key().str(); }
+std::string Topology::HostAttach::name() const {
+  return "host" + std::to_string(lan) + "_" + std::to_string(index);
+}
 
 Topology::HostAttach Topology::host(std::size_t k) const {
   if (k >= host_count()) {
@@ -315,11 +317,6 @@ Topology::HostAttach Topology::host(std::size_t k) const {
   }
   const auto n = static_cast<std::size_t>(spec.hosts_per_lan);
   return HostAttach{static_cast<int>(k / n), static_cast<int>(k % n)};
-}
-
-NicName Topology::HostAttach::key() const {
-  return NicName::host(static_cast<std::uint32_t>(lan),
-                       static_cast<std::uint32_t>(index));
 }
 
 int TopologyBuilder::segment_count(const TopologySpec& spec) {

@@ -84,23 +84,24 @@ class Network {
 
   /// Creates a NIC with an automatically assigned locally-administered MAC
   /// and attaches it to `segment`.
-  Nic& add_nic(NicName name, LanSegment& segment);
+  Nic& add_nic(std::string name, LanSegment& segment);
 
   /// Creates a NIC with an explicit MAC.
-  Nic& add_nic(NicName name, LanSegment& segment, ether::MacAddress mac);
+  Nic& add_nic(std::string name, LanSegment& segment, ether::MacAddress mac);
 
   /// Arena-backed variant: the NIC lives in `arena` (contiguous with its
   /// station's other state, freed by the arena) instead of the Network's
   /// per-object list, but draws from the SAME MAC counter, so mixing
   /// arena and individually-owned NICs never collides addresses. The
   /// arena must not outlive this Network's scheduler.
-  Nic& add_nic(Arena& arena, NicName name, LanSegment& segment);
+  Nic& add_nic(Arena& arena, std::string name, LanSegment& segment);
 
   /// Arena-backed variant with an explicit MAC. The topology builder
   /// assigns MACs from its cell's GLOBAL counter (not this Network's), so
   /// a cell's addresses do not depend on how many per-region Networks it
   /// is split across.
-  Nic& add_nic(Arena& arena, NicName name, LanSegment& segment, ether::MacAddress mac);
+  Nic& add_nic(Arena& arena, std::string name, LanSegment& segment,
+               ether::MacAddress mac);
 
   /// Every segment created so far, in creation order.
   [[nodiscard]] const std::vector<std::unique_ptr<LanSegment>>& segments() const {
@@ -190,8 +191,6 @@ struct Topology {
   struct HostAttach {
     int lan = 0;    ///< index into `segments`
     int index = 0;  ///< host ordinal on that segment
-    /// The station NIC's name key, which spells "host<lan>_<index>".
-    [[nodiscard]] NicName key() const;
     /// "host<lan>_<index>": the station NIC's name.
     [[nodiscard]] std::string name() const;
   };

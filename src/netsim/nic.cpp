@@ -4,34 +4,8 @@
 
 namespace ab::netsim {
 
-namespace {
-
-/// What stats() reads for every idle NIC.
-const NicStats kIdleStats{};
-
-/// The dispatch set_rx_handler(RxHandler) installs: the context is the
-/// box's handler.
-void call_stored_handler(void* handler, const ether::WireFrame& frame) {
-  (*static_cast<const Nic::RxHandler*>(handler))(frame);
-}
-
-}  // namespace
-
-NicName NicName::host(std::uint32_t lan, std::uint32_t index) {
-  NicName name;
-  name.key_ = kHostKey | std::uint64_t{lan} << 32 | index;
-  return name;
-}
-
-std::string NicName::spell(std::uint64_t key) {
-  return "host" + std::to_string((key & ~kHostKey) >> 32) + "_" +
-         std::to_string(key & 0xFFFFFFFFu);
-}
-
-Nic::Nic(Scheduler& scheduler, NicName name, ether::MacAddress mac)
-    : scheduler_(&scheduler), name_key_(name.key_), mac_(mac) {
-  if (!name.text_.empty()) cold().name = std::move(name.text_);
-}
+Nic::Nic(Scheduler& scheduler, std::string name, ether::MacAddress mac)
+    : scheduler_(&scheduler), name_(std::move(name)), mac_(mac) {}
 
 Nic::~Nic() {
   // The transmit run's completion entries capture `this`; a NIC destroyed
@@ -42,41 +16,8 @@ Nic::~Nic() {
   // entries, which a wholesale cancel would strand. The burst's delivery
   // run needs no cancel -- its closures capture the segment and the shared
   // slot vector, never the NIC, and undeposited slots no-op.
-  if (cold_ && cold_->owns_run && cold_->run_remaining > 0) {
-    scheduler_->cancel(cold_->run_id);
-  }
+  if (owns_run_ && run_remaining_ > 0) scheduler_->cancel(run_id_);
   if (segment_ != nullptr) segment_->detach_nic(*this);
-}
-
-Nic::ColdState& Nic::cold() {
-  if (!cold_) cold_ = std::make_unique<ColdState>();
-  return *cold_;
-}
-
-std::string Nic::name() const {
-  if (name_key_ != 0) return NicName::spell(name_key_);
-  return cold_ ? cold_->name : std::string();
-}
-
-const NicStats& Nic::stats() const { return cold_ ? cold_->stats : kIdleStats; }
-
-void Nic::set_rx_handler(RxHandler handler) {
-  if (!handler) {
-    if (cold_) cold_->handler = nullptr;
-    set_rx_handler(nullptr, nullptr);
-    return;
-  }
-  ColdState& c = cold();
-  c.handler = std::move(handler);
-  set_rx_handler(&call_stored_handler, &c.handler);
-}
-
-Nic::RxHandler Nic::rx_handler() const {
-  if (rx_fn_ == nullptr) return nullptr;
-  if (rx_fn_ == &call_stored_handler) return cold_->handler;
-  return [fn = rx_fn_, context = rx_context_](const ether::WireFrame& frame) {
-    fn(context, frame);
-  };
 }
 
 void Nic::attach(LanSegment& segment) {
@@ -112,35 +53,34 @@ void Nic::set_station_ipv4(std::uint32_t ipv4) {
 
 bool Nic::transmit(ether::WireFrame frame) {
   if (segment_ == nullptr || backlog() >= tx_queue_limit_) {
-    cold().stats.tx_dropped += 1;
+    stats_.tx_dropped += 1;
     return false;
   }
   // Validate here (not inside a scheduler event) so a malformed frame
   // throws at the call site. The bytes stay unbuilt: receivers share the
   // parse, so only a tap, relay, drop filter or capture ever encodes.
   frame.check_encodable();
-  ColdState& c = cold();
   // Saturated transmitter with nothing queued ahead: this frame would sit
   // alone in the FIFO queue until the in-flight run's last completion,
-  // then restart the transmitter at exactly run_tail_time. Appending it
+  // then restart the transmitter at exactly run_tail_time_. Appending it
   // to the run at tail + serialization produces the identical timeline
   // with ZERO new heap inserts -- the saturated-flood case where every hop
   // stays at one insert. Any failure (stale run, FIFO order at stake)
   // falls through to the queue.
-  if (c.transmitting && c.tx_queue.empty() && c.run_remaining > 0) {
+  if (transmitting_ && tx_queue_.empty() && run_remaining_ > 0) {
     const std::size_t wire_bytes = frame.wire_size();
     const TimePoint completes =
-        c.run_tail_time + segment_->serialization_delay(wire_bytes);
-    if (scheduler_->try_extend_run(c.run_id, completion(completes, frame))) {
-      c.run_remaining += 1;
-      c.run_tail_time = completes;
-      c.stats.tx_frames += 1;
-      c.stats.tx_bytes += wire_bytes;
+        run_tail_time_ + segment_->serialization_delay(wire_bytes);
+    if (scheduler_->try_extend_run(run_id_, completion(completes, frame))) {
+      run_remaining_ += 1;
+      run_tail_time_ = completes;
+      stats_.tx_frames += 1;
+      stats_.tx_bytes += wire_bytes;
       return true;
     }
   }
-  c.tx_queue.push_back(std::move(frame));
-  if (!c.transmitting) start_transmitter();
+  tx_queue_.push_back(std::move(frame));
+  if (!transmitting_) start_transmitter();
   return true;
 }
 
@@ -155,31 +95,28 @@ std::size_t Nic::transmit_burst(std::span<ether::WireFrame> frames) {
   // Validate every frame the queue will take before taking any, so a
   // malformed one throws at the call site with nothing queued or counted.
   for (std::size_t i = 0; i < admitted; ++i) frames[i].check_encodable();
-  ColdState& c = cold();
-  for (std::size_t i = 0; i < admitted; ++i) c.tx_queue.push_back(std::move(frames[i]));
-  c.stats.tx_dropped += frames.size() - admitted;
-  if (admitted > 0 && !c.transmitting) start_transmitter();
+  for (std::size_t i = 0; i < admitted; ++i) tx_queue_.push_back(std::move(frames[i]));
+  stats_.tx_dropped += frames.size() - admitted;
+  if (admitted > 0 && !transmitting_) start_transmitter();
   return admitted;
 }
 
 std::optional<Scheduler::TimedEntry> Nic::try_prepare(ether::WireFrame frame) {
-  if (segment_ == nullptr) return std::nullopt;
-  if (cold_ && (cold_->transmitting || !cold_->tx_queue.empty())) return std::nullopt;
+  if (segment_ == nullptr || transmitting_ || !tx_queue_.empty()) return std::nullopt;
   frame.check_encodable();
-  ColdState& c = cold();
-  c.transmitting = true;
+  transmitting_ = true;
   const std::size_t wire_bytes = frame.wire_size();
-  c.stats.tx_frames += 1;
-  c.stats.tx_bytes += wire_bytes;
+  stats_.tx_frames += 1;
+  stats_.tx_bytes += wire_bytes;
   // The claim is a one-entry run from this NIC's point of view: the caller
   // schedules it (alone or merged into a TxBatch run) and reports the
-  // handle back through note_run(); until then run_id is stale and an
+  // handle back through note_run(); until then run_id_ is stale and an
   // extension attempt harmlessly fails into the FIFO queue.
-  c.run_remaining = 1;
-  c.run_id = BatchId{};
-  c.owns_run = false;  // the caller's run; note_run() reports the handle
-  c.run_tail_time = scheduler_->now() + segment_->serialization_delay(wire_bytes);
-  return completion(c.run_tail_time, std::move(frame));
+  run_remaining_ = 1;
+  run_id_ = BatchId{};
+  owns_run_ = false;  // the caller's run; note_run() reports the handle
+  run_tail_time_ = scheduler_->now() + segment_->serialization_delay(wire_bytes);
+  return completion(run_tail_time_, std::move(frame));
 }
 
 Scheduler::TimedEntry Nic::completion(TimePoint when, ether::WireFrame frame) {
@@ -188,36 +125,35 @@ Scheduler::TimedEntry Nic::completion(TimePoint when, ether::WireFrame frame) {
   // flight skips the broadcast instead of delivering at the wrong rate.
   LanSegment* const paced_for = segment_;
   return {when, [this, paced_for, frame = std::move(frame)] {
-            cold_->run_remaining -= 1;
+            run_remaining_ -= 1;
             if (segment_ == paced_for) segment_->broadcast(frame, this);
-            if (cold_->run_remaining == 0) start_transmitter();
+            if (run_remaining_ == 0) start_transmitter();
           }};
 }
 
 void Nic::start_transmitter() {
-  ColdState& c = *cold_;
-  if (c.tx_queue.empty() || segment_ == nullptr) {
-    c.transmitting = false;
-    c.run_remaining = 0;
-    c.run_id = BatchId{};
-    c.owns_run = false;
+  if (tx_queue_.empty() || segment_ == nullptr) {
+    transmitting_ = false;
+    run_remaining_ = 0;
+    run_id_ = BatchId{};
+    owns_run_ = false;
     return;
   }
-  c.transmitting = true;
-  if (c.tx_queue.size() == 1) {
+  transmitting_ = true;
+  if (tx_queue_.size() == 1) {
     // Single frame: one completion event at the time the self-rearming
     // chain always produced -- but issued as a one-entry timed run, so a
     // frame arriving while it serializes can extend it in place.
-    ether::WireFrame frame = std::move(c.tx_queue.front());
-    c.tx_queue.pop_front();
+    ether::WireFrame frame = std::move(tx_queue_.front());
+    tx_queue_.pop_front();
     const std::size_t wire_bytes = frame.wire_size();
-    c.stats.tx_frames += 1;
-    c.stats.tx_bytes += wire_bytes;
-    c.run_remaining = 1;
-    c.run_tail_time = scheduler_->now() + segment_->serialization_delay(wire_bytes);
-    Scheduler::TimedEntry entry = completion(c.run_tail_time, std::move(frame));
-    c.run_id = scheduler_->schedule_run_at(std::span(&entry, 1));
-    c.owns_run = true;
+    stats_.tx_frames += 1;
+    stats_.tx_bytes += wire_bytes;
+    run_remaining_ = 1;
+    run_tail_time_ = scheduler_->now() + segment_->serialization_delay(wire_bytes);
+    Scheduler::TimedEntry entry = completion(run_tail_time_, std::move(frame));
+    run_id_ = scheduler_->schedule_run_at(std::span(&entry, 1));
+    owns_run_ = true;
     return;
   }
   // Backlog: drain the whole queue as ONE monotone timed run, with the
@@ -228,8 +164,8 @@ void Nic::start_transmitter() {
   // its receivers (prepare_broadcast: stats, tap, loss draws identical to
   // broadcast()) and deposits the receiver-run index for its delivery
   // entry, which fires at completion + propagation. The frames beyond the
-  // first keep counting against tx_queue_limit_ through run_remaining.
-  // The entry that takes run_remaining to zero restarts the transmitter,
+  // first keep counting against tx_queue_limit_ through run_remaining_.
+  // The entry that takes run_remaining_ to zero restarts the transmitter,
   // so frames queued mid-run (or a reattached segment's traffic) drain as
   // the next burst. Entries act only on the segment the burst was PACED
   // for: a NIC detached -- or detached and reattached elsewhere --
@@ -239,44 +175,43 @@ void Nic::start_transmitter() {
   LanSegment* const paced_for = segment_;
   std::vector<Scheduler::TimedEntry> completions;
   std::vector<Scheduler::TimedEntry> deliveries;
-  completions.reserve(c.tx_queue.size());
-  deliveries.reserve(c.tx_queue.size());
+  completions.reserve(tx_queue_.size());
+  deliveries.reserve(tx_queue_.size());
   // The previous burst's delivery closures may still hold the old slot
   // vector (deliveries trail completions by the propagation delay); leave
   // it to them and start a fresh one. With no holders left, reuse it.
-  if (!c.burst_slots || c.burst_slots.use_count() > 1) {
-    c.burst_slots = std::make_shared<std::vector<std::uint32_t>>();
+  if (!burst_slots_ || burst_slots_.use_count() > 1) {
+    burst_slots_ = std::make_shared<std::vector<std::uint32_t>>();
   }
-  c.burst_slots->assign(c.tx_queue.size(), LanSegment::kNoPreparedRun);
-  c.burst_cursor = 0;
-  c.run_remaining = c.tx_queue.size();
+  burst_slots_->assign(tx_queue_.size(), LanSegment::kNoPreparedRun);
+  burst_cursor_ = 0;
+  run_remaining_ = tx_queue_.size();
   const Duration propagation = paced_for->config().propagation;
   TimePoint completes = scheduler_->now();
   std::size_t slot = 0;
-  while (!c.tx_queue.empty()) {
-    ether::WireFrame frame = std::move(c.tx_queue.front());
-    c.tx_queue.pop_front();
+  while (!tx_queue_.empty()) {
+    ether::WireFrame frame = std::move(tx_queue_.front());
+    tx_queue_.pop_front();
     const std::size_t wire_bytes = frame.wire_size();
     completes += segment_->serialization_delay(wire_bytes);
-    c.stats.tx_frames += 1;
-    c.stats.tx_bytes += wire_bytes;
+    stats_.tx_frames += 1;
+    stats_.tx_bytes += wire_bytes;
     Scheduler::TimedEntry entry;
     entry.when = completes;
     entry.fn = [this, paced_for, frame = std::move(frame)] {
-      ColdState& box = *cold_;
-      box.run_remaining -= 1;
-      (*box.burst_slots)[box.burst_cursor] =
+      run_remaining_ -= 1;
+      (*burst_slots_)[burst_cursor_] =
           segment_ == paced_for ? paced_for->prepare_broadcast(frame, this)
                                 : LanSegment::kNoPreparedRun;
-      box.burst_cursor += 1;
-      if (box.run_remaining == 0) start_transmitter();
+      burst_cursor_ += 1;
+      if (run_remaining_ == 0) start_transmitter();
     };
     completions.push_back(std::move(entry));
     Scheduler::TimedEntry delivery;
     delivery.when = completes + propagation;
     // No `this` capture: the delivery outlives any mid-flight detach (the
     // frame is already on the wire) and only needs the segment + slot.
-    delivery.fn = [seg = paced_for, slots = c.burst_slots, slot] {
+    delivery.fn = [seg = paced_for, slots = burst_slots_, slot] {
       const std::uint32_t run = (*slots)[slot];
       if (run != LanSegment::kNoPreparedRun) seg->deliver_prepared(run);
     };
@@ -286,29 +221,28 @@ void Nic::start_transmitter() {
   // Transmit run first, delivery run second: at equal timestamps (zero
   // propagation) a frame's completion still precedes its delivery, the
   // order the chain produced.
-  c.run_id = scheduler_->schedule_run_at(completions);
-  c.owns_run = true;
-  c.run_tail_time = completes;
+  run_id_ = scheduler_->schedule_run_at(completions);
+  owns_run_ = true;
+  run_tail_time_ = completes;
   scheduler_->schedule_run_at(deliveries);
 }
 
 void Nic::deliver(const ether::WireFrame& frame) {
-  NicStats& stats = cold().stats;
   // ok() triggers the shared lazy decode: the first NIC on the segment pays
   // one parse + one CRC-32 check, every other receiver reuses the result.
   if (!frame.ok()) {
-    stats.rx_bad += 1;
+    stats_.rx_bad += 1;
     return;
   }
   const ether::Frame& parsed = frame.frame();
   const bool for_me = promiscuous_ || parsed.dst == mac_ || parsed.dst.is_group();
   if (!for_me) {
-    stats.rx_filtered += 1;
+    stats_.rx_filtered += 1;
     return;
   }
-  stats.rx_frames += 1;
-  stats.rx_bytes += frame.wire_size();
-  if (rx_fn_ != nullptr) rx_fn_(rx_context_, frame);
+  stats_.rx_frames += 1;
+  stats_.rx_bytes += frame.wire_size();
+  if (rx_handler_) rx_handler_(frame);
 }
 
 BatchId TxBatch::flush(Scheduler& scheduler) {

@@ -44,21 +44,12 @@
 // (admission to the wire), so transmissions cut short by a detach keep
 // their counts.
 //
-// Idle NICs: a million-station cell's stations almost never send or
-// receive, so a NIC keeps resident only what delivery and the segment's
-// station index read (72 B) and builds a box for everything the transmit
-// path and the counters need on its first transmit or first delivered
-// frame (see Nic). A plan-built station's name is a key spelled on
-// demand, and HostStack's receive dispatch is a plain function, so an
-// idle station's NIC allocates nothing. A plan-built station that has not
-// yet acted has no NIC at all: its segment holds a planned slot (see
-// LanSegment).
+// A plan-built station that has not yet acted has no NIC at all: its
+// segment holds a planned slot (see LanSegment).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -86,11 +77,12 @@ struct NicStats {
   friend bool operator==(const NicStats&, const NicStats&) = default;
 };
 
-/// Minimal FIFO of wire frames over a lazily-allocated vector, held in a
-/// NIC's box: std::deque here eagerly allocated its chunk map and first
-/// chunk (~600 heap bytes per NIC). pop_front advances a head index and
-/// releases the frame's wire buffer immediately; storage resets when the
-/// queue drains and the dead prefix is compacted away when it dominates.
+/// Minimal FIFO of wire frames over a lazily-allocated vector: a NIC that
+/// never queues allocates nothing, where std::deque eagerly allocated its
+/// chunk map and first chunk (~600 heap bytes per NIC). pop_front advances
+/// a head index and releases the frame's wire buffer immediately; storage
+/// resets when the queue drains and the dead prefix is compacted away when
+/// it dominates.
 class FrameFifo {
  public:
   [[nodiscard]] std::size_t size() const { return buf_.size() - head_; }
@@ -114,62 +106,19 @@ class FrameFifo {
   std::size_t head_ = 0;
 };
 
-/// A NIC's name as Network::add_nic and the Nic constructor take it:
-/// either text, which the NIC stores in its box, or a plan-built
-/// station's key, which spells "host<lan>_<index>" (as
-/// Topology::HostAttach::name does) and costs the NIC no storage.
-/// Converts implicitly from std::string and string literals.
-class NicName {
- public:
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  NicName(std::string text) : text_(std::move(text)) {}
-  NicName(const char* text) : text_(text) {}  // NOLINT(google-explicit-constructor)
-
-  /// The key of plan-built station `index` on segment `lan` (lan < 2^31).
-  [[nodiscard]] static NicName host(std::uint32_t lan, std::uint32_t index);
-
-  /// The name spelled out.
-  [[nodiscard]] std::string str() const { return key_ != 0 ? spell(key_) : text_; }
-
- private:
-  friend class Nic;
-  static constexpr std::uint64_t kHostKey = std::uint64_t{1} << 63;
-
-  NicName() = default;
-  [[nodiscard]] static std::string spell(std::uint64_t key);
-
-  std::string text_;
-  std::uint64_t key_ = 0;  ///< nonzero: kHostKey | lan << 32 | index
-};
-
 /// One network interface. NICs are owned by Network and must outlive any
 /// scheduled simulation events.
-///
-/// Resident: what delivery and the segment's station index read (segment,
-/// attach position, MAC, station IPv4, promiscuous flag), the receive
-/// dispatch as a plain function plus its context, the scheduler, the name
-/// key, the transmit-queue limit and a box pointer. Everything else -- the
-/// transmit queue and run bookkeeping, the burst slots, the counters, a
-/// capturing std::function handler and a stored name -- lives in the box,
-/// built on the first transmit, transmit_burst or try_prepare claim, on
-/// the first frame handed to deliver(), or at once for a stored name or a
-/// std::function handler. A station the segment never hands a frame and
-/// that never sends holds no box.
 class Nic {
  public:
   using RxHandler = std::function<void(const ether::WireFrame&)>;
-  /// The allocation-free receive dispatch: a plain function called with
-  /// the context it was installed with.
-  using RxFunction = void (*)(void* context, const ether::WireFrame& frame);
 
-  Nic(Scheduler& scheduler, NicName name, ether::MacAddress mac);
+  Nic(Scheduler& scheduler, std::string name, ether::MacAddress mac);
   ~Nic();
 
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
 
-  /// The stored name, or the name key spelled out ("" when neither).
-  [[nodiscard]] std::string name() const;
+  [[nodiscard]] std::string name() const { return name_; }
   [[nodiscard]] ether::MacAddress mac() const { return mac_; }
 
   /// Connects to a segment (detaching from any previous one).
@@ -177,18 +126,11 @@ class Nic {
   void detach();
   [[nodiscard]] LanSegment* segment() const { return segment_; }
 
-  /// Installs the receive callback; a non-empty one is kept in the box.
-  /// Passing nullptr silences the NIC (frames are counted but dropped).
-  void set_rx_handler(RxHandler handler);
-  /// Installs `fn`, called with `context` for every frame the filter
-  /// passes. Builds no box (HostStack installs itself this way).
-  void set_rx_handler(RxFunction fn, void* context) {
-    rx_fn_ = fn;
-    rx_context_ = context;
-  }
-  /// The installed receive callback (so an observer can wrap it): a copy
-  /// of a std::function handler, or a wrapper around fn and context.
-  [[nodiscard]] RxHandler rx_handler() const;
+  /// Installs the receive callback. Passing nullptr silences the NIC
+  /// (frames are counted but dropped).
+  void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
+  /// A copy of the installed receive callback (so an observer can wrap it).
+  [[nodiscard]] RxHandler rx_handler() const { return rx_handler_; }
 
   /// Takes effect for frames delivered from now on; a station NIC also
   /// moves to its segment's walk list (or back to the index) for frames
@@ -204,16 +146,12 @@ class Nic {
   /// LanSegment). 0, the default, withdraws the declaration.
   void set_station_ipv4(std::uint32_t ipv4);
 
-  /// Bounds the transmit backlog (frames). Default 512; values above
-  /// 2^32 - 1 saturate there. Occupancy counts queued frames plus the
-  /// unfired remainder of a scheduled burst run beyond the frame currently
-  /// serializing -- the same backlog the per-frame chain kept in the queue
-  /// -- so tail-drop behavior under sustained overload is unchanged by
-  /// burst draining. Resident: setting it builds no box.
-  void set_tx_queue_limit(std::size_t limit) {
-    tx_queue_limit_ = static_cast<std::uint32_t>(
-        std::min<std::size_t>(limit, std::numeric_limits<std::uint32_t>::max()));
-  }
+  /// Bounds the transmit backlog (frames). Default 512. Occupancy counts
+  /// queued frames plus the unfired remainder of a scheduled burst run
+  /// beyond the frame currently serializing -- the same backlog the
+  /// per-frame chain kept in the queue -- so tail-drop behavior under
+  /// sustained overload is unchanged by burst draining.
+  void set_tx_queue_limit(std::size_t limit) { tx_queue_limit_ = limit; }
 
   /// Queues a shared wire buffer for transmission by refcount. Its bytes
   /// are not built here: they are encoded at most once, by whatever first
@@ -260,67 +198,25 @@ class Nic {
   /// extend that run instead of falling back to the FIFO queue. The run is
   /// SHARED with the batch's other claimants, so this NIC never cancels it.
   void note_run(BatchId id) {
-    ColdState& c = cold();
-    c.run_id = id;
-    c.owns_run = false;
+    run_id_ = id;
+    owns_run_ = false;
   }
 
   /// Entry point for the segment's delivery events.
   void deliver(const ether::WireFrame& frame);
 
-  /// The interface counters; all zero (one shared instance) while the NIC
-  /// is idle.
-  [[nodiscard]] const NicStats& stats() const;
-  /// True once the NIC holds its box (see the class comment).
-  [[nodiscard]] bool active() const { return cold_ != nullptr; }
+  [[nodiscard]] const NicStats& stats() const { return stats_; }
 
  private:
   // Maintains lan_index_, reads the station mode, and seats a planned
   // station's NIC in its reserved slot.
   friend class LanSegment;
 
-  /// What a NIC holds once it has transmitted or been handed a frame.
-  struct ColdState {
-    std::string name;    ///< the stored name ("" for a key or no name)
-    RxHandler handler;   ///< a std::function handler; rx_fn_ calls it
-    NicStats stats;
-    FrameFifo tx_queue;
-    bool transmitting = false;
-    /// True when run_id names a run scheduled by and for this NIC alone
-    /// (start_transmitter's single or burst drain), which ~Nic cancels if
-    /// still pending -- its completion entries capture the NIC. False for
-    /// a TxBatch run recorded via note_run(): that run carries OTHER
-    /// ports' completions too and must survive this NIC.
-    bool owns_run = false;
-    /// Unfired entries of the in-flight transmit run, INCLUDING the frame
-    /// currently serializing. Each completion entry decrements it; the
-    /// entry that takes it to zero restarts the transmitter, which makes
-    /// appended extension entries part of the same service period.
-    std::size_t run_remaining = 0;
-    /// Handle + tail completion time of the in-flight transmit run; a
-    /// transmit() on the saturated NIC appends past the tail via
-    /// Scheduler::try_extend_run. Stale handles fail the extension safely.
-    BatchId run_id{};
-    TimePoint run_tail_time{};
-    /// Receiver-run indices a burst's completion entries deposit (via
-    /// LanSegment::prepare_broadcast) for its delivery entries to read.
-    /// Shared: the delivery closures hold the vector alive after the next
-    /// burst replaces it. burst_cursor is the deposit position -- implicit
-    /// order works because every completion of a burst fires before the
-    /// next burst resets the vector.
-    std::shared_ptr<std::vector<std::uint32_t>> burst_slots;
-    std::size_t burst_cursor = 0;
-
-    /// Frames charged against the queue limit: the queue plus the unfired
-    /// remainder of the in-flight run beyond the frame serializing.
-    [[nodiscard]] std::size_t backlog() const {
-      return tx_queue.size() + (run_remaining > 0 ? run_remaining - 1 : 0);
-    }
-  };
-
-  /// The box, built on first demand.
-  ColdState& cold();
-  [[nodiscard]] std::size_t backlog() const { return cold_ ? cold_->backlog() : 0; }
+  /// Frames charged against the queue limit: the queue plus the unfired
+  /// remainder of the in-flight run beyond the frame serializing.
+  [[nodiscard]] std::size_t backlog() const {
+    return tx_queue_.size() + (run_remaining_ > 0 ? run_remaining_ - 1 : 0);
+  }
   void start_transmitter();
   /// The serialization-completion entry every frame this NIC sends
   /// through a broadcast() completes with (single frame, try_prepare
@@ -331,21 +227,43 @@ class Nic {
 
   Scheduler* scheduler_;
   LanSegment* segment_ = nullptr;
-  std::unique_ptr<ColdState> cold_;  ///< null while the NIC is idle
-  RxFunction rx_fn_ = nullptr;
-  void* rx_context_ = nullptr;
-  std::uint64_t name_key_ = 0;  ///< NicName's key; 0: the name is stored
+  std::string name_;
+  RxHandler rx_handler_;
+  NicStats stats_;
+  FrameFifo tx_queue_;
+  std::size_t tx_queue_limit_ = 512;
+  /// Unfired entries of the in-flight transmit run, INCLUDING the frame
+  /// currently serializing. Each completion entry decrements it; the
+  /// entry that takes it to zero restarts the transmitter, which makes
+  /// appended extension entries part of the same service period.
+  std::size_t run_remaining_ = 0;
+  /// Handle + tail completion time of the in-flight transmit run; a
+  /// transmit() on the saturated NIC appends past the tail via
+  /// Scheduler::try_extend_run. Stale handles fail the extension safely.
+  BatchId run_id_{};
+  TimePoint run_tail_time_{};
+  /// Receiver-run indices a burst's completion entries deposit (via
+  /// LanSegment::prepare_broadcast) for its delivery entries to read.
+  /// Shared: the delivery closures hold the vector alive after the next
+  /// burst replaces it. burst_cursor_ is the deposit position -- implicit
+  /// order works because every completion of a burst fires before the
+  /// next burst resets the vector.
+  std::shared_ptr<std::vector<std::uint32_t>> burst_slots_;
+  std::size_t burst_cursor_ = 0;
   /// This NIC's position in segment_'s attach list -- the back-index that
   /// makes detach O(1) on a million-station segment. Owned by LanSegment.
   std::uint32_t lan_index_ = 0;
   std::uint32_t station_ipv4_ = 0;  ///< see set_station_ipv4; 0: not a station
-  std::uint32_t tx_queue_limit_ = 512;
   ether::MacAddress mac_;
   bool promiscuous_ = false;
+  bool transmitting_ = false;
+  /// True when run_id_ names a run scheduled by and for this NIC alone
+  /// (start_transmitter's single or burst drain), which ~Nic cancels if
+  /// still pending -- its completion entries capture the NIC. False for
+  /// a TxBatch run recorded via note_run(): that run carries OTHER
+  /// ports' completions too and must survive this NIC.
+  bool owns_run_ = false;
 };
-
-// An idle station's NIC: six words, three 32-bit fields, the MAC and a flag.
-static_assert(sizeof(Nic) <= 72);
 
 /// Collects claimed transmissions (Nic::try_prepare) across the NICs of
 /// one node and issues them as ONE monotone timed run: an N-port flood

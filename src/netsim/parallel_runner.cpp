@@ -38,31 +38,6 @@ TimePoint ParallelRunner::next_window(TimePoint target) const {
 }
 
 void ParallelRunner::run_until(TimePoint target) {
-  if (options_.threads <= 1) {
-    run_until_serial(target);
-  } else {
-    run_until_parallel(target);
-  }
-}
-
-void ParallelRunner::run_for(Duration d) {
-  run_until(shards_.front()->scheduler().now() + d);
-}
-
-void ParallelRunner::run_until_serial(TimePoint target) {
-  // Same rounds, same windows, same per-shard event sequences as the
-  // parallel path -- just inline. Thread-count independence starts here:
-  // the round structure is a function of the simulation alone.
-  for (;;) {
-    for (Shard* shard : shards_) shard->drain();
-    const TimePoint end = next_window(target);
-    rounds_ += 1;
-    for (Shard* shard : shards_) shard->scheduler().run_until(end);
-    if (end >= target) return;
-  }
-}
-
-void ParallelRunner::run_until_parallel(TimePoint target) {
   target_ = target;
   done_ = false;
   phase_ = 0;
@@ -105,11 +80,17 @@ void ParallelRunner::run_until_parallel(TimePoint target) {
     }
   };
 
+  // Worker 0 is the caller, so one worker spawns no thread and runs every
+  // shard against a one-participant barrier.
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(workers) - 1);
   for (int w = 1; w < workers; ++w) threads.emplace_back(worker, w);
   worker(0);
   for (std::thread& t : threads) t.join();
+}
+
+void ParallelRunner::run_for(Duration d) {
+  run_until(shards_.front()->scheduler().now() + d);
 }
 
 }  // namespace ab::netsim

@@ -25,9 +25,10 @@
 // only the draining shard's replicas; producers are parked at the
 // barrier). So every shard executes the identical event sequence whether
 // the runner uses 1 worker or 8, which is what the thread-count
-// independence property test proves end to end. With threads == 1 the
-// runner skips thread spawn and barriers entirely and executes the same
-// rounds inline -- the 1-thread sharded path IS the serial path.
+// independence property test proves end to end. Every thread count runs
+// the one round loop: worker 0 is the caller, so with threads == 1 no
+// thread is spawned and the caller runs every shard against a
+// one-participant barrier.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,8 @@ namespace ab::netsim {
 class ParallelRunner {
  public:
   struct Options {
-    /// Worker threads. Clamped to [1, shards]; 1 runs inline.
+    /// Worker threads, the caller included. Clamped to [1, shards]; 1
+    /// spawns no thread.
     int threads = 1;
     /// Conservative lookahead: minimum propagation delay across cut
     /// segments. <= 0 means "no cross-shard coupling" (single window).
@@ -73,16 +75,12 @@ class ParallelRunner {
   /// deliverable frame).
   [[nodiscard]] TimePoint next_window(TimePoint target) const;
 
-  void run_until_serial(TimePoint target);
-  void run_until_parallel(TimePoint target);
-
   std::vector<Shard*> shards_;
   Options options_;
   std::uint64_t rounds_ = 0;
 
-  // Round state for the parallel path: written only by the barrier's
-  // serial completion, read by workers after the barrier -- the barrier's
-  // happens-before orders both.
+  // Round state: written only by the barrier's serial completion, read by
+  // workers after the barrier -- the barrier's happens-before orders both.
   TimePoint window_end_{};
   TimePoint target_{};
   bool done_ = false;

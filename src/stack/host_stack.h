@@ -8,12 +8,6 @@
 // responder plus client, and a tiny UDP socket API. Transmissions pass
 // through a per-host ProcessingElement so benchmarks can charge the 1997
 // host's per-frame software cost.
-//
-// Most stations of a big cell never act, so a HostStack keeps resident
-// only what an idle station reads: its scheduler, NIC and address. The
-// configuration, counters, processing element, ARP cache and sockets live
-// in a box built on the station's first action (or at construction when
-// the configuration or logger is not the default).
 #pragma once
 
 #include <cstdint>
@@ -61,8 +55,6 @@ struct HostConfig {
   /// resolve, not the station population — the buckets are per-host
   /// memory.
   std::size_t arp_cache_reserve = 0;
-
-  friend bool operator==(const HostConfig&, const HostConfig&) = default;
 };
 
 /// Counters for assertions and benchmarks.
@@ -105,22 +97,15 @@ class HostStack {
   HostStack(netsim::Scheduler& scheduler, netsim::Nic& nic, HostConfig config,
             util::Logger* log = nullptr);
 
-  [[nodiscard]] Ipv4Addr ip() const { return ip_; }
+  [[nodiscard]] Ipv4Addr ip() const { return config_.ip; }
   [[nodiscard]] netsim::Nic& nic() { return *nic_; }
   /// The scheduler this host runs on. In a sharded cell each shard has its
   /// own scheduler, so workloads must schedule per-host work HERE, never on
   /// a global clock.
   [[nodiscard]] netsim::Scheduler& scheduler() { return *scheduler_; }
-  /// This host's counters; all zero (one shared instance, no allocation)
-  /// while the station is idle.
-  [[nodiscard]] const HostStats& stats() const;
-  /// The transmit processing element. Builds the station's box if it is
-  /// still idle.
-  [[nodiscard]] netsim::ProcessingElement& tx_element() { return cold().tx_pe; }
-  /// True once the station has acted -- sent, bound, listened, or handled
-  /// an ARP or IPv4 frame -- or was built with a non-default configuration
-  /// or a logger. An idle station holds no box.
-  [[nodiscard]] bool active() const { return cold_ != nullptr; }
+  [[nodiscard]] const HostStats& stats() const { return stats_; }
+  /// The transmit processing element.
+  [[nodiscard]] netsim::ProcessingElement& tx_element() { return tx_pe_; }
 
   /// Binds a UDP port. Throws std::invalid_argument if already bound.
   void bind_udp(std::uint16_t port, UdpHandler handler);
@@ -184,39 +169,6 @@ class HostStack {
     TcpConfig config;
   };
 
-  /// Everything a station only needs once it acts -- boxed so the million
-  /// idle stations of a big cell each cost one null pointer here instead
-  /// of a configuration, counters, a processing element, an ARP cache and
-  /// five empty containers. Created on first use and never discarded (a
-  /// station that has spoken once is warm for the rest of the run).
-  struct ColdState {
-    ColdState(netsim::Scheduler& scheduler, const HostConfig& host_config,
-              util::Logger* logger);
-
-    HostConfig config;
-    util::Logger* log;
-    netsim::ProcessingElement tx_pe;
-    ArpCache arp_cache;
-    std::uint16_t next_ip_id = 1;
-    HostStats stats;
-    std::unordered_map<Ipv4Addr, PendingArp> pending_arp;
-    /// Flooded duplicate copies of one request draw a single reply per
-    /// dedupe window (shared implementation with the netloader).
-    ArpReplySuppressor arp_reply_suppressor;
-    std::unordered_map<std::uint16_t, UdpHandler> udp_handlers;
-    /// Connections live here for the host's lifetime so workloads can read
-    /// final stats after teardown; runs are cell-scoped, so closed sockets
-    /// are cheap residue, not a leak.
-    std::map<TcpKey, std::unique_ptr<TcpSocket>> tcp_sockets;
-    std::unordered_map<std::uint16_t, TcpListener> tcp_listeners;
-    std::map<ReassemblyKey, Reassembly> reassemblies;
-    EchoHandler echo_handler;
-  };
-
-  /// The cold box, materialized on first demand with the default
-  /// configuration.
-  ColdState& cold();
-
   /// Creates and registers a socket for `key` (must not exist yet).
   TcpSocket& make_tcp_socket(const TcpKey& key, TcpConfig config);
 
@@ -248,11 +200,24 @@ class HostStack {
 
   netsim::Scheduler* scheduler_;
   netsim::Nic* nic_;
-  Ipv4Addr ip_;
-  std::unique_ptr<ColdState> cold_;  ///< null until the station first acts
+  HostConfig config_;
+  util::Logger* log_;
+  netsim::ProcessingElement tx_pe_;
+  ArpCache arp_cache_;
+  std::uint16_t next_ip_id_ = 1;
+  HostStats stats_;
+  std::unordered_map<Ipv4Addr, PendingArp> pending_arp_;
+  /// Flooded duplicate copies of one request draw a single reply per
+  /// dedupe window (shared implementation with the netloader).
+  ArpReplySuppressor arp_reply_suppressor_;
+  std::unordered_map<std::uint16_t, UdpHandler> udp_handlers_;
+  /// Connections live here for the host's lifetime so workloads can read
+  /// final stats after teardown; runs are cell-scoped, so closed sockets
+  /// are cheap residue, not a leak.
+  std::map<TcpKey, std::unique_ptr<TcpSocket>> tcp_sockets_;
+  std::unordered_map<std::uint16_t, TcpListener> tcp_listeners_;
+  std::map<ReassemblyKey, Reassembly> reassemblies_;
+  EchoHandler echo_handler_;
 };
-
-// An idle station's whole stack: two pointers, an address and a null box.
-static_assert(sizeof(HostStack) <= 48);
 
 }  // namespace ab::stack

@@ -367,6 +367,97 @@ TEST(AggregateHostWorkload, BuildsOnlyTheStationsThatActOrAreAskedFor) {
 }
 
 
+/// Runs `inner`, then reads every NIC attached to every replica of the
+/// cell: how many there are, and the names of those that neither sent nor
+/// were handed a frame.
+class SilentNics final : public Workload {
+ public:
+  explicit SilentNics(Workload& inner) : inner_(inner) {}
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+  void run(WorkloadContext& ctx, SweepResult& result) override {
+    inner_.run(ctx, result);
+    for (const auto& region : ctx.sharded->regions) {
+      for (const netsim::LanSegment* replica : region->replicas) {
+        if (replica == nullptr) continue;
+        for (const netsim::Nic* nic : replica->attached()) {
+          if (nic == nullptr) continue;
+          attached += 1;
+          const netsim::NicStats& s = nic->stats();
+          if (s.tx_frames + s.rx_frames + s.rx_filtered + s.rx_bad == 0) {
+            silent.push_back(nic->name());
+          }
+        }
+      }
+    }
+  }
+
+  std::size_t attached = 0;
+  std::vector<std::string> silent;
+
+ private:
+  Workload& inner_;
+};
+
+/// The attached NICs of `spec` under `workload`, after checking that none
+/// of them is silent.
+std::size_t nics_that_all_saw_traffic(const netsim::TopologySpec& spec, Workload& workload,
+                                      const SweepOptions& options = {}) {
+  SilentNics check(workload);
+  TopologySweep sweep(options);
+  (void)sweep.run_cell(spec, check);
+  EXPECT_EQ(check.silent, std::vector<std::string>{});
+  return check.attached;
+}
+
+// The benchmark's cell shapes (bench/e2e's --smoke sizes) build only the
+// stations that act: at cell end every NIC on every replica, station or
+// bridge port, has sent or been handed a frame.
+TEST(BenchmarkCells, KregFloodBuildsOnlyNicsThatSeeTraffic) {
+  netsim::TopologySpec spec;
+  spec.shape = netsim::TopologyShape::kRandomKRegular;
+  spec.nodes = 32;
+  spec.hosts_per_lan = 4;
+  spec.degree = 4;
+  spec.seed = 7;
+  FloodPingWorkload flood;
+  EXPECT_EQ(nics_that_all_saw_traffic(spec, flood), 385u);
+}
+
+TEST(BenchmarkCells, TcpHubBuildsOnlyNicsThatSeeTraffic) {
+  netsim::TopologySpec spec;
+  spec.shape = netsim::TopologyShape::kScaleFree;
+  spec.nodes = 32;
+  spec.hosts_per_lan = 2;
+  spec.attach = 2;
+  spec.seed = 7;
+  TtcpStreamWorkload::Options wopts;
+  wopts.transport = TtcpStreamWorkload::Transport::kTcp;
+  wopts.placement = TtcpStreamWorkload::Placement::kHubTargeted;
+  wopts.streams = 8;
+  wopts.bytes_per_stream = std::size_t{1} << 20;
+  TtcpStreamWorkload ttcp(wopts);
+  SweepOptions options;
+  options.traffic_window = netsim::seconds(20);
+  EXPECT_EQ(nics_that_all_saw_traffic(spec, ttcp, options), 132u);
+}
+
+TEST(BenchmarkCells, StarAggBuildsOnlyNicsThatSeeTrafficAtOneAndEightRegions) {
+  netsim::TopologySpec spec;
+  spec.shape = netsim::TopologyShape::kStar;
+  spec.nodes = 8;
+  spec.hosts_per_lan = 1250;
+  AggregateHostWorkload::Options wopts;
+  wopts.seed = 7;
+  AggregateHostWorkload one_region_workload(wopts);
+  EXPECT_EQ(nics_that_all_saw_traffic(spec, one_region_workload), 188u);
+
+  SweepOptions sharded;
+  sharded.shard_regions = 8;
+  sharded.threads = 2;
+  AggregateHostWorkload sharded_workload(wopts);
+  EXPECT_EQ(nics_that_all_saw_traffic(spec, sharded_workload, sharded), 188u);
+}
+
 /// Checks the context's host views on the cell it is handed.
 class CheckHostViews final : public Workload {
  public:

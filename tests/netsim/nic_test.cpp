@@ -128,6 +128,14 @@ TEST(Nic, ReattachToAnotherSegment) {
   EXPECT_EQ(got, 1);
 }
 
+TEST(Nic, HandBuiltNamesAreKept) {
+  Network net;
+  LanSegment& lan = net.add_segment("lan");
+  EXPECT_EQ(net.add_nic("b7.eth3 (uplink to the hub)", lan).name(),
+            "b7.eth3 (uplink to the hub)");
+  EXPECT_EQ(net.add_nic("", lan).name(), "");
+}
+
 TEST(Nic, NoHandlerMeansFrameIsDroppedQuietly) {
   TwoNics t;
   t.a->transmit(to(t.b->mac(), t.a->mac()));
@@ -547,178 +555,6 @@ TEST(Nic, RunExtensionTimingMatchesTheQueuedModel) {
   const Duration prop = probe.config().propagation;
   EXPECT_EQ(extended.delivered_at[0], ser1 + prop);
   EXPECT_EQ(extended.delivered_at[1], ser1 + ser2 + prop);
-}
-
-// ---------------------------------------------------------------------------
-// The box: a NIC that has neither sent nor been handed a frame holds only
-// its resident fields. Its first transmit, try_prepare claim or delivered
-// frame builds the box, after which it counts exactly like a NIC that was
-// never idle (one with a stored name, boxed from construction).
-
-/// A LAN with the NIC under test and a peer (created in that order, so
-/// both rigs of a comparison get the same MACs).
-struct BoxRig {
-  Network net;
-  LanSegment* lan = &net.add_segment("lan");
-  Nic* nic;
-  Nic* peer;
-  explicit BoxRig(NicName name)
-      : nic(&net.add_nic(std::move(name), *lan)), peer(&net.add_nic("peer", *lan)) {}
-
-  [[nodiscard]] ether::WireFrame to_peer(std::size_t len = 64) const {
-    return to(peer->mac(), nic->mac(), len);
-  }
-};
-
-/// The counters of both NICs after a scenario.
-struct Counts {
-  NicStats nic;
-  NicStats peer;
-  friend bool operator==(const Counts&, const Counts&) = default;
-};
-
-const NicName kIdleName = NicName::host(0, 0);
-const NicName kNeverIdleName = "never-idle";
-
-TEST(NicBox, IdleNicHoldsNoBoxAndReadsSharedZeros) {
-  BoxRig keyed(kIdleName);
-  BoxRig unnamed("");
-  EXPECT_FALSE(keyed.nic->active());
-  EXPECT_FALSE(unnamed.nic->active());
-  EXPECT_EQ(keyed.nic->stats(), NicStats{});
-  EXPECT_EQ(&keyed.nic->stats(), &unnamed.nic->stats());  // one shared block
-  EXPECT_EQ(unnamed.nic->name(), "");
-  EXPECT_TRUE(keyed.peer->active());  // a stored name lives in the box
-  EXPECT_TRUE(BoxRig(kNeverIdleName).nic->active());
-}
-
-TEST(NicBox, FirstTransmitBuildsTheBox) {
-  const auto drive = [](const NicName& name) {
-    BoxRig r(name);
-    r.nic->transmit(r.to_peer());
-    EXPECT_TRUE(r.nic->active());
-    std::vector<ether::WireFrame> burst(3, r.to_peer(200));
-    EXPECT_EQ(r.nic->transmit_burst(burst), 3u);
-    r.net.scheduler().run();
-    return Counts{r.nic->stats(), r.peer->stats()};
-  };
-  const Counts was_idle = drive(kIdleName);
-  EXPECT_EQ(was_idle, drive(kNeverIdleName));
-  EXPECT_EQ(was_idle.nic.tx_frames, 4u);
-  EXPECT_EQ(was_idle.peer.rx_frames, 4u);
-}
-
-TEST(NicBox, FirstBurstBuildsTheBox) {
-  const auto drive = [](const NicName& name) {
-    BoxRig r(name);
-    r.nic->set_tx_queue_limit(2);
-    std::vector<ether::WireFrame> burst(3, r.to_peer());
-    EXPECT_EQ(r.nic->transmit_burst(burst), 2u);
-    EXPECT_TRUE(r.nic->active());
-    r.net.scheduler().run();
-    return Counts{r.nic->stats(), r.peer->stats()};
-  };
-  const Counts was_idle = drive(kIdleName);
-  EXPECT_EQ(was_idle, drive(kNeverIdleName));
-  EXPECT_EQ(was_idle.nic.tx_frames, 2u);
-  EXPECT_EQ(was_idle.nic.tx_dropped, 1u);
-}
-
-TEST(NicBox, FirstTryPrepareClaimBuildsTheBox) {
-  const auto drive = [](const NicName& name, bool idle) {
-    BoxRig r(name);
-    // A declined claim has no side effects, so it builds nothing either.
-    r.nic->detach();
-    EXPECT_FALSE(r.nic->try_prepare(r.to_peer()).has_value());
-    EXPECT_EQ(r.nic->active(), !idle);
-    r.nic->attach(*r.lan);
-    auto claimed = r.nic->try_prepare(r.to_peer(500));
-    EXPECT_TRUE(r.nic->active());
-    std::vector<Scheduler::TimedEntry> run;
-    if (claimed) run.push_back(std::move(*claimed));
-    r.nic->note_run(r.net.scheduler().schedule_run_at(run));
-    r.nic->transmit(r.to_peer());  // extends the claimed run
-    r.net.scheduler().run();
-    return Counts{r.nic->stats(), r.peer->stats()};
-  };
-  const Counts was_idle = drive(kIdleName, true);
-  EXPECT_EQ(was_idle, drive(kNeverIdleName, false));
-  EXPECT_EQ(was_idle.nic.tx_frames, 2u);
-  EXPECT_EQ(was_idle.peer.rx_frames, 2u);
-}
-
-TEST(NicBox, FirstDeliveredFrameBuildsTheBox) {
-  const auto drive = [](const NicName& name) {
-    BoxRig r(name);
-    r.nic->deliver(ether::WireFrame(to(r.peer->mac(), r.peer->mac())));  // filtered
-    EXPECT_TRUE(r.nic->active());
-    r.nic->deliver(ether::WireFrame(to(r.nic->mac(), r.peer->mac(), 100)));
-    r.nic->deliver(ether::WireFrame(to(ether::MacAddress::broadcast(), r.peer->mac())));
-    return r.nic->stats();
-  };
-  const NicStats was_idle = drive(kIdleName);
-  EXPECT_EQ(was_idle, drive(kNeverIdleName));
-  EXPECT_EQ(was_idle.rx_filtered, 1u);
-  EXPECT_EQ(was_idle.rx_frames, 2u);
-}
-
-TEST(NicBox, QueueLimitIsResidentAndSaturates) {
-  BoxRig r(kIdleName);
-  r.nic->set_tx_queue_limit(2);
-  EXPECT_FALSE(r.nic->active());
-  // The limit set while idle holds once the box is built: the first frame
-  // serializes, the next two extend its run, the fourth finds a backlog
-  // of 2.
-  EXPECT_TRUE(r.nic->transmit(r.to_peer()));
-  EXPECT_TRUE(r.nic->transmit(r.to_peer()));
-  EXPECT_TRUE(r.nic->transmit(r.to_peer()));
-  EXPECT_FALSE(r.nic->transmit(r.to_peer()));
-  EXPECT_EQ(r.nic->stats().tx_dropped, 1u);
-
-  // Above 2^32 - 1 the limit saturates; truncated, it would admit 5.
-  BoxRig wide(kIdleName);
-  wide.nic->set_tx_queue_limit((std::size_t{1} << 32) + 5);
-  EXPECT_FALSE(wide.nic->active());
-  std::vector<ether::WireFrame> burst(8, wide.to_peer());
-  EXPECT_EQ(wide.nic->transmit_burst(burst), 8u);
-}
-
-TEST(NicBox, HandBuiltNamesAreKeptAndHostKeysSpellThePlanName) {
-  Network net;
-  LanSegment& lan = net.add_segment("lan");
-  Nic& hand = net.add_nic("b7.eth3 (uplink to the hub)", lan);
-  EXPECT_EQ(hand.name(), "b7.eth3 (uplink to the hub)");
-  const Topology::HostAttach attach{3, 17};
-  Nic& keyed = net.add_nic(attach.key(), lan);
-  EXPECT_EQ(keyed.name(), "host3_17");
-  EXPECT_EQ(keyed.name(), attach.name());
-  EXPECT_FALSE(keyed.active());
-  EXPECT_EQ(NicName::host(0x7FFFFFFF, 0xFFFFFFFF).str(), "host2147483647_4294967295");
-}
-
-TEST(NicBox, RxHandlerWrapsEitherDispatch) {
-  BoxRig r(kIdleName);
-  int calls = 0;
-  r.nic->set_rx_handler(
-      [](void* context, const ether::WireFrame&) { ++*static_cast<int*>(context); },
-      &calls);
-  EXPECT_FALSE(r.nic->active());  // a plain function needs no box
-  const Nic::RxHandler plain = r.nic->rx_handler();
-  ASSERT_TRUE(plain);
-  // Wrapping a std::function handler yields a copy of it, not a call back
-  // into the NIC, so a wrapper that calls it does not recurse.
-  r.nic->set_rx_handler([&calls, plain](const ether::WireFrame& f) {
-    calls += 10;
-    plain(f);
-  });
-  EXPECT_TRUE(r.nic->active());
-  const Nic::RxHandler stored = r.nic->rx_handler();
-  r.nic->set_rx_handler([stored](const ether::WireFrame& f) { stored(f); });
-  r.peer->transmit(to(r.nic->mac(), r.peer->mac()));
-  r.net.scheduler().run();
-  EXPECT_EQ(calls, 11);
-  r.nic->set_rx_handler(nullptr);
-  EXPECT_FALSE(r.nic->rx_handler());
 }
 
 }  // namespace

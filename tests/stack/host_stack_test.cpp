@@ -280,13 +280,13 @@ TEST(HostStack, GenuineRequestRightAfterAReplyIsStillAnswered) {
 
 // ------------------------------------------------------ idle stations
 
-/// One station and a probe NIC on a LAN; frames are handed to the station
-/// through Nic::deliver, the path a segment's delivery walk takes. The
-/// station's NIC is named by a plan key, so it too starts without a box.
+/// One station that has not acted yet and a probe NIC on a LAN; frames are
+/// handed to the station through Nic::deliver, the path a segment's
+/// delivery walk takes.
 struct IdleStation {
   netsim::Network net;
   netsim::LanSegment* lan = &net.add_segment("lan");
-  netsim::Nic* nic = &net.add_nic(netsim::NicName::host(0, 0), *lan);
+  netsim::Nic* nic = &net.add_nic("host0_0", *lan);
   netsim::Nic* probe = &net.add_nic("probe", *lan);
   HostStack host;
   const Ipv4Addr probe_ip{10, 0, 0, 7};
@@ -320,8 +320,9 @@ struct IdleStation {
 };
 
 TEST(HostStack, IdleStationStaysIdleOnFramesItDiscards) {
+  // ARP and IPv4 for another address, and an LLC frame, reach the stack
+  // and change nothing: no counter moves and nothing is scheduled.
   IdleStation s;
-  ASSERT_FALSE(s.host.active());
   s.hand(s.who_has(Ipv4Addr(10, 0, 0, 9)));
   s.hand(s.ipv4_to(Ipv4Addr(10, 0, 0, 9), IpProto::kUdp,
                    encode_udp(s.probe_ip, Ipv4Addr(10, 0, 0, 9),
@@ -330,12 +331,7 @@ TEST(HostStack, IdleStationStaysIdleOnFramesItDiscards) {
                                  ether::LlcHeader::spanning_tree(),
                                  util::ByteBuffer(35, 0)));
   EXPECT_EQ(s.nic->stats().rx_frames, 3u);  // all three reached the stack
-  EXPECT_FALSE(s.host.active());
   EXPECT_EQ(s.host.stats(), HostStats{});
-
-  // Every idle station reads the same shared zeros.
-  IdleStation other;
-  EXPECT_EQ(&s.host.stats(), &other.host.stats());
   EXPECT_EQ(s.net.scheduler().pending(), 0u);
 }
 
@@ -343,7 +339,7 @@ TEST(HostStack, StationNicStaysIdleOnALanCarryingOtherTraffic) {
   // A plan-built cell: the bridges' BPDUs cross every LAN, a probe NIC
   // floods a broadcast burst and asks ARP for addresses no station owns.
   // The segment hands none of it to a station, so no station is built,
-  // and a station asked for afterwards builds no box.
+  // and a station asked for afterwards has counted nothing.
   netsim::TopologySpec spec;
   spec.shape = netsim::TopologyShape::kStar;
   spec.nodes = 2;
@@ -367,16 +363,13 @@ TEST(HostStack, StationNicStaysIdleOnALanCarryingOtherTraffic) {
   sched.run_for(netsim::seconds(5));
   EXPECT_EQ(topo.hosts_built(), 0u);
 
-  const netsim::NicStats& idle_zeros = topo.host(0).nic().stats();
   for (std::size_t i = 0; i < topo.host_count(); ++i) {
     netsim::Nic& nic = topo.host(i).nic();
     const netsim::Topology::HostAttach at = topo.shape.host(i);
     EXPECT_EQ(nic.name(), "host" + std::to_string(at.lan) + "_" +
                               std::to_string(at.index));
-    EXPECT_FALSE(nic.active()) << nic.name();
-    EXPECT_FALSE(topo.host(i).active()) << nic.name();
     EXPECT_EQ(nic.stats(), netsim::NicStats{}) << nic.name();
-    EXPECT_EQ(&nic.stats(), &idle_zeros);  // one shared zero block
+    EXPECT_EQ(topo.host(i).stats(), HostStats{}) << nic.name();
   }
   // The traffic was there: every frame crossed the probe's LAN, and the
   // bridge port on it (promiscuous, on the walk list) was handed each one.
@@ -385,44 +378,12 @@ TEST(HostStack, StationNicStaysIdleOnALanCarryingOtherTraffic) {
   EXPECT_GT(lan.receivers_skipped, 0u);
 }
 
-TEST(HostStack, StationNicBoxCountsFromItsFirstFrame) {
-  // The stack's first ARP for its own address builds both boxes; the NIC
-  // then counts the frames handed to it from that one on.
-  IdleStation s;
-  ASSERT_FALSE(s.nic->active());
-  s.hand(s.who_has(s.host.ip()));
-  EXPECT_TRUE(s.nic->active());
-  EXPECT_TRUE(s.host.active());
-  s.net.scheduler().run();
-  EXPECT_EQ(s.nic->stats().rx_frames, 1u);
-  EXPECT_EQ(s.nic->stats().tx_frames, 1u);  // the ARP reply
-}
-
-TEST(HostStack, FirstSendBindOrHandledArpMakesAStationActive) {
-  IdleStation pinger;
-  pinger.host.send_echo_request(pinger.probe_ip, 1, 1, {});
-  EXPECT_TRUE(pinger.host.active());
-  EXPECT_EQ(pinger.host.stats().ip_packets_sent, 1u);
-  EXPECT_EQ(pinger.host.stats().arp_requests_sent, 1u);
-
-  IdleStation binder;
-  binder.host.bind_udp(4000, [](Ipv4Addr, const UdpDatagram&) {});
-  EXPECT_TRUE(binder.host.active());
-  EXPECT_EQ(binder.host.stats(), HostStats{});
-
-  IdleStation asked;
-  asked.hand(asked.who_has(asked.host.ip()));
-  EXPECT_TRUE(asked.host.active());
-  EXPECT_EQ(asked.host.stats().arp_replies_sent, 1u);
-}
-
 TEST(HostStack, NonDefaultConfigHoldsFromConstruction) {
   HostConfig cfg;
   cfg.mtu = 576;
   cfg.answer_ping = false;
   cfg.tx_cost = netsim::CostModel::linux_host();
   IdleStation s(cfg);
-  EXPECT_TRUE(s.host.active());  // built with its box: the settings stick
 
   // The ARP exchange: the station resolves the probe first.
   HostConfig peer_cfg;
